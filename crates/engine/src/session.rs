@@ -528,7 +528,6 @@ impl Session {
         deadline: Option<Instant>,
         parallel: bool,
     ) -> Result<Report, Error> {
-        let _span = biocheck_obs::span!("engine.query");
         let _tspan = budget.trace.as_ref().map(|t| t.span("engine.query"));
         let started = Instant::now();
         let mut compile = Duration::ZERO;

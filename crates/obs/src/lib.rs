@@ -1,6 +1,6 @@
 //! Observability primitives for the BioCheck serving stack.
 //!
-//! Four tools, all dependency-free and cheap enough to leave on in
+//! Three tools, all dependency-free and cheap enough to leave on in
 //! production:
 //!
 //! * [`Histogram`] — a lock-free, log-linear bucketed latency
@@ -11,13 +11,6 @@
 //!   extracts p50/p90/p99/max with a bounded relative error of
 //!   1/16 (6.25%) — see the [`hist`] module docs for the bucket
 //!   layout and the exact error bound.
-//!
-//! * [`span!`] — an RAII span timer with a pluggable process-global
-//!   [`Recorder`]. When no recorder is installed (the default) a span
-//!   costs one relaxed atomic load and never reads the clock; with a
-//!   recorder installed, each span reports its name and elapsed
-//!   nanoseconds on drop. [`event`] reports point-in-time occurrences
-//!   the same way.
 //!
 //! * [`TraceCtx`] — request-scoped tracing: a per-request span tree
 //!   collected into a lock-free bounded ring ([`SpanRing`]) plus live
@@ -30,8 +23,8 @@
 //!
 //! The serving layer (`biocheck_serve`) aggregates histograms per
 //! request phase and exposes them via `{"op":"stats"}` and
-//! `{"op":"metrics"}`; the span facade is wired to stderr by
-//! `biocheckd --trace` for interactive debugging.
+//! `{"op":"metrics"}`, and threads a [`TraceCtx`] through every traced
+//! request.
 //!
 //! ```
 //! use biocheck_obs::Histogram;
@@ -47,11 +40,9 @@
 //! ```
 
 pub mod hist;
-pub mod span;
 pub mod trace;
 pub mod window;
 
 pub use hist::{Histogram, Snapshot};
-pub use span::{event, recorder_installed, set_recorder, Recorder, Span};
 pub use trace::{Progress, ProgressSnapshot, SpanRecord, SpanRing, TraceCtx, TraceSpan};
 pub use window::Windowed;

@@ -2,15 +2,13 @@
 //! lock-free bounded ring, plus live progress counters the solver
 //! loops publish at their existing budget-poll points.
 //!
-//! The [`span!`](crate::span!) facade times *global* phases for the
-//! process-wide [`Recorder`](crate::Recorder); this module answers the
-//! per-request questions it cannot: "where did *this* query spend its
-//! time" (the span tree) and "how far along is that 30-second run"
-//! (the [`Progress`] counters). A [`TraceCtx`] is created by the
-//! serving layer per traced request and threaded through the engine
-//! inside the budget; everything here is observational — no trace
-//! state ever feeds a fingerprint, a memoization key, or a persisted
-//! byte.
+//! It answers the per-request questions a latency histogram cannot:
+//! "where did *this* query spend its time" (the span tree) and "how far
+//! along is that 30-second run" (the [`Progress`] counters). A
+//! [`TraceCtx`] is created by the serving layer per traced request and
+//! threaded through the engine inside the budget; everything here is
+//! observational — no trace state ever feeds a fingerprint, a
+//! memoization key, or a persisted byte.
 //!
 //! # Concurrency
 //!

@@ -295,11 +295,15 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
 fn trace_smoke(client: &mut Client) -> Result<(), String> {
     use biocheck_serve::Json;
     let requests = selftest_requests();
-    // A fresh seed, so the traced run misses the cache and actually
-    // exercises the engine span instrumentation.
+    // A seed no earlier selftest used, so the traced run misses the
+    // cache and actually exercises the engine span instrumentation —
+    // even on a daemon warm-started from a log that holds every earlier
+    // selftest's results (the crash-recovery `--expect-warm` run).
     let mut traced = requests[0].clone();
     traced.id = None;
-    traced.seed = 9_901;
+    traced.seed = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(9_901, |d| d.as_nanos() as u64);
     traced.trace = true;
     let mut untraced = traced.clone();
     untraced.trace = false;

@@ -1,700 +1,232 @@
-//! Crash-recoverable spill persistence for the result cache.
+//! The result cache's spill log: an [`AppendLog`] of memoized reports.
 //!
 //! The daemon's memoized results are pure functions of their key (see
 //! the memoization contract in [`crate::server`]), which makes them
 //! safe to persist across restarts: a warm-started cache hit is
-//! `fingerprint()`-identical to a fresh computation. This module keeps
-//! them in a versioned, checksummed, append-only log:
+//! `fingerprint()`-identical to a fresh computation.
 //!
-//! ```text
-//! biocheck-cache v1
-//! <fnv1a64 of payload> <payload JSON>
-//! <fnv1a64 of payload> <payload JSON>
-//! ...
-//! ```
-//!
-//! **Durability model.** Records are appended (and flushed) as they
-//! are computed, so a crash — including SIGKILL — loses at most the
-//! torn tail record the process was writing. **Loading is
-//! corruption-tolerant, never fatal**: a record that fails its
-//! checksum, does not parse, or does not decode is counted in
-//! [`PersistStats::skipped`] and skipped; a missing or garbled header
-//! invalidates only what follows it. Opening then *compacts*: the
-//! surviving records are rewritten to a temporary file which is
-//! atomically renamed over the log, so corruption never accumulates
-//! and the file never holds a partially-written rewrite.
-//!
-//! **Fidelity.** [`Report::fingerprint`] renders floats in Rust's
-//! `Debug` form, which is injective on bit patterns — so the codec
-//! stores every float as its exact IEEE-754 bit pattern (16 hex
-//! digits), not as a decimal. Non-finite values (a robustness `min` of
-//! `-inf`, say) round-trip exactly, which the JSON number grammar
-//! could not do. The caller-supplied `wall_time` is deliberately
-//! dropped: it is excluded from fingerprints and meaningless across
-//! restarts.
+//! Each record is `{"key", "cost", "report"}`, where `report` is
+//! exactly the wire form [`report_to_json`] emits — bit-exact floats,
+//! non-finite values included, plus the report's `fingerprint`. On load
+//! a record is accepted only if [`report_from_json`] reproduces that
+//! stored fingerprint, so a record that does not decode to exactly what
+//! was stored is skipped, never served. Phase timings are not restored:
+//! they are excluded from fingerprints and meaningless across restarts.
 //!
 //! Only wire-producible reports (`Estimate`, `Sprt`, `Robustness`,
 //! `Stability`, `Lint`) are persisted; in-process-only kinds are
-//! counted in [`PersistStats::unsupported`] and served from memory as
-//! usual.
+//! counted in [`LogStats::unsupported`](crate::append_log::LogStats)
+//! and served from memory as usual.
 
-use crate::json::{parse_json, Json};
-use crate::registry::fingerprint64;
-use crate::wire::{u64_from_json, u64_to_json};
-use biocheck_engine::{
-    Diagnostic, Outcome, Provenance, QueryKind, Report, RobustnessSummary, Severity, Value,
-};
-use biocheck_interval::Interval;
-use biocheck_smc::{Estimate, SprtOutcome, SprtResult};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use crate::append_log::{AppendLog, Codec};
+use crate::json::Json;
+use crate::wire::{report_from_json, report_to_json, u64_from_json, u64_to_json};
+use biocheck_engine::{Report, Value};
+use std::sync::Arc;
 
-const HEADER: &str = "biocheck-cache v1";
+/// The cache spill log.
+pub type CacheLog = AppendLog<CacheCodec>;
 
-/// Lifetime counters for one [`CacheLog`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Records successfully recovered at open time.
-    pub loaded: usize,
-    /// Lines discarded at open time (checksum, parse, or decode
-    /// failure — torn tails land here).
-    pub skipped: usize,
-    /// Records appended since open.
-    pub appended: usize,
-    /// Append attempts that failed at the I/O layer (the in-memory
-    /// cache is unaffected; persistence is best-effort).
-    pub append_errors: usize,
-    /// Reports that cannot be persisted (non-wire query kinds).
-    pub unsupported: usize,
-}
-
-/// One record recovered from the log at open time.
-pub struct LoadedRecord {
+/// One memoized result.
+pub struct CacheRecord {
     /// The full memoization key.
     pub key: String,
-    /// The byte cost the entry was originally charged.
+    /// The byte cost the entry is charged in the cache.
     pub cost: usize,
-    /// The reconstructed report, `fingerprint()`-identical to the one
-    /// that was stored.
-    pub report: Report,
+    /// The memoized report.
+    pub report: Arc<Report>,
 }
 
-/// An open, append-mode cache spill log.
-pub struct CacheLog {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
-    stats: PersistStats,
-}
+/// The `biocheck-cache v2` record format.
+pub struct CacheCodec;
 
-impl CacheLog {
-    /// Opens (creating if absent) the log at `path`: recovers every
-    /// valid record, compacts the file down to exactly those records
-    /// via an atomic temp-file rename, and leaves the log open for
-    /// appending. Corrupt content is skipped, never an error; only a
-    /// filesystem-level failure to (re)create the file is.
-    pub fn open(path: &Path) -> std::io::Result<(CacheLog, Vec<LoadedRecord>)> {
-        let mut stats = PersistStats::default();
-        let records = match File::open(path) {
-            Ok(f) => read_records(f, &mut stats),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        // Compact: rewrite the surviving records and atomically replace
-        // the log, shedding torn tails and corrupt lines for good.
-        let tmp = path.with_extension("tmp");
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            writeln!(w, "{HEADER}")?;
-            for rec in &records {
-                // Loaded records decoded, so they re-encode.
-                if let Some(line) = encode_record(&rec.key, rec.cost, &rec.report) {
-                    writeln!(w, "{line}")?;
-                }
-            }
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
-        Ok((
-            CacheLog {
-                path: path.to_path_buf(),
-                writer: Some(writer),
-                stats,
-            },
-            records,
-        ))
-    }
+impl Codec for CacheCodec {
+    type Record = CacheRecord;
+    // v1 stored floats as hex bit patterns; v1 files are skipped.
+    const HEADER: &'static str = "biocheck-cache v2";
 
-    /// The log's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> PersistStats {
-        self.stats
-    }
-
-    /// Appends one record and flushes it to the OS, so a crash right
-    /// after a reply was sent cannot lose the reply's result. All
-    /// failure modes are absorbed into the counters: persistence must
-    /// never fail a request.
-    pub fn append(&mut self, key: &str, cost: usize, report: &Report) {
-        let Some(line) = encode_record(key, cost, report) else {
-            self.stats.unsupported += 1;
-            return;
-        };
-        #[cfg(feature = "fault-injection")]
-        if crate::faults::persist_io_error() {
-            self.stats.append_errors += 1;
-            return;
-        }
-        let ok = self
-            .writer
-            .as_mut()
-            .is_some_and(|w| writeln!(w, "{line}").and_then(|()| w.flush()).is_ok());
-        if ok {
-            self.stats.appended += 1;
-        } else {
-            self.stats.append_errors += 1;
-        }
-    }
-
-    /// Best-effort fsync (shutdown path).
-    pub fn sync(&mut self) {
-        if let Some(w) = self.writer.as_mut() {
-            let _ = w.flush();
-            let _ = w.get_ref().sync_all();
-        }
-    }
-}
-
-fn read_records(f: File, stats: &mut PersistStats) -> Vec<LoadedRecord> {
-    let mut reader = BufReader::new(f);
-    let mut records = Vec::new();
-    let mut header_seen = false;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // A line that is not UTF-8 (or any other read error) ends
-        // recovery: framing below the failure point is untrustworthy.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => {
-                stats.skipped += 1;
-                break;
-            }
-        }
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        if !header_seen {
-            if line == HEADER {
-                header_seen = true;
-            } else {
-                // Unknown version or garbage where the header should
-                // be: nothing after it can be trusted.
-                stats.skipped += 1;
-                break;
-            }
-            continue;
-        }
-        match decode_record(line) {
-            Some(rec) => records.push(rec),
-            None => stats.skipped += 1,
-        }
-    }
-    stats.loaded = records.len();
-    records
-}
-
-/// `<checksum> <payload>` for one record; `None` when the report's
-/// kind is not persistable.
-fn encode_record(key: &str, cost: usize, report: &Report) -> Option<String> {
-    let payload = Json::obj([
-        ("key", Json::str(key)),
-        ("cost", u64_to_json(cost as u64)),
-        ("report", encode_report(report)?),
-    ])
-    .render();
-    Some(format!("{} {payload}", fingerprint64(&payload)))
-}
-
-fn decode_record(line: &str) -> Option<LoadedRecord> {
-    let (checksum, payload) = line.split_once(' ')?;
-    if checksum != fingerprint64(payload) {
-        return None;
-    }
-    let v = parse_json(payload).ok()?;
-    let key = v.get("key")?.as_str()?.to_string();
-    let cost = usize::try_from(u64_from_json(v.get("cost")?)?).ok()?;
-    let report = decode_report(v.get("report")?)?;
-    Some(LoadedRecord { key, cost, report })
-}
-
-/// A float as its exact IEEE-754 bit pattern — injective, total (NaN
-/// and infinities included), and therefore fingerprint-preserving.
-fn bits_json(v: f64) -> Json {
-    Json::str(format!("{:016x}", v.to_bits()))
-}
-
-fn bits_from(v: &Json) -> Option<f64> {
-    let s = v.as_str()?;
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn usize_from(v: &Json) -> Option<usize> {
-    usize::try_from(u64_from_json(v)?).ok()
-}
-
-fn encode_report(report: &Report) -> Option<Json> {
-    let (kind, value) = match &report.value {
-        Value::Estimate(e) => (
-            "estimate",
-            Json::obj([
-                ("p_hat", bits_json(e.p_hat)),
-                ("samples", u64_to_json(e.samples as u64)),
-                ("half_width", bits_json(e.half_width)),
-                ("confidence", bits_json(e.confidence)),
-            ]),
-        ),
-        Value::Sprt(r) => (
-            "sprt",
-            Json::obj([
-                (
-                    "outcome",
-                    Json::str(match r.outcome {
-                        SprtOutcome::AcceptH0 => "accept_h0",
-                        SprtOutcome::AcceptH1 => "accept_h1",
-                        SprtOutcome::Inconclusive => "inconclusive",
-                    }),
-                ),
-                ("samples", u64_to_json(r.samples as u64)),
-                ("p_hat", bits_json(r.p_hat)),
-            ]),
-        ),
-        Value::Robustness(r) => (
-            "robustness",
-            Json::obj([
-                ("p_hat", bits_json(r.p_hat)),
-                ("mean", bits_json(r.mean)),
-                ("min", bits_json(r.min)),
-            ]),
-        ),
-        Value::Stability(rep) => (
-            "stability",
-            match rep {
-                None => Json::Null,
-                Some(s) => Json::obj([
-                    (
-                        "equilibrium",
-                        Json::Arr(s.equilibrium.iter().map(|&v| bits_json(v)).collect()),
-                    ),
-                    ("lyapunov", Json::str(s.lyapunov.clone())),
-                    ("iterations", u64_to_json(s.iterations as u64)),
-                    ("certified", Json::Bool(s.certified)),
-                ]),
-            },
-        ),
-        Value::Lint(diags) => (
-            "lint",
-            Json::Arr(
-                diags
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("code", Json::str(d.code.clone())),
-                            ("severity", Json::str(d.severity.name())),
-                            ("site", Json::str(d.site.clone())),
-                            ("message", Json::str(d.message.clone())),
-                            (
-                                "expr",
-                                match &d.expr {
-                                    Some(e) => Json::str(e.clone()),
-                                    None => Json::Null,
-                                },
-                            ),
-                            (
-                                "witness",
-                                Json::Arr(
-                                    d.witness
-                                        .iter()
-                                        .map(|(name, iv)| {
-                                            // Bit-exact endpoints: ±inf
-                                            // boxes and empty (NaN/NaN)
-                                            // enclosures round-trip.
-                                            Json::Arr(vec![
-                                                Json::str(name.clone()),
-                                                bits_json(iv.lo()),
-                                                bits_json(iv.hi()),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+    fn encode(rec: &CacheRecord) -> Option<Json> {
         // Falsify / Therapy / Calibrate never travel the wire, so the
         // serving cache only memoizes them in-process.
-        _ => return None,
-    };
-    Some(Json::obj([
-        ("kind", Json::str(kind)),
-        (
-            "outcome",
-            Json::str(match report.outcome {
-                Outcome::Complete => "complete",
-                Outcome::Exhausted => "exhausted",
-            }),
-        ),
-        ("value", value),
-        (
-            "provenance",
-            Json::obj([
-                ("seed", u64_to_json(report.provenance.seed)),
-                ("samples", u64_to_json(report.provenance.samples as u64)),
-                (
-                    "early_stop_rate",
-                    bits_json(report.provenance.early_stop_rate),
-                ),
-                ("avg_steps", bits_json(report.provenance.avg_steps)),
-            ]),
-        ),
-    ]))
-}
+        if matches!(
+            rec.report.value,
+            Value::Falsify(_) | Value::Therapy(_) | Value::Calibration(_)
+        ) {
+            return None;
+        }
+        Some(Json::obj([
+            ("key", Json::str(rec.key.clone())),
+            ("cost", u64_to_json(rec.cost as u64)),
+            ("report", report_to_json(&rec.report)),
+        ]))
+    }
 
-fn decode_report(v: &Json) -> Option<Report> {
-    let value = v.get("value")?;
-    let (kind, value) = match v.get("kind")?.as_str()? {
-        "estimate" => (
-            QueryKind::Estimate,
-            Value::Estimate(Estimate {
-                p_hat: bits_from(value.get("p_hat")?)?,
-                samples: usize_from(value.get("samples")?)?,
-                half_width: bits_from(value.get("half_width")?)?,
-                confidence: bits_from(value.get("confidence")?)?,
-            }),
-        ),
-        "sprt" => (
-            QueryKind::Sprt,
-            Value::Sprt(SprtResult {
-                outcome: match value.get("outcome")?.as_str()? {
-                    "accept_h0" => SprtOutcome::AcceptH0,
-                    "accept_h1" => SprtOutcome::AcceptH1,
-                    "inconclusive" => SprtOutcome::Inconclusive,
-                    _ => return None,
-                },
-                samples: usize_from(value.get("samples")?)?,
-                p_hat: bits_from(value.get("p_hat")?)?,
-            }),
-        ),
-        "robustness" => (
-            QueryKind::Robustness,
-            Value::Robustness(RobustnessSummary {
-                p_hat: bits_from(value.get("p_hat")?)?,
-                mean: bits_from(value.get("mean")?)?,
-                min: bits_from(value.get("min")?)?,
-            }),
-        ),
-        "stability" => (
-            QueryKind::Stability,
-            Value::Stability(match value {
-                Json::Null => None,
-                s => Some(biocheck_engine::StabilityReport {
-                    equilibrium: s
-                        .get("equilibrium")?
-                        .as_arr()?
-                        .iter()
-                        .map(bits_from)
-                        .collect::<Option<Vec<f64>>>()?,
-                    lyapunov: s.get("lyapunov")?.as_str()?.to_string(),
-                    iterations: usize_from(s.get("iterations")?)?,
-                    certified: s.get("certified")?.as_bool()?,
-                }),
-            }),
-        ),
-        "lint" => (
-            QueryKind::Lint,
-            Value::Lint(
-                value
-                    .as_arr()?
-                    .iter()
-                    .map(decode_diagnostic)
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-        ),
-        _ => return None,
-    };
-    let outcome = match v.get("outcome")?.as_str()? {
-        "complete" => Outcome::Complete,
-        "exhausted" => Outcome::Exhausted,
-        _ => return None,
-    };
-    let p = v.get("provenance")?;
-    Some(Report {
-        kind,
-        outcome,
-        value,
-        provenance: Provenance {
-            seed: u64_from_json(p.get("seed")?)?,
-            samples: usize_from(p.get("samples")?)?,
-            early_stop_rate: bits_from(p.get("early_stop_rate")?)?,
-            avg_steps: bits_from(p.get("avg_steps")?)?,
-            // Timing provenance is observability-only and not encoded
-            // (it is excluded from fingerprints, so nothing is lost).
-            ..Provenance::default()
-        },
-    })
-}
-
-fn decode_diagnostic(v: &Json) -> Option<Diagnostic> {
-    let severity = match v.get("severity")?.as_str()? {
-        "error" => Severity::Error,
-        "warn" => Severity::Warn,
-        "info" => Severity::Info,
-        _ => return None,
-    };
-    let expr = match v.get("expr")? {
-        Json::Null => None,
-        e => Some(e.as_str()?.to_string()),
-    };
-    let witness = v
-        .get("witness")?
-        .as_arr()?
-        .iter()
-        .map(|triple| {
-            let t = triple.as_arr().filter(|t| t.len() == 3)?;
-            let [name, lo, hi] = t else { return None };
-            let (lo, hi) = (bits_from(lo)?, bits_from(hi)?);
-            let iv = if lo.is_nan() && hi.is_nan() {
-                Interval::EMPTY
-            } else {
-                Interval::checked(lo, hi)?
-            };
-            Some((name.as_str()?.to_string(), iv))
+    fn decode(v: &Json) -> Option<CacheRecord> {
+        Some(CacheRecord {
+            key: v.get("key")?.as_str()?.to_string(),
+            cost: usize::try_from(u64_from_json(v.get("cost")?)?).ok()?,
+            report: Arc::new(report_from_json(v.get("report")?)?),
         })
-        .collect::<Option<Vec<_>>>()?;
-    Some(Diagnostic {
-        code: v.get("code")?.as_str()?.to_string(),
-        severity,
-        site: v.get("site")?.as_str()?.to_string(),
-        message: v.get("message")?.as_str()?.to_string(),
-        expr,
-        witness,
-    })
+    }
+
+    fn key(rec: &CacheRecord) -> &str {
+        &rec.key
+    }
+
+    #[cfg(feature = "fault-injection")]
+    fn injected_io_error() -> bool {
+        crate::faults::persist_io_error()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::fingerprint64;
+    use biocheck_engine::{
+        Diagnostic, Outcome, Provenance, QueryKind, RobustnessSummary, Severity, StabilityReport,
+    };
+    use biocheck_interval::Interval;
+    use biocheck_smc::Estimate;
 
-    fn sample_report(seed: u64) -> Report {
-        Report {
-            kind: QueryKind::Estimate,
+    fn record(kind: QueryKind, value: Value) -> CacheRecord {
+        let provenance = Provenance {
+            seed: u64::MAX, // above 2^53: travels as a string
+            samples: 120,
+            early_stop_rate: 0.25,
+            avg_steps: 37.5,
+            ..Provenance::default()
+        };
+        let report = Report {
+            kind,
             outcome: Outcome::Complete,
-            value: Value::Estimate(Estimate {
-                p_hat: 1.0 / 3.0, // a float with no short decimal form
-                samples: 120,
-                half_width: f64::MIN_POSITIVE,
-                confidence: 0.95,
-            }),
-            provenance: Provenance {
-                seed,
-                samples: 120,
-                early_stop_rate: 0.25,
-                avg_steps: 37.5,
-                ..Provenance::default()
-            },
+            value,
+            provenance,
+        };
+        CacheRecord {
+            key: "m|q|seed=1|caps".into(),
+            cost: 512,
+            report: Arc::new(report),
         }
     }
 
-    fn tmp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("biocheck-persist-{name}-{}", std::process::id()));
+    fn estimate(p_hat: f64) -> CacheRecord {
+        let e = Estimate {
+            p_hat,
+            samples: 120,
+            half_width: f64::MIN_POSITIVE,
+            confidence: 0.95,
+        };
+        record(QueryKind::Estimate, Value::Estimate(e))
+    }
+
+    /// Encode → frame → decode, checking the record survives intact.
+    fn roundtrip(rec: &CacheRecord) -> Arc<Report> {
+        let line = CacheLog::encode_line(rec).expect("encodable");
+        let back = CacheLog::decode_line(&line).expect("decodable");
+        assert_eq!((back.key.as_str(), back.cost), (rec.key.as_str(), rec.cost));
+        assert_eq!(back.report.fingerprint(), rec.report.fingerprint());
+        back.report
+    }
+
+    fn tmp_path(name: &str) -> std::path::PathBuf {
+        let p =
+            std::env::temp_dir().join(format!("biocheck-persist-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&p);
         p
     }
 
     #[test]
     fn roundtrip_preserves_fingerprints_including_nonfinite() {
-        let reports = [
-            sample_report(7),
-            Report {
-                kind: QueryKind::Robustness,
-                outcome: Outcome::Exhausted,
-                value: Value::Robustness(RobustnessSummary {
-                    p_hat: f64::NAN,
-                    mean: -0.0,
-                    min: f64::NEG_INFINITY,
-                }),
-                provenance: Provenance::default(),
-            },
-            Report {
-                kind: QueryKind::Sprt,
-                outcome: Outcome::Complete,
-                value: Value::Sprt(SprtResult {
-                    outcome: SprtOutcome::Inconclusive,
-                    samples: 40,
-                    p_hat: 0.5,
-                }),
-                provenance: Provenance::default(),
-            },
-            Report {
-                kind: QueryKind::Stability,
-                outcome: Outcome::Complete,
-                value: Value::Stability(Some(biocheck_engine::StabilityReport {
-                    equilibrium: vec![0.1, -2.5e-300, f64::INFINITY],
-                    lyapunov: "V(x) = xᵀPx".into(),
-                    iterations: 12,
-                    certified: true,
-                })),
-                provenance: Provenance::default(),
-            },
-        ];
-        for r in &reports {
-            let line = encode_record("model|q|seed=1|caps", 512, r).expect("encodable");
-            let rec = decode_record(&line).expect("decodable");
-            assert_eq!(rec.key, "model|q|seed=1|caps");
-            assert_eq!(rec.cost, 512);
-            assert_eq!(
-                rec.report.fingerprint(),
-                r.fingerprint(),
-                "persisted report must be fingerprint-identical"
-            );
-        }
+        roundtrip(&estimate(1.0 / 3.0)); // no short decimal form
+        let r = RobustnessSummary {
+            p_hat: f64::NAN,
+            mean: -0.0,
+            min: f64::NEG_INFINITY,
+        };
+        roundtrip(&record(QueryKind::Robustness, Value::Robustness(r)));
+        let s = StabilityReport {
+            equilibrium: vec![0.1, -2.5e-300, f64::INFINITY],
+            lyapunov: "V(x) = xᵀPx".into(),
+            iterations: 12,
+            certified: true,
+        };
+        roundtrip(&record(QueryKind::Stability, Value::Stability(Some(s))));
     }
 
     #[test]
     fn lint_reports_roundtrip_bit_exactly() {
-        let report = Report {
-            kind: QueryKind::Lint,
-            outcome: Outcome::Complete,
-            value: Value::Lint(vec![
-                Diagnostic {
-                    code: "L002".into(),
-                    severity: Severity::Error,
-                    site: "d(x)/dt".into(),
-                    message: "`ln` argument `x - 5` is never positive".into(),
-                    expr: Some("ln(x - 5)".into()),
-                    witness: vec![
-                        ("x - 5".into(), Interval::new(-5.0, -4.0)),
-                        ("x".into(), Interval::new(0.0, f64::INFINITY)),
-                        ("bad".into(), Interval::EMPTY),
-                    ],
-                },
-                Diagnostic {
-                    code: "L101".into(),
-                    severity: Severity::Info,
-                    site: "state `y`".into(),
-                    message: "unused".into(),
-                    expr: None,
-                    witness: vec![],
-                },
-            ]),
-            provenance: Provenance {
-                seed: 0,
-                ..Provenance::default()
-            },
+        let diag = Diagnostic {
+            code: "L002".into(),
+            severity: Severity::Error,
+            site: "d(x)/dt".into(),
+            message: "`ln` argument `x - 5` is never positive".into(),
+            expr: None,
+            witness: vec![
+                ("x".into(), Interval::new(0.0, f64::INFINITY)),
+                ("bad".into(), Interval::EMPTY),
+            ],
         };
-        let line = encode_record("m|lint|seed=0|caps", 256, &report).expect("encodable");
-        let rec = decode_record(&line).expect("decodable");
-        assert_eq!(rec.report.fingerprint(), report.fingerprint());
-        let Value::Lint(diags) = &rec.report.value else {
+        let back = roundtrip(&record(QueryKind::Lint, Value::Lint(vec![diag])));
+        let Value::Lint(diags) = &back.value else {
             panic!("wrong value kind")
         };
         // The witness boxes themselves (not just the fingerprint)
         // survive: unbounded and empty intervals included.
-        assert_eq!(diags[0].witness[1].1, Interval::new(0.0, f64::INFINITY));
-        assert!(diags[0].witness[2].1.is_empty());
-        assert_eq!(diags[1].expr, None);
+        assert_eq!(diags[0].witness[0].1, Interval::new(0.0, f64::INFINITY));
+        assert!(diags[0].witness[1].1.is_empty());
     }
 
     #[test]
     fn unsupported_kinds_are_refused_not_mangled() {
-        let r = Report {
-            kind: QueryKind::Falsify,
-            outcome: Outcome::Complete,
-            value: Value::Falsify(biocheck_engine::FalsificationOutcome::Undecided),
-            provenance: Provenance::default(),
-        };
-        assert!(encode_record("k", 1, &r).is_none());
+        let falsify = Value::Falsify(biocheck_engine::FalsificationOutcome::Undecided);
+        assert!(CacheLog::encode_line(&record(QueryKind::Falsify, falsify)).is_none());
     }
 
     #[test]
     fn open_append_reopen_recovers_everything() {
         let path = tmp_path("reopen");
-        let _ = std::fs::remove_file(&path);
-        let (mut log, recs) = CacheLog::open(&path).unwrap();
-        assert!(recs.is_empty());
-        log.append("k1", 100, &sample_report(1));
-        log.append("k2", 200, &sample_report(2));
-        assert_eq!(log.stats().appended, 2);
+        let (mut log, _) = CacheLog::open(&path).unwrap();
+        log.append(&estimate(0.25));
         drop(log);
         let (log, recs) = CacheLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2);
-        assert_eq!(log.stats().skipped, 0);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].key, "k1");
-        assert_eq!(recs[0].cost, 100);
-        assert_eq!(recs[0].report.fingerprint(), sample_report(1).fingerprint());
-        assert_eq!(recs[1].report.fingerprint(), sample_report(2).fingerprint());
+        assert_eq!((log.stats().loaded, log.stats().skipped), (1, 0));
+        assert_eq!(
+            recs[0].report.fingerprint(),
+            estimate(0.25).report.fingerprint()
+        );
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Records that pass their checksum but do not decode to exactly
+    /// what was stored are refused.
     #[test]
     fn corrupt_lines_and_torn_tails_are_skipped_then_compacted_away() {
-        let path = tmp_path("corrupt");
-        let _ = std::fs::remove_file(&path);
-        let good = encode_record("good", 64, &sample_report(9)).unwrap();
-        let (checksum, payload) = good.split_once(' ').unwrap();
-        let mut content = format!("{HEADER}\n{good}\n");
-        content.push_str("0000000000000000 {\"not\":\"matching\"}\n"); // bad checksum
-        content.push_str(&format!("{checksum} {}\n", &payload[..payload.len() / 2])); // truncated JSON
-        content.push_str("complete garbage, not even a record\n");
-        let good2 = encode_record("good2", 65, &sample_report(10)).unwrap();
-        content.push_str(&format!("{good2}\n"));
-        content.push_str(&good[..good.len() / 2]); // torn tail, no newline
-        std::fs::write(&path, content).unwrap();
-        let (log, recs) = CacheLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2, "both intact records recovered");
-        assert_eq!(log.stats().skipped, 4, "four corrupt lines skipped");
-        assert_eq!(recs[0].key, "good");
-        assert_eq!(recs[1].key, "good2");
-        drop(log);
-        // Compaction rewrote the file: a second open sees a clean log.
-        let (log, recs) = CacheLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2);
-        assert_eq!(
-            log.stats().skipped,
-            0,
-            "corruption must not survive compaction"
-        );
-        assert_eq!(recs.len(), 2);
-        let _ = std::fs::remove_file(&path);
+        let good = CacheLog::encode_line(&estimate(0.5)).unwrap();
+        let payload = good.split_once(' ').unwrap().1;
+        for (from, to) in [
+            ("\"cost\":512", "\"cost\":null"),
+            ("\"p_hat\":0.5", "\"p_hat\":0.25"),
+            ("\"fingerprint\":\"", "\"fingerprint\":\"x"),
+            ("\"kind\":\"Estimate\"", "\"kind\":\"Sprt\""),
+            ("\"samples\":120", "\"samples\":1.5"),
+        ] {
+            let tampered = payload.replacen(from, to, 1);
+            assert_ne!(tampered, payload, "{from} not found");
+            let line = format!("{} {tampered}", fingerprint64(&tampered));
+            assert!(CacheLog::decode_line(&line).is_none(), "{line}");
+        }
+        assert!(CacheLog::decode_line(&good[..good.len() - 1]).is_none());
     }
 
     #[test]
     fn unknown_header_invalidates_the_file_without_crashing() {
+        // A v1 file (hex-float records) is skipped wholesale on upgrade.
         let path = tmp_path("header");
-        let _ = std::fs::remove_file(&path);
-        let good = encode_record("k", 1, &sample_report(3)).unwrap();
-        std::fs::write(&path, format!("biocheck-cache v999\n{good}\n")).unwrap();
+        let good = CacheLog::encode_line(&estimate(0.5)).unwrap();
+        std::fs::write(&path, format!("biocheck-cache v1\n{good}\n")).unwrap();
         let (log, recs) = CacheLog::open(&path).unwrap();
-        assert_eq!(
-            recs.len(),
-            0,
-            "records behind an unknown header are not trusted"
-        );
-        assert!(log.stats().skipped >= 1);
+        assert_eq!((recs.len(), log.stats().skipped), (0, 1));
         let _ = std::fs::remove_file(&path);
     }
 }

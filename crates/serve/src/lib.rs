@@ -13,16 +13,19 @@
 //!   memory — arena-node and compiled-artifact caps enforced by
 //!   evict-and-rebuild from canonical source, with high-water gauges in
 //!   [`registry::MemoryStats`] — and [`registry::persist::RegistryLog`]
-//!   makes registrations durable: an append-only checksummed log of
-//!   canonical sources, replayed on boot, so a `kill -9` restart serves
-//!   the same models under the same fingerprints with no client
-//!   re-registration.
+//!   makes registrations durable: a log of canonical sources, replayed
+//!   on boot, so a `kill -9` restart serves the same models under the
+//!   same fingerprints with no client re-registration.
 //! * [`cache::ResultCache`] — a **cost-aware LRU result cache**: seeded
 //!   queries under count-only budgets are pure functions of
 //!   `(model fingerprint, canonical query, seed, caps)`, so whole
 //!   [`Report`](biocheck_engine::Report)s are memoized, with
 //!   byte-budgeted eviction and hit/miss/evict counters. A cached report
-//!   is `fingerprint()`-identical to a fresh computation.
+//!   is `fingerprint()`-identical to a fresh computation, including
+//!   one reloaded from the [`cache::persist::CacheLog`] spill file.
+//! * [`append_log::AppendLog`] — the one crash-recoverable log format
+//!   both durable logs share: versioned header, checksummed records,
+//!   torn-tail-tolerant load, compaction by atomic rename.
 //! * [`scheduler::Scheduler`] — **fair FIFO admission** of concurrent
 //!   requests over the existing work-stealing pool, bounded concurrency,
 //!   per-request [`Budget`](biocheck_engine::Budget) and
@@ -92,6 +95,7 @@
 //! assert_eq!(fresh.fingerprint(), hit.fingerprint());
 //! ```
 
+pub mod append_log;
 pub mod cache;
 pub mod case_studies;
 pub mod client;
@@ -105,12 +109,13 @@ pub mod server;
 pub mod trace;
 pub mod wire;
 
+pub use append_log::LogStats;
 pub use cache::{CacheStats, ResultCache};
 pub use case_studies::{case_study_source, pinned_lint_json, CASE_STUDIES};
 pub use client::{Client, ClientConfig, QueryReply};
 pub use json::{parse_json, Json};
 pub use metrics::ServeMetrics;
-pub use registry::persist::{LoadedModel, RegistryLog, RegistryPersistStats};
+pub use registry::persist::{ModelRecord, RegistryLog};
 pub use registry::{fingerprint64, MemoryStats, ModelEntry, Registry, SessionCaps};
 pub use scheduler::{AdmitError, AdmitWait, Scheduler};
 pub use server::{serve, Daemon, ServeConfig, ServeCore, ServeError};

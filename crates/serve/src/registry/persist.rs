@@ -1,66 +1,24 @@
-//! Crash-recoverable persistence for the model registry.
+//! The registry log: an [`AppendLog`] of model registrations, each
+//! `{"model": <name>, "source": <canonical ModelSource>}`.
 //!
-//! The result cache has been durable since the spill log landed
-//! (`crate::cache::persist`), but a model registration lived only in
-//! memory: after a crash the daemon came back with a warm cache and an
-//! *empty* registry, so every client had to re-register before its
-//! warm hits were reachable. This module closes that gap with the same
-//! log discipline, applied to registrations:
-//!
-//! ```text
-//! biocheck-registry v1
-//! <fnv1a64 of payload> <payload JSON>
-//! <fnv1a64 of payload> <payload JSON>
-//! ...
-//! ```
-//!
-//! Each record is a model's name plus its canonical [`ModelSource`].
 //! Because a model's fingerprint is a hash of that canonical source,
 //! replaying the log reproduces the exact fingerprints of the original
 //! registrations — so persisted cache keys (which embed fingerprints)
 //! warm-hit immediately, and replies after a `kill -9` restart are
 //! `fingerprint()`-identical to the pre-crash daemon with **no client
-//! re-registration**.
-//!
-//! **Durability model** (same as the cache log): appended and flushed
-//! per registration, so a crash loses at most the torn tail record.
-//! Loading is corruption-tolerant, never fatal: checksum, parse, or
-//! decode failures are counted in [`RegistryPersistStats::skipped`]
-//! and skipped; a missing or garbled header invalidates what follows.
-//! Opening compacts via tmp file + fsync + atomic rename — and
-//! compaction additionally deduplicates: only the **last** record per
-//! model name survives (earlier registrations were replaced anyway),
-//! so re-registering in a loop cannot grow the log without bound.
+//! re-registration**. The last record per model name wins, so
+//! re-registering in a loop cannot grow the log without bound.
 
-use crate::json::{parse_json, Json};
-use crate::registry::fingerprint64;
+use crate::append_log::{AppendLog, Codec};
+use crate::json::Json;
 use crate::wire::ModelSource;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
 
-const HEADER: &str = "biocheck-registry v1";
+/// The registry log.
+pub type RegistryLog = AppendLog<RegistryCodec>;
 
-/// Lifetime counters for one [`RegistryLog`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RegistryPersistStats {
-    /// Distinct models recovered at open time (after deduplication).
-    pub loaded: usize,
-    /// Lines discarded at open time (checksum, parse, or decode
-    /// failure — torn tails land here).
-    pub skipped: usize,
-    /// Superseded duplicate records dropped by compaction (an earlier
-    /// registration of a name that was registered again later).
-    pub deduped: usize,
-    /// Records appended since open.
-    pub appended: usize,
-    /// Append attempts that failed at the I/O layer (the in-memory
-    /// registry is unaffected; persistence is best-effort).
-    pub append_errors: usize,
-}
-
-/// One registration recovered from the log at open time.
-pub struct LoadedModel {
+/// One registration.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ModelRecord {
     /// The name the model registered under.
     pub name: String,
     /// Its canonical source; building it reproduces the original
@@ -68,286 +26,143 @@ pub struct LoadedModel {
     pub source: ModelSource,
 }
 
-/// An open, append-mode registry log.
-pub struct RegistryLog {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
-    stats: RegistryPersistStats,
-}
+/// The `biocheck-registry v1` record format.
+pub struct RegistryCodec;
 
-impl RegistryLog {
-    /// Opens (creating if absent) the log at `path`: recovers every
-    /// valid record, keeps only the last registration per name,
-    /// compacts the file down to exactly those via an atomic temp-file
-    /// rename, and leaves the log open for appending. Corrupt content
-    /// is skipped, never an error; only a filesystem-level failure to
-    /// (re)create the file is.
-    pub fn open(path: &Path) -> std::io::Result<(RegistryLog, Vec<LoadedModel>)> {
-        let mut stats = RegistryPersistStats::default();
-        let records = match File::open(path) {
-            Ok(f) => read_records(f, &mut stats),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let tmp = path.with_extension("tmp");
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            writeln!(w, "{HEADER}")?;
-            for rec in &records {
-                writeln!(w, "{}", encode_record(&rec.name, &rec.source))?;
-            }
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
-        Ok((
-            RegistryLog {
-                path: path.to_path_buf(),
-                writer: Some(writer),
-                stats,
-            },
-            records,
-        ))
+impl Codec for RegistryCodec {
+    type Record = ModelRecord;
+    const HEADER: &'static str = "biocheck-registry v1";
+
+    fn encode(rec: &ModelRecord) -> Option<Json> {
+        Some(Json::obj([
+            ("model", Json::str(rec.name.clone())),
+            ("source", rec.source.to_json()),
+        ]))
     }
 
-    /// The log's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn decode(v: &Json) -> Option<ModelRecord> {
+        Some(ModelRecord {
+            name: v.get("model")?.as_str()?.to_string(),
+            source: ModelSource::from_json(v.get("source")?).ok()?,
+        })
     }
 
-    /// Lifetime counters.
-    pub fn stats(&self) -> RegistryPersistStats {
-        self.stats
+    fn key(rec: &ModelRecord) -> &str {
+        &rec.name
     }
 
-    /// Appends one registration and flushes it to the OS, so a crash
-    /// right after the `register` reply was sent cannot lose the
-    /// registration. All failure modes are absorbed into the counters:
-    /// persistence must never fail a request.
-    pub fn append(&mut self, name: &str, source: &ModelSource) {
-        let line = encode_record(name, source);
-        #[cfg(feature = "fault-injection")]
-        if crate::faults::registry_io_error() {
-            self.stats.append_errors += 1;
-            return;
-        }
-        let ok = self
-            .writer
-            .as_mut()
-            .is_some_and(|w| writeln!(w, "{line}").and_then(|()| w.flush()).is_ok());
-        if ok {
-            self.stats.appended += 1;
-        } else {
-            self.stats.append_errors += 1;
-        }
+    #[cfg(feature = "fault-injection")]
+    fn injected_io_error() -> bool {
+        crate::faults::registry_io_error()
     }
-
-    /// Best-effort fsync (shutdown path).
-    pub fn sync(&mut self) {
-        if let Some(w) = self.writer.as_mut() {
-            let _ = w.flush();
-            let _ = w.get_ref().sync_all();
-        }
-    }
-}
-
-fn read_records(f: File, stats: &mut RegistryPersistStats) -> Vec<LoadedModel> {
-    let mut reader = BufReader::new(f);
-    let mut records: Vec<LoadedModel> = Vec::new();
-    let mut header_seen = false;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // A line that is not UTF-8 (or any other read error) ends
-        // recovery: framing below the failure point is untrustworthy.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => {
-                stats.skipped += 1;
-                break;
-            }
-        }
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        if !header_seen {
-            if line == HEADER {
-                header_seen = true;
-            } else {
-                // Unknown version or garbage where the header should
-                // be: nothing after it can be trusted.
-                stats.skipped += 1;
-                break;
-            }
-            continue;
-        }
-        match decode_record(line) {
-            Some(rec) => {
-                // Last registration of a name wins — exactly the
-                // in-memory registry's replacement semantics.
-                if let Some(old) = records.iter_mut().find(|r| r.name == rec.name) {
-                    stats.deduped += 1;
-                    *old = rec;
-                } else {
-                    records.push(rec);
-                }
-            }
-            None => stats.skipped += 1,
-        }
-    }
-    stats.loaded = records.len();
-    records
-}
-
-/// `<checksum> <payload>` for one registration. Every [`ModelSource`]
-/// encodes (unlike cache records, there is no unsupported kind).
-fn encode_record(name: &str, source: &ModelSource) -> String {
-    let payload = Json::obj([("model", Json::str(name)), ("source", source.to_json())]).render();
-    format!("{} {payload}", fingerprint64(&payload))
-}
-
-fn decode_record(line: &str) -> Option<LoadedModel> {
-    let (checksum, payload) = line.split_once(' ')?;
-    if checksum != fingerprint64(payload) {
-        return None;
-    }
-    let v = parse_json(payload).ok()?;
-    let name = v.get("model")?.as_str()?.to_string();
-    let source = ModelSource::from_json(v.get("source")?).ok()?;
-    Some(LoadedModel { name, source })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::registry::{fingerprint64, Registry};
 
-    fn source(rhs: &str) -> ModelSource {
-        ModelSource {
-            states: vec![("x".into(), rhs.into())],
-            consts: vec![("k".into(), 0.25)],
+    fn record(name: &str, rhs: &str) -> ModelRecord {
+        ModelRecord {
+            name: name.into(),
+            source: ModelSource {
+                states: vec![("x".into(), rhs.into())],
+                consts: vec![("k".into(), 0.25)],
+            },
         }
     }
 
-    fn tmp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
+    fn tmp_path(name: &str) -> std::path::PathBuf {
+        let p = std::env::temp_dir().join(format!(
             "biocheck-registry-persist-{name}-{}",
             std::process::id()
         ));
+        let _ = std::fs::remove_file(&p);
         p
     }
 
     #[test]
     fn roundtrip_preserves_fingerprints() {
-        let src = ModelSource {
-            states: vec![
-                ("u".into(), "v - u^3 + k*u".into()),
-                ("v".into(), "-0.5*v - u".into()),
-            ],
-            // A const with no short decimal form: the JSON number
-            // rendering must round-trip its bits for the fingerprint
-            // to survive.
-            consts: vec![("k".into(), 1.0 / 3.0)],
-        };
-        let line = encode_record("fitzhugh", &src);
-        let rec = decode_record(&line).expect("decodable");
-        assert_eq!(rec.name, "fitzhugh");
-        assert_eq!(rec.source, src);
+        let mut rec = record("fitzhugh", "v - u^3 + k*u");
+        // A const with no short decimal form: the JSON number rendering
+        // must round-trip its bits for the fingerprint to survive.
+        rec.source.consts[0].1 = 1.0 / 3.0;
+        let back = RegistryLog::decode_line(&RegistryLog::encode_line(&rec).unwrap());
+        assert_eq!(back.as_ref(), Some(&rec));
+    }
+
+    /// A log written before `AppendLog` existed loads under the
+    /// fingerprint it was registered with.
+    #[test]
+    fn v1_lines_from_older_daemons_still_load() {
+        let path = tmp_path("v1");
+        let v1 = r#"d136e78d4c5b02f1 {"model":"decay","source":{"consts":[["k",0.25]],"states":[["x","-k*x"]]}}"#;
+        std::fs::write(&path, format!("biocheck-registry v1\n{v1}\n")).unwrap();
+        let (log, recs) = RegistryLog::open(&path).unwrap();
+        assert_eq!((log.stats().loaded, log.stats().skipped), (1, 0));
+        assert_eq!(recs, [record("decay", "-k*x")]);
+        let (direct, _) = Registry::new()
+            .register("decay", &record("decay", "-k*x").source)
+            .unwrap();
         assert_eq!(
-            fingerprint64(&rec.source.canonical()),
-            fingerprint64(&src.canonical()),
-            "replayed registration must reproduce the fingerprint"
+            fingerprint64(&recs[0].source.canonical()),
+            direct.fingerprint()
         );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn open_append_reopen_recovers_and_replays() {
         let path = tmp_path("reopen");
-        let _ = std::fs::remove_file(&path);
-        let (mut log, recs) = RegistryLog::open(&path).unwrap();
-        assert!(recs.is_empty());
-        log.append("a", &source("-k*x"));
-        log.append("b", &source("-2*k*x"));
-        assert_eq!(log.stats().appended, 2);
+        let (mut log, _) = RegistryLog::open(&path).unwrap();
+        log.append(&record("a", "-k*x"));
+        log.append(&record("b", "-2*k*x"));
         drop(log);
         let (log, recs) = RegistryLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2);
-        assert_eq!(log.stats().skipped, 0);
-        // Replaying into a registry reproduces the original entries.
-        let reg = Registry::new();
-        for rec in &recs {
-            reg.register(&rec.name, &rec.source).unwrap();
-        }
-        let direct = Registry::new();
-        let (e, _) = direct.register("a", &source("-k*x")).unwrap();
-        assert_eq!(
-            reg.get("a").unwrap().fingerprint(),
-            e.fingerprint(),
-            "replayed fingerprint identical to direct registration"
-        );
+        assert_eq!((log.stats().loaded, log.stats().skipped), (2, 0));
+        assert_eq!(recs, [record("a", "-k*x"), record("b", "-2*k*x")]);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn compaction_keeps_only_the_last_registration_per_name() {
         let path = tmp_path("dedup");
-        let _ = std::fs::remove_file(&path);
         let (mut log, _) = RegistryLog::open(&path).unwrap();
-        log.append("m", &source("-k*x"));
-        log.append("other", &source("-x"));
-        log.append("m", &source("-3*k*x")); // replaces the first
+        log.append(&record("m", "-k*x"));
+        log.append(&record("other", "-x"));
+        log.append(&record("m", "-3*k*x")); // replaces the first
         drop(log);
         let (log, recs) = RegistryLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2);
-        assert_eq!(log.stats().deduped, 1);
-        let m = recs.iter().find(|r| r.name == "m").unwrap();
-        assert_eq!(m.source, source("-3*k*x"), "last registration wins");
-        // Compaction scrubbed the superseded record for good.
-        let (log, _) = RegistryLog::open(&path).unwrap();
-        assert_eq!(log.stats().deduped, 0);
+        assert_eq!((log.stats().loaded, log.stats().deduped), (2, 1));
+        assert_eq!(recs[0], record("m", "-3*k*x"), "last registration wins");
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Checksummed lines whose source does not decode are refused.
     #[test]
     fn corrupt_lines_and_torn_tails_are_skipped_then_compacted_away() {
-        let path = tmp_path("corrupt");
-        let _ = std::fs::remove_file(&path);
-        let good = encode_record("good", &source("-k*x"));
-        let (checksum, payload) = good.split_once(' ').unwrap();
-        let mut content = format!("{HEADER}\n{good}\n");
-        content.push_str("0000000000000000 {\"not\":\"matching\"}\n"); // bad checksum
-        content.push_str(&format!("{checksum} {}\n", &payload[..payload.len() / 2])); // truncated
-        content.push_str("complete garbage, not even a record\n");
-        let good2 = encode_record("good2", &source("-2*x"));
-        content.push_str(&format!("{good2}\n"));
-        content.push_str(&good[..good.len() / 2]); // torn tail, no newline
-        std::fs::write(&path, content).unwrap();
-        let (log, recs) = RegistryLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2, "both intact records recovered");
-        assert_eq!(log.stats().skipped, 4, "four corrupt lines skipped");
-        assert_eq!(recs[0].name, "good");
-        assert_eq!(recs[1].name, "good2");
-        drop(log);
-        let (log, recs) = RegistryLog::open(&path).unwrap();
-        assert_eq!(log.stats().loaded, 2);
-        assert_eq!(log.stats().skipped, 0, "corruption scrubbed by compaction");
-        assert_eq!(recs.len(), 2);
-        let _ = std::fs::remove_file(&path);
+        let good = RegistryLog::encode_line(&record("good", "-k*x")).unwrap();
+        let payload = good.split_once(' ').unwrap().1;
+        for (from, to) in [
+            ("\"states\"", "\"stats\""),
+            ("[\"x\",\"-k*x\"]", "[\"x\"]"),
+            ("\"model\":\"good\"", "\"model\":7"),
+        ] {
+            let tampered = payload.replacen(from, to, 1);
+            assert_ne!(tampered, payload, "{from} not found");
+            let line = format!("{} {tampered}", fingerprint64(&tampered));
+            assert_eq!(RegistryLog::decode_line(&line), None, "{line}");
+        }
+        assert_eq!(RegistryLog::decode_line(&good[..good.len() - 1]), None);
     }
 
     #[test]
     fn unknown_header_invalidates_the_file_without_crashing() {
         let path = tmp_path("header");
-        let _ = std::fs::remove_file(&path);
-        let good = encode_record("k", &source("-x"));
+        let good = RegistryLog::encode_line(&record("k", "-x")).unwrap();
         std::fs::write(&path, format!("biocheck-registry v999\n{good}\n")).unwrap();
         let (log, recs) = RegistryLog::open(&path).unwrap();
-        assert_eq!(recs.len(), 0, "records behind an unknown header untrusted");
-        assert!(log.stats().skipped >= 1);
+        assert_eq!((recs.len(), log.stats().skipped), (0, 1));
         let _ = std::fs::remove_file(&path);
     }
 }

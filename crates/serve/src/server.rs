@@ -48,11 +48,12 @@
 //! canonical source, bit-identical results, high-water gauges in
 //! `stats` and `metrics`).
 
-use crate::cache::persist::CacheLog;
+use crate::append_log::{AppendLog, Codec, LogStats};
+use crate::cache::persist::{CacheLog, CacheRecord};
 use crate::cache::{CacheStats, ResultCache};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
-use crate::registry::persist::RegistryLog;
+use crate::registry::persist::{ModelRecord, RegistryLog};
 use crate::registry::{Registry, SessionCaps};
 use crate::scheduler::{AdmitError, AdmitWait, Scheduler};
 use crate::trace::{trace_reply_json, TraceHub};
@@ -64,7 +65,7 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -295,49 +296,19 @@ impl ServeCore {
     /// models under the same fingerprints with no client involvement.
     pub fn new(config: ServeConfig) -> ServeCore {
         let cache = ResultCache::new(config.cache_bytes);
-        let persist = config.persist.as_ref().and_then(|path| {
-            match CacheLog::open(path) {
-                Ok((log, records)) => {
-                    for rec in records {
-                        cache.insert(rec.key, Arc::new(rec.report), rec.cost);
-                    }
-                    Some(Mutex::new(log))
-                }
-                Err(e) => {
-                    // Fail open: a broken spill path costs warm starts,
-                    // not availability.
-                    eprintln!(
-                        "biocheckd: cache persistence disabled ({}: {e})",
-                        path.display()
-                    );
-                    None
-                }
-            }
+        let persist = open_log(config.persist.as_deref(), "cache", |rec: CacheRecord| {
+            cache.insert(rec.key, rec.report, rec.cost);
         });
         let registry = Registry::with_caps(SessionCaps {
             max_arena_nodes: config.max_arena_nodes,
             max_artifacts: config.max_artifacts,
         });
-        let registry_log = config.registry.as_ref().and_then(|path| {
-            match RegistryLog::open(path) {
-                Ok((log, models)) => {
-                    for m in models {
-                        // The source built when it was registered; a
-                        // replay failure means the engine changed
-                        // underneath the log — warn, keep serving.
-                        if let Err(e) = registry.register(&m.name, &m.source) {
-                            eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
-                        }
-                    }
-                    Some(Mutex::new(log))
-                }
-                Err(e) => {
-                    eprintln!(
-                        "biocheckd: registry persistence disabled ({}: {e})",
-                        path.display()
-                    );
-                    None
-                }
+        let registry_log = open_log(config.registry.as_deref(), "registry", |m: ModelRecord| {
+            // The source built when it was registered; a replay failure
+            // means the engine changed underneath the log — warn, keep
+            // serving.
+            if let Err(e) = registry.register(&m.name, &m.source) {
+                eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
             }
         });
         let watchdog = config.max_execute.map(Watchdog::new);
@@ -378,17 +349,13 @@ impl ServeCore {
     }
 
     /// Persistence counters, when a spill file is attached.
-    pub fn persist_stats(&self) -> Option<crate::cache::persist::PersistStats> {
-        self.persist
-            .as_ref()
-            .map(|log| log.lock().unwrap_or_else(PoisonError::into_inner).stats())
+    pub fn persist_stats(&self) -> Option<LogStats> {
+        with_log(&self.persist, |log| log.stats())
     }
 
     /// Registry-log counters, when a registry log is attached.
-    pub fn registry_persist_stats(&self) -> Option<crate::registry::persist::RegistryPersistStats> {
-        self.registry_log
-            .as_ref()
-            .map(|log| log.lock().unwrap_or_else(PoisonError::into_inner).stats())
+    pub fn registry_persist_stats(&self) -> Option<LogStats> {
+        with_log(&self.registry_log, |log| log.stats())
     }
 
     /// Queries reaped by the execute-ceiling watchdog.
@@ -439,11 +406,12 @@ impl ServeCore {
         // client re-registering the same source in a loop (the selftest
         // shape) must not grow the log.
         if already.as_deref() != Some(entry.fingerprint()) {
-            if let Some(log) = &self.registry_log {
-                log.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .append(name, source);
-            }
+            with_log(&self.registry_log, |log| {
+                log.append(&ModelRecord {
+                    name: name.to_string(),
+                    source: source.clone(),
+                })
+            });
         }
         Ok(entry.fingerprint().to_string())
     }
@@ -490,7 +458,6 @@ impl ServeCore {
         qr: &QueryRequest,
         trace: Option<&Arc<TraceCtx>>,
     ) -> Result<(Arc<Report>, bool), ServeError> {
-        let _span = biocheck_obs::span!("serve.request");
         // The hub-guard slot is declared *before* the root span on
         // purpose: locals drop in reverse order, so the root span
         // closes (landing its record in the ring) before the guard
@@ -657,9 +624,14 @@ impl ServeCore {
                 // never fail the request: persistence is best-effort.
                 let t_append = Instant::now();
                 let append_span = trace.map(|ctx| ctx.span("serve.persist_append"));
+                let record = CacheRecord {
+                    key,
+                    cost,
+                    report: Arc::clone(&report),
+                };
                 log.lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .append(&key, cost, &report);
+                    .append(&record);
                 drop(append_span);
                 self.metrics.persist_append.record(t_append.elapsed());
             }
@@ -1020,12 +992,8 @@ impl ServeCore {
                 // their replies), sync the spill file, then confirm.
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.scheduler.drain();
-                if let Some(log) = &self.persist {
-                    log.lock().unwrap_or_else(PoisonError::into_inner).sync();
-                }
-                if let Some(log) = &self.registry_log {
-                    log.lock().unwrap_or_else(PoisonError::into_inner).sync();
-                }
+                with_log(&self.persist, AppendLog::sync);
+                with_log(&self.registry_log, AppendLog::sync);
                 (Json::obj([("ok", Json::Bool(true))]), true)
             }
         }
@@ -1060,6 +1028,39 @@ impl ServeCore {
             }
         }
     }
+}
+
+/// Opens the log at `path` (when configured) and replays its records.
+/// Fails open: a log that cannot be opened costs durability, not
+/// availability, and is reported on stderr.
+fn open_log<C: Codec>(
+    path: Option<&Path>,
+    what: &str,
+    replay: impl FnMut(C::Record),
+) -> Option<Mutex<AppendLog<C>>> {
+    let path = path?;
+    match AppendLog::open(path) {
+        Ok((log, records)) => {
+            records.into_iter().for_each(replay);
+            Some(Mutex::new(log))
+        }
+        Err(e) => {
+            eprintln!(
+                "biocheckd: {what} persistence disabled ({}: {e})",
+                path.display()
+            );
+            None
+        }
+    }
+}
+
+/// Runs `f` on an attached log, under its lock.
+fn with_log<C: Codec, R>(
+    log: &Option<Mutex<AppendLog<C>>>,
+    f: impl FnOnce(&mut AppendLog<C>) -> R,
+) -> Option<R> {
+    log.as_ref()
+        .map(|log| f(&mut log.lock().unwrap_or_else(PoisonError::into_inner)))
 }
 
 /// Best-effort panic payload rendering (`&str` and `String` payloads;

@@ -1274,98 +1274,89 @@ impl Request {
     }
 }
 
-fn num_or_null(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num(v)
-    } else {
-        Json::Null
+/// A report float: finite values as JSON numbers (whose shortest
+/// round-trip rendering is bit-exact, `-0.0` included), non-finite ones
+/// as the strings `"inf"`, `"-inf"` and `"NaN"`, which JSON numbers
+/// cannot express.
+fn f64_to_json(v: f64) -> Json {
+    match v {
+        _ if v.is_finite() => Json::Num(v),
+        f64::INFINITY => Json::str("inf"),
+        f64::NEG_INFINITY => Json::str("-inf"),
+        _ => Json::str("NaN"),
+    }
+}
+
+fn f64_from_json(v: &Json) -> Option<f64> {
+    match v {
+        Json::Num(v) => Some(*v),
+        _ => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+            .into_iter()
+            .find(|&x| f64_to_json(x) == *v),
     }
 }
 
 /// Serializes a [`Report`] into the response `"report"` payload:
 /// discriminant, outcome, the typed value, provenance, and the
 /// server-computed [`Report::fingerprint`] (so clients can check
-/// bit-level agreement without reconstructing the struct).
+/// bit-level agreement without reconstructing the struct). Every float
+/// is lossless (see [`report_from_json`]); phase timings are not.
 pub fn report_to_json(report: &Report) -> Json {
     let value = match &report.value {
         Value::Estimate(e) => Json::obj([
             ("type", Json::str("estimate")),
-            ("p_hat", num_or_null(e.p_hat)),
+            ("p_hat", f64_to_json(e.p_hat)),
             ("samples", Json::num(e.samples as f64)),
-            ("half_width", num_or_null(e.half_width)),
-            ("confidence", num_or_null(e.confidence)),
+            ("half_width", f64_to_json(e.half_width)),
+            ("confidence", f64_to_json(e.confidence)),
         ]),
         Value::Sprt(r) => Json::obj([
             ("type", Json::str("sprt")),
             ("outcome", Json::str(format!("{:?}", r.outcome))),
             ("samples", Json::num(r.samples as f64)),
-            ("p_hat", num_or_null(r.p_hat)),
+            ("p_hat", f64_to_json(r.p_hat)),
         ]),
         Value::Robustness(r) => Json::obj([
             ("type", Json::str("robustness")),
-            ("p_hat", num_or_null(r.p_hat)),
-            ("mean", num_or_null(r.mean)),
-            ("min", num_or_null(r.min)),
+            ("p_hat", f64_to_json(r.p_hat)),
+            ("mean", f64_to_json(r.mean)),
+            ("min", f64_to_json(r.min)),
         ]),
-        Value::Stability(r) => match r {
-            None => Json::obj([("type", Json::str("stability")), ("report", Json::Null)]),
-            Some(rep) => Json::obj([
-                ("type", Json::str("stability")),
-                (
-                    "report",
-                    Json::obj([
-                        (
-                            "equilibrium",
-                            Json::Arr(rep.equilibrium.iter().map(|&v| num_or_null(v)).collect()),
-                        ),
-                        ("lyapunov", Json::str(rep.lyapunov.clone())),
-                        ("iterations", Json::num(rep.iterations as f64)),
-                        ("certified", Json::Bool(rep.certified)),
-                    ]),
-                ),
-            ]),
-        },
-        Value::Lint(diags) => Json::obj([
-            ("type", Json::str("lint")),
-            (
-                "diagnostics",
-                Json::Arr(
-                    diags
-                        .iter()
-                        .map(|d| {
-                            Json::obj([
-                                ("code", Json::str(d.code.clone())),
-                                ("severity", Json::str(d.severity.name())),
-                                ("site", Json::str(d.site.clone())),
-                                ("message", Json::str(d.message.clone())),
-                                (
-                                    "expr",
-                                    match &d.expr {
-                                        Some(e) => Json::str(e.clone()),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                (
-                                    "witness",
-                                    Json::Arr(
-                                        d.witness
-                                            .iter()
-                                            .map(|(name, iv)| {
-                                                Json::Arr(vec![
-                                                    Json::str(name.clone()),
-                                                    num_or_null(iv.lo()),
-                                                    num_or_null(iv.hi()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+        Value::Stability(r) => {
+            let report = r.as_ref().map_or(Json::Null, |rep| {
+                Json::obj([
+                    (
+                        "equilibrium",
+                        Json::Arr(rep.equilibrium.iter().map(|&v| f64_to_json(v)).collect()),
+                    ),
+                    ("lyapunov", Json::str(rep.lyapunov.clone())),
+                    ("iterations", Json::num(rep.iterations as f64)),
+                    ("certified", Json::Bool(rep.certified)),
+                ])
+            });
+            Json::obj([("type", Json::str("stability")), ("report", report)])
+        }
+        Value::Lint(diags) => {
+            let diagnostic = |d: &biocheck_engine::Diagnostic| {
+                let witness = d.witness.iter().map(|(name, iv)| {
+                    let (lo, hi) = (f64_to_json(iv.lo()), f64_to_json(iv.hi()));
+                    Json::Arr(vec![Json::str(name.clone()), lo, hi])
+                });
+                Json::obj([
+                    ("code", Json::str(d.code.clone())),
+                    ("severity", Json::str(d.severity.name())),
+                    ("site", Json::str(d.site.clone())),
+                    ("message", Json::str(d.message.clone())),
+                    ("expr", d.expr.clone().map_or(Json::Null, Json::Str)),
+                    ("witness", Json::Arr(witness.collect())),
+                ])
+            };
+            let diags = diags.iter().map(diagnostic).collect();
+            Json::obj([
+                ("type", Json::str("lint")),
+                ("diagnostics", Json::Arr(diags)),
+            ])
+        }
         // Not producible over the wire today; serialized as a debug
         // rendering so the payload is still total.
         other => Json::obj([
@@ -1390,9 +1381,9 @@ pub fn report_to_json(report: &Report) -> Json {
                 ("samples", Json::num(report.provenance.samples as f64)),
                 (
                     "early_stop_rate",
-                    num_or_null(report.provenance.early_stop_rate),
+                    f64_to_json(report.provenance.early_stop_rate),
                 ),
-                ("avg_steps", num_or_null(report.provenance.avg_steps)),
+                ("avg_steps", f64_to_json(report.provenance.avg_steps)),
                 // Phase timings are observability-only (excluded from
                 // the fingerprint); null when unmeasured, e.g. a report
                 // reloaded from a persistence log.
@@ -1412,6 +1403,122 @@ fn opt_duration_ms(d: Option<std::time::Duration>) -> Json {
         Some(d) => Json::Num(d.as_secs_f64() * 1e3),
         None => Json::Null,
     }
+}
+
+/// The inverse of [`report_to_json`] for the wire-producible kinds
+/// (`Estimate`, `Sprt`, `Robustness`, `Stability`, `Lint`). The result
+/// is `fingerprint()`-identical to the serialized report: the payload's
+/// own `"fingerprint"` is checked against the decoded report, so any
+/// payload that does not decode to exactly what was serialized is
+/// `None`. Phase timings are observability-only and come back `None`.
+pub fn report_from_json(v: &Json) -> Option<Report> {
+    use biocheck_engine::{
+        Diagnostic, Outcome, Provenance, QueryKind, RobustnessSummary, Severity,
+    };
+    use biocheck_smc::{Estimate, SprtOutcome, SprtResult};
+    let f = |v: &Json, key: &str| f64_from_json(v.get(key)?);
+    let n = |v: &Json, key: &str| v.get(key)?.as_usize();
+    let s = |v: &Json, key: &str| Some(v.get(key)?.as_str()?.to_string());
+    let val = v.get("value")?;
+    let (kind, value) = match (v.get("kind")?.as_str()?, val.get("type")?.as_str()?) {
+        ("Estimate", "estimate") => (
+            QueryKind::Estimate,
+            Value::Estimate(Estimate {
+                p_hat: f(val, "p_hat")?,
+                samples: n(val, "samples")?,
+                half_width: f(val, "half_width")?,
+                confidence: f(val, "confidence")?,
+            }),
+        ),
+        ("Sprt", "sprt") => (
+            QueryKind::Sprt,
+            Value::Sprt(SprtResult {
+                outcome: match val.get("outcome")?.as_str()? {
+                    "AcceptH0" => SprtOutcome::AcceptH0,
+                    "AcceptH1" => SprtOutcome::AcceptH1,
+                    "Inconclusive" => SprtOutcome::Inconclusive,
+                    _ => return None,
+                },
+                samples: n(val, "samples")?,
+                p_hat: f(val, "p_hat")?,
+            }),
+        ),
+        ("Robustness", "robustness") => (
+            QueryKind::Robustness,
+            Value::Robustness(RobustnessSummary {
+                p_hat: f(val, "p_hat")?,
+                mean: f(val, "mean")?,
+                min: f(val, "min")?,
+            }),
+        ),
+        ("Stability", "stability") => (
+            QueryKind::Stability,
+            Value::Stability(match val.get("report")? {
+                Json::Null => None,
+                r => Some(biocheck_engine::StabilityReport {
+                    equilibrium: (r.get("equilibrium")?.as_arr()?.iter())
+                        .map(f64_from_json)
+                        .collect::<Option<_>>()?,
+                    lyapunov: s(r, "lyapunov")?,
+                    iterations: n(r, "iterations")?,
+                    certified: r.get("certified")?.as_bool()?,
+                }),
+            }),
+        ),
+        ("Lint", "lint") => {
+            let diagnostic = |d: &Json| {
+                let witness = (d.get("witness")?.as_arr()?.iter())
+                    .map(|w| {
+                        let [name, lo, hi] = w.as_arr()? else {
+                            return None;
+                        };
+                        let (lo, hi) = (f64_from_json(lo)?, f64_from_json(hi)?);
+                        let iv = if lo.is_nan() && hi.is_nan() {
+                            Interval::EMPTY
+                        } else {
+                            Interval::checked(lo, hi)?
+                        };
+                        Some((name.as_str()?.to_string(), iv))
+                    })
+                    .collect::<Option<_>>()?;
+                let severity = s(d, "severity")?;
+                Some(Diagnostic {
+                    code: s(d, "code")?,
+                    severity: [Severity::Error, Severity::Warn, Severity::Info]
+                        .into_iter()
+                        .find(|x| x.name() == severity)?,
+                    site: s(d, "site")?,
+                    message: s(d, "message")?,
+                    expr: match d.get("expr")? {
+                        Json::Null => None,
+                        e => Some(e.as_str()?.to_string()),
+                    },
+                    witness,
+                })
+            };
+            let diags = val.get("diagnostics")?.as_arr()?.iter().map(diagnostic);
+            (QueryKind::Lint, Value::Lint(diags.collect::<Option<_>>()?))
+        }
+        _ => return None,
+    };
+    let p = v.get("provenance")?;
+    let report = Report {
+        kind,
+        outcome: match v.get("outcome")?.as_str()? {
+            "complete" => Outcome::Complete,
+            "exhausted" => Outcome::Exhausted,
+            _ => return None,
+        },
+        value,
+        provenance: Provenance {
+            seed: u64_from_json(p.get("seed")?)?,
+            samples: n(p, "samples")?,
+            early_stop_rate: f(p, "early_stop_rate")?,
+            avg_steps: f(p, "avg_steps")?,
+            ..Provenance::default()
+        },
+    };
+    (report.fingerprint() == v.get("fingerprint")?.as_str()?).then_some(report)
 }
 
 #[cfg(test)]
@@ -1847,9 +1954,14 @@ mod tests {
             json.get("fingerprint").and_then(Json::as_str),
             Some(report.fingerprint().as_str())
         );
-        // -inf travels as null, not as a panic or invalid JSON.
-        assert_eq!(json.get("value").unwrap().get("min"), Some(&Json::Null));
+        // -inf travels as a string, not as a panic or invalid JSON.
+        assert_eq!(
+            json.get("value").unwrap().get("min"),
+            Some(&Json::str("-inf"))
+        );
         let line = json.render();
         assert_eq!(parse_json(&line).unwrap(), json);
+        let back = report_from_json(&parse_json(&line).unwrap()).expect("decodes");
+        assert_eq!(back.fingerprint(), report.fingerprint());
     }
 }

@@ -309,64 +309,6 @@ fn persist_io_errors_never_fail_requests() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A torn tail (the SIGKILL signature: the process died mid-append)
-/// plus arbitrary garbage in the log: recovery skips the damage,
-/// keeps every intact record, and compaction scrubs the file.
-#[test]
-fn crash_torn_log_recovers_and_warm_start_matches_fresh() {
-    let _serial = chaos_lock();
-    let path = tmp_path("torn-tail");
-    let _ = std::fs::remove_file(&path);
-    let mut fingerprints = Vec::new();
-    {
-        let core = ServeCore::new(ServeConfig {
-            persist: Some(path.clone()),
-            ..ServeConfig::default()
-        });
-        core.register("decay", &decay_source()).unwrap();
-        for seed in 0..6u64 {
-            let (r, _) = core.run_query(&estimate("x - 1", seed, 25)).unwrap();
-            fingerprints.push(r.fingerprint());
-        }
-        // Dropped without shutdown/sync: every append was flushed, so
-        // this models SIGKILL between requests.
-    }
-    // Model SIGKILL *mid-append*: a torn, checksum-less tail record.
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(b"deadbeefdeadbeef {\"key\":\"torn mid-wri")
-            .unwrap();
-    }
-
-    let warm = ServeCore::new(ServeConfig {
-        persist: Some(path.clone()),
-        ..ServeConfig::default()
-    });
-    warm.register("decay", &decay_source()).unwrap();
-    let p = warm.persist_stats().unwrap();
-    assert_eq!(p.loaded, 6, "all intact records recovered");
-    assert_eq!(p.skipped, 1, "exactly the torn tail skipped");
-    let fresh = ServeCore::new(ServeConfig::default());
-    fresh.register("decay", &decay_source()).unwrap();
-    for seed in 0..6u64 {
-        let qr = estimate("x - 1", seed, 25);
-        let (r, cached) = warm.run_query(&qr).unwrap();
-        assert!(cached, "warm start must hit");
-        assert_eq!(r.fingerprint(), fingerprints[seed as usize]);
-        let (f2, _) = fresh.run_query(&qr).unwrap();
-        assert_eq!(
-            r.fingerprint(),
-            f2.fingerprint(),
-            "warm-start hit must equal fresh computation bit-for-bit"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
 /// Everything at once, concurrently: panics, torn replies, delays,
 /// disk faults, a tight admission queue — 12 retrying clients × 5
 /// queries. The run must terminate (no deadlock), every request must
@@ -516,73 +458,6 @@ fn registry_io_errors_never_fail_registration() {
     }
     assert_eq!(replayed, r.appended);
     let _ = std::fs::remove_file(&path);
-}
-
-/// The full kill -9 signature across BOTH logs: the process dies
-/// mid-append leaving a torn registry-log tail; restart from the files
-/// alone — with **no** client registration — and the daemon serves the
-/// same model, same fingerprints, warm cache.
-#[test]
-fn kill9_with_torn_registry_tail_restores_service_without_reregistration() {
-    let _serial = chaos_lock();
-    let reg_path = tmp_path("registry-torn");
-    let cache_path = tmp_path("cache-torn");
-    let _ = std::fs::remove_file(&reg_path);
-    let _ = std::fs::remove_file(&cache_path);
-    let config = ServeConfig {
-        registry: Some(reg_path.clone()),
-        persist: Some(cache_path.clone()),
-        ..ServeConfig::default()
-    };
-    let mut fingerprints = Vec::new();
-    let model_fp;
-    {
-        let core = ServeCore::new(config.clone());
-        model_fp = core.register("decay", &decay_source()).unwrap();
-        for seed in 0..5u64 {
-            let (r, _) = core.run_query(&estimate("x - 1", seed, 25)).unwrap();
-            fingerprints.push(r.fingerprint());
-        }
-        // Dropped without shutdown: appends were flushed per record,
-        // so this models SIGKILL between requests …
-    }
-    // … and this models SIGKILL *mid-append*: a torn, half-written
-    // registration at the tail.
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&reg_path)
-            .unwrap();
-        f.write_all(b"deadbeefdeadbeef {\"model\":\"dec").unwrap();
-    }
-
-    let warm = ServeCore::new(config);
-    let r = warm.registry_persist_stats().unwrap();
-    assert_eq!(r.loaded, 1, "the intact registration recovered");
-    assert_eq!(r.skipped, 1, "exactly the torn tail skipped");
-    let entry = warm
-        .registry()
-        .get("decay")
-        .expect("model restored from the log alone — nobody re-registered");
-    assert_eq!(entry.fingerprint(), model_fp);
-    for (seed, fp) in fingerprints.iter().enumerate() {
-        let (reply, cached) = warm.run_query(&estimate("x - 1", seed as u64, 25)).unwrap();
-        assert!(
-            cached,
-            "cache key reachable through the replayed fingerprint"
-        );
-        assert_eq!(&reply.fingerprint(), fp, "reply identical across the crash");
-    }
-    // Compaction scrubbed the torn tail for good.
-    let again = ServeCore::new(ServeConfig {
-        registry: Some(reg_path.clone()),
-        ..ServeConfig::default()
-    });
-    let r2 = again.registry_persist_stats().unwrap();
-    assert_eq!((r2.loaded, r2.skipped), (1, 0));
-    let _ = std::fs::remove_file(&reg_path);
-    let _ = std::fs::remove_file(&cache_path);
 }
 
 /// Wedged solvers under the 12-thread hammer, against a governed

@@ -371,10 +371,12 @@ fn budgets_and_cancellation() {
             let a = a.clone();
             std::thread::spawn(move || core.run_query(&a))
         };
-        // Wait until request 42 is in flight.
-        while !core.cancel(42) {
+        // Wait until request 42 holds its execution permit (a cancel
+        // before admission would refuse it as `Cancelled`).
+        while core.scheduler().in_flight() != 1 {
             std::thread::yield_now();
         }
+        assert!(core.cancel(42));
         let mut b = estimate("x - 0.8", 71, 10);
         b.id = Some(42);
         match core.run_query(&b) {
@@ -424,10 +426,13 @@ fn budgets_and_cancellation() {
         let long = long.clone();
         std::thread::spawn(move || core.run_query(&long))
     };
-    // Spin until the request registers as in flight, then cancel it.
-    while !core.cancel(1) {
+    // Spin until the request holds its execution permit, then cancel
+    // it. Its id enters the in-flight table before admission, and a
+    // cancel that lands before admission is refused as `Cancelled`.
+    while core.scheduler().in_flight() != 1 {
         std::thread::yield_now();
     }
+    assert!(core.cancel(1));
     let (report, cached) = runner.join().unwrap().unwrap();
     assert!(!cached);
     assert_eq!(report.outcome, Outcome::Exhausted);

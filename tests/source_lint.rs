@@ -119,12 +119,14 @@ fn serving_crates_do_not_unwrap_outside_tests() {
 fn fingerprint_relevant_code_reads_no_clocks() {
     // These files define what "deterministic" means for the daemon:
     // report fingerprints (engine/report.rs), the memoization cache and
-    // its persistence codec (serve/cache.rs + submodules), and wire
-    // canonicalization (serve/wire.rs). No waivers here — time belongs
-    // in the metrics layer, never in anything a fingerprint hashes.
+    // its persistence (serve/cache.rs + submodules, serve/append_log.rs),
+    // and wire canonicalization (serve/wire.rs). No waivers here — time
+    // belongs in the metrics layer, never in anything a fingerprint
+    // hashes.
     let mut files = vec![
         PathBuf::from("crates/engine/src/report.rs"),
         PathBuf::from("crates/serve/src/cache.rs"),
+        PathBuf::from("crates/serve/src/append_log.rs"),
         PathBuf::from("crates/serve/src/wire.rs"),
     ];
     files.extend(rust_sources(Path::new("crates/serve/src/cache")));
