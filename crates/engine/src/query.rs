@@ -315,7 +315,7 @@ fn push_atom(s: &mut String, cx: &Context, atom: &Atom) {
     let _ = write!(s, "{op}({})", cx.display(atom.expr));
 }
 
-fn push_bltl(s: &mut String, cx: &Context, f: &Bltl) {
+pub(crate) fn push_bltl(s: &mut String, cx: &Context, f: &Bltl) {
     match f {
         Bltl::Prop(a) => push_atom(s, cx, a),
         Bltl::Not(inner) => {
@@ -370,7 +370,7 @@ fn push_dist(s: &mut String, d: &Dist) {
     }
 }
 
-fn push_smc(s: &mut String, cx: &Context, smc: &SmcSpec) {
+pub(crate) fn push_smc(s: &mut String, cx: &Context, smc: &SmcSpec) {
     s.push_str("init=[");
     for (i, d) in smc.init.iter().enumerate() {
         if i > 0 {

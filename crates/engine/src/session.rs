@@ -5,7 +5,7 @@ use crate::calibrate::{self, CalibrationProblem};
 use crate::error::Error;
 use crate::exec_smc::{self, SmcOutcome};
 use crate::falsify::{self, FalsificationOutcome};
-use crate::query::{EstimateMethod, Query, QueryKind, SmcSpec};
+use crate::query::{push_bltl, push_smc, EstimateMethod, Query, QueryKind, SmcSpec};
 use crate::report::{Outcome, Provenance, Report, Value};
 use crate::stability;
 use crate::therapy;
@@ -22,11 +22,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Single-mode ODE model: context + system + the RHS compiled once.
+/// Single-mode ODE model: context + system + the RHS compiled once
+/// (shared by every view of the session).
 struct OdeParts {
     cx: Context,
     sys: OdeSystem,
-    ode: CompiledOde,
+    ode: Arc<CompiledOde>,
 }
 
 /// The model a session analyzes.
@@ -34,7 +35,7 @@ enum Model {
     /// Single-mode ODE model.
     Ode(Box<OdeParts>),
     /// Multi-mode hybrid automaton.
-    Hybrid(Box<HybridAutomaton>),
+    Hybrid(Arc<HybridAutomaton>),
 }
 
 impl Model {
@@ -65,13 +66,12 @@ pub struct CacheStats {
     pub sampler_builds: usize,
     /// Queries answered entirely from cache (no lowering of any kind).
     pub cache_hits: usize,
-    /// Interned expression nodes in the session's context (the
-    /// hash-consed arena a long literal sweep grows). 0 for hybrid
-    /// sessions, whose queries carry no text expressions.
+    /// Interned expression nodes in the session's context. 0 for
+    /// hybrid sessions, whose queries carry no text expressions.
     pub arena_nodes: usize,
     /// Compiled artifacts currently cached (plans + samplers).
     pub artifact_count: usize,
-    /// Artifacts dropped by [`Session::evict_artifacts_to`].
+    /// Artifacts dropped by the [`Session::MAX_ARTIFACTS`] LRU bound.
     pub artifact_evictions: usize,
 }
 
@@ -85,10 +85,11 @@ struct Counters {
 }
 
 /// Compiled artifacts shared across queries, each stamped with the
-/// session tick of its last use so cap enforcement can evict in LRU
-/// order. Keys are the canonical debug renderings of the defining
-/// inputs — stable within a session because every query resolves
-/// against the same interned context.
+/// store tick of its last use so the LRU bound evicts cold artifacts
+/// first. Keys are the canonical renderings
+/// ([`Query::canonical`]'s pieces): names and round-trip floats, never
+/// `NodeId`s, so views whose private arenas number nodes differently
+/// share an artifact exactly when they describe the same setup.
 #[derive(Default)]
 struct Artifacts {
     /// Streaming monitor plans, keyed by formula.
@@ -101,6 +102,40 @@ impl Artifacts {
     fn len(&self) -> usize {
         self.plans.len() + self.samplers.len()
     }
+
+    /// Evicts least-recently-used artifacts until at most `max` remain;
+    /// returns how many were dropped. An evicted artifact recompiles on
+    /// next use bit-identically, and samplers still borrowed by
+    /// in-flight queries stay alive through their `Arc`.
+    fn evict_to(&mut self, max: usize) -> usize {
+        let over = self.len().saturating_sub(max);
+        if over == 0 {
+            return 0;
+        }
+        // Oldest tick across both maps goes first; a plan and a sampler
+        // never share a stamp (the tick is a per-use counter).
+        let mut stamps: Vec<u64> = self
+            .plans
+            .values()
+            .map(|(_, t)| *t)
+            .chain(self.samplers.values().map(|(_, t)| *t))
+            .collect();
+        stamps.sort_unstable();
+        let cutoff = stamps[over - 1];
+        self.plans.retain(|_, (_, t)| *t > cutoff);
+        self.samplers.retain(|_, (_, t)| *t > cutoff);
+        over
+    }
+}
+
+/// The artifact cache and lowering counters of one model, shared by its
+/// session and every view opened on it ([`Session::view`]).
+#[derive(Default)]
+struct Store {
+    artifacts: Mutex<Artifacts>,
+    counters: Counters,
+    /// Monotone use clock for artifact LRU ordering.
+    tick: AtomicU64,
 }
 
 /// A per-model analysis session.
@@ -115,18 +150,25 @@ impl Artifacts {
 ///
 /// Queries run through the builder ([`Session::query`]) or in bulk
 /// through [`Session::run_batch`]. All methods take `&self`; a session
-/// is `Sync` and can serve queries from many threads.
+/// is `Sync` and can serve queries from many threads. A session's
+/// context never changes after construction: queries whose text must
+/// be parsed go through [`Session::view`], which parses into a private
+/// copy and shares everything compiled.
 pub struct Session {
     model: Model,
     nominal_init: Vec<f64>,
     nominal_env: Vec<f64>,
-    artifacts: Mutex<Artifacts>,
-    counters: Counters,
-    /// Monotone use clock for artifact LRU ordering.
-    tick: AtomicU64,
+    store: Arc<Store>,
 }
 
 impl Session {
+    /// How many compiled artifacts (plans + samplers) a session and its
+    /// views retain; inserting past it evicts the least recently used.
+    /// It holds six query setups (a plan and a sampler each) warm, and
+    /// at 4–6 KB per case-study pair it keeps a model's store under
+    /// 40 KB however many literals a sweep sends.
+    pub const MAX_ARTIFACTS: usize = 12;
+
     /// Opens a session over a packaged ODE model, compiling its
     /// right-hand side once. The model's nominal initial state and
     /// environment back [`Session::simulate`].
@@ -140,16 +182,14 @@ impl Session {
     /// Opens a session over a hand-built context + system (nominal
     /// initial state and environment default to zero).
     pub fn from_parts(cx: Context, sys: OdeSystem) -> Session {
-        let ode = sys.compile(&cx);
-        let counters = Counters::default();
-        counters.rhs.store(1, Ordering::Relaxed);
+        let ode = Arc::new(sys.compile(&cx));
+        let store = Store::default();
+        store.counters.rhs.store(1, Ordering::Relaxed);
         Session {
             nominal_init: vec![0.0; sys.dim()],
             nominal_env: vec![0.0; cx.num_vars()],
             model: Model::Ode(Box::new(OdeParts { cx, sys, ode })),
-            artifacts: Mutex::new(Artifacts::default()),
-            counters,
-            tick: AtomicU64::new(0),
+            store: Arc::new(store),
         }
     }
 
@@ -157,31 +197,65 @@ impl Session {
     /// `Therapy` queries).
     pub fn from_automaton(ha: &HybridAutomaton) -> Session {
         Session {
-            model: Model::Hybrid(Box::new(ha.clone())),
+            model: Model::Hybrid(Arc::new(ha.clone())),
             nominal_init: Vec::new(),
             nominal_env: Vec::new(),
-            artifacts: Mutex::new(Artifacts::default()),
-            counters: Counters::default(),
-            tick: AtomicU64::new(0),
+            store: Arc::default(),
         }
     }
 
-    /// Lowering counters and memory gauges since construction.
+    /// Opens a view of this session for a query given in text form.
+    /// `build` parses into a private copy of the session's context —
+    /// a copy can only *extend* the model's arena, so the session
+    /// itself never changes — and the returned view resolves the
+    /// query's expressions against that copy. The view shares the
+    /// compiled right-hand side, the artifact store and the counters,
+    /// so whatever it compiles stays warm for later views (keyed by
+    /// content, not by node id). Hybrid sessions have no expression
+    /// arena; `build` then gets an empty context.
+    pub fn view<T, E>(
+        &self,
+        build: impl FnOnce(&mut Context) -> Result<T, E>,
+    ) -> Result<(Session, T), E> {
+        let (model, out) = match &self.model {
+            Model::Ode(parts) => {
+                let mut cx = parts.cx.clone();
+                let out = build(&mut cx)?;
+                let parts = OdeParts {
+                    cx,
+                    sys: parts.sys.clone(),
+                    ode: Arc::clone(&parts.ode),
+                };
+                (Model::Ode(Box::new(parts)), out)
+            }
+            Model::Hybrid(ha) => (Model::Hybrid(Arc::clone(ha)), build(&mut Context::new())?),
+        };
+        let view = Session {
+            model,
+            nominal_init: self.nominal_init.clone(),
+            nominal_env: self.nominal_env.clone(),
+            store: Arc::clone(&self.store),
+        };
+        Ok((view, out))
+    }
+
+    /// Lowering counters and memory gauges since construction (shared
+    /// with every view of the session).
     pub fn stats(&self) -> CacheStats {
+        let counters = &self.store.counters;
         CacheStats {
-            rhs_compiles: self.counters.rhs.load(Ordering::Relaxed),
-            plan_compiles: self.counters.plans.load(Ordering::Relaxed),
-            sampler_builds: self.counters.samplers.load(Ordering::Relaxed),
-            cache_hits: self.counters.hits.load(Ordering::Relaxed),
+            rhs_compiles: counters.rhs.load(Ordering::Relaxed),
+            plan_compiles: counters.plans.load(Ordering::Relaxed),
+            sampler_builds: counters.samplers.load(Ordering::Relaxed),
+            cache_hits: counters.hits.load(Ordering::Relaxed),
             arena_nodes: self.arena_nodes(),
             artifact_count: self.artifact_count(),
-            artifact_evictions: self.counters.evictions.load(Ordering::Relaxed),
+            artifact_evictions: counters.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Interned nodes in the session's expression arena. The session's
-    /// context is immutable after construction, so this is the memory
-    /// footprint the registry's `--max-arena-nodes` cap governs.
+    /// Interned nodes in the session's expression arena (for a view,
+    /// its private copy).
     pub fn arena_nodes(&self) -> usize {
         match &self.model {
             Model::Ode(parts) => parts.cx.num_nodes(),
@@ -189,43 +263,14 @@ impl Session {
         }
     }
 
-    /// Compiled artifacts currently cached (plans + samplers).
+    /// Compiled artifacts currently cached (plans + samplers), at most
+    /// [`Session::MAX_ARTIFACTS`].
     pub fn artifact_count(&self) -> usize {
-        self.artifacts
+        self.store
+            .artifacts
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// Evicts least-recently-used compiled artifacts until at most
-    /// `max` remain; returns how many were dropped. Eviction is purely
-    /// a memory/speed trade: an evicted artifact recompiles on next use
-    /// bit-identically (the invariant the engine's cache tests pin
-    /// down), and samplers still borrowed by in-flight queries stay
-    /// alive through their `Arc` until those queries finish.
-    pub fn evict_artifacts_to(&self, max: usize) -> usize {
-        let mut artifacts = self
-            .artifacts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let over = artifacts.len().saturating_sub(max);
-        if over == 0 {
-            return 0;
-        }
-        // Oldest tick across both maps goes first; a plan and a sampler
-        // never share a stamp (the tick is a per-use counter).
-        let mut stamps: Vec<u64> = artifacts
-            .plans
-            .values()
-            .map(|(_, t)| *t)
-            .chain(artifacts.samplers.values().map(|(_, t)| *t))
-            .collect();
-        stamps.sort_unstable();
-        let cutoff = stamps[over - 1];
-        artifacts.plans.retain(|_, (_, t)| *t > cutoff);
-        artifacts.samplers.retain(|_, (_, t)| *t > cutoff);
-        self.counters.evictions.fetch_add(over, Ordering::Relaxed);
-        over
     }
 
     /// Simulates the ODE model from its nominal initial state and
@@ -391,22 +436,23 @@ impl Session {
                 detail: format!("must be finite and positive, got {}", smc.t_end),
             });
         }
-        let key = format!(
-            "{:?}|{:?}|{}|{:?}",
-            smc.init, smc.params, smc.t_end, smc.property
-        );
-        let plan_key = format!("{:?}", smc.property);
+        let mut key = String::new();
+        push_smc(&mut key, cx, smc);
+        let mut plan_key = String::new();
+        push_bltl(&mut plan_key, cx, &smc.property);
+        let Store {
+            artifacts,
+            counters,
+            tick,
+        } = &*self.store;
         // Fast path under the lock: hit the sampler cache, or at least
         // grab the formula's cached plan. Every touch restamps the
-        // entry's tick so cap eviction drops cold artifacts first.
+        // entry's tick so the LRU bound drops cold artifacts first.
         let cached_plan = {
-            let mut artifacts = self
-                .artifacts
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut artifacts = artifacts.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some((sampler, stamp)) = artifacts.samplers.get_mut(&key) {
-                *stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                *stamp = tick.fetch_add(1, Ordering::Relaxed);
+                counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(sampler));
             }
             artifacts.plans.get(&plan_key).map(|(p, _)| p.clone())
@@ -420,32 +466,38 @@ impl Session {
         let plan = match cached_plan {
             Some(plan) => plan,
             None => {
-                self.counters.plans.fetch_add(1, Ordering::Relaxed);
+                counters.plans.fetch_add(1, Ordering::Relaxed);
                 CompiledBltl::compile(cx, &sys.states, &smc.property)
             }
         };
-        self.counters.samplers.fetch_add(1, Ordering::Relaxed);
+        counters.samplers.fetch_add(1, Ordering::Relaxed);
         let sampler = Arc::new(TraceSampler::from_artifacts(
             cx.clone(),
-            ode.clone(),
+            Arc::clone(ode),
             plan.clone(),
             smc.init.clone(),
             smc.params.clone(),
             smc.property.clone(),
             smc.t_end,
         ));
-        let mut artifacts = self
-            .artifacts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        artifacts.plans.entry(plan_key).or_insert((plan, stamp));
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let (shared, _) = artifacts
-            .samplers
-            .entry(key)
-            .or_insert_with(|| (Arc::clone(&sampler), stamp));
-        Ok(Arc::clone(shared))
+        let mut artifacts = artifacts.lock().unwrap_or_else(PoisonError::into_inner);
+        let stamp = tick.fetch_add(1, Ordering::Relaxed);
+        artifacts
+            .plans
+            .entry(plan_key)
+            .and_modify(|(_, t)| *t = stamp)
+            .or_insert((plan, stamp));
+        let stamp = tick.fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(
+            &artifacts
+                .samplers
+                .entry(key)
+                .or_insert_with(|| (sampler, stamp))
+                .0,
+        );
+        let evicted = artifacts.evict_to(Session::MAX_ARTIFACTS);
+        counters.evictions.fetch_add(evicted, Ordering::Relaxed);
+        Ok(shared)
     }
 
     /// Overlays the query budget onto reachability solver options.

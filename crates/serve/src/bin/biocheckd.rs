@@ -3,8 +3,7 @@
 //! ```text
 //! biocheckd [--addr 127.0.0.1:7878] [--concurrency 2] [--cache-bytes 67108864]
 //!           [--max-queue 16] [--persist PATH] [--registry PATH]
-//!           [--max-arena-nodes N] [--max-artifacts N] [--max-execute-ms N]
-//!           [--trace] [--trace-out PATH]
+//!           [--max-execute-ms N] [--trace] [--trace-out PATH]
 //! ```
 //!
 //! Speaks the line-delimited JSON protocol documented in the README's
@@ -27,11 +26,11 @@
 //! with both logs, a crash is invisible to clients beyond the
 //! reconnect.
 //!
-//! `--max-arena-nodes N` / `--max-artifacts N` cap per-model session
-//! memory (unbounded literal sweeps otherwise grow the expression
-//! arena and compiled-artifact cache forever): breaches rebuild the
-//! session from canonical source / evict LRU artifacts, results stay
-//! bit-identical, and high-water gauges land in `stats` and `metrics`.
+//! Each model's session is frozen at registration: queries parse into
+//! private views of it, so a literal sweep never grows it, and compiled
+//! artifacts live in a fixed-size per-model LRU (gauges in `stats` and
+//! `metrics`). No memory flag is needed.
+//!
 //! `--max-execute-ms N` arms a watchdog that cancels any query
 //! executing past the ceiling (typed `watchdog_cancelled` reply), so a
 //! wedged solver cannot pin an execution slot forever.
@@ -50,60 +49,65 @@
 //! `chrome://tracing` / Perfetto) to PATH at shutdown; the same JSON
 //! is available live over the wire via `{"op":"trace_export"}`.
 //!
+//! An unknown flag or a malformed value prints the usage text and exits
+//! with status 2.
+//!
 //! Prints `biocheckd listening on <addr>` on stdout once bound — with
 //! `--addr 127.0.0.1:0` the kernel-assigned port is in that line.
 
 use biocheck_serve::server::{serve, ServeConfig, ServeCore};
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+const USAGE: &str = "usage: biocheckd [--addr HOST:PORT] [--concurrency N] [--cache-bytes N]\n\
+\x20                [--max-queue N] [--persist PATH] [--registry PATH]\n\
+\x20                [--max-execute-ms N] [--trace] [--trace-out PATH]\n\
+protocol: line-delimited JSON (see README \"Serving\")";
+
+/// Refuses the command line: the problem, the usage text, exit status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("biocheckd: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed, or a usage error.
+fn value<T: FromStr>(flag: &str, raw: Option<String>) -> T {
+    let Some(raw) = raw else {
+        usage_error(&format!("{flag} needs a value"))
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: invalid value {raw:?}")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: biocheckd [--addr HOST:PORT] [--concurrency N] [--cache-bytes N]\n\
-             \x20                [--max-queue N] [--persist PATH] [--registry PATH]\n\
-             \x20                [--max-arena-nodes N] [--max-artifacts N]\n\
-             \x20                [--max-execute-ms N] [--trace] [--trace-out PATH]\n\
-             protocol: line-delimited JSON (see README \"Serving\")"
-        );
-        return;
-    }
-    let addr = parse_flag::<String>(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
     let mut config = ServeConfig::default();
-    if let Some(n) = parse_flag(&args, "--concurrency") {
-        config.concurrency = n;
+    let mut addr = String::from("127.0.0.1:7878");
+    let (mut trace, mut trace_out) = (false, None::<PathBuf>);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                return;
+            }
+            "--addr" => addr = value(&flag, args.next()),
+            "--concurrency" => config.concurrency = value(&flag, args.next()),
+            "--cache-bytes" => config.cache_bytes = value(&flag, args.next()),
+            "--max-queue" => config.max_queue = value(&flag, args.next()),
+            "--persist" => config.persist = Some(value(&flag, args.next())),
+            "--registry" => config.registry = Some(value(&flag, args.next())),
+            "--max-execute-ms" => {
+                config.max_execute = Some(Duration::from_millis(value(&flag, args.next())));
+            }
+            "--trace" => trace = true,
+            "--trace-out" => trace_out = Some(value(&flag, args.next())),
+            _ => usage_error(&format!("unknown flag {flag:?}")),
+        }
     }
-    if let Some(n) = parse_flag(&args, "--cache-bytes") {
-        config.cache_bytes = n;
-    }
-    if let Some(n) = parse_flag(&args, "--max-queue") {
-        config.max_queue = n;
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--persist") {
-        config.persist = Some(path.into());
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--registry") {
-        config.registry = Some(path.into());
-    }
-    if let Some(n) = parse_flag(&args, "--max-arena-nodes") {
-        config.max_arena_nodes = Some(n);
-    }
-    if let Some(n) = parse_flag(&args, "--max-artifacts") {
-        config.max_artifacts = Some(n);
-    }
-    if let Some(ms) = parse_flag::<u64>(&args, "--max-execute-ms") {
-        config.max_execute = Some(std::time::Duration::from_millis(ms));
-    }
-    let trace_out = parse_flag::<String>(&args, "--trace-out").map(std::path::PathBuf::from);
     let core = Arc::new(ServeCore::new(config));
-    if args.iter().any(|a| a == "--trace") {
+    if trace {
         // Per-request echo: each completed request's whole span tree
         // is rendered first and written in one stderr call, so blocks
         // from concurrent connections never interleave line-by-line.

@@ -7,12 +7,10 @@
 //!
 //! * [`registry::Registry`] — a multi-model **session registry**: models
 //!   register by name with textual sources, are fingerprinted, and share
-//!   one engine session per model across all clients and threads (the
-//!   session transparently rebuilds only when a query introduces new
-//!   expression vocabulary). [`registry::SessionCaps`] governs per-model
-//!   memory — arena-node and compiled-artifact caps enforced by
-//!   evict-and-rebuild from canonical source, with high-water gauges in
-//!   [`registry::MemoryStats`] — and [`registry::persist::RegistryLog`]
+//!   one frozen engine session per model across all clients and threads
+//!   (each query parses into a private view of it, so new expression
+//!   vocabulary never rebuilds or grows the session; artifact gauges in
+//!   [`registry::MemoryStats`]) — and [`registry::persist::RegistryLog`]
 //!   makes registrations durable: a log of canonical sources, replayed
 //!   on boot, so a `kill -9` restart serves the same models under the
 //!   same fingerprints with no client re-registration.
@@ -116,7 +114,7 @@ pub use client::{Client, ClientConfig, QueryReply};
 pub use json::{parse_json, Json};
 pub use metrics::ServeMetrics;
 pub use registry::persist::{ModelRecord, RegistryLog};
-pub use registry::{fingerprint64, MemoryStats, ModelEntry, Registry, SessionCaps};
+pub use registry::{fingerprint64, MemoryStats, ModelEntry, Registry};
 pub use scheduler::{AdmitError, AdmitWait, Scheduler};
 pub use server::{serve, Daemon, ServeConfig, ServeCore, ServeError};
 pub use trace::{RequestTrace, TraceHub};

@@ -5,8 +5,8 @@
 //! sliding 60-second [`Windowed`] view — and
 //! [`ServeCore`](crate::ServeCore) records into them inline (a record
 //! is a handful of relaxed atomic ops — cheap enough for the
-//! microsecond-scale warm path, verified by the `serve_throughput`
-//! bench gate). Two renderings exist:
+//! microsecond-scale warm path, measured through a real daemon socket
+//! by the `daemon_mix` benchmark workload). Two renderings exist:
 //!
 //! * [`ServeMetrics::latency_json`] — the `latency` object inside the
 //!   `{"op":"stats"}` reply: per-phase count / mean / p50 / p90 / p99 /

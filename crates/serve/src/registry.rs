@@ -9,27 +9,24 @@
 //! unreachable by construction (and the server additionally purges
 //! them).
 //!
-//! Queries arrive with expressions in text form and must be lowered
-//! into the model's interned [`Context`]. The registry keeps one
-//! *master* context per model and hands out a [`Session`] built from a
-//! clone of it. Parsing a query may grow the master arena (a formula
-//! the model has never seen); the session's clone would not contain the
-//! new nodes, so the entry transparently rebuilds the session from a
-//! fresh clone whenever the vocabulary grew. Hash-consing makes parsing
-//! deterministic — repeated traffic re-parses into the *same* node ids
-//! and never triggers a rebuild, so under steady-state serving the
-//! session (and all its compiled artifacts) is shared across every
-//! request and thread.
+//! Queries arrive with expressions in text form. Each registered model
+//! keeps one immutable [`Session`] for the life of its registration;
+//! [`ModelEntry::prepare`] parses a query into a private copy of that
+//! session's context ([`Session::view`]) and hands back a view that
+//! shares the compiled right-hand side and the artifact store. A new
+//! literal therefore costs one context clone, never a session rebuild,
+//! and the model's arena never grows. Artifacts are keyed by canonical
+//! text, so a sampler compiled for one query's private arena serves
+//! every later query with the same setup, up to the engine's
+//! [`Session::MAX_ARTIFACTS`] LRU bound.
 
 pub mod persist;
 
 use crate::wire::ModelSource;
 use biocheck_engine::{Query, Session};
 use biocheck_expr::Context;
-use biocheck_ode::OdeSystem;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// FNV-1a, 64-bit: tiny, dependency-free, stable across runs — exactly
 /// what a cache-key fingerprint needs (it is not a defense against
@@ -43,74 +40,22 @@ pub fn fingerprint64(text: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Per-model session memory caps. `None` means unbounded (the
-/// pre-governance behavior); the daemon exposes them as
-/// `--max-arena-nodes` and `--max-artifacts`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionCaps {
-    /// Ceiling on a model's master-context arena. A query that grows
-    /// the arena past it triggers a rebuild from canonical source: a
-    /// fresh minimal context holding the model plus only that query's
-    /// vocabulary, so an unbounded literal sweep can no longer grow a
-    /// session forever. Results stay bit-identical — reports depend on
-    /// query semantics, not node ids.
-    pub max_arena_nodes: Option<usize>,
-    /// Ceiling on a session's cached compiled artifacts (plans +
-    /// samplers); breaches evict least-recently-used artifacts, which
-    /// recompile bit-identically on next use.
-    pub max_artifacts: Option<usize>,
-}
-
-/// Registry-wide governance state shared by every entry: the caps plus
-/// high-water gauges and enforcement counters.
-#[derive(Default)]
-struct Governor {
-    caps: SessionCaps,
-    arena_high: AtomicUsize,
-    artifact_high: AtomicUsize,
-    cap_rebuilds: AtomicUsize,
-    artifact_evictions: AtomicUsize,
-}
-
-/// Snapshot of the registry's memory gauges, surfaced through
-/// `{"op":"stats"}` and `{"op":"metrics"}` so cap-driven degradation is
-/// observable instead of an OOM kill.
+/// Snapshot of the registry's artifact gauges, surfaced through
+/// `{"op":"stats"}` and `{"op":"metrics"}`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Largest master-context arena across registered models, now.
-    pub arena_nodes: usize,
-    /// High-water mark of the arena gauge (recorded after cap
-    /// enforcement, so a capped sweep's mark stays at or under the cap).
-    pub arena_nodes_high_water: usize,
     /// Cached compiled artifacts across registered models, now.
     pub artifact_count: usize,
-    /// High-water mark of the artifact gauge (after enforcement).
-    pub artifact_count_high_water: usize,
-    /// Sessions rebuilt from canonical source by an arena-cap breach.
-    pub cap_rebuilds: usize,
-    /// Artifacts evicted by the artifact cap.
+    /// Artifacts evicted by the LRU bound across registered models.
     pub artifact_evictions: usize,
-}
-
-struct EntryInner {
-    /// The master context: every query expression parses into this one.
-    cx: Context,
-    sys: OdeSystem,
-    /// Session built from a clone of `cx` taken at `snapshot` state.
-    session: Arc<Session>,
-    snapshot_nodes: usize,
-    snapshot_vars: usize,
-    /// Sessions built since registration (1 = never rebuilt).
-    builds: usize,
 }
 
 /// One registered model.
 pub struct ModelEntry {
     name: String,
     fingerprint: String,
-    /// The canonical source the model registered with — the rebuild
-    /// base for arena-cap enforcement and the payload the registry
-    /// persistence log records.
+    /// The canonical source the model registered with — the payload
+    /// the registry persistence log records.
     source: ModelSource,
     /// Parameters pinned as constants at registration. They were
     /// substituted out of the right-hand sides, so randomizing one in
@@ -119,8 +64,9 @@ pub struct ModelEntry {
     /// its pinned value, so `"x - k"` means what the model says it
     /// means rather than silently evaluating `k` as 0.
     consts: Vec<(String, f64)>,
-    govern: Arc<Governor>,
-    inner: Mutex<EntryInner>,
+    /// The model's frozen session: built once at registration, never
+    /// rebuilt; every query runs on a view of it.
+    session: Session,
 }
 
 impl ModelEntry {
@@ -144,96 +90,46 @@ impl ModelEntry {
         &self.source
     }
 
-    /// How many times the session was (re)built — 1 when every request
-    /// reused the original, +1 for each vocabulary growth.
-    pub fn session_builds(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .builds
+    /// The model's frozen session (its arena stays at registration
+    /// size; its artifact store is the one every view shares).
+    pub fn session(&self) -> &Session {
+        &self.session
     }
 
-    /// Lowers a wire payload into an engine query with the entry's
-    /// master context and returns it with the session to run it on and
-    /// its canonical memoization key (fingerprint-prefixed).
+    /// Sessions built for this registration: always 1, since queries
+    /// run on views of the frozen session instead of rebuilding it.
+    pub fn session_builds(&self) -> usize {
+        1
+    }
+
+    /// Lowers a wire payload into an engine query and returns it with
+    /// the session view to run it on and its canonical memoization key
+    /// (fingerprint-prefixed).
     ///
-    /// The closure runs under the entry lock; it parses text into the
-    /// master context. If parsing grew the arena, the session is
-    /// rebuilt from a fresh context clone so every node id the query
-    /// references exists in the session. When a [`SessionCaps`] arena
-    /// cap is breached — the literal-sweep shape — the master context
-    /// itself is rebuilt first, from canonical source, down to the
-    /// model plus only this query's vocabulary (the closure re-runs
-    /// against the fresh arena; that is why it is `FnMut`). The
-    /// artifact cap is enforced here too, evicting LRU artifacts the
-    /// previous queries compiled. Both enforcements preserve
-    /// bit-identical results; both land in the registry's
-    /// [`MemoryStats`] gauges.
+    /// `build` parses text into a private copy of the model's context
+    /// ([`Session::view`]); pinned constants are substituted and the
+    /// key rendered in that same copy. No lock is taken and the model
+    /// session is never modified, so concurrent prepares on one model
+    /// proceed in parallel.
     pub fn prepare<E>(
         &self,
-        mut build: impl FnMut(&mut Context) -> Result<Query, E>,
+        build: impl FnOnce(&mut Context) -> Result<Query, E>,
     ) -> Result<(Arc<Session>, Query, String), E> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut query = build(&mut inner.cx)?;
-        self.substitute_consts(&mut inner.cx, &mut query);
-        let over_cap = self
-            .govern
-            .caps
-            .max_arena_nodes
-            .is_some_and(|cap| inner.cx.num_nodes() > cap);
-        if over_cap {
-            // Evict-and-rebuild: re-parse the canonical source into a
-            // fresh minimal context and lower the query again into it.
-            // The source built at registration, so it builds now — the
-            // parse is deterministic.
-            let (cx, sys) = self
-                .source
-                .build()
-                .expect("canonical source validated at registration"); // lint: infallible
-            inner.cx = cx;
-            inner.sys = sys;
-            query = build(&mut inner.cx)?;
-            self.substitute_consts(&mut inner.cx, &mut query);
-            // Force the session rebuild below.
-            inner.snapshot_nodes = 0;
-            inner.snapshot_vars = 0;
-            self.govern.cap_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        if inner.cx.num_nodes() > inner.snapshot_nodes || inner.cx.num_vars() > inner.snapshot_vars
-        {
-            let session = Arc::new(Session::from_parts(inner.cx.clone(), inner.sys.clone()));
-            inner.snapshot_nodes = inner.cx.num_nodes();
-            inner.snapshot_vars = inner.cx.num_vars();
-            inner.builds += 1;
-            inner.session = session;
-        }
-        if let Some(cap) = self.govern.caps.max_artifacts {
-            let evicted = inner.session.evict_artifacts_to(cap);
-            if evicted > 0 {
-                self.govern
-                    .artifact_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
-            }
-        }
-        // Gauges record the post-enforcement state: a capped sweep's
-        // high-water mark stays at (or under) the cap.
-        self.govern
-            .arena_high
-            .fetch_max(inner.cx.num_nodes(), Ordering::Relaxed);
-        self.govern
-            .artifact_high
-            .fetch_max(inner.session.artifact_count(), Ordering::Relaxed);
-        let key = format!("{}|{}", self.fingerprint, query.canonical(&inner.cx));
-        Ok((Arc::clone(&inner.session), query, key))
+        let (view, (query, key)) = self.session.view(|cx| {
+            let mut query = build(cx)?;
+            self.substitute_consts(cx, &mut query);
+            let key = format!("{}|{}", self.fingerprint, query.canonical(cx));
+            Ok((query, key))
+        })?;
+        Ok((Arc::new(view), query, key))
     }
 
     /// Replaces registration-time constants inside the query's property
     /// expressions with their pinned values — the right-hand sides had
     /// the same substitution applied at registration, so a property
     /// mentioning `k` evaluates it at the registered value instead of
-    /// the sampler's zero-filled environment. Runs before the
-    /// vocabulary-growth check (substitution can intern new nodes) and
-    /// before canonicalization (so `"x - k"` and the literal it means
+    /// the sampler's zero-filled environment. Runs before
+    /// canonicalization (so `"x - k"` and the literal it means
     /// share one memoization key).
     fn substitute_consts(&self, cx: &mut Context, query: &mut Query) {
         if self.consts.is_empty() {
@@ -281,29 +177,12 @@ fn subst_bltl(
 #[derive(Default)]
 pub struct Registry {
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
-    govern: Arc<Governor>,
 }
 
 impl Registry {
-    /// An empty registry with unbounded sessions.
+    /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// An empty registry whose sessions are governed by `caps`.
-    pub fn with_caps(caps: SessionCaps) -> Registry {
-        Registry {
-            models: RwLock::default(),
-            govern: Arc::new(Governor {
-                caps,
-                ..Governor::default()
-            }),
-        }
-    }
-
-    /// The caps this registry enforces.
-    pub fn caps(&self) -> SessionCaps {
-        self.govern.caps
     }
 
     /// Registers (or replaces) a model. Returns the new entry and, when
@@ -315,22 +194,12 @@ impl Registry {
         source: &ModelSource,
     ) -> Result<(Arc<ModelEntry>, Option<String>), String> {
         let (cx, sys) = source.build()?;
-        let fingerprint = fingerprint64(&source.canonical());
-        let session = Arc::new(Session::from_parts(cx.clone(), sys.clone()));
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
-            fingerprint,
+            fingerprint: fingerprint64(&source.canonical()),
             source: source.clone(),
             consts: source.consts.clone(),
-            govern: Arc::clone(&self.govern),
-            inner: Mutex::new(EntryInner {
-                snapshot_nodes: cx.num_nodes(),
-                snapshot_vars: cx.num_vars(),
-                cx,
-                sys,
-                session,
-                builds: 1,
-            }),
+            session: Session::from_parts(cx, sys),
         });
         let old = self
             .models
@@ -343,30 +212,22 @@ impl Registry {
         Ok((entry, replaced))
     }
 
-    /// Current + high-water memory gauges and enforcement counters.
-    /// Current values take each entry's lock briefly; the snapshot is
-    /// not atomic across models (it is an observability surface, not a
-    /// synchronization point).
+    /// Artifact gauges summed over the registered models. The snapshot
+    /// is not atomic across models (it is an observability surface,
+    /// not a synchronization point).
     pub fn memory_stats(&self) -> MemoryStats {
-        let (mut arena_now, mut artifacts_now) = (0usize, 0usize);
+        let mut m = MemoryStats::default();
         for entry in self
             .models
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .values()
         {
-            let inner = entry.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            arena_now = arena_now.max(inner.cx.num_nodes());
-            artifacts_now += inner.session.artifact_count();
+            let s = entry.session.stats();
+            m.artifact_count += s.artifact_count;
+            m.artifact_evictions += s.artifact_evictions;
         }
-        MemoryStats {
-            arena_nodes: arena_now,
-            arena_nodes_high_water: self.govern.arena_high.load(Ordering::Relaxed),
-            artifact_count: artifacts_now,
-            artifact_count_high_water: self.govern.artifact_high.load(Ordering::Relaxed),
-            cap_rebuilds: self.govern.cap_rebuilds.load(Ordering::Relaxed),
-            artifact_evictions: self.govern.artifact_evictions.load(Ordering::Relaxed),
-        }
+        m
     }
 
     /// Looks up a model by name.
@@ -468,30 +329,51 @@ mod tests {
         );
     }
 
+    /// The fingerprint a fresh, unshared session gives the spec.
+    fn fresh_fingerprint(spec: &QuerySpec, seed: u64) -> String {
+        let (mut cx, sys) = decay_source().build().unwrap();
+        let query = spec.build(&mut cx).unwrap();
+        Session::from_parts(cx, sys)
+            .query(query)
+            .seed(seed)
+            .run()
+            .unwrap()
+            .fingerprint()
+    }
+
     #[test]
-    fn repeated_vocabulary_reuses_the_session() {
+    fn fresh_literals_share_node_ids_but_never_artifacts() {
         let reg = Registry::new();
-        let (entry, replaced) = reg.register("decay", &decay_source()).unwrap();
-        assert!(replaced.is_none());
-        let spec = estimate_spec("x - 1");
-        let (s1, _, k1) = entry.prepare(|cx| spec.build(cx)).unwrap();
-        // First novel formula grows the arena → one rebuild.
-        assert_eq!(entry.session_builds(), 2);
-        let (s2, _, k2) = entry.prepare(|cx| spec.build(cx)).unwrap();
-        assert_eq!(entry.session_builds(), 2, "repeat parse must not rebuild");
-        assert!(Arc::ptr_eq(&s1, &s2), "same session served");
-        assert_eq!(k1, k2, "same canonical key");
-        // A new formula rebuilds once, then stabilizes again.
-        let spec2 = estimate_spec("x - 0.8");
-        let (s3, _, k3) = entry.prepare(|cx| spec2.build(cx)).unwrap();
-        assert_eq!(entry.session_builds(), 3);
-        assert!(!Arc::ptr_eq(&s1, &s3));
-        assert_ne!(k1, k3);
-        let (s4, _, _) = entry
-            .prepare(|cx| estimate_spec("x - 1").build(cx))
-            .unwrap();
-        assert_eq!(entry.session_builds(), 3);
-        assert!(Arc::ptr_eq(&s3, &s4));
+        let (entry, _) = reg.register("decay", &decay_source()).unwrap();
+        let model_nodes = entry.session().arena_nodes();
+        let (lo, hi) = (estimate_spec("x - 0.8"), estimate_spec("x - 0.9"));
+        let (s_lo, q_lo, k_lo) = entry.prepare(|cx| lo.build(cx)).unwrap();
+        let (s_hi, q_hi, k_hi) = entry.prepare(|cx| hi.build(cx)).unwrap();
+        // Each literal parsed into its own copy of the same frozen arena,
+        // so both properties got the same node ids: a key built from
+        // `{:?}` of the query could not tell them apart.
+        assert_eq!(format!("{q_lo:?}"), format!("{q_hi:?}"), "hazard is real");
+        assert_ne!(k_lo, k_hi, "canonical keys tell the literals apart");
+        let run = |s: &Session, q: Query| s.query(q).seed(7).run().unwrap().fingerprint();
+        assert_eq!(run(&s_lo, q_lo), fresh_fingerprint(&lo, 7));
+        assert_eq!(run(&s_hi, q_hi), fresh_fingerprint(&hi, 7));
+        assert_eq!(entry.session().arena_nodes(), model_nodes, "model frozen");
+        assert_eq!(entry.session_builds(), 1);
+
+        // Known vocabulary, new seed, after a literal miss: every
+        // artifact is still warm, so nothing compiles.
+        let before = entry.session().stats();
+        let (s, q, _) = entry.prepare(|cx| lo.build(cx)).unwrap();
+        assert_eq!(run(&s, q), fresh_fingerprint(&lo, 7));
+        let (s, q, _) = entry.prepare(|cx| lo.build(cx)).unwrap();
+        let fp = s.query(q).seed(8).run().unwrap().fingerprint();
+        assert_eq!(fp, fresh_fingerprint(&lo, 8));
+        let after = entry.session().stats();
+        assert_eq!(
+            (after.plan_compiles, after.sampler_builds),
+            (before.plan_compiles, before.sampler_builds),
+            "a known-vocabulary miss must reuse the warm artifacts"
+        );
     }
 
     #[test]

@@ -43,10 +43,10 @@
 //! cache spill file (`--persist`) rewarms memoized results, and the
 //! registry log (`--registry`) replays every model's canonical source
 //! so fingerprints — and therefore the warm cache keys — come back
-//! identical with no re-registration. Session growth is governed by
-//! `--max-arena-nodes` / `--max-artifacts` (evict-and-rebuild from
-//! canonical source, bit-identical results, high-water gauges in
-//! `stats` and `metrics`).
+//! identical with no re-registration. Session memory needs no knob:
+//! each model's session is frozen at registration and queries parse
+//! into private views of it, so only the engine's fixed-size artifact
+//! LRU grows, and its gauges are in `stats` and `metrics`.
 
 use crate::append_log::{AppendLog, Codec, LogStats};
 use crate::cache::persist::{CacheLog, CacheRecord};
@@ -54,7 +54,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::registry::persist::{ModelRecord, RegistryLog};
-use crate::registry::{Registry, SessionCaps};
+use crate::registry::Registry;
 use crate::scheduler::{AdmitError, AdmitWait, Scheduler};
 use crate::trace::{trace_reply_json, TraceHub};
 use crate::wire::{report_to_json, ModelSource, QueryRequest, Request};
@@ -95,11 +95,6 @@ pub struct ServeConfig {
     /// with `persist`, its memoized results warm) without any client
     /// re-registering. Same fail-open policy as `persist`.
     pub registry: Option<PathBuf>,
-    /// Per-model arena-node cap ([`SessionCaps::max_arena_nodes`]).
-    pub max_arena_nodes: Option<usize>,
-    /// Per-session compiled-artifact cap
-    /// ([`SessionCaps::max_artifacts`]).
-    pub max_artifacts: Option<usize>,
     /// Hard ceiling on a single query's execute time. A watchdog tick
     /// raises the request's `CancelToken` once it is exceeded and the
     /// reply becomes a `watchdog_cancelled` error — a wedged solver
@@ -125,8 +120,6 @@ impl Default for ServeConfig {
             max_queue: 16,
             persist: None,
             registry: None,
-            max_arena_nodes: None,
-            max_artifacts: None,
             max_execute: None,
             idle_timeout: Duration::from_secs(300),
             line_timeout: Duration::from_secs(10),
@@ -299,10 +292,7 @@ impl ServeCore {
         let persist = open_log(config.persist.as_deref(), "cache", |rec: CacheRecord| {
             cache.insert(rec.key, rec.report, rec.cost);
         });
-        let registry = Registry::with_caps(SessionCaps {
-            max_arena_nodes: config.max_arena_nodes,
-            max_artifacts: config.max_artifacts,
-        });
+        let registry = Registry::new();
         let registry_log = open_log(config.registry.as_deref(), "registry", |m: ModelRecord| {
             // The source built when it was registered; a replay failure
             // means the engine changed underneath the log — warn, keep
@@ -424,7 +414,7 @@ impl ServeCore {
     /// queue wait, engine execute time, the compile share stamped into
     /// the report's provenance, and the persistence append. The hit
     /// path pays two clock reads and one histogram record — overhead
-    /// the `serve_throughput` bench gate bounds.
+    /// the `daemon_mix` benchmark workload measures end to end.
     pub fn run_query(&self, qr: &QueryRequest) -> Result<(Arc<Report>, bool), ServeError> {
         self.run_query_traced(qr)
             .map(|(report, cached, _trace)| (report, cached))
@@ -716,17 +706,7 @@ impl ServeCore {
         pairs.push((
             "sessions",
             Json::obj([
-                ("arena_nodes", Json::num(m.arena_nodes as f64)),
-                (
-                    "arena_nodes_high_water",
-                    Json::num(m.arena_nodes_high_water as f64),
-                ),
                 ("artifact_count", Json::num(m.artifact_count as f64)),
-                (
-                    "artifact_count_high_water",
-                    Json::num(m.artifact_count_high_water as f64),
-                ),
-                ("cap_rebuilds", Json::num(m.cap_rebuilds as f64)),
                 ("artifact_evictions", Json::num(m.artifact_evictions as f64)),
             ]),
         ));
@@ -858,33 +838,13 @@ impl ServeCore {
         );
         let m = self.registry.memory_stats();
         counter(
-            "biocheckd_session_arena_nodes",
-            "Largest master-context arena across registered models.",
-            m.arena_nodes as f64,
-        );
-        counter(
-            "biocheckd_session_arena_nodes_high_water",
-            "High-water mark of the arena gauge (post cap enforcement).",
-            m.arena_nodes_high_water as f64,
-        );
-        counter(
             "biocheckd_session_artifact_count",
             "Compiled artifacts cached across sessions.",
             m.artifact_count as f64,
         );
         counter(
-            "biocheckd_session_artifact_count_high_water",
-            "High-water mark of the artifact gauge (post cap enforcement).",
-            m.artifact_count_high_water as f64,
-        );
-        counter(
-            "biocheckd_session_cap_rebuilds_total",
-            "Sessions rebuilt from canonical source by an arena-cap breach.",
-            m.cap_rebuilds as f64,
-        );
-        counter(
             "biocheckd_session_artifact_evictions_total",
-            "Compiled artifacts evicted by the artifact cap.",
+            "Compiled artifacts evicted by the per-model LRU bound.",
             m.artifact_evictions as f64,
         );
         if let Some(p) = self.persist_stats() {

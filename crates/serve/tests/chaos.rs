@@ -21,6 +21,7 @@
 
 #![cfg(feature = "fault-injection")]
 
+use biocheck_engine::Session;
 use biocheck_serve::faults::{self, FaultPlan};
 use biocheck_serve::server::{serve, ServeConfig, ServeCore, ServeError};
 use biocheck_serve::wire::{
@@ -460,12 +461,11 @@ fn registry_io_errors_never_fail_registration() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Wedged solvers under the 12-thread hammer, against a governed
-/// (capped) model: injected stalls wedge executions long past the
-/// `--max-execute-ms` ceiling, the watchdog reaps every one (typed
-/// `watchdog_cancelled`, permit released), evictions and cap rebuilds
-/// race with in-flight queries, and no reply — reaped, capped, or
-/// clean — ever diverges from the unbounded fault-free reference.
+/// Wedged solvers under the 12-thread hammer: injected stalls wedge
+/// executions long past the `--max-execute-ms` ceiling, the watchdog
+/// reaps every one (typed `watchdog_cancelled`, permit released),
+/// artifact LRU evictions race with in-flight queries, and no reply
+/// ever diverges from a fresh, fault-free session.
 #[test]
 fn watchdog_reaps_stalled_queries_under_capped_hammer() {
     let _serial = chaos_lock();
@@ -473,8 +473,6 @@ fn watchdog_reaps_stalled_queries_under_capped_hammer() {
         concurrency: 4,
         max_queue: 64,
         max_execute: Some(Duration::from_millis(25)),
-        max_arena_nodes: Some(60),
-        max_artifacts: Some(4),
         ..ServeConfig::default()
     }));
     let daemon = serve(Arc::clone(&core), "127.0.0.1:0").unwrap();
@@ -483,15 +481,22 @@ fn watchdog_reaps_stalled_queries_under_capped_hammer() {
         let mut c = Client::connect(addr).unwrap();
         c.register("decay", &decay_source()).unwrap();
     }
-    // Unbounded, fault-free reference for every sweep literal.
-    let reference = ServeCore::new(ServeConfig::default());
-    reference.register("decay", &decay_source()).unwrap();
+    // Fresh, fault-free sessions are the reference for every literal.
     let sweep: Vec<QueryRequest> = (0..20)
         .map(|i| estimate(&format!("x - 0.{:03}", 300 + i), 9, 25))
         .collect();
     let expected: Vec<String> = sweep
         .iter()
-        .map(|qr| reference.run_query(qr).unwrap().0.fingerprint())
+        .map(|qr| {
+            let (mut cx, sys) = decay_source().build().unwrap();
+            let query = qr.query.build(&mut cx).unwrap();
+            Session::from_parts(cx, sys)
+                .query(query)
+                .seed(qr.seed)
+                .run()
+                .unwrap()
+                .fingerprint()
+        })
         .collect();
 
     faults::install(FaultPlan {
@@ -544,8 +549,6 @@ fn watchdog_reaps_stalled_queries_under_capped_hammer() {
         reaped,
         "every reap surfaced as exactly one typed error"
     );
-    let m = core.registry().memory_stats();
-    assert!(m.arena_nodes_high_water <= 60, "cap held under the hammer");
 
     // Storm over: every sweep query (reaped ones included — they were
     // never memoized) now answers correctly, and the daemon drains.
@@ -554,6 +557,12 @@ fn watchdog_reaps_stalled_queries_under_capped_hammer() {
         let reply = client.query(qr).unwrap();
         assert_eq!(reply.fingerprint, expected[j], "post-storm divergence");
     }
+    let m = core.registry().memory_stats();
+    assert!(
+        m.artifact_evictions > 0,
+        "no eviction raced — proves nothing"
+    );
+    assert!(m.artifact_count <= Session::MAX_ARTIFACTS, "LRU bound held");
     client.shutdown().unwrap();
     daemon.join();
     assert_eq!(core.scheduler().in_flight(), 0, "no leaked permits");

@@ -1,10 +1,12 @@
-//! Durability and self-governance: registry-log crash recovery with no
-//! client re-registration, arena/artifact caps with evict-and-rebuild
-//! determinism (bit-identical to uncapped serving — the CI
-//! determinism matrix re-runs this suite at 1/2/8 pool threads), the
-//! 10k-literal sweep staying under the arena cap gauge-verifiably, and
-//! the hung-query watchdog reaping an overrunning execution.
+//! Durability and bounded memory: registry-log crash recovery with no
+//! client re-registration, literal sweeps over a frozen model session
+//! answering bit-identically to fresh sessions across artifact LRU
+//! evictions (the CI determinism matrix re-runs this suite at 1/2/8
+//! pool threads), the 10k-literal sweep leaving the model arena at its
+//! registration size gauge-verifiably, and the hung-query watchdog
+//! reaping an overrunning execution.
 
+use biocheck_engine::Session;
 use biocheck_serve::server::{ServeConfig, ServeCore, ServeError};
 use biocheck_serve::wire::{
     BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
@@ -43,6 +45,19 @@ fn estimate(expr: &str, seed: u64, n: usize) -> QueryRequest {
         },
         trace: false,
     }
+}
+
+/// The fingerprint a fresh, unshared session gives the request.
+fn fresh(qr: &QueryRequest) -> String {
+    let (mut cx, sys) = decay_source().build().unwrap();
+    let query = qr.query.build(&mut cx).unwrap();
+    Session::from_parts(cx, sys)
+        .query(query)
+        .seed(qr.seed)
+        .budget(qr.budget.build())
+        .run()
+        .unwrap()
+        .fingerprint()
 }
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -123,134 +138,129 @@ fn registry_log_restores_serving_state_after_kill() {
     let _ = std::fs::remove_file(&persist_path);
 }
 
-/// The evict-and-rebuild determinism property: a capped core forced
-/// through many arena-cap rebuilds mid-sweep answers every query
-/// bit-identically to an unbounded core (and to cache hits of its own
-/// earlier answers).
+/// A sweep of novel literals against one frozen model session answers
+/// every query bit-identically to a fresh session, never rebuilds or
+/// grows the model, and keeps every earlier answer a cache hit.
 #[test]
-fn cap_rebuilds_preserve_bit_identical_results() {
-    let capped = ServeCore::new(ServeConfig {
-        // Tight enough that a sweep of novel literals breaches it over
-        // and over; the decay model itself needs only a handful.
-        max_arena_nodes: Some(60),
-        ..ServeConfig::default()
-    });
-    let uncapped = ServeCore::new(ServeConfig::default());
-    capped.register("decay", &decay_source()).unwrap();
-    uncapped.register("decay", &decay_source()).unwrap();
+fn literal_sweep_matches_fresh_sessions_and_stays_cached() {
+    let core = ServeCore::new(ServeConfig::default());
+    core.register("decay", &decay_source()).unwrap();
+    let entry = core.registry().get("decay").unwrap();
+    let model_nodes = entry.session().arena_nodes();
 
     let sweep: Vec<QueryRequest> = (0..40)
         .map(|i| estimate(&format!("x - 0.{:03}", 500 + i), 42, 25))
         .collect();
     let mut cold = Vec::new();
     for qr in &sweep {
-        let (capped_r, cached) = capped.run_query(qr).unwrap();
+        let (r, cached) = core.run_query(qr).unwrap();
         assert!(!cached);
-        let (uncapped_r, _) = uncapped.run_query(qr).unwrap();
         assert_eq!(
-            capped_r.fingerprint(),
-            uncapped_r.fingerprint(),
-            "governed session diverged from unbounded session"
+            r.fingerprint(),
+            fresh(qr),
+            "view diverged from a fresh session"
         );
-        cold.push(capped_r.fingerprint());
+        cold.push(r.fingerprint());
     }
-    let m = capped.registry().memory_stats();
-    assert!(
-        m.cap_rebuilds > 0,
-        "sweep never breached the cap — proves nothing"
+    assert_eq!(entry.session_builds(), 1, "the model session was rebuilt");
+    assert_eq!(
+        entry.session().arena_nodes(),
+        model_nodes,
+        "model arena grew"
     );
-    assert!(m.arena_nodes_high_water <= 60, "gauge above the cap");
     // Earlier answers stay reachable and identical: canonical cache
-    // keys are text-based, so a rebuilt arena changes no key.
+    // keys are text-based, so private arenas change no key.
     for (qr, fp) in sweep.iter().zip(&cold) {
-        let (hit, cached) = capped.run_query(qr).unwrap();
-        assert!(cached, "rebuilds must not invalidate memoized results");
+        let (hit, cached) = core.run_query(qr).unwrap();
+        assert!(cached, "a later literal invalidated a memoized result");
         assert_eq!(&hit.fingerprint(), fp);
     }
-    assert_eq!(uncapped.registry().memory_stats().cap_rebuilds, 0);
 }
 
-/// The artifact cap evicts least-recently-used compiled plans and
-/// samplers once the vocabulary is stable (a new-vocabulary query
-/// rebuilds the session and starts the artifact cache empty anyway),
-/// and evicted artifacts recompile bit-identically on next use.
+/// The artifact LRU bound evicts least-recently-used compiled plans and
+/// samplers once more setups are live than it holds, and evicted
+/// artifacts recompile bit-identically on next use.
 #[test]
 fn artifact_cap_evicts_lru_and_recompiles_identically() {
-    let capped = ServeCore::new(ServeConfig {
-        max_artifacts: Some(4),
-        ..ServeConfig::default()
-    });
-    let uncapped = ServeCore::new(ServeConfig::default());
-    capped.register("decay", &decay_source()).unwrap();
-    uncapped.register("decay", &decay_source()).unwrap();
-
-    let props: Vec<String> = (0..8).map(|i| format!("x - 0.{:03}", 900 + i)).collect();
-    // Pass 1 interns every property's vocabulary (each rebuild starts
-    // the artifact cache fresh); pass 2 runs over a stable arena, so
-    // artifacts accumulate — two (plan + sampler) per property — and
-    // the cap starts evicting.
-    for seed in [42u64, 43] {
-        for p in &props {
-            let (c, _) = capped.run_query(&estimate(p, seed, 20)).unwrap();
-            let (u, _) = uncapped.run_query(&estimate(p, seed, 20)).unwrap();
-            assert_eq!(c.fingerprint(), u.fingerprint());
-        }
-    }
-    let m = capped.registry().memory_stats();
-    assert!(
-        m.artifact_evictions > 0,
-        "artifact cap never enforced — proves nothing"
-    );
-    assert!(m.artifact_count_high_water <= 4, "gauge above the cap");
-    assert_eq!(m.cap_rebuilds, 0, "no arena cap in this test");
-    // Fresh seeds force recompiles of evicted artifacts: identical.
-    for p in &props {
-        let (c, cached) = capped.run_query(&estimate(p, 44, 20)).unwrap();
-        assert!(!cached);
-        let (u, _) = uncapped.run_query(&estimate(p, 44, 20)).unwrap();
-        assert_eq!(
-            c.fingerprint(),
-            u.fingerprint(),
-            "recompiled artifact diverged for {p}"
-        );
-    }
-}
-
-/// The acceptance-criteria sweep: 10k distinct literals against a
-/// capped session. Arena growth is what `prepare` does (no execution
-/// needed to grow the arena), so the sweep drives `prepare` directly
-/// and verifies the high-water gauge never passed the cap.
-#[test]
-fn ten_thousand_literal_sweep_stays_under_arena_cap() {
-    let core = ServeCore::new(ServeConfig {
-        max_arena_nodes: Some(120),
-        max_artifacts: Some(8),
-        ..ServeConfig::default()
-    });
+    let core = ServeCore::new(ServeConfig::default());
     core.register("decay", &decay_source()).unwrap();
     let entry = core.registry().get("decay").unwrap();
-    for i in 0..10_000u32 {
-        let qr = estimate(&format!("x - 0.{i:05}"), 1, 10);
-        entry
-            .prepare(|cx| qr.query.build(cx))
-            .expect("sweep query must lower");
+
+    // Twice as many setups (plan + sampler each) as the bound holds.
+    let props: Vec<String> = (0..Session::MAX_ARTIFACTS)
+        .map(|i| format!("x - 0.{:03}", 900 + i))
+        .collect();
+    for seed in [42u64, 43] {
+        for p in &props {
+            let qr = estimate(p, seed, 20);
+            assert_eq!(core.run_query(&qr).unwrap().0.fingerprint(), fresh(&qr));
+        }
     }
     let m = core.registry().memory_stats();
     assert!(
-        m.arena_nodes_high_water <= 120,
-        "high water {} exceeded the cap",
-        m.arena_nodes_high_water
+        m.artifact_evictions > 0,
+        "LRU never evicted — proves nothing"
     );
-    assert!(m.arena_nodes <= 120);
-    assert!(m.cap_rebuilds > 0, "a 10k sweep must have breached the cap");
-    assert_eq!(session_gauge(&core, "arena_nodes_high_water"), {
-        m.arena_nodes_high_water
-    });
-    assert_eq!(session_gauge(&core, "cap_rebuilds"), m.cap_rebuilds);
+    assert!(
+        m.artifact_count <= Session::MAX_ARTIFACTS,
+        "store above the bound"
+    );
+    // Fresh seeds revisit the evicted setups: they recompile, identically.
+    let builds = entry.session().stats().sampler_builds;
+    for p in &props {
+        let qr = estimate(p, 44, 20);
+        let (r, cached) = core.run_query(&qr).unwrap();
+        assert!(!cached);
+        assert_eq!(
+            r.fingerprint(),
+            fresh(&qr),
+            "recompiled artifact diverged for {p}"
+        );
+    }
+    assert!(
+        entry.session().stats().sampler_builds > builds,
+        "nothing recompiled"
+    );
+}
+
+/// The acceptance-criteria sweep: 10k distinct literals, each prepared
+/// and run on a view of the frozen model session. The artifact store
+/// stays within its LRU bound, the model arena at its registration size,
+/// and the gauges agree across `stats` and `metrics`.
+#[test]
+fn ten_thousand_literal_sweep_keeps_the_model_arena_frozen() {
+    let core = ServeCore::new(ServeConfig::default());
+    core.register("decay", &decay_source()).unwrap();
+    let entry = core.registry().get("decay").unwrap();
+    let model_nodes = entry.session().arena_nodes();
+    for i in 0..10_000u32 {
+        let qr = estimate(&format!("x - 0.{i:05}"), 1, 1);
+        let (view, query, _) = entry
+            .prepare(|cx| qr.query.build(cx))
+            .expect("sweep query must lower");
+        view.query(query).seed(1).run().expect("sweep query runs");
+    }
+    assert_eq!(
+        entry.session().arena_nodes(),
+        model_nodes,
+        "model arena grew"
+    );
+    assert_eq!(entry.session_builds(), 1);
+    let m = core.registry().memory_stats();
+    assert_eq!(m.artifact_count, Session::MAX_ARTIFACTS);
+    assert_eq!(m.artifact_evictions, 2 * 10_000 - Session::MAX_ARTIFACTS);
+    assert_eq!(session_gauge(&core, "artifact_count"), m.artifact_count);
+    assert_eq!(
+        session_gauge(&core, "artifact_evictions"),
+        m.artifact_evictions
+    );
     // The gauges are on the metrics exposition too.
     let text = core.metrics_text();
-    assert!(text.contains("biocheckd_session_arena_nodes_high_water"));
-    assert!(text.contains("biocheckd_session_cap_rebuilds_total"));
+    assert!(text.contains(&format!(
+        "biocheckd_session_artifact_count {}",
+        m.artifact_count
+    )));
+    assert!(text.contains("biocheckd_session_artifact_evictions_total"));
 }
 
 /// The watchdog reaps a genuinely overrunning execution: a typed
@@ -334,47 +344,37 @@ fn watchdog_cancels_overrunning_query() {
     assert_eq!(r.fingerprint(), hit.fingerprint());
 }
 
-/// Concurrent sweeps against one governed model: rebuilds and
-/// evictions race with in-flight prepares across threads, and every
-/// reply still matches the unbounded reference.
+/// Concurrent sweeps against one model: evictions race with in-flight
+/// prepares and executions across threads, and every reply still
+/// matches a fresh, unshared session.
 #[test]
 fn concurrent_capped_sweeps_match_unbounded_reference() {
-    let reference = ServeCore::new(ServeConfig::default());
-    reference.register("decay", &decay_source()).unwrap();
-    let mut expected = Vec::new();
     let sweep: Vec<QueryRequest> = (0..24)
         .map(|i| estimate(&format!("x - 0.{:03}", 700 + i), 9, 20))
         .collect();
-    for qr in &sweep {
-        expected.push(reference.run_query(qr).unwrap().0.fingerprint());
-    }
+    let expected: Vec<String> = sweep.iter().map(fresh).collect();
 
-    let capped = Arc::new(ServeCore::new(ServeConfig {
-        max_arena_nodes: Some(30),
-        max_artifacts: Some(3),
+    let core = Arc::new(ServeCore::new(ServeConfig {
         concurrency: 4,
         ..ServeConfig::default()
     }));
-    capped.register("decay", &decay_source()).unwrap();
+    core.register("decay", &decay_source()).unwrap();
     let sweep = Arc::new(sweep);
     let expected = Arc::new(expected);
     let handles: Vec<_> = (0..8)
         .map(|t| {
-            let (core, sweep, expected) = (
-                Arc::clone(&capped),
-                Arc::clone(&sweep),
-                Arc::clone(&expected),
-            );
+            let (core, sweep, expected) =
+                (Arc::clone(&core), Arc::clone(&sweep), Arc::clone(&expected));
             std::thread::spawn(move || {
                 // Each thread walks the sweep from a different offset so
-                // rebuilds interleave with other threads' prepares.
+                // evictions interleave with other threads' queries.
                 for i in 0..sweep.len() {
                     let j = (i + t * 3) % sweep.len();
                     let (r, _) = core.run_query(&sweep[j]).unwrap();
                     assert_eq!(
                         r.fingerprint(),
                         expected[j],
-                        "capped concurrent sweep diverged on query {j}"
+                        "concurrent sweep diverged on query {j}"
                     );
                 }
             })
@@ -383,7 +383,10 @@ fn concurrent_capped_sweeps_match_unbounded_reference() {
     for h in handles {
         h.join().expect("sweep thread panicked");
     }
-    let m = capped.registry().memory_stats();
-    assert!(m.cap_rebuilds > 0, "no rebuild raced — proves nothing");
-    assert!(m.arena_nodes_high_water <= 30);
+    let m = core.registry().memory_stats();
+    assert!(
+        m.artifact_evictions > 0,
+        "no eviction raced — proves nothing"
+    );
+    assert!(m.artifact_count <= Session::MAX_ARTIFACTS);
 }

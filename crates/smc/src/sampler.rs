@@ -26,6 +26,7 @@ use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
 use biocheck_expr::{Context, VarId};
 use biocheck_ode::{CompiledOde, DormandPrince, OdeScratch, OdeSystem, StepControl};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A sampling distribution for an initial state or parameter.
 #[derive(Clone, Debug)]
@@ -122,7 +123,7 @@ pub struct SampleStats {
 /// property on each simulated trace.
 pub struct TraceSampler {
     cx: Context,
-    ode: CompiledOde,
+    ode: Arc<CompiledOde>,
     states: Vec<VarId>,
     init: Vec<Dist>,
     params: Vec<(VarId, Dist)>,
@@ -147,7 +148,7 @@ impl TraceSampler {
         property: Bltl,
         t_end: f64,
     ) -> TraceSampler {
-        let ode = sys.compile(&cx);
+        let ode = Arc::new(sys.compile(&cx));
         let plan = CompiledBltl::compile(&cx, &sys.states, &property);
         TraceSampler::from_artifacts(cx, ode, plan, init, params, property, t_end)
     }
@@ -156,8 +157,9 @@ impl TraceSampler {
     /// RHS and a compiled streaming-monitor plan. Performs no lowering
     /// of any kind — this is the constructor behind the engine crate's
     /// per-session artifact cache, where the RHS is compiled once per
-    /// model and each formula's plan once per session, then shared
-    /// across every query that reuses them.
+    /// model (and shared, not copied, by every sampler built from it)
+    /// and each formula's plan once per session, then shared across
+    /// every query that reuses them.
     ///
     /// `property` must be the formula `plan` was compiled from (it backs
     /// [`TraceSampler::sample_offline`], the reference path).
@@ -167,7 +169,7 @@ impl TraceSampler {
     /// Panics when `init` does not match the system dimension.
     pub fn from_artifacts(
         cx: Context,
-        ode: CompiledOde,
+        ode: Arc<CompiledOde>,
         plan: CompiledBltl,
         init: Vec<Dist>,
         params: Vec<(VarId, Dist)>,

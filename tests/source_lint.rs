@@ -83,7 +83,7 @@ fn serving_crates_do_not_unwrap_outside_tests() {
     // Every currently-waived site, pinned. Adding a waiver means adding
     // it here too — the diff review *is* the approval step. Removing
     // code removes its entry.
-    const MAX_WAIVERS: usize = 12;
+    const MAX_WAIVERS: usize = 11;
     let mut violations = Vec::new();
     let mut waivers = 0usize;
     for root in ["crates/serve/src", "crates/obs/src"] {
