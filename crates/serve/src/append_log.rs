@@ -4,10 +4,11 @@
 //! What a record *means* is the [`Codec`]'s job; surviving a crash is
 //! this module's, once:
 //!
-//! * **Append.** Records are appended and flushed one at a time, so a
-//!   crash — including SIGKILL — loses at most the torn tail record the
-//!   process was writing. Failures are counted, never returned:
-//!   persistence must never fail a request.
+//! * **Append.** Records are appended one at a time, each line and its
+//!   newline in one write to the OS, so a crash — including SIGKILL —
+//!   loses at most the torn tail record the process was writing.
+//!   Failures are counted, never returned: persistence must never fail
+//!   a request.
 //! * **Load.** Corruption-tolerant, never fatal: a line that fails its
 //!   checksum, does not parse, or does not decode is counted in
 //!   [`LogStats::skipped`]; a missing or unknown header invalidates
@@ -18,12 +19,15 @@
 //!   `<path>.tmp`, fsyncs it, and atomically renames it over the log, so
 //!   corruption and superseded records never accumulate and the log
 //!   never holds a partial rewrite.
+//! * **Read back.** Open and append report each record's [`Extent`] in
+//!   the file; [`AppendLog::read`] re-reads one and accepts it only
+//!   through the same checksum and decode as a line at open time.
 
 use crate::json::{parse_json, Json};
 use crate::registry::fingerprint64;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
@@ -66,9 +70,23 @@ pub struct LogStats {
     pub unsupported: usize,
 }
 
+/// Where one record's line sits in the log file.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Extent {
+    /// Byte offset of the line's first byte.
+    pub offset: u64,
+    /// Line length in bytes, without the newline.
+    pub len: usize,
+}
+
+/// An opened log and the records recovered from it, each with its
+/// extent in the compacted file.
+pub type Opened<C> = (AppendLog<C>, Vec<(Extent, <C as Codec>::Record)>);
+
 /// An open, append-mode log of `C` records.
 pub struct AppendLog<C: Codec> {
-    writer: BufWriter<File>,
+    writer: File,
+    reader: File,
     stats: LogStats,
     codec: PhantomData<C>,
 }
@@ -77,9 +95,10 @@ impl<C: Codec> AppendLog<C> {
     /// Opens (creating if absent) the log at `path`: recovers every
     /// valid record (last per key), compacts the file down to exactly
     /// those via an atomic temp-file rename, and leaves the log open
-    /// for appending. Corrupt content is skipped, never an error; only
+    /// for appending. Each record comes with its extent in the
+    /// compacted file. Corrupt content is skipped, never an error; only
     /// a filesystem-level failure to (re)create the file is.
-    pub fn open(path: &Path) -> std::io::Result<(AppendLog<C>, Vec<C::Record>)> {
+    pub fn open(path: &Path) -> std::io::Result<Opened<C>> {
         let mut stats = LogStats::default();
         let records = match File::open(path) {
             Ok(f) => read_records::<C>(f, &mut stats),
@@ -87,12 +106,20 @@ impl<C: Codec> AppendLog<C> {
             Err(e) => return Err(e),
         };
         let tmp = compaction_path(path);
+        let mut recovered = Vec::with_capacity(records.len());
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
             writeln!(w, "{}", C::HEADER)?;
-            // Loaded records decoded, so they re-encode.
-            for line in records.iter().filter_map(Self::encode_line) {
+            let mut offset = C::HEADER.len() as u64 + 1;
+            for record in records {
+                // Loaded records decoded, so they re-encode.
+                let Some(line) = Self::encode_line(&record) else {
+                    continue;
+                };
                 writeln!(w, "{line}")?;
+                let len = line.len();
+                recovered.push((Extent { offset, len }, record));
+                offset += len as u64 + 1;
             }
             w.flush()?;
             w.get_ref().sync_all()?;
@@ -104,13 +131,13 @@ impl<C: Codec> AppendLog<C> {
         // a directory.
         let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
         let _ = File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all());
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
         let log = AppendLog {
-            writer,
+            writer: OpenOptions::new().append(true).open(path)?,
+            reader: File::open(path)?,
             stats,
             codec: PhantomData,
         };
-        Ok((log, records))
+        Ok((log, recovered))
     }
 
     /// Lifetime counters.
@@ -118,29 +145,49 @@ impl<C: Codec> AppendLog<C> {
         self.stats
     }
 
-    /// Appends one record and flushes it to the OS, so a crash right
-    /// after the reply was sent cannot lose it. All failure modes are
-    /// absorbed into the counters.
-    pub fn append(&mut self, record: &C::Record) {
-        let Some(line) = Self::encode_line(record) else {
+    /// Appends one record, line and newline in one write to the OS, so
+    /// a crash right after the reply was sent cannot lose it. Returns
+    /// the record's extent once it is written; all failure modes are
+    /// absorbed into the counters and return `None`.
+    pub fn append(&mut self, record: &C::Record) -> Option<Extent> {
+        let Some(mut line) = Self::encode_line(record) else {
             self.stats.unsupported += 1;
-            return;
+            return None;
         };
         #[cfg(feature = "fault-injection")]
         if C::injected_io_error() {
             self.stats.append_errors += 1;
-            return;
+            return None;
         }
-        match writeln!(self.writer, "{line}").and_then(|()| self.writer.flush()) {
-            Ok(()) => self.stats.appended += 1,
-            Err(_) => self.stats.append_errors += 1,
+        let len = line.len();
+        line.push('\n');
+        if self.writer.write_all(line.as_bytes()).is_err() {
+            self.stats.append_errors += 1;
+            return None;
         }
+        self.stats.appended += 1;
+        // The offset is asked of the file, not tracked here: a torn
+        // earlier write or an outside truncation moves the end.
+        let end = self.writer.stream_position().ok()?;
+        Some(Extent {
+            offset: end.checked_sub(line.len() as u64)?,
+            len,
+        })
+    }
+
+    /// Reads back the record at `at`, an extent this log reported,
+    /// through the same checksum and decode as a line at open time.
+    /// `None` on any I/O error and for torn or overwritten bytes.
+    pub fn read(&mut self, at: Extent) -> Option<C::Record> {
+        let mut buf = vec![0; at.len];
+        self.reader.seek(SeekFrom::Start(at.offset)).ok()?;
+        self.reader.read_exact(&mut buf).ok()?;
+        Self::decode_line(std::str::from_utf8(&buf).ok()?)
     }
 
     /// Best-effort fsync (shutdown path).
     pub fn sync(&mut self) {
-        let _ = self.writer.flush();
-        let _ = self.writer.get_ref().sync_all();
+        let _ = self.writer.sync_all();
     }
 
     /// One framed record line, `<checksum> <payload>`; `None` when the
@@ -260,6 +307,12 @@ mod tests {
         Log::encode_line(&pair(k, v)).unwrap()
     }
 
+    /// Opens the log, dropping the extents.
+    fn open(path: &Path) -> (Log, Vec<(String, String)>) {
+        let (log, recs) = Log::open(path).unwrap();
+        (log, recs.into_iter().map(|(_, r)| r).collect())
+    }
+
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("biocheck-append-log-{name}-{}", std::process::id()));
@@ -270,7 +323,7 @@ mod tests {
     #[test]
     fn append_reopen_recovers_last_record_per_key() {
         let path = tmp_path("reopen");
-        let (mut log, recs) = Log::open(&path).unwrap();
+        let (mut log, recs) = open(&path);
         assert!(recs.is_empty());
         log.append(&pair("a", "1"));
         log.append(&pair("b", "2"));
@@ -278,12 +331,12 @@ mod tests {
         log.append(&pair("c", "-")); // refused by the codec
         assert_eq!((log.stats().appended, log.stats().unsupported), (3, 1));
         drop(log);
-        let (log, recs) = Log::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!(recs, [pair("a", "3"), pair("b", "2")]);
         assert_eq!((log.stats().loaded, log.stats().deduped), (2, 1));
         drop(log);
         // Compaction dropped the superseded record for good.
-        let (log, _) = Log::open(&path).unwrap();
+        let (log, _) = open(&path);
         assert_eq!((log.stats().loaded, log.stats().deduped), (2, 0));
         let _ = std::fs::remove_file(&path);
     }
@@ -306,11 +359,11 @@ mod tests {
         ]
         .join("\n");
         std::fs::write(&path, content).unwrap();
-        let (log, recs) = Log::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!(recs, [pair("good", "x"), pair("good2", "y")]);
         assert_eq!(log.stats().skipped, 5, "five corrupt lines skipped");
         drop(log);
-        let (log, recs) = Log::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!(recs.len(), 2);
         assert_eq!(log.stats().skipped, 0, "corruption scrubbed by compaction");
         let _ = std::fs::remove_file(&path);
@@ -320,7 +373,7 @@ mod tests {
     fn unknown_header_invalidates_the_file_without_crashing() {
         let path = tmp_path("header");
         std::fs::write(&path, format!("pairs v999\n{}\n", line("k", "v"))).unwrap();
-        let (log, recs) = Log::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert!(
             recs.is_empty(),
             "records behind an unknown header untrusted"
@@ -330,7 +383,7 @@ mod tests {
         let mut bytes = format!("{}\n{}\n", Pairs::HEADER, line("k", "v")).into_bytes();
         bytes.extend_from_slice(b"\xff\xfe\n");
         std::fs::write(&path, bytes).unwrap();
-        let (log, recs) = Log::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!((recs.len(), log.stats().skipped), (1, 1));
         let _ = std::fs::remove_file(&path);
     }
@@ -344,12 +397,41 @@ mod tests {
         assert_ne!(compaction_path(p("d/a")), compaction_path(p("d/a.log")));
         let path = tmp_path("named").with_extension("tmp");
         let _ = std::fs::remove_file(&path);
-        let (mut log, _) = Log::open(&path).unwrap();
+        let (mut log, _) = open(&path);
         log.append(&pair("k", "v"));
         drop(log);
-        let (_, recs) = Log::open(&path).unwrap();
+        let (_, recs) = open(&path);
         assert_eq!(recs, [pair("k", "v")]);
         assert!(!compaction_path(&path).exists(), "temp file renamed away");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn extents_read_back_and_refuse_altered_bytes() {
+        let path = tmp_path("extents");
+        let (mut log, _) = open(&path);
+        let a = log.append(&pair("a", "1")).unwrap();
+        let b = log.append(&pair("b", "2")).unwrap();
+        assert_eq!(log.append(&pair("c", "-")), None, "refused record");
+        assert_eq!(log.read(a), Some(pair("a", "1")));
+        assert_eq!(log.read(b), Some(pair("b", "2")));
+        drop(log);
+        // Reopening reports each survivor's extent in the compacted file.
+        let (mut log, recs) = Log::open(&path).unwrap();
+        for (at, rec) in &recs {
+            assert_eq!(log.read(*at).as_ref(), Some(rec));
+        }
+        // Overwritten or truncated bytes read back as nothing.
+        let at = recs[0].0;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at.offset as usize + at.len - 3] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(log.read(at), None, "tampered line accepted");
+        std::fs::write(&path, &bytes[..at.offset as usize + 4]).unwrap();
+        assert_eq!(log.read(recs[1].0), None, "truncated line accepted");
+        // Appends after an outside truncation still report true extents.
+        let c = log.append(&pair("c", "3")).unwrap();
+        assert_eq!(log.read(c), Some(pair("c", "3")));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -17,9 +17,11 @@
 //! `--max-queue` bounds the admission queue: arrivals beyond it get an
 //! `overloaded` reply with a `retry_after_ms` hint instead of waiting.
 //! `--persist PATH` spills memoized results to a checksummed
-//! append-only log, reloaded on the next boot (warm start): a restart
-//! — even after SIGKILL — serves previously computed queries as cache
-//! hits with identical fingerprints. `--registry PATH` does the same
+//! append-only log that doubles as the memo store — RAM keeps one
+//! index entry per result until it is hit — and is indexed again on the
+//! next boot (warm start): a restart — even after SIGKILL — serves
+//! previously computed queries as cache hits with identical
+//! fingerprints. `--registry PATH` does the same
 //! for registrations: every model's canonical source is logged and
 //! replayed on boot, so a restarted daemon serves the same models
 //! under the same fingerprints with **no client re-registration** —

@@ -5,44 +5,66 @@
 //! `(model fingerprint, canonical query, seed, caps)` — see
 //! [`Budget::canonical_caps`](biocheck_engine::Budget::canonical_caps) —
 //! so their reports can be handed back verbatim. This cache stores
-//! values behind `Arc` keyed by that tuple (one pre-joined string),
-//! charges each entry its approximate resident cost in bytes, and
+//! values behind `Arc` keyed by that tuple (one pre-joined string, held
+//! once), charges each entry its approximate resident cost in bytes, and
 //! evicts from the least-recently-used end until the configured byte
 //! budget holds. A value whose cost alone exceeds the budget is simply
 //! not admitted (counted in [`CacheStats::rejected`]); a budget of 0
 //! degenerates to a correct no-op cache.
+//!
+//! Beside the resident tier sits a compact **index**: key hash → an
+//! opaque `u64` locator, [`INDEX_ENTRY_BYTES`] each, for values that
+//! live elsewhere (the daemon's spill log, see [`persist`]). A lookup
+//! that misses the resident tier but finds a locator asks the caller to
+//! load the value ([`ResultCache::get_or_load`]); a loaded value is
+//! promoted into the resident tier and counts as a hit. The index holds
+//! no key, so a locator may belong to a colliding key: the loader must
+//! verify what it reads, and a refused locator is dropped. Both tiers
+//! share the one byte budget.
 //!
 //! The LRU list is intrusive over a slab (`prev`/`next` indices), so
 //! `get`/`insert`/eviction are all O(1) outside the `HashMap` lookups.
 
 pub mod persist;
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const NONE: usize = usize::MAX;
+
+/// Bytes charged per index entry: the 16 bytes of hash and locator,
+/// doubled for the hash table's control bytes and load-factor slack.
+pub const INDEX_ENTRY_BYTES: usize = 2 * std::mem::size_of::<(u64, u64)>();
 
 /// Monotone counters describing the cache's lifetime behavior, plus a
 /// snapshot of its current occupancy.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a live entry.
+    /// Lookups that found a live entry (resident, or loaded through the
+    /// index).
     pub hits: usize,
     /// Lookups that found nothing.
     pub misses: usize,
-    /// Values admitted.
+    /// Values admitted to the resident tier (index promotions included).
     pub inserts: usize,
-    /// Entries evicted to make room (byte pressure) — replacing a key's
-    /// value in place is an insert, not an eviction.
+    /// Entries evicted to make room (byte pressure), resident and index
+    /// alike — replacing a key's value in place is an insert, not an
+    /// eviction.
     pub evictions: usize,
-    /// Values refused because their cost alone exceeds the byte budget.
+    /// Values (or index entries) refused because their cost alone
+    /// exceeds the byte budget.
     pub rejected: usize,
     /// Entries purged by [`ResultCache::purge_prefix`] (model
     /// re-registration).
     pub purged: usize,
     /// Current resident entries.
     pub entries: usize,
-    /// Current resident cost in bytes.
+    /// Current index entries.
+    pub indexed: usize,
+    /// Current cost charged against the budget in bytes: resident
+    /// entries plus the index.
     pub bytes: usize,
 }
 
@@ -60,7 +82,8 @@ impl CacheStats {
 }
 
 struct Slot<V> {
-    key: String,
+    /// Shared with the map key: each key is stored once.
+    key: Arc<str>,
     value: V,
     cost: usize,
     prev: usize,
@@ -68,23 +91,27 @@ struct Slot<V> {
 }
 
 struct Inner<V> {
-    map: HashMap<String, usize>,
+    map: HashMap<Arc<str>, usize>,
     slots: Vec<Option<Slot<V>>>,
     free: Vec<usize>,
     /// Most-recently-used slot index.
     head: usize,
     /// Least-recently-used slot index.
     tail: usize,
+    /// Resident cost.
     bytes: usize,
+    /// Key hash → locator.
+    index: HashMap<u64, u64>,
     stats: CacheStats,
 }
 
 /// A byte-budgeted LRU cache from pre-joined key strings to cloneable
-/// values (the serving layer stores `Arc<Report>`). All methods take
-/// `&self`; the cache is internally locked and shared freely across
-/// threads.
+/// values (the serving layer stores `Arc<Report>`), plus an index of
+/// values held elsewhere. All methods take `&self`; the cache is
+/// internally locked and shared freely across threads.
 pub struct ResultCache<V> {
     capacity_bytes: usize,
+    hasher: RandomState,
     inner: Mutex<Inner<V>>,
 }
 
@@ -95,6 +122,7 @@ impl<V: Clone> ResultCache<V> {
     pub fn new(capacity_bytes: usize) -> ResultCache<V> {
         ResultCache {
             capacity_bytes,
+            hasher: RandomState::new(),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 slots: Vec::new(),
@@ -102,6 +130,7 @@ impl<V: Clone> ResultCache<V> {
                 head: NONE,
                 tail: NONE,
                 bytes: 0,
+                index: HashMap::new(),
                 stats: CacheStats::default(),
             }),
         }
@@ -112,18 +141,56 @@ impl<V: Clone> ResultCache<V> {
         self.capacity_bytes
     }
 
-    /// Looks up `key`, marking the entry most-recently-used on a hit.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks up `key` in the resident tier, marking the entry
+    /// most-recently-used on a hit.
     pub fn get(&self, key: &str) -> Option<V> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        match inner.map.get(key).copied() {
-            Some(idx) => {
-                inner.stats.hits += 1;
-                inner.unlink(idx);
-                inner.push_front(idx);
-                Some(inner.slot(idx).value.clone())
+        let mut inner = self.lock();
+        let hit = inner.touch(key);
+        inner.count(hit.is_some());
+        hit
+    }
+
+    /// Looks up `key` in the resident tier, then in the index. An index
+    /// hit calls `load` with the locator, outside the lock; a `Some((value,
+    /// cost))` is promoted into the resident tier and counts as a hit,
+    /// while `None` (unreadable, or not this key's value) drops the
+    /// locator and counts as a miss.
+    pub fn get_or_load(
+        &self,
+        key: &str,
+        load: impl FnOnce(u64) -> Option<(V, usize)>,
+    ) -> Option<V> {
+        let (hash, locator) = {
+            let mut inner = self.lock();
+            if let Some(hit) = inner.touch(key) {
+                inner.count(true);
+                return Some(hit);
+            }
+            let hash = self.hasher.hash_one(key);
+            match inner.index.get(&hash).copied() {
+                Some(locator) => (hash, locator),
+                None => {
+                    inner.count(false);
+                    return None;
+                }
+            }
+        };
+        let loaded = load(locator);
+        let mut inner = self.lock();
+        inner.count(loaded.is_some());
+        match loaded {
+            Some((value, cost)) => {
+                inner.admit(key.into(), value.clone(), cost, self.capacity_bytes);
+                Some(value)
             }
             None => {
-                inner.stats.misses += 1;
+                if inner.index.get(&hash) == Some(&locator) {
+                    inner.index.remove(&hash);
+                }
                 None
             }
         }
@@ -136,63 +203,37 @@ impl<V: Clone> ResultCache<V> {
     /// the caller asked to replace it, so serving it again would be
     /// stale). Re-inserting an existing key replaces its value (no
     /// eviction is counted for the replacement itself).
-    pub fn insert(&self, key: impl Into<String>, value: V, cost: usize) -> bool {
-        let key = key.into();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if cost > self.capacity_bytes {
-            if let Some(idx) = inner.map.get(&key).copied() {
-                inner.evict(idx);
-            }
+    pub fn insert(&self, key: impl Into<Arc<str>>, value: V, cost: usize) -> bool {
+        self.lock()
+            .admit(key.into(), value, cost, self.capacity_bytes)
+    }
+
+    /// Records where `key`'s value can be loaded from, charging
+    /// [`INDEX_ENTRY_BYTES`] against the budget (least-recently-used
+    /// resident entries go first, then the oldest index entries). A
+    /// later locator for the same key hash replaces the earlier one.
+    /// Locators must grow with age — the spill log's byte offsets do —
+    /// because under byte pressure the index sheds its smallest first.
+    /// Returns `false` when one entry alone exceeds the budget.
+    pub fn index(&self, key: &str, locator: u64) -> bool {
+        let hash = self.hasher.hash_one(key);
+        let mut inner = self.lock();
+        if INDEX_ENTRY_BYTES > self.capacity_bytes {
             inner.stats.rejected += 1;
             return false;
         }
-        if let Some(idx) = inner.map.get(&key).copied() {
-            // Replace in place, then rebalance below.
-            inner.bytes -= inner.slot(idx).cost;
-            inner.bytes += cost;
-            {
-                let slot = inner.slots[idx].as_mut().expect("live slot"); // lint: infallible
-                slot.value = value;
-                slot.cost = cost;
-            }
-            inner.unlink(idx);
-            inner.push_front(idx);
-            inner.stats.inserts += 1;
-        } else {
-            while inner.bytes + cost > self.capacity_bytes {
-                let victim = inner.tail;
-                debug_assert_ne!(victim, NONE, "bytes > 0 implies a tail");
-                inner.evict(victim);
-                inner.stats.evictions += 1;
-            }
-            let idx = inner.alloc(Slot {
-                key: key.clone(),
-                value,
-                cost,
-                prev: NONE,
-                next: NONE,
-            });
-            inner.map.insert(key, idx);
-            inner.bytes += cost;
-            inner.push_front(idx);
-            inner.stats.inserts += 1;
-        }
-        // A replacement may have grown the entry past the budget; evict
-        // from the LRU end (never the just-touched entry, which is at
-        // the head and also the last possible victim).
-        while inner.bytes > self.capacity_bytes {
-            let victim = inner.tail;
-            inner.evict(victim);
-            inner.stats.evictions += 1;
-        }
+        inner.index.insert(hash, locator);
+        inner.fit(self.capacity_bytes, NONE);
         true
     }
 
-    /// Drops every entry whose key starts with `prefix` (all results of
-    /// a re-registered model's old fingerprint). Returns the number of
-    /// entries removed.
+    /// Drops every resident entry whose key starts with `prefix` (all
+    /// results of a re-registered model's old fingerprint). Returns the
+    /// number of entries removed. Index entries hold no key and stay
+    /// until evicted; they still describe the old fingerprint's results
+    /// correctly, and no key of another fingerprint can load them.
     pub fn purge_prefix(&self, prefix: &str) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         let victims: Vec<usize> = inner
             .map
             .iter()
@@ -209,16 +250,103 @@ impl<V: Clone> ResultCache<V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.lock();
         CacheStats {
             entries: inner.map.len(),
-            bytes: inner.bytes,
+            indexed: inner.index.len(),
+            bytes: inner.charged(),
             ..inner.stats
         }
     }
 }
 
+impl<V: Clone> Inner<V> {
+    /// The resident value under `key`, marked most-recently-used.
+    fn touch(&mut self, key: &str) -> Option<V> {
+        let idx = self.map.get(key).copied()?;
+        self.unlink(idx);
+        self.push_front(idx);
+        Some(self.slot(idx).value.clone())
+    }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+    }
+
+    /// [`ResultCache::insert`] under the lock.
+    fn admit(&mut self, key: Arc<str>, value: V, cost: usize, capacity: usize) -> bool {
+        let existing = self.map.get(&*key).copied();
+        if cost > capacity {
+            if let Some(idx) = existing {
+                self.evict(idx);
+            }
+            self.stats.rejected += 1;
+            return false;
+        }
+        let idx = match existing {
+            Some(idx) => {
+                // Replace in place, then rebalance below.
+                self.bytes -= self.slot(idx).cost;
+                let slot = self.slots[idx].as_mut().expect("live slot"); // lint: infallible
+                slot.value = value;
+                slot.cost = cost;
+                self.unlink(idx);
+                idx
+            }
+            None => {
+                let idx = self.alloc(Slot {
+                    key: Arc::clone(&key),
+                    value,
+                    cost,
+                    prev: NONE,
+                    next: NONE,
+                });
+                self.map.insert(key, idx);
+                idx
+            }
+        };
+        self.bytes += cost;
+        self.push_front(idx);
+        self.stats.inserts += 1;
+        // The just-touched entry is at the head and never a victim: it
+        // fits on its own, since `cost <= capacity`.
+        self.fit(capacity, idx);
+        true
+    }
+}
+
 impl<V> Inner<V> {
+    /// Bytes charged against the budget: resident entries plus index.
+    fn charged(&self) -> usize {
+        self.bytes + self.index.len() * INDEX_ENTRY_BYTES
+    }
+
+    /// Evicts until the charge fits `capacity`: least-recently-used
+    /// resident entries first (stopping at `keep`), then the oldest
+    /// index entries — locators grow with age, so each pass drops those
+    /// in the lowest eighth of the live locator range.
+    fn fit(&mut self, capacity: usize, keep: usize) {
+        while self.charged() > capacity && self.tail != NONE && self.tail != keep {
+            let victim = self.tail;
+            self.evict(victim);
+            self.stats.evictions += 1;
+        }
+        while self.charged() > capacity && !self.index.is_empty() {
+            let (lo, hi) = self
+                .index
+                .values()
+                .fold((u64::MAX, 0), |(lo, hi), &l| (lo.min(l), hi.max(l)));
+            let cutoff = lo + (hi - lo) / 8;
+            let before = self.index.len();
+            self.index.retain(|_, l| *l > cutoff);
+            self.stats.evictions += before - self.index.len();
+        }
+    }
+
     fn slot(&self, idx: usize) -> &Slot<V> {
         self.slots[idx].as_ref().expect("live slot") // lint: infallible
     }
@@ -272,7 +400,7 @@ impl<V> Inner<V> {
     fn evict(&mut self, idx: usize) {
         self.unlink(idx);
         let slot = self.slots[idx].take().expect("live slot"); // lint: infallible
-        self.map.remove(&slot.key);
+        self.map.remove(&*slot.key);
         self.bytes -= slot.cost;
         self.free.push(idx);
     }
@@ -288,7 +416,7 @@ mod tests {
         let mut idx = inner.head;
         while idx != NONE {
             let s = inner.slot(idx);
-            out.push(s.key.clone());
+            out.push(s.key.to_string());
             idx = s.next;
         }
         out
@@ -347,5 +475,36 @@ mod tests {
         assert_eq!(cache.get("m1|q2"), None);
         assert_eq!(cache.get("m2|q1"), Some(3));
         assert_eq!(cache.stats().purged, 2);
+    }
+
+    #[test]
+    fn index_loads_promote_and_share_the_budget() {
+        let cache = ResultCache::new(2 * INDEX_ENTRY_BYTES + 20);
+        assert!(cache.insert("r", 1, 10));
+        assert!(cache.index("a", 1 << 24));
+        assert!(cache.index("b", 2 << 24));
+        // A locator that loads is a hit, promoted into the resident tier.
+        let load_a = |l| (l == 1 << 24).then_some((7, 10));
+        assert_eq!(cache.get_or_load("a", load_a), Some(7));
+        assert_eq!(cache.get("a"), Some(7));
+        // A refused locator is a miss and is dropped; no locator, no load.
+        assert_eq!(cache.get_or_load("b", |_| None), None);
+        assert_eq!(cache.get_or_load("b", |_| unreachable!()), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.indexed), (2, 2, 2, 1));
+        assert_eq!(s.bytes, 20 + INDEX_ENTRY_BYTES);
+        // Byte pressure evicts resident entries first, then the oldest
+        // (smallest) locators.
+        assert!(cache.index("c", 3 << 24));
+        assert!(cache.index("d", 4 << 24));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.indexed, s.evictions), (0, 2, 3));
+        assert_eq!(cache.get_or_load("a", |_| unreachable!()), None);
+        assert_eq!(
+            cache.get_or_load("d", |l| Some((l as i32, 1))),
+            Some(4 << 24)
+        );
+        // An entry that alone exceeds the budget is refused.
+        assert!(!ResultCache::<u32>::new(INDEX_ENTRY_BYTES - 1).index("k", 1));
     }
 }

@@ -17,8 +17,13 @@
 //! `Stability`, `Lint`) are persisted; in-process-only kinds are
 //! counted in [`LogStats::unsupported`](crate::append_log::LogStats)
 //! and served from memory as usual.
+//!
+//! The log is also the daemon's second memo tier: a record's extent
+//! packs into one [`ResultCache`](crate::cache::ResultCache) index
+//! locator ([`locator`]), and [`CacheLog::load`] reads it back when a
+//! lookup misses RAM, accepting it only for the exact key asked.
 
-use crate::append_log::{AppendLog, Codec};
+use crate::append_log::{AppendLog, Codec, Extent};
 use crate::json::Json;
 use crate::wire::{report_from_json, report_to_json, u64_from_json, u64_to_json};
 use biocheck_engine::{Report, Value};
@@ -26,6 +31,32 @@ use std::sync::Arc;
 
 /// The cache spill log.
 pub type CacheLog = AppendLog<CacheCodec>;
+
+/// Low bits of a locator holding the line length (16 MiB lines); the
+/// high 40 hold the byte offset (1 TiB logs).
+const LEN_BITS: u32 = 24;
+
+/// Packs an extent into one index locator, `offset << 24 | len`, so
+/// locators grow with the offset. `None` when a field does not fit:
+/// such a record is served from RAM instead.
+pub fn locator(at: Extent) -> Option<u64> {
+    let fits = at.len < 1 << LEN_BITS && at.offset < 1 << (64 - LEN_BITS);
+    fits.then_some(at.offset << LEN_BITS | at.len as u64)
+}
+
+impl CacheLog {
+    /// Reads back the record at `locator` and returns its report and
+    /// cost — only if it passes its checksum, decodes to its stored
+    /// fingerprint, and is stored under exactly `key` (a locator is
+    /// found by key hash, so it may belong to a colliding key).
+    pub fn load(&mut self, key: &str, locator: u64) -> Option<(Arc<Report>, usize)> {
+        let rec = self.read(Extent {
+            offset: locator >> LEN_BITS,
+            len: (locator & ((1 << LEN_BITS) - 1)) as usize,
+        })?;
+        (rec.key == key).then_some((rec.report, rec.cost))
+    }
+}
 
 /// One memoized result.
 pub struct CacheRecord {
@@ -184,17 +215,30 @@ mod tests {
     }
 
     #[test]
+    fn extents_past_the_packed_fields_have_no_locator() {
+        let at = |offset, len| locator(Extent { offset, len });
+        assert_eq!(at(3, 7), Some(3 << 24 | 7));
+        assert!(at(3, 7) < at(4, 1), "locators grow with the offset");
+        assert_eq!(at(0, 1 << 24), None);
+        assert_eq!(at(1 << 40, 1), None);
+    }
+
+    #[test]
     fn open_append_reopen_recovers_everything() {
         let path = tmp_path("reopen");
         let (mut log, _) = CacheLog::open(&path).unwrap();
         log.append(&estimate(0.25));
         drop(log);
-        let (log, recs) = CacheLog::open(&path).unwrap();
+        let (mut log, recs) = CacheLog::open(&path).unwrap();
         assert_eq!((log.stats().loaded, log.stats().skipped), (1, 0));
-        assert_eq!(
-            recs[0].report.fingerprint(),
-            estimate(0.25).report.fingerprint()
-        );
+        let (at, rec) = &recs[0];
+        let want = estimate(0.25).report.fingerprint();
+        assert_eq!(rec.report.fingerprint(), want);
+        // The reported extent reads back, for its own key only.
+        let locator = locator(*at).unwrap();
+        let (report, cost) = log.load(&rec.key, locator).unwrap();
+        assert_eq!((report.fingerprint(), cost), (want, rec.cost));
+        assert!(log.load("m|q|seed=2|caps", locator).is_none());
         let _ = std::fs::remove_file(&path);
     }
 

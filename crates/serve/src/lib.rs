@@ -18,9 +18,11 @@
 //!   queries under count-only budgets are pure functions of
 //!   `(model fingerprint, canonical query, seed, caps)`, so whole
 //!   [`Report`](biocheck_engine::Report)s are memoized, with
-//!   byte-budgeted eviction and hit/miss/evict counters. A cached report
-//!   is `fingerprint()`-identical to a fresh computation, including
-//!   one reloaded from the [`cache::persist::CacheLog`] spill file.
+//!   byte-budgeted eviction and hit/miss/evict counters. With the
+//!   [`cache::persist::CacheLog`] spill file, results live in the log
+//!   and RAM keeps a compact index plus the results that were hit. A
+//!   cached report is `fingerprint()`-identical to a fresh computation,
+//!   including one read back from the log.
 //! * [`append_log::AppendLog`] — the one crash-recoverable log format
 //!   both durable logs share: versioned header, checksummed records,
 //!   torn-tail-tolerant load, compaction by atomic rename.

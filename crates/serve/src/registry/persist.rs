@@ -72,6 +72,12 @@ mod tests {
         }
     }
 
+    /// Opens the log, dropping the extents.
+    fn open(path: &std::path::Path) -> (RegistryLog, Vec<ModelRecord>) {
+        let (log, recs) = RegistryLog::open(path).unwrap();
+        (log, recs.into_iter().map(|(_, r)| r).collect())
+    }
+
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!(
             "biocheck-registry-persist-{name}-{}",
@@ -98,7 +104,7 @@ mod tests {
         let path = tmp_path("v1");
         let v1 = r#"d136e78d4c5b02f1 {"model":"decay","source":{"consts":[["k",0.25]],"states":[["x","-k*x"]]}}"#;
         std::fs::write(&path, format!("biocheck-registry v1\n{v1}\n")).unwrap();
-        let (log, recs) = RegistryLog::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!((log.stats().loaded, log.stats().skipped), (1, 0));
         assert_eq!(recs, [record("decay", "-k*x")]);
         let (direct, _) = Registry::new()
@@ -118,7 +124,7 @@ mod tests {
         log.append(&record("a", "-k*x"));
         log.append(&record("b", "-2*k*x"));
         drop(log);
-        let (log, recs) = RegistryLog::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!((log.stats().loaded, log.stats().skipped), (2, 0));
         assert_eq!(recs, [record("a", "-k*x"), record("b", "-2*k*x")]);
         let _ = std::fs::remove_file(&path);
@@ -132,7 +138,7 @@ mod tests {
         log.append(&record("other", "-x"));
         log.append(&record("m", "-3*k*x")); // replaces the first
         drop(log);
-        let (log, recs) = RegistryLog::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!((log.stats().loaded, log.stats().deduped), (2, 1));
         assert_eq!(recs[0], record("m", "-3*k*x"), "last registration wins");
         let _ = std::fs::remove_file(&path);
@@ -161,7 +167,7 @@ mod tests {
         let path = tmp_path("header");
         let good = RegistryLog::encode_line(&record("k", "-x")).unwrap();
         std::fs::write(&path, format!("biocheck-registry v999\n{good}\n")).unwrap();
-        let (log, recs) = RegistryLog::open(&path).unwrap();
+        let (log, recs) = open(&path);
         assert_eq!((recs.len(), log.stats().skipped), (0, 1));
         let _ = std::fs::remove_file(&path);
     }

@@ -43,13 +43,17 @@
 //! cache spill file (`--persist`) rewarms memoized results, and the
 //! registry log (`--registry`) replays every model's canonical source
 //! so fingerprints — and therefore the warm cache keys — come back
-//! identical with no re-registration. Session memory needs no knob:
-//! each model's session is frozen at registration and queries parse
-//! into private views of it, so only the engine's fixed-size artifact
-//! LRU grows, and its gauges are in `stats` and `metrics`.
+//! identical with no re-registration. With a spill file the log is
+//! also the memo store: a computed result is appended and only its
+//! locator is kept in RAM, and a lookup that misses the resident LRU
+//! reads the record back, verifies it, and promotes it. Session memory
+//! needs no knob: each model's session is frozen at registration and
+//! queries parse into private views of it, so only the engine's
+//! fixed-size artifact LRU grows, and its gauges are in `stats` and
+//! `metrics`.
 
-use crate::append_log::{AppendLog, Codec, LogStats};
-use crate::cache::persist::{CacheLog, CacheRecord};
+use crate::append_log::{AppendLog, Codec, Extent, LogStats};
+use crate::cache::persist::{locator, CacheLog, CacheRecord};
 use crate::cache::{CacheStats, ResultCache};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
@@ -277,8 +281,8 @@ pub struct ServeCore {
 impl ServeCore {
     /// Creates a core with the given configuration. When
     /// `config.persist` names a spill file, every record it holds is
-    /// reloaded into the cache (corrupt or torn records are skipped,
-    /// never fatal) and the file is kept open for appending; a file
+    /// indexed (corrupt or torn records are skipped, never fatal) and
+    /// the file is kept open for appending and reading back; a file
     /// that cannot be opened at all disables persistence with a
     /// warning on stderr.
     ///
@@ -289,18 +293,29 @@ impl ServeCore {
     /// models under the same fingerprints with no client involvement.
     pub fn new(config: ServeConfig) -> ServeCore {
         let cache = ResultCache::new(config.cache_bytes);
-        let persist = open_log(config.persist.as_deref(), "cache", |rec: CacheRecord| {
-            cache.insert(rec.key, rec.report, rec.cost);
-        });
+        let persist = open_log(
+            config.persist.as_deref(),
+            "cache",
+            |at, rec: CacheRecord| {
+                match locator(at) {
+                    Some(locator) => cache.index(&rec.key, locator),
+                    None => cache.insert(rec.key, rec.report, rec.cost),
+                };
+            },
+        );
         let registry = Registry::new();
-        let registry_log = open_log(config.registry.as_deref(), "registry", |m: ModelRecord| {
-            // The source built when it was registered; a replay failure
-            // means the engine changed underneath the log — warn, keep
-            // serving.
-            if let Err(e) = registry.register(&m.name, &m.source) {
-                eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
-            }
-        });
+        let registry_log = open_log(
+            config.registry.as_deref(),
+            "registry",
+            |_, m: ModelRecord| {
+                // The source built when it was registered; a replay failure
+                // means the engine changed underneath the log — warn, keep
+                // serving.
+                if let Err(e) = registry.register(&m.name, &m.source) {
+                    eprintln!("biocheckd: skipping persisted model {:?} ({e})", m.name);
+                }
+            },
+        );
         let watchdog = config.max_execute.map(Watchdog::new);
         let watchdog_thread = watchdog.as_ref().map(|dog| {
             let dog = Arc::clone(dog);
@@ -481,7 +496,7 @@ impl ServeCore {
         // the attached trace context never reaches the key, so a traced
         // request and its untraced twin share one cache entry.
         let key = format!("{base_key}|seed={}|{}", qr.seed, budget.canonical_caps());
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.lookup(&key) {
             self.metrics.request_hit.record(t_request.elapsed());
             return Ok((hit, true));
         }
@@ -532,7 +547,7 @@ impl ServeCore {
             self.metrics.queue_wait.record(t_queue.elapsed());
             // A racing identical request may have populated the cache
             // while this one queued; recheck before paying for compute.
-            if let Some(hit) = self.cache.get(&key) {
+            if let Some(hit) = self.lookup(&key) {
                 self.metrics.request_hit.record(t_request.elapsed());
                 if let Some(guard) = hub_guard.as_mut() {
                     guard.set_ok();
@@ -608,29 +623,44 @@ impl ServeCore {
         // raised → memoize.
         if budget.is_count_only() && !token.is_cancelled() {
             let cost = key.len() + report.fingerprint().len() + ENTRY_OVERHEAD_BYTES;
-            self.cache.insert(key.clone(), Arc::clone(&report), cost);
-            if let Some(log) = &self.persist {
-                // Append errors are counted inside the log and must
-                // never fail the request: persistence is best-effort.
+            let record = CacheRecord {
+                key,
+                cost,
+                report: Arc::clone(&report),
+            };
+            // With a spill file the record is appended and only indexed
+            // once written. Append errors are counted inside the log
+            // and never fail the request; the result then stays in RAM,
+            // like one the codec refuses or a locator cannot describe.
+            let written = self.persist.as_ref().and_then(|log| {
                 let t_append = Instant::now();
                 let append_span = trace.map(|ctx| ctx.span("serve.persist_append"));
-                let record = CacheRecord {
-                    key,
-                    cost,
-                    report: Arc::clone(&report),
-                };
-                log.lock()
+                let at = log
+                    .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .append(&record);
                 drop(append_span);
                 self.metrics.persist_append.record(t_append.elapsed());
-            }
+                at.and_then(locator)
+            });
+            match written {
+                Some(locator) => self.cache.index(&record.key, locator),
+                None => self.cache.insert(record.key, record.report, cost),
+            };
         }
         self.metrics.request_miss.record(t_request.elapsed());
         if let Some(guard) = hub_guard.as_mut() {
             guard.set_ok();
         }
         Ok((report, false))
+    }
+
+    /// A memoized result: the resident LRU, then the index and a spill
+    /// log read-back (promoted on success; any failure is a miss).
+    fn lookup(&self, key: &str) -> Option<Arc<Report>> {
+        self.cache.get_or_load(key, |locator| {
+            with_log(&self.persist, |log| log.load(key, locator)).flatten()
+        })
     }
 
     /// Raises the cancellation token of the in-flight query registered
@@ -716,6 +746,7 @@ impl ServeCore {
                 Json::obj([
                     ("loaded", Json::num(p.loaded as f64)),
                     ("skipped", Json::num(p.skipped as f64)),
+                    ("indexed", Json::num(c.indexed as f64)),
                     ("appended", Json::num(p.appended as f64)),
                     ("append_errors", Json::num(p.append_errors as f64)),
                     ("unsupported", Json::num(p.unsupported as f64)),
@@ -860,8 +891,13 @@ impl ServeCore {
             );
             counter(
                 "biocheckd_persist_loaded_total",
-                "Records reloaded into the cache at boot.",
+                "Records indexed from the spill file at boot.",
                 p.loaded as f64,
+            );
+            counter(
+                "biocheckd_persist_indexed",
+                "Memoized results located in the spill file by the in-memory index.",
+                c.indexed as f64,
             );
         }
         if let Some(r) = self.registry_persist_stats() {
@@ -996,12 +1032,14 @@ impl ServeCore {
 fn open_log<C: Codec>(
     path: Option<&Path>,
     what: &str,
-    replay: impl FnMut(C::Record),
+    mut replay: impl FnMut(Extent, C::Record),
 ) -> Option<Mutex<AppendLog<C>>> {
     let path = path?;
     match AppendLog::open(path) {
         Ok((log, records)) => {
-            records.into_iter().for_each(replay);
+            for (at, record) in records {
+                replay(at, record);
+            }
             Some(Mutex::new(log))
         }
         Err(e) => {
@@ -1234,6 +1272,9 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
     // line/idle deadlines below are measured against wall-clock marks,
     // so a peer trickling one byte per tick still trips them.
     let _ = stream.set_read_timeout(Some(READ_POLL_TICK));
+    // Replies are one write each; Nagle would hold them for the peer's
+    // delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(core.write_timeout));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,

@@ -3,8 +3,9 @@
 //! answering bit-identically to fresh sessions across artifact LRU
 //! evictions (the CI determinism matrix re-runs this suite at 1/2/8
 //! pool threads), the 10k-literal sweep leaving the model arena at its
-//! registration size gauge-verifiably, and the hung-query watchdog
-//! reaping an overrunning execution.
+//! registration size gauge-verifiably, the spill log serving memoized
+//! results through a RAM index (damaged records only cost a recompute),
+//! and the hung-query watchdog reaping an overrunning execution.
 
 use biocheck_engine::Session;
 use biocheck_serve::server::{ServeConfig, ServeCore, ServeError};
@@ -136,6 +137,100 @@ fn registry_log_restores_serving_state_after_kill() {
     }
     let _ = std::fs::remove_file(&registry_path);
     let _ = std::fs::remove_file(&persist_path);
+}
+
+/// Asks every query again on `core` and returns how many were recomputed:
+/// every reply must succeed with its first fingerprint, and a recompute
+/// is memoized again at once.
+fn recomputed(core: &ServeCore, queries: &[QueryRequest], fps: &[String]) -> usize {
+    let mut recomputed = 0;
+    for (qr, fp) in queries.iter().zip(fps) {
+        let (r, cached) = core.run_query(qr).expect("no error reply");
+        assert_eq!(&r.fingerprint(), fp, "seed {}", qr.seed);
+        if !cached {
+            recomputed += 1;
+            assert!(core.run_query(qr).unwrap().1, "recompute not memoized");
+        }
+    }
+    recomputed
+}
+
+/// The log-backed memo tier: with a spill file, fresh results live in
+/// the log and RAM holds only their index entries; asking again reads
+/// each record back as a cache hit, fingerprint-identical to a fresh
+/// session. Bytes overwritten in the middle of the live log, and
+/// separately a truncated log, make exactly the affected keys recompute
+/// — never an error reply or a wrong report.
+#[test]
+fn spill_log_serves_memoized_results_through_the_index() {
+    let path = tmp_path("log-tier");
+    let _ = std::fs::remove_file(&path);
+    let config = ServeConfig {
+        persist: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+    let queries: Vec<QueryRequest> = (0..1000).map(|seed| estimate("x - 1", seed, 3)).collect();
+    let fps: Vec<String> = {
+        let core = ServeCore::new(config.clone());
+        core.register("decay", &decay_source()).unwrap();
+        let fps: Vec<String> = queries
+            .iter()
+            .map(|qr| {
+                let (r, cached) = core.run_query(qr).unwrap();
+                assert!(!cached);
+                r.fingerprint()
+            })
+            .collect();
+        let c = core.cache_stats();
+        assert_eq!((c.entries, c.indexed), (0, 1000), "results left resident");
+        let persist = core.stats_json().get("persist").cloned().unwrap();
+        assert_eq!(persist.get("indexed").and_then(Json::as_usize), Some(1000));
+        assert!(core
+            .metrics_text()
+            .contains("biocheckd_persist_indexed 1000"));
+        for (qr, fp) in queries.iter().zip(&fps) {
+            let (r, cached) = core.run_query(qr).unwrap();
+            assert!(cached, "seed {} not served from the log", qr.seed);
+            assert_eq!(&r.fingerprint(), fp);
+            assert_eq!(fp, &fresh(qr), "seed {}", qr.seed);
+        }
+        let c = core.cache_stats();
+        assert_eq!((c.hits, c.entries), (1000, 1000), "log hits promoted");
+        fps
+    };
+
+    // Overwrite a stretch in the middle of the live log.
+    let core = ServeCore::new(config.clone());
+    core.register("decay", &decay_source()).unwrap();
+    assert_eq!(
+        core.cache_stats().entries,
+        0,
+        "replay left results resident"
+    );
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid..mid + 64].fill(b'#');
+    std::fs::write(&path, &bytes).unwrap();
+    let n = recomputed(&core, &queries, &fps);
+    assert!(
+        (1..=2).contains(&n),
+        "{n} keys recomputed for one damaged stretch"
+    );
+    drop(core);
+
+    // Truncate the compacted log: the lost tail recomputes.
+    let core = ServeCore::new(config);
+    core.register("decay", &decay_source()).unwrap();
+    assert_eq!(core.cache_stats().indexed, 1000);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    f.set_len(len * 3 / 4).unwrap();
+    let n = recomputed(&core, &queries, &fps);
+    assert!(
+        (200..300).contains(&n),
+        "{n} keys recomputed for a lost quarter"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A sweep of novel literals against one frozen model session answers

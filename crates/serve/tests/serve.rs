@@ -11,6 +11,7 @@ use biocheck_serve::wire::{
 };
 use biocheck_serve::{AdmitWait, Client, Json};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn decay_source() -> ModelSource {
     ModelSource {
@@ -157,6 +158,35 @@ fn daemon_matches_direct_session_runs() {
     client.shutdown().unwrap();
     daemon.join();
     assert!(core.is_shutdown());
+}
+
+/// Transport regression guard: a memoized hit over loopback is a
+/// sub-millisecond exchange. A request written as two segments (line,
+/// then newline) without `TCP_NODELAY` is held by Nagle's algorithm
+/// until the daemon's delayed ACK fires, ≈44 ms per round trip.
+#[test]
+fn cached_hits_over_loopback_are_not_held_by_nagle() {
+    let core = Arc::new(ServeCore::new(ServeConfig::default()));
+    let daemon = serve(Arc::clone(&core), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(daemon.addr).unwrap();
+    client.register("decay", &decay_source()).unwrap();
+    let qr = estimate("x - 1", 5, 20);
+    assert!(!client.query(&qr).unwrap().cached);
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = Instant::now();
+            assert!(client.query(&qr).unwrap().cached);
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median cached round trip {median:?}"
+    );
+    client.shutdown().unwrap();
+    daemon.join();
 }
 
 /// N concurrent clients hammering the daemon with a shared query mix:
