@@ -1,4 +1,5 @@
-//! Criterion benches: one group per experiment of DESIGN.md §5.
+//! Criterion benches: one group per experiment (E1–E9) of
+//! `biocheck_bench`, the harness described in `docs/ARCHITECTURE.md`.
 //!
 //! Each bench runs a configuration sized for repeated timing. The three
 //! heavyweight syntheses (E1 dome refutation, E3 threshold synthesis,

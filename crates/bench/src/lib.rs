@@ -1,8 +1,10 @@
-//! Experiment harness: one function per experiment row of DESIGN.md §5,
-//! shared between the Criterion benches (`cargo bench`) and the table
-//! generator (`cargo run -p biocheck_bench --bin report`).
+//! Experiment harness: one function per experiment (E1–E9, the
+//! `crates/bench` row of `docs/ARCHITECTURE.md`), shared between the
+//! Criterion benches (`cargo bench`) and the table generator
+//! (`cargo run -p biocheck_bench --bin report`, see the README's
+//! *Benchmarks* section).
 //!
-//! Every function returns printable rows so `EXPERIMENTS.md` can be
+//! Every function returns printable rows so the experiment tables can be
 //! regenerated; timings are taken by the callers.
 
 pub mod compare;

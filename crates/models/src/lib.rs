@@ -13,7 +13,8 @@
 //! * [`radiation`] — a synthetic multi-mode TBI (total-body irradiation)
 //!   cell-death network with treatment modes A–E and a death mode,
 //!   reproducing the structure of the paper's Fig. 1/Fig. 3 (the wet-lab
-//!   kinetics are proprietary; see DESIGN.md for the substitution note).
+//!   kinetics are proprietary; the [`radiation`] module docs give the
+//!   substitution note).
 //! * [`classics`] — Michaelis–Menten, genetic toggle switch,
 //!   repressilator, p53–Mdm2 feedback, a kinetic-proofreading chain and a
 //!   Goldbeter–Koshland (ERK-like) switch — workloads for calibration,

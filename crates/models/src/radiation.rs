@@ -18,7 +18,9 @@
 //! The wet-lab kinetics behind Fig. 1 are not public; rates here are
 //! synthetic but preserve the decision structure: untreated cells die,
 //! a correctly-ordered two-drug sequence (A then B) rescues them — so the
-//! therapy-synthesis question of Sec. IV-B is non-trivial. See DESIGN.md.
+//! therapy-synthesis question of Sec. IV-B is non-trivial. The E4 row of
+//! the experiment harness (`crates/bench`, run as in the README's
+//! *Benchmarks* section) checks both outcomes.
 
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_hybrid::HybridAutomaton;

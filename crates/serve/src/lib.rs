@@ -38,7 +38,10 @@
 //!   counterpart used by tests, CI, and the bench load generator. A
 //!   `--max-execute-ms` watchdog reaps wedged queries (typed
 //!   `watchdog_cancelled` replies) so a stuck solver cannot pin an
-//!   execution slot forever.
+//!   execution slot forever. Client `cancel`s, that watchdog and the
+//!   `inflight` stats view read one per-request in-flight table, the
+//!   active map of [`trace::TraceHub`], which also keeps the recent
+//!   span trees for `trace_export`.
 //! * [`metrics::ServeMetrics`] — **per-phase latency histograms**
 //!   (lock-free, from `biocheck_obs`) recorded inline on the serving
 //!   path and surfaced through `{"op":"stats"}` (percentile object),

@@ -2,8 +2,10 @@
 //!
 //! [`ServeCore`] is the transport-independent heart: it owns the
 //! session [`Registry`], the byte-budgeted [`ResultCache`], the FIFO
-//! [`Scheduler`], and the in-flight cancellation table, and answers
-//! one [`Request`] at a time. The TCP layer ([`serve`]) is a thin
+//! [`Scheduler`], and the [`TraceHub`] — whose active table is the one
+//! per-request in-flight table that client cancels, the execute
+//! watchdog and the `inflight` stats view all read — and answers one
+//! [`Request`] at a time. The TCP layer ([`serve`]) is a thin
 //! line-framing shell around it: one thread per connection, one JSON
 //! object per line, responses in request order per connection.
 //!
@@ -64,7 +66,6 @@ use crate::trace::{trace_reply_json, TraceHub};
 use crate::wire::{report_to_json, ModelSource, QueryRequest, Request};
 use biocheck_engine::{CancelToken, Report};
 use biocheck_obs::TraceCtx;
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -264,12 +265,11 @@ pub struct ServeCore {
     registry: Registry,
     cache: ResultCache<Arc<Report>>,
     scheduler: Scheduler,
-    inflight: Mutex<HashMap<u64, CancelToken>>,
     persist: Option<Mutex<CacheLog>>,
     registry_log: Option<Mutex<RegistryLog>>,
     watchdog: Option<Arc<Watchdog>>,
     watchdog_thread: Option<std::thread::JoinHandle<()>>,
-    trace_hub: TraceHub,
+    trace_hub: Arc<TraceHub>,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
     panics: AtomicU64,
@@ -316,7 +316,15 @@ impl ServeCore {
                 }
             },
         );
-        let watchdog = config.max_execute.map(Watchdog::new);
+        let trace_hub = Arc::new(TraceHub::default());
+        let watchdog = config.max_execute.map(|ceiling| {
+            Arc::new(Watchdog {
+                ceiling,
+                hub: Arc::clone(&trace_hub),
+                fired_total: AtomicU64::new(0),
+                stop: AtomicBool::new(false),
+            })
+        });
         let watchdog_thread = watchdog.as_ref().map(|dog| {
             let dog = Arc::clone(dog);
             std::thread::Builder::new()
@@ -328,12 +336,11 @@ impl ServeCore {
             registry,
             cache,
             scheduler: Scheduler::with_queue(config.concurrency, config.max_queue),
-            inflight: Mutex::new(HashMap::new()),
             persist,
             registry_log,
             watchdog,
             watchdog_thread,
-            trace_hub: TraceHub::default(),
+            trace_hub,
             metrics: ServeMetrics::default(),
             shutdown: AtomicBool::new(false),
             panics: AtomicU64::new(0),
@@ -386,9 +393,10 @@ impl ServeCore {
         &self.metrics
     }
 
-    /// The request-tracing hub: in-flight visibility (`inflight` stats
-    /// block) and retained span trees (`trace_export`). Arm it to
-    /// trace every request regardless of per-request `"trace"` flags.
+    /// The request-tracing hub: the in-flight table (`inflight` stats
+    /// block, cancel by id, the watchdog) and retained span trees
+    /// (`trace_export`). Arm it to trace every request regardless of
+    /// per-request `"trace"` flags.
     pub fn trace_hub(&self) -> &TraceHub {
         &self.trace_hub
     }
@@ -500,40 +508,21 @@ impl ServeCore {
             self.metrics.request_hit.record(t_request.elapsed());
             return Ok((hit, true));
         }
-        // Per-request cancellation token, addressable while in flight.
-        // Ids live in one daemon-wide namespace (so any connection can
-        // cancel any request); a duplicate id is rejected rather than
-        // silently clobbering another request's token. The guard
-        // removes the entry on every exit path, panics included.
+        // Registration in the one in-flight table: from here until the
+        // reply the request is listed in the `inflight` stats block and
+        // its token is addressable by wire id (a duplicate id is refused)
+        // and by the watchdog. The guard deregisters — and, when traced,
+        // publishes the finished span tree for `trace_export` — on every
+        // exit path, panics included. The memoized hit path above never
+        // touches the table.
         let token = CancelToken::new();
-        let _inflight = match qr.id {
-            Some(id) => {
-                let mut table = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-                if table.contains_key(&id) {
-                    return Err(ServeError::Invalid(format!(
-                        "request id {id} is already in flight"
-                    )));
-                }
-                table.insert(id, token.clone());
-                Some(InflightGuard {
-                    table: &self.inflight,
-                    id,
-                })
-            }
-            None => None,
-        };
-        // Trace-hub registration: from here until completion the
-        // request is listed in the `inflight` stats block with its
-        // elapsed time and live progress counters. The guard
-        // deregisters — and, when traced, publishes the finished span
-        // tree for `trace_export` — on every exit path, panics
-        // included. The memoized hit path above never touches the hub.
-        hub_guard.replace(self.trace_hub.begin(
+        let guard = hub_guard.insert(self.trace_hub.begin(
             &qr.model,
             qr.query.kind(),
             qr.id,
             trace.map(Arc::clone),
-        ));
+            token.clone(),
+        )?);
         let result = {
             let t_queue = Instant::now();
             let queue_span = trace.map(|ctx| ctx.span("serve.queue_wait"));
@@ -549,22 +538,18 @@ impl ServeCore {
             // while this one queued; recheck before paying for compute.
             if let Some(hit) = self.lookup(&key) {
                 self.metrics.request_hit.record(t_request.elapsed());
-                if let Some(guard) = hub_guard.as_mut() {
-                    guard.set_ok();
-                }
+                guard.set_ok();
                 return Ok((hit, true));
             }
             let t_execute = Instant::now();
             let exec_span = trace.map(|ctx| ctx.span("serve.execute"));
             // The watchdog watches only the execute window: queue wait
-            // is governed by its own deadline, and the guard deregisters
-            // on every exit path, panics included.
-            let watch = self.watchdog.as_ref().map(|dog| dog.watch(&token));
+            // is governed by its own deadline.
             // Panic isolation: a solver bug (or an injected fault)
             // unwinds to here, is counted, and becomes a clean
             // `internal_error` reply. The permit and in-flight guard
             // release via RAII; no lock is held across this boundary.
-            let run = catch_unwind(AssertUnwindSafe(|| {
+            let (run, reaped) = guard.execute(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 crate::faults::exec_panic_point();
                 #[cfg(feature = "fault-injection")]
@@ -605,13 +590,11 @@ impl ServeCore {
             // silently truncated report (the engine treats a raised
             // token as exhaustion, which is right for *client* cancels
             // answered out-of-band but would mask a reaped hang here).
-            if let Some(watch) = watch {
-                if watch.fired() {
-                    return Err(ServeError::WatchdogCancelled {
-                        elapsed_ms: t_execute.elapsed().as_millis() as u64,
-                        ceiling_ms: watch.ceiling_ms(),
-                    });
-                }
+            if let (true, Some(dog)) = (reaped, &self.watchdog) {
+                return Err(ServeError::WatchdogCancelled {
+                    elapsed_ms: t_execute.elapsed().as_millis() as u64,
+                    ceiling_ms: dog.ceiling.as_millis() as u64,
+                });
             }
             outcome
         };
@@ -649,9 +632,7 @@ impl ServeCore {
             };
         }
         self.metrics.request_miss.record(t_request.elapsed());
-        if let Some(guard) = hub_guard.as_mut() {
-            guard.set_ok();
-        }
+        guard.set_ok();
         Ok((report, false))
     }
 
@@ -666,18 +647,7 @@ impl ServeCore {
     /// Raises the cancellation token of the in-flight query registered
     /// under `id`. Returns whether such a query existed.
     pub fn cancel(&self, id: u64) -> bool {
-        match self
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&id)
-        {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
+        self.trace_hub.cancel(id)
     }
 
     /// Statistics payload (`op: stats`).
@@ -1074,61 +1044,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// The hung-query watchdog: a background tick that raises the
-/// `CancelToken` of any execution past the configured ceiling. The
-/// engine polls tokens between SMC batches, so a reaped run unwedges
-/// at the next poll, releases its scheduler permit via RAII, and its
-/// reply becomes a typed `watchdog_cancelled` error.
+/// `CancelToken` of any execution past the configured ceiling, read
+/// from the trace hub's in-flight table. The engine polls tokens
+/// between SMC batches, so a reaped run unwedges at the next poll,
+/// releases its scheduler permit via RAII, and its reply becomes a
+/// typed `watchdog_cancelled` error.
 struct Watchdog {
     ceiling: Duration,
-    watched: Mutex<WatchTable>,
+    hub: Arc<TraceHub>,
     fired_total: AtomicU64,
     stop: AtomicBool,
 }
 
-#[derive(Default)]
-struct WatchTable {
-    next_id: u64,
-    entries: HashMap<u64, WatchEntry>,
-}
-
-struct WatchEntry {
-    started: Instant,
-    token: CancelToken,
-    fired: Arc<AtomicBool>,
-}
-
 impl Watchdog {
-    fn new(ceiling: Duration) -> Arc<Watchdog> {
-        Arc::new(Watchdog {
-            ceiling,
-            watched: Mutex::new(WatchTable::default()),
-            fired_total: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        })
-    }
-
-    /// Registers an execution; the guard deregisters it on drop and
-    /// remembers whether the watchdog reaped it.
-    fn watch(self: &Arc<Watchdog>, token: &CancelToken) -> WatchGuard {
-        let fired = Arc::new(AtomicBool::new(false));
-        let mut table = self.watched.lock().unwrap_or_else(PoisonError::into_inner);
-        let id = table.next_id;
-        table.next_id += 1;
-        table.entries.insert(
-            id,
-            WatchEntry {
-                started: Instant::now(),
-                token: token.clone(),
-                fired: Arc::clone(&fired),
-            },
-        );
-        WatchGuard {
-            dog: Arc::clone(self),
-            id,
-            fired,
-        }
-    }
-
     /// The tick loop (dedicated thread). The tick is a quarter of the
     /// ceiling, clamped to [1, 50] ms: overshoot past the ceiling is at
     /// most one tick, and an idle scan of a small table is cheap.
@@ -1136,43 +1064,9 @@ impl Watchdog {
         let tick = (self.ceiling / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
         while !self.stop.load(Ordering::Relaxed) {
             std::thread::sleep(tick);
-            let table = self.watched.lock().unwrap_or_else(PoisonError::into_inner);
-            for entry in table.entries.values() {
-                if !entry.fired.load(Ordering::Relaxed) && entry.started.elapsed() > self.ceiling {
-                    entry.fired.store(true, Ordering::Relaxed);
-                    entry.token.cancel();
-                    self.fired_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let reaped = self.hub.reap_overdue(self.ceiling);
+            self.fired_total.fetch_add(reaped, Ordering::Relaxed);
         }
-    }
-}
-
-struct WatchGuard {
-    dog: Arc<Watchdog>,
-    id: u64,
-    fired: Arc<AtomicBool>,
-}
-
-impl WatchGuard {
-    /// Did the watchdog reap this execution?
-    fn fired(&self) -> bool {
-        self.fired.load(Ordering::Relaxed)
-    }
-
-    fn ceiling_ms(&self) -> u64 {
-        self.dog.ceiling.as_millis() as u64
-    }
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        self.dog
-            .watched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entries
-            .remove(&self.id);
     }
 }
 
@@ -1184,22 +1078,6 @@ impl Drop for ServeCore {
         if let Some(handle) = self.watchdog_thread.take() {
             let _ = handle.join();
         }
-    }
-}
-
-/// Removes a request's id from the in-flight table when the request
-/// finishes — on every exit path, panics included.
-struct InflightGuard<'a> {
-    table: &'a Mutex<HashMap<u64, CancelToken>>,
-    id: u64,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.table
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&self.id);
     }
 }
 

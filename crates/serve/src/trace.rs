@@ -1,15 +1,19 @@
-//! The daemon-wide trace hub: live in-flight visibility plus a bounded
-//! history of completed request traces.
+//! The daemon-wide trace hub: the one in-flight request table plus a
+//! bounded history of completed request traces.
 //!
 //! [`biocheck_obs::TraceCtx`] collects one request's spans
 //! and progress counters; this module is the serving layer around it.
 //! A [`TraceHub`] owns two tables:
 //!
-//! * **active** — every request currently past admission control,
-//!   keyed by a daemon-wide sequence number. Rendered as the
-//!   `inflight` block of the `{"op":"stats"}` reply: elapsed time plus
-//!   the live progress counters (SMC samples, RK steps, ICP boxes,
-//!   BMC depth, CDCL conflicts/restarts) for traced requests.
+//! * **active** — every request from its first cache miss until its
+//!   reply, queued ones included, keyed by a daemon-wide sequence
+//!   number. It is the only per-request in-flight table: it holds the
+//!   request's `CancelToken` (raised by a client `cancel` naming its
+//!   wire id, and by the `--max-execute-ms` watchdog once its execute
+//!   window overruns), and it is rendered as the `inflight` block of the
+//!   `{"op":"stats"}` reply: elapsed time plus the live progress
+//!   counters (SMC samples, RK steps, ICP boxes, BMC depth, CDCL
+//!   conflicts/restarts) for traced requests.
 //! * **recent** — the last [`RECENT_TRACES`] *traced* requests'
 //!   complete span trees, each a [`RequestTrace`]. Rendered as Chrome
 //!   `chrome://tracing` JSON by the `{"op":"trace_export"}` wire op
@@ -19,16 +23,20 @@
 //! check), so the memoized hit path never touches the hub. A request
 //! leaves the active table through a guard drop, which runs on every
 //! exit path — panics included — so a crashing solver produces a
-//! *terminated* trace, never a leaked `inflight` row. None of the data
-//! here feeds a fingerprint, a memoization key, or a persisted byte.
+//! *terminated* trace, never a leaked `inflight` row or cancel entry.
+//! None of the data here feeds a fingerprint, a memoization key, or a
+//! persisted byte.
 
 use crate::json::Json;
+use crate::server::ServeError;
 use crate::wire::u64_to_json;
+use biocheck_engine::CancelToken;
 use biocheck_obs::{ProgressSnapshot, SpanRecord, TraceCtx};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, UnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Completed traced requests retained for export.
 pub const RECENT_TRACES: usize = 64;
@@ -43,6 +51,14 @@ struct ActiveRequest {
     /// Present when the request is traced (span tree + counters);
     /// untraced requests still appear in `inflight` with elapsed time.
     ctx: Option<Arc<TraceCtx>>,
+    /// Raised by a client `cancel` of `wire_id` and by the watchdog.
+    token: CancelToken,
+    /// Start of the execute window; `None` while the request queues
+    /// and after it executed, so only execution counts toward the
+    /// watchdog ceiling.
+    executing_since: Option<Instant>,
+    /// The watchdog raised `token`.
+    reaped: bool,
 }
 
 /// A finished traced request: everything needed to re-render its span
@@ -82,6 +98,8 @@ pub struct TraceHub {
     echo: AtomicBool,
     epoch: Instant,
     next_seq: AtomicU64,
+    /// Lookups by wire id scan it: it holds only the requests being
+    /// queued, executed or shed, so it stays small.
     active: Mutex<HashMap<u64, ActiveRequest>>,
     recent: Mutex<VecDeque<RequestTrace>>,
 }
@@ -118,41 +136,89 @@ impl TraceHub {
         self.echo.store(true, Ordering::Relaxed);
     }
 
-    /// Registers a request entering the execution path. The returned
-    /// guard removes it — and, when traced, publishes its
-    /// [`RequestTrace`] into the recent ring — on drop, every exit
-    /// path included.
+    /// Registers a request entering the execution path, with the token
+    /// that a client `cancel` and the watchdog raise. Wire ids share
+    /// one daemon-wide namespace, so a `wire_id` already in flight is
+    /// refused (`invalid_request`) under the same lock that would insert
+    /// it, never clobbering the holder's token. The returned guard
+    /// removes the request — and, when traced, publishes its
+    /// [`RequestTrace`] into the recent ring — on drop, every exit path
+    /// included.
     pub fn begin<'hub>(
         &'hub self,
         model: &str,
         kind: &'static str,
         wire_id: Option<u64>,
         ctx: Option<Arc<TraceCtx>>,
-    ) -> TraceGuard<'hub> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        token: CancelToken,
+    ) -> Result<TraceGuard<'hub>, ServeError> {
         let started = Instant::now();
-        self.active
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                seq,
-                ActiveRequest {
-                    model: model.to_string(),
-                    kind,
-                    wire_id,
-                    started,
-                    ctx,
-                },
-            );
-        TraceGuard {
+        let mut table = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(id) = wire_id {
+            if table.values().any(|a| a.wire_id == Some(id)) {
+                return Err(ServeError::Invalid(format!(
+                    "request id {id} is already in flight"
+                )));
+            }
+        }
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        table.insert(
+            seq,
+            ActiveRequest {
+                model: model.to_string(),
+                kind,
+                wire_id,
+                started,
+                ctx,
+                token,
+                executing_since: None,
+                reaped: false,
+            },
+        );
+        Ok(TraceGuard {
             hub: self,
             seq,
             ok: false,
+        })
+    }
+
+    /// Raises the token of the in-flight request registered under
+    /// `wire_id`. Returns whether such a request existed.
+    pub(crate) fn cancel(&self, wire_id: u64) -> bool {
+        let table = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+        let found = table.values().find(|a| a.wire_id == Some(wire_id));
+        if let Some(a) = found {
+            a.token.cancel();
         }
+        found.is_some()
+    }
+
+    /// One watchdog tick: raises the token of every request that has
+    /// been executing for longer than `ceiling` and marks it reaped.
+    /// Returns how many it reaped.
+    pub(crate) fn reap_overdue(&self, ceiling: Duration) -> u64 {
+        let mut table = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut reaped = 0;
+        for a in table.values_mut() {
+            if !a.reaped && a.executing_since.is_some_and(|t| t.elapsed() > ceiling) {
+                a.reaped = true;
+                a.token.cancel();
+                reaped += 1;
+            }
+        }
+        reaped
+    }
+
+    fn with_entry<R>(&self, seq: u64, f: impl FnOnce(&mut ActiveRequest) -> R) -> Option<R> {
+        self.active
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_mut(&seq)
+            .map(f)
     }
 
     /// The `inflight` array of the stats reply: one object per active
-    /// request, ordered by admission sequence.
+    /// request, ordered by registration sequence.
     pub fn inflight_json(&self) -> Json {
         let table = self.active.lock().unwrap_or_else(PoisonError::into_inner);
         let mut rows: Vec<(u64, &ActiveRequest)> = table.iter().map(|(&s, a)| (s, a)).collect();
@@ -305,6 +371,24 @@ impl TraceGuard<'_> {
     pub fn set_ok(&mut self) {
         self.ok = true;
     }
+
+    /// Runs `execute` as the request's execute window, the only time
+    /// the watchdog ceiling counts, with any panic caught. Returns its
+    /// result and whether the watchdog reaped the request meanwhile.
+    pub fn execute<R>(
+        &self,
+        execute: impl FnOnce() -> R + UnwindSafe,
+    ) -> (std::thread::Result<R>, bool) {
+        self.hub.with_entry(self.seq, |a| {
+            a.executing_since = Some(Instant::now());
+        });
+        let result = catch_unwind(execute);
+        let reaped = self.hub.with_entry(self.seq, |a| {
+            a.executing_since = None;
+            a.reaped
+        });
+        (result, reaped == Some(true))
+    }
 }
 
 impl Drop for TraceGuard<'_> {
@@ -417,7 +501,15 @@ mod tests {
 
     fn traced_request(hub: &TraceHub, model: &str, ok: bool) -> Arc<TraceCtx> {
         let ctx = TraceCtx::new(16);
-        let mut guard = hub.begin(model, "estimate", Some(7), Some(Arc::clone(&ctx)));
+        let mut guard = hub
+            .begin(
+                model,
+                "estimate",
+                Some(7),
+                Some(Arc::clone(&ctx)),
+                CancelToken::new(),
+            )
+            .unwrap();
         {
             let _root = ctx.span("serve.request");
             let _inner = ctx.span("engine.query");
@@ -433,7 +525,9 @@ mod tests {
     fn guard_moves_active_to_recent_with_outcome() {
         let hub = TraceHub::default();
         let ctx = TraceCtx::new(16);
-        let guard = hub.begin("m", "lint", None, Some(ctx));
+        let guard = hub
+            .begin("m", "lint", None, Some(ctx), CancelToken::new())
+            .unwrap();
         let inflight = hub.inflight_json();
         let rows = match &inflight {
             Json::Arr(rows) => rows,
@@ -458,7 +552,9 @@ mod tests {
     #[test]
     fn untraced_requests_appear_inflight_but_not_in_recent() {
         let hub = TraceHub::default();
-        let mut guard = hub.begin("m", "sprt", None, None);
+        let mut guard = hub
+            .begin("m", "sprt", None, None, CancelToken::new())
+            .unwrap();
         let inflight = hub.inflight_json().render();
         assert!(inflight.contains("\"sprt\""));
         assert!(!inflight.contains("progress"), "no ctx, no counters");
@@ -527,7 +623,15 @@ mod tests {
         let hub = TraceHub::default();
         let ctx = TraceCtx::new(16);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = hub.begin("m", "estimate", None, Some(Arc::clone(&ctx)));
+            let _guard = hub
+                .begin(
+                    "m",
+                    "estimate",
+                    None,
+                    Some(Arc::clone(&ctx)),
+                    CancelToken::new(),
+                )
+                .unwrap();
             let _root = ctx.span("serve.request");
             panic!("solver blew up");
         }));

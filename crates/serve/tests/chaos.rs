@@ -143,8 +143,8 @@ fn solver_panics_are_contained_and_poison_nothing() {
 /// unwind is caught at the panic boundary, so the hub publishes the
 /// request with an `error` outcome and a *closed* span tree (the
 /// `serve.execute` and `serve.request` records landed despite the
-/// unwind), and the `inflight` view drains to empty — no active entry
-/// is ever stranded.
+/// unwind), and the in-flight table drains to empty — no `inflight`
+/// row or cancel entry is ever stranded.
 #[test]
 fn panicking_solver_publishes_terminated_trace_not_a_leak() {
     let _serial = chaos_lock();
@@ -160,10 +160,12 @@ fn panicking_solver_publishes_terminated_trace_not_a_leak() {
     let _cleanup = FaultGuard;
     let mut qr = estimate("x - 1", 3, 30);
     qr.trace = true;
+    qr.id = Some(5);
     let err = core.run_query_traced(&qr).unwrap_err();
     assert!(matches!(err, ServeError::Internal(_)), "{err}");
     let stats = faults::clear();
     assert_eq!(stats.exec_panics, 1, "the panic must actually fire");
+    assert!(!core.cancel(5), "panicked request leaked a cancel entry");
 
     match core.trace_hub().inflight_json() {
         biocheck_serve::Json::Arr(rows) => {

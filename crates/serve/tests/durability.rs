@@ -5,14 +5,15 @@
 //! pool threads), the 10k-literal sweep leaving the model arena at its
 //! registration size gauge-verifiably, the spill log serving memoized
 //! results through a RAM index (damaged records only cost a recompute),
-//! and the hung-query watchdog reaping an overrunning execution.
+//! and the hung-query watchdog reaping an overrunning execution but
+//! never a queued one.
 
 use biocheck_engine::Session;
 use biocheck_serve::server::{ServeConfig, ServeCore, ServeError};
 use biocheck_serve::wire::{
     BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
 };
-use biocheck_serve::Json;
+use biocheck_serve::{AdmitWait, Json};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -437,6 +438,37 @@ fn watchdog_cancels_overrunning_query() {
     let (hit, cached) = core.run_query(&estimate("x - 1", 3, 20)).unwrap();
     assert!(cached);
     assert_eq!(r.fingerprint(), hit.fingerprint());
+}
+
+/// The watchdog clock counts execution only: a request that waits in
+/// the admission queue for twice the ceiling still runs to a report
+/// once it gets the slot.
+#[test]
+fn queue_wait_does_not_count_toward_the_watchdog_ceiling() {
+    let core = Arc::new(ServeCore::new(ServeConfig {
+        concurrency: 1,
+        max_execute: Some(Duration::from_millis(300)),
+        ..ServeConfig::default()
+    }));
+    core.register("decay", &decay_source()).unwrap();
+    let permit = core.scheduler().admit(AdmitWait::default()).unwrap();
+    let waiter = {
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || core.run_query(&estimate("x - 1", 4, 20)))
+    };
+    while core.scheduler().queue_depth() != 1 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(600));
+    drop(permit);
+    match waiter.join().unwrap() {
+        Ok((report, cached)) => {
+            assert!(!cached);
+            assert_eq!(report.provenance.samples, 20);
+        }
+        Err(e) => panic!("queued request must run once admitted, got {e:?}"),
+    }
+    assert_eq!(core.watchdog_cancelled_count(), 0);
 }
 
 /// Concurrent sweeps against one model: evictions race with in-flight

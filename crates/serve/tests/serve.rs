@@ -45,6 +45,38 @@ fn estimate(expr: &str, seed: u64, n: usize) -> QueryRequest {
     }
 }
 
+/// A genuinely long request: an SPRT at theta ≈ p with a tiny
+/// indifference region needs millions of samples, so a cancel wins by
+/// a huge margin.
+fn long_sprt(id: u64) -> QueryRequest {
+    QueryRequest {
+        model: "decay".into(),
+        id: Some(id),
+        seed: 6,
+        budget: BudgetSpec::default(),
+        query: QuerySpec::Sprt {
+            smc: SmcSpecWire {
+                init: vec![DistSpec::Uniform(0.5, 1.5)],
+                params: vec![],
+                property: PropSpec::Eventually {
+                    bound: 0.01,
+                    inner: Box::new(PropSpec::Prop {
+                        expr: "x - 1".into(),
+                        rel: biocheck_expr::RelOp::Ge,
+                    }),
+                },
+                t_end: 0.01,
+            },
+            theta: 0.5,
+            indiff: 0.001,
+            alpha: 0.001,
+            beta: 0.001,
+            max_samples: usize::MAX / 2,
+        },
+        trace: false,
+    }
+}
+
 /// The tentpole invariant: a cached report is `fingerprint()`-identical
 /// to a fresh computation — including when the serving core processed
 /// other queries in between (which grow the model's expression arena
@@ -421,35 +453,8 @@ fn budgets_and_cancellation() {
         assert!(!core.cancel(42), "finished request must leave the table");
     }
 
-    // Cancel a genuinely long request mid-flight: an SPRT at
-    // theta ≈ p with a tiny indifference region needs millions of
-    // samples, so the cancel wins by a huge margin.
-    let long = QueryRequest {
-        model: "decay".into(),
-        id: Some(1),
-        seed: 6,
-        budget: BudgetSpec::default(),
-        query: QuerySpec::Sprt {
-            smc: SmcSpecWire {
-                init: vec![DistSpec::Uniform(0.5, 1.5)],
-                params: vec![],
-                property: PropSpec::Eventually {
-                    bound: 0.01,
-                    inner: Box::new(PropSpec::Prop {
-                        expr: "x - 1".into(),
-                        rel: biocheck_expr::RelOp::Ge,
-                    }),
-                },
-                t_end: 0.01,
-            },
-            theta: 0.5,
-            indiff: 0.001,
-            alpha: 0.001,
-            beta: 0.001,
-            max_samples: usize::MAX / 2,
-        },
-        trace: false,
-    };
+    // Cancel a genuinely long request mid-flight.
+    let long = long_sprt(1);
     let inserts_before = core.cache_stats().inserts;
     let runner = {
         let core = Arc::clone(&core);
@@ -474,6 +479,38 @@ fn budgets_and_cancellation() {
         "cancelled run must not have been cached"
     );
     assert!(!core.cancel(1), "finished request left the in-flight table");
+}
+
+/// A second request under an id that is in flight is refused, on every
+/// run: the first holder stays registered and uncancelled while the
+/// duplicate is tried, and the duplicate never enters the table.
+#[test]
+fn duplicate_inflight_id_is_rejected() {
+    let core = Arc::new(ServeCore::new(ServeConfig::default()));
+    core.register("decay", &decay_source()).unwrap();
+    let runner = {
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || core.run_query(&long_sprt(42)))
+    };
+    while core.scheduler().in_flight() != 1 {
+        std::thread::yield_now();
+    }
+    let mut b = estimate("x - 0.8", 71, 10);
+    b.id = Some(42);
+    let err = core.run_query(&b).unwrap_err();
+    assert_eq!(err.kind(), "invalid_request");
+    assert!(err.to_string().contains("already in flight"), "{err}");
+    let rows = match core.trace_hub().inflight_json() {
+        Json::Arr(rows) => rows,
+        other => panic!("inflight must be an array, got {}", other.render()),
+    };
+    assert_eq!(rows.len(), 1, "the duplicate must never be registered");
+    assert_eq!(rows[0].get("kind").and_then(Json::as_str), Some("sprt"));
+    assert!(core.cancel(42), "the holder's token is still addressable");
+    let (report, cached) = runner.join().unwrap().unwrap();
+    assert!(!cached);
+    assert_eq!(report.outcome, Outcome::Exhausted);
+    assert!(!core.cancel(42), "finished request must leave the table");
 }
 
 /// The observability tentpole, end to end: after a mixed cold/warm

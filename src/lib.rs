@@ -60,8 +60,6 @@
 //!
 //! # Substrate crates
 //!
-//! * [`core`] — thin compatibility wrappers over the engine's workflow
-//!   functions (calibrate → validate/falsify → therapy, stability);
 //! * [`bmc`] — bounded reachability for hybrid automata (dReach-style);
 //! * [`dsmt`] / [`icp`] — the δ-decision procedures (dReal-style);
 //! * [`models`] — the paper's biological case studies;
@@ -70,12 +68,11 @@
 //!
 //! See `examples/quickstart.rs` for the full Fig. 2 workflow through
 //! the engine, `examples/engine_batch.rs` for a batched multi-query
-//! workload, and `DESIGN.md` for the architecture and the experiment
-//! index.
+//! workload, and `docs/ARCHITECTURE.md` for the architecture and the
+//! experiment harness.
 
 pub use biocheck_bltl as bltl;
 pub use biocheck_bmc as bmc;
-pub use biocheck_core as core;
 pub use biocheck_dsmt as dsmt;
 pub use biocheck_engine as engine;
 pub use biocheck_expr as expr;

@@ -3,7 +3,7 @@
 
 use biocheck::bltl::{Bltl, Monitor};
 use biocheck::bmc::{check_reach, ReachOptions, ReachSpec};
-use biocheck::core::{synthesize_parameters, verify_stability, CalibrationProblem, Dataset};
+use biocheck::engine::{Dataset, Query, Session, Value};
 use biocheck::expr::{Atom, Context, RelOp};
 use biocheck::hybrid::HybridAutomaton;
 use biocheck::interval::Interval;
@@ -50,17 +50,21 @@ fn calibrate_then_validate() {
     let sys = OdeSystem::new(vec![x], vec![rhs]);
     let times = vec![0.5, 1.0];
     let values: Vec<Vec<f64>> = times.iter().map(|&t: &f64| vec![(-t).exp()]).collect();
-    let problem = CalibrationProblem {
-        cx: cx.clone(),
-        sys: sys.clone(),
-        init: vec![1.0],
-        params: vec![(k, Interval::new(0.2, 3.0))],
-        state_bounds: vec![Interval::new(0.0, 2.0)],
-        delta: 0.01,
-        flow_step: 0.05,
+    let report = Session::from_parts(cx.clone(), sys.clone())
+        .query(Query::Calibrate {
+            data: Dataset::full(times, values, 0.02),
+            init: vec![1.0],
+            params: vec![(k, Interval::new(0.2, 3.0))],
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            delta: 0.01,
+            flow_step: 0.05,
+        })
+        .run()
+        .unwrap();
+    let Value::Calibration(Some(fit)) = report.value else {
+        panic!("calibratable, got {:?}", report.value);
     };
-    let data = Dataset::full(times, values, 0.02);
-    let (_, point) = synthesize_parameters(&problem, &data).expect("calibratable");
+    let point = fit.witness;
     assert!((point[0] - 1.0).abs() < 0.25);
     // Validate: F≤5 (x ≤ 0.1) holds with the recovered k.
     let thr = cx.parse("0.1 - x").unwrap();
@@ -138,14 +142,17 @@ fn radiation_simulation_outcomes() {
 #[test]
 fn stability_of_proofreading_chain() {
     let kp = classics::kinetic_proofreading(2, 1.0, 0.5, 1.0);
-    let report = verify_stability(
-        &kp.cx,
-        &kp.sys,
-        &[Interval::new(0.0, 2.0), Interval::new(0.0, 2.0)],
-        0.1,
-        0.8,
-    )
-    .expect("linear chain is stable");
+    let report = Session::from_parts(kp.cx, kp.sys)
+        .query(Query::Stability {
+            region: vec![Interval::new(0.0, 2.0), Interval::new(0.0, 2.0)],
+            r_min: 0.1,
+            r_max: 0.8,
+        })
+        .run()
+        .unwrap();
+    let Value::Stability(Some(report)) = report.value else {
+        panic!("linear chain is stable, got {:?}", report.value);
+    };
     assert!(report.certified);
     // Equilibrium matches the closed form c0 = 1/1.5.
     assert!((report.equilibrium[0] - 1.0 / 1.5).abs() < 1e-6);
