@@ -1,26 +1,19 @@
-//! Regenerates the experiment tables (EXPERIMENTS.md content) and the
-//! machine-readable perf trajectory `BENCH_<n>.json`:
+//! Regenerates the experiment table (E1–E9, markdown on stdout, rows in
+//! `experiment_results.json`):
 //!
 //! ```text
-//! cargo run --release -p biocheck_bench --bin report              # everything
-//! cargo run --release -p biocheck_bench --bin report -- --bench-only
-//! cargo run --release -p biocheck_bench --bin report -- --bench-version 2
-//! cargo run --release -p biocheck_bench --bin report -- --bench-only --compare latest
+//! cargo run --release -p biocheck_bench --bin report
 //! ```
 //!
-//! `--bench-only` skips the (slow) E1–E9 experiment sweep and emits only
-//! the perf workloads; `--bench-version <n>` selects the output file name
-//! `BENCH_<n>.json` (default 1) so successive PRs accumulate a history.
-//!
-//! `--compare <path|latest>` is the CI perf-regression gate: the fresh
-//! measurements are checked against a committed baseline (`latest` picks
-//! the highest-numbered `BENCH_<n>.json` in the working directory,
-//! resolved *before* the new file is written). The process exits
-//! non-zero if any workload loses more than 15% samples/sec in either
-//! mode or any `deterministic` bit is false.
+//! It takes no arguments. Any argument prints the usage line and exits
+//! with status 2, so a mistyped flag never starts the minutes-long
+//! sweep. Performance is measured by the declared benchmark
+//! (`perfbench/`, judged by `.github/perf_gate.sh`).
 
 use biocheck_bench as exp;
 use std::time::Instant;
+
+const USAGE: &str = "usage: report   (no arguments; prints the E1–E9 experiment table)";
 
 fn run(name: &str, f: impl FnOnce() -> Vec<exp::Row>) -> Vec<exp::Row> {
     let t0 = Instant::now();
@@ -30,125 +23,9 @@ fn run(name: &str, f: impl FnOnce() -> Vec<exp::Row>) -> Vec<exp::Row> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Subprocess mode for the pool_scaling sweep: the pool width was
-    // fixed from BIOCHECK_THREADS at startup; time one parallel-path
-    // workload and print `wall_seconds p_hat fingerprint`.
-    if args.first().map(String::as_str) == Some("--pool-probe") {
-        let samples: usize = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(1000);
-        let seed: u64 = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(2020);
-        let (wall, p_hat, fingerprint) = exp::perf::pool_probe(samples, seed);
-        println!("{wall:.9} {p_hat} {fingerprint}");
-        return;
-    }
-    let bench_only = args.iter().any(|a| a == "--bench-only");
-    let bench_version: u32 = args
-        .iter()
-        .position(|a| a == "--bench-version")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let compare: Option<String> = args
-        .iter()
-        .position(|a| a == "--compare")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    // Resolve the comparison baseline BEFORE writing anything, so
-    // `--compare latest` with a colliding --bench-version still reads
-    // the committed file.
-    let baseline = compare.map(|spec| {
-        let path = if spec == "latest" {
-            let (version, path) = exp::compare::latest_bench_file(std::path::Path::new("."))
-                .unwrap_or_else(|| {
-                    eprintln!("--compare latest: no BENCH_<n>.json found in the working directory");
-                    std::process::exit(1);
-                });
-            eprintln!("gate: comparing against BENCH_{version}.json");
-            path
-        } else {
-            std::path::PathBuf::from(spec)
-        };
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        exp::compare::parse_baseline(&text)
-            .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e}", path.display()))
-    });
-
-    // Perf workloads: sequential vs parallel SMC sampling on the paper's
-    // three case-study models → BENCH_<n>.json. The workloads are
-    // bracketed by two machine-speed calibrations: the file records the
-    // best one (the machine at its best while the baseline was taken),
-    // the gate uses the worst one (the machine at its worst during this
-    // run). Both choices only ever relax the comparison, absorbing
-    // temporal load spikes on jittery hosts while still correcting for
-    // genuinely slower hardware.
-    // 1000 samples per SMC workload: long enough (~25 ms per timed run)
-    // that a single scheduler preemption cannot swing samples/sec past
-    // the gate tolerance.
-    let t0 = Instant::now();
-    let cal_before = exp::perf::calibration_score();
-    let mut perf = exp::perf::perf_workloads(1000, 2020);
-    // Pool-width scaling sweep: re-exec this binary once per width
-    // (the pool is fixed at first use from BIOCHECK_THREADS, so each
-    // width needs a fresh process). A probe failure skips the row.
-    match std::env::current_exe() {
-        Ok(exe) => perf.extend(exp::perf::pool_scaling_workload(&exe, 1000, 2020)),
-        Err(e) => eprintln!("pool_scaling: cannot resolve current_exe: {e}"),
-    }
-    let cal_after = exp::perf::calibration_score();
-    let calibration = cal_before.max(cal_after);
-    let cal_worst = cal_before.min(cal_after);
-    eprintln!(
-        "perf workloads: {:?} (calibration {cal_before:.3e}/{cal_after:.3e})",
-        t0.elapsed()
-    );
-    for w in &perf {
-        println!(
-            "{}: {} samples, seq {:.1}/s, par {:.1}/s, speedup {:.2}x, p̂ = {:.3}, \
-             deterministic = {}, avg_steps = {:.1}, early_stop = {:.1}%",
-            w.name,
-            w.samples,
-            w.sequential.samples_per_sec,
-            w.parallel.samples_per_sec,
-            w.speedup,
-            w.p_hat,
-            w.deterministic,
-            w.avg_steps,
-            100.0 * w.early_stop_rate,
-        );
-    }
-    let bench_path = format!("BENCH_{bench_version}.json");
-    std::fs::write(
-        &bench_path,
-        exp::perf::perf_to_json(&perf, bench_version, calibration),
-    )
-    .unwrap_or_else(|e| panic!("cannot write {bench_path}: {e}"));
-    println!("wrote {bench_path}");
-
-    if let Some(baseline) = baseline {
-        let violations = exp::compare::gate_violations(
-            &perf,
-            cal_worst,
-            rayon::current_num_threads(),
-            &baseline,
-            exp::compare::DEFAULT_TOLERANCE,
-        );
-        if violations.is_empty() {
-            println!(
-                "gate: OK — no workload regressed more than {:.0}% vs bench_version {}",
-                100.0 * exp::compare::DEFAULT_TOLERANCE,
-                baseline.bench_version
-            );
-        } else {
-            for v in &violations {
-                eprintln!("gate: FAIL — {v}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if bench_only {
-        return;
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("report: unexpected argument {arg:?}\n{USAGE}");
+        std::process::exit(2);
     }
 
     let mut all = Vec::new();

@@ -7,7 +7,6 @@
 //! Every function returns printable rows so the experiment tables can be
 //! regenerated; timings are taken by the callers.
 
-pub mod compare;
 pub mod perf;
 
 use biocheck_bltl::Bltl;

@@ -1,203 +1,20 @@
-//! Performance workloads behind `BENCH_<n>.json`.
+//! Machine-speed calibration for the benchmark's run record.
 //!
-//! Since PR 4 every workload runs through the engine's
-//! `Session`/`Query`/`Report` API. The three SMC workloads draw
-//! Bernoulli samples (ODE simulation + streaming BLTL monitoring) from
-//! the paper's case-study models, once in sequential mode and once on
-//! the rayon-parallel path, with the same master seed; the engine forks
-//! a per-sample RNG from the seed, so the two reports must agree
-//! **bit-for-bit** — the `deterministic` field records that
-//! fingerprint check, and `speedup` the wall-clock ratio.
-//!
-//! The `engine_batch` workload measures the session cache: the same
-//! 12-query batch (a PSA-threshold sweep on the prostate model) timed
-//! against a cold session (constructed inside the timed region, every
-//! plan compiled on first use) and against a warm session (artifact
-//! cache already populated). Its `samples` column counts queries, its
-//! `samples_per_sec` is queries/sec, `sequential` holds the cold
-//! timing, `parallel` the warm timing, and `speedup` the warm/cold
-//! ratio; `deterministic` asserts cold and warm reports fingerprint
-//! identically (cached artifacts change no numbers).
+//! The declared benchmark (`perfbench/`, judged by
+//! `.github/perf_gate.sh`) prints [`calibration_score`] with every run,
+//! so a result can be read against the speed of the host that measured
+//! it.
 
-use biocheck_bltl::Bltl;
-use biocheck_engine::{EstimateMethod, Query, Report, Session, SmcSpec, Value};
-use biocheck_expr::{Atom, RelOp};
-use biocheck_models::{cardiac, prostate, radiation, OdeModel};
-use biocheck_ode::OdeSystem;
-use biocheck_serve::server::{ServeConfig, ServeCore};
-use biocheck_serve::wire::{
-    BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
-};
-use biocheck_smc::Dist;
 use std::time::Instant;
 
-/// Timings for one workload in one execution mode.
-#[derive(Clone, Copy, Debug)]
-pub struct ModeTiming {
-    /// Wall-clock seconds for the whole sample batch.
-    pub wall_seconds: f64,
-    /// Samples per second.
-    pub samples_per_sec: f64,
-}
-
-/// Per-request latency percentiles of the serving workload, read from
-/// the `ServeCore`'s own phase histograms (the same ones the daemon's
-/// `stats`/`metrics` ops expose), in microseconds. `hit_*` covers
-/// warm memoized replies, `miss_*` the cold computing pass.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencySummary {
-    /// Median end-to-end latency of a cache-hit reply.
-    pub hit_p50_us: f64,
-    /// 99th-percentile end-to-end latency of a cache-hit reply.
-    pub hit_p99_us: f64,
-    /// Median end-to-end latency of a computed (miss) reply.
-    pub miss_p50_us: f64,
-    /// 99th-percentile end-to-end latency of a computed (miss) reply.
-    pub miss_p99_us: f64,
-}
-
-/// Pool-width scaling of the parallel SMC path, measured in
-/// single-workload subprocesses (`pool_scaling` only): the vendored
-/// rayon pool fixes its width at first use from `BIOCHECK_THREADS`, so
-/// each width needs its own process.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalingSummary {
-    /// Samples/sec with a 1-thread (fully inline) pool.
-    pub t1_samples_per_sec: f64,
-    /// Samples/sec with a 2-thread pool.
-    pub t2_samples_per_sec: f64,
-    /// Samples/sec with an 8-thread pool.
-    pub t8_samples_per_sec: f64,
-}
-
-/// One benchmark workload: sequential vs parallel SMC sampling, or
-/// cold- vs warm-cache batched querying (`engine_batch`,
-/// `serve_throughput`), or the subprocess pool sweep (`pool_scaling`).
-#[derive(Clone, Debug)]
-pub struct PerfWorkload {
-    /// Workload name (`smc_prostate`, `smc_cardiac`, `smc_radiation`,
-    /// `icp_pave_ring`, `engine_batch`, `serve_throughput`,
-    /// `pool_scaling`).
-    pub name: String,
-    /// Number of Bernoulli samples drawn per mode (queries per batch
-    /// for `engine_batch`).
-    pub samples: usize,
-    /// Master seed used by both modes.
-    pub seed: u64,
-    /// Sequential-path timing (cold-cache timing for `engine_batch`).
-    pub sequential: ModeTiming,
-    /// Parallel-path timing (warm-cache timing for `engine_batch`).
-    pub parallel: ModeTiming,
-    /// The satisfaction estimate (identical between modes by design).
-    pub p_hat: f64,
-    /// Did both modes produce bit-identical reports?
-    pub deterministic: bool,
-    /// `sequential.wall_seconds / parallel.wall_seconds`.
-    pub speedup: f64,
-    /// Mean integration samples per draw (seed-deterministic; 0 for
-    /// non-SMC workloads). Shrinks when streaming verdicts cut
-    /// trajectories short.
-    pub avg_steps: f64,
-    /// Fraction of draws whose verdict decided before the time horizon
-    /// (seed-deterministic; 0 for non-SMC workloads).
-    pub early_stop_rate: f64,
-    /// Serving-layer latency percentiles (`serve_throughput` only;
-    /// `None` elsewhere — the field is absent from their JSON rows).
-    pub latency: Option<LatencySummary>,
-    /// Pool-width throughput sweep (`pool_scaling` only; `None`
-    /// elsewhere — the field is absent from their JSON rows).
-    pub scaling: Option<ScalingSummary>,
-}
-
-/// Prostate CAS therapy: P(PSA = x + y stays below 18 for 100 days) over
-/// noisy initial tumor burden and androgen level. The threshold sits
-/// inside the initial-PSA range, so p is strictly between 0 and 1 and the
-/// parallel/sequential bit-for-bit check is non-trivial.
-pub fn prostate_workload() -> (Session, SmcSpec) {
-    let p = prostate::PatientParams::default();
-    let mut m = prostate::cas_model(&p);
-    let psa_ok = m.cx.parse("18 - (x + y)").unwrap();
-    let spec = SmcSpec {
-        init: vec![
-            Dist::Uniform(10.0, 20.0),
-            Dist::Uniform(0.05, 0.2),
-            Dist::Uniform(10.0, 14.0),
-        ],
-        params: vec![],
-        property: Bltl::globally(100.0, Bltl::Prop(Atom::new(psa_ok, RelOp::Ge))),
-        t_end: 100.0,
-    };
-    (Session::new(&m), spec)
-}
-
-/// Fenton–Karma cardiac cell: P(an action potential fires within 30 time
-/// units) over a random sustained stimulus current.
-pub fn cardiac_workload() -> (Session, SmcSpec) {
-    let mut m = cardiac::fenton_karma();
-    let stim = m.cx.var_id("I_stim").unwrap();
-    let fires = m.cx.parse("u - 0.8").unwrap();
-    let spec = SmcSpec {
-        init: vec![
-            Dist::Uniform(0.0, 0.05),
-            Dist::Uniform(0.9, 1.0),
-            Dist::Uniform(0.9, 1.0),
-        ],
-        params: vec![(stim, Dist::Uniform(0.0, 0.4))],
-        property: Bltl::eventually(30.0, Bltl::Prop(Atom::new(fires, RelOp::Ge))),
-        t_end: 30.0,
-    };
-    (Session::new(&m), spec)
-}
-
-/// Radiation-damaged cell (untreated live mode): P(RIP3 commitment —
-/// rip3 ≥ 1 — within 20 hours) over noisy initial lipid oxidation.
-pub fn radiation_workload() -> (Session, SmcSpec) {
-    let ha = radiation::tbi_automaton();
-    let live = ha.mode_by_name("0").unwrap();
-    let sys = OdeSystem::new(ha.states.clone(), ha.modes[live].rhs.clone());
-    let mut cx = ha.cx.clone();
-    let committed = cx.parse("rip3 - 1").unwrap();
-    let nominal = radiation::tbi_init();
-    let mut init: Vec<Dist> = nominal.into_iter().map(Dist::Point).collect();
-    init[0] = Dist::Uniform(0.1, 0.3); // clox
-    let spec = SmcSpec {
-        init,
-        params: vec![],
-        property: Bltl::eventually(20.0, Bltl::Prop(Atom::new(committed, RelOp::Ge))),
-        t_end: 20.0,
-    };
-    (Session::from_parts(cx, sys), spec)
-}
-
-/// Timing repetitions per mode; the fastest run is reported. The
-/// minimum is the standard noise-robust wall-clock estimator — outliers
-/// from scheduler preemption only ever slow a run down — and it is what
-/// keeps the CI regression gate from tripping on machine jitter.
-const REPEATS: usize = 5;
-
-/// Runs `f` [`REPEATS`] times and returns (fastest wall seconds, last result).
-fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..REPEATS {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (best, result.expect("REPEATS > 0"))
-}
-
 /// Machine-speed calibration: iterations/sec of a fixed, deterministic
-/// integer spin loop (best of `REPEATS` runs). Recorded alongside the
-/// workloads in `BENCH_<n>.json` so the regression gate can compare
-/// throughput *relative to the measuring machine's speed* instead of
-/// absolute samples/sec — a baseline committed from a fast laptop then
-/// gates a slower CI runner fairly, and vice versa.
+/// integer spin loop, best of five runs (the minimum time is the
+/// noise-robust estimator: preemption only ever slows a run down).
 pub fn calibration_score() -> f64 {
     const ITERS: u64 = 20_000_000;
+    const REPEATS: u64 = 5;
     let mut best = f64::INFINITY;
-    for rep in 0..REPEATS as u64 {
+    for rep in 0..REPEATS {
         // The seed varies per repetition and the result is consumed
         // inside the timed region: the optimizer can neither hoist the
         // loop out of the repeat loop nor fold the LCG chain, so every
@@ -214,627 +31,9 @@ pub fn calibration_score() -> f64 {
     ITERS as f64 / best
 }
 
-fn run_workload(
-    name: &str,
-    session: &Session,
-    smc: &SmcSpec,
-    samples: usize,
-    seed: u64,
-) -> PerfWorkload {
-    let query = Query::Estimate {
-        smc: smc.clone(),
-        method: EstimateMethod::Fixed { n: samples },
-    };
-    // Populate the artifact cache outside the timed region (one-sample
-    // query), mirroring the pre-engine benchmark where the sampler was
-    // constructed before timing started.
-    let _ = session
-        .query(Query::Estimate {
-            smc: smc.clone(),
-            method: EstimateMethod::Fixed { n: 1 },
-        })
-        .seed(seed)
-        .sequential()
-        .run()
-        .expect("valid workload");
-    let (seq_secs, seq_report) = best_of(|| {
-        session
-            .query(query.clone())
-            .seed(seed)
-            .sequential()
-            .run()
-            .expect("valid workload")
-    });
-    let (par_secs, par_report) = best_of(|| {
-        session
-            .query(query.clone())
-            .seed(seed)
-            .run()
-            .expect("valid workload")
-    });
-    let Value::Estimate(est) = &par_report.value else {
-        unreachable!("estimate query returns an estimate");
-    };
-    PerfWorkload {
-        name: name.to_string(),
-        samples,
-        seed,
-        sequential: ModeTiming {
-            wall_seconds: seq_secs,
-            samples_per_sec: samples as f64 / seq_secs,
-        },
-        parallel: ModeTiming {
-            wall_seconds: par_secs,
-            samples_per_sec: samples as f64 / par_secs,
-        },
-        p_hat: est.p_hat,
-        deterministic: par_report.fingerprint() == seq_report.fingerprint(),
-        speedup: seq_secs / par_secs,
-        avg_steps: par_report.provenance.avg_steps,
-        early_stop_rate: par_report.provenance.early_stop_rate,
-        latency: None,
-        scaling: None,
-    }
-}
-
-/// Branch-and-prune paving of the ring `0.25 ≤ x² + y² ≤ 1`, sequential
-/// vs parallel. `samples` reports boxes classified, `p_hat` the fraction
-/// of the initial box area proven inside the ring, and `deterministic`
-/// whether both modes produced the same paving (box counts and measure).
-pub fn icp_pave_workload() -> PerfWorkload {
-    use biocheck_expr::Context;
-    use biocheck_icp::BranchAndPrune;
-    use biocheck_interval::{IBox, Interval};
-
-    let mut cx = Context::new();
-    let lo = cx.parse("x^2 + y^2 - 0.25").unwrap();
-    let hi = cx.parse("x^2 + y^2 - 1").unwrap();
-    let atoms = vec![Atom::new(lo, RelOp::Ge), Atom::new(hi, RelOp::Le)];
-    let init = IBox::uniform(2, Interval::new(-1.5, 1.5));
-    // ε = 0.005 ⇒ ~10k boxes, ~7 ms per paving: long enough that the
-    // samples/sec figure is stable against scheduler jitter.
-    let mut solver = BranchAndPrune::new(0.005);
-    solver.eps = 0.005;
-    solver.max_splits = 200_000;
-
-    let seq_solver = solver.clone().sequential();
-    let (seq_secs, seq) = best_of(|| seq_solver.pave(&cx, &atoms, &init));
-    let (par_secs, par) = best_of(|| solver.pave(&cx, &atoms, &init));
-
-    let boxes = par.sat.len() + par.undecided.len();
-    let same_counts = seq.sat.len() == par.sat.len() && seq.undecided.len() == par.undecided.len();
-    // Box sets are identical; vec order (and hence float summation
-    // order) differs between modes, so compare measures with a tolerance.
-    let same_measure =
-        (seq.sat_measure() - par.sat_measure()).abs() <= 1e-9 * seq.sat_measure().max(1.0);
-    let init_area = 3.0 * 3.0;
-    let sat_area: f64 = par.sat.iter().map(|b| b[0].width() * b[1].width()).sum();
-    PerfWorkload {
-        name: "icp_pave_ring".to_string(),
-        samples: boxes,
-        seed: 0,
-        sequential: ModeTiming {
-            wall_seconds: seq_secs,
-            samples_per_sec: boxes as f64 / seq_secs,
-        },
-        parallel: ModeTiming {
-            wall_seconds: par_secs,
-            samples_per_sec: boxes as f64 / par_secs,
-        },
-        p_hat: sat_area / init_area,
-        deterministic: same_counts && same_measure,
-        speedup: seq_secs / par_secs,
-        avg_steps: 0.0,
-        early_stop_rate: 0.0,
-        latency: None,
-        scaling: None,
-    }
-}
-
-/// Cold- vs warm-cache batched querying: a 12-query PSA-threshold sweep
-/// (6 thresholds × 2 batch slots) on the prostate model through
-/// [`Session::run_batch`]. Cold mode constructs the session inside the
-/// timed region, so every query pays plan compilation; warm mode reuses
-/// one session whose artifact cache is already populated.
-pub fn engine_batch_workload(samples_per_query: usize, seed: u64) -> PerfWorkload {
-    let patient = prostate::PatientParams::default();
-    let mut model = prostate::cas_model(&patient);
-    let nodes: Vec<_> = [14.0, 16.0, 18.0, 20.0, 22.0, 24.0]
-        .into_iter()
-        .map(|t| model.cx.parse(&format!("{t} - (x + y)")).unwrap())
-        .collect();
-    let n = samples_per_query.max(1);
-    let queries: Vec<Query> = (0..12)
-        .map(|i| Query::Estimate {
-            smc: SmcSpec {
-                init: vec![
-                    Dist::Uniform(10.0, 20.0),
-                    Dist::Uniform(0.05, 0.2),
-                    Dist::Uniform(10.0, 14.0),
-                ],
-                params: vec![],
-                property: Bltl::globally(100.0, Bltl::Prop(Atom::new(nodes[i % 6], RelOp::Ge))),
-                t_end: 100.0,
-            },
-            method: EstimateMethod::Fixed { n },
-        })
-        .collect();
-
-    let (cold_secs, cold_reports) = best_of(|| {
-        let session = Session::new(&model);
-        session.run_batch(&queries, seed)
-    });
-    let warm_session = Session::new(&model);
-    let _ = warm_session.run_batch(&queries, seed); // populate the cache
-    let (warm_secs, warm_reports) = best_of(|| warm_session.run_batch(&queries, seed));
-
-    let fingerprints = |reports: &[Result<Report, biocheck_engine::Error>]| -> Vec<String> {
-        reports
-            .iter()
-            .map(|r| r.as_ref().expect("valid workload queries").fingerprint())
-            .collect()
-    };
-    let deterministic = fingerprints(&cold_reports) == fingerprints(&warm_reports);
-    let p_hat = match &warm_reports[0].as_ref().expect("valid query").value {
-        Value::Estimate(e) => e.p_hat,
-        _ => unreachable!("estimate query"),
-    };
-    let queries_n = queries.len();
-    PerfWorkload {
-        name: "engine_batch".to_string(),
-        samples: queries_n,
-        seed,
-        sequential: ModeTiming {
-            wall_seconds: cold_secs,
-            samples_per_sec: queries_n as f64 / cold_secs,
-        },
-        parallel: ModeTiming {
-            wall_seconds: warm_secs,
-            samples_per_sec: queries_n as f64 / warm_secs,
-        },
-        p_hat,
-        deterministic,
-        speedup: cold_secs / warm_secs,
-        avg_steps: 0.0,
-        early_stop_rate: 0.0,
-        latency: None,
-        scaling: None,
-    }
-}
-
-/// Renders a packaged ODE model as a wire [`ModelSource`]: states with
-/// display-rendered right-hand sides, every non-state variable pinned
-/// to its nominal environment value.
-fn model_to_source(m: &OdeModel) -> ModelSource {
-    let states: Vec<(String, String)> = m
-        .sys
-        .states
-        .iter()
-        .zip(&m.sys.rhs)
-        .map(|(&s, &r)| (m.cx.var_name(s).to_string(), m.cx.display(r)))
-        .collect();
-    let state_set: std::collections::HashSet<usize> =
-        m.sys.states.iter().map(|s| s.index()).collect();
-    let consts = (0..m.cx.num_vars())
-        .filter(|i| !state_set.contains(i))
-        .map(|i| {
-            (
-                m.cx.var_names()[i].clone(),
-                m.env.get(i).copied().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    ModelSource { states, consts }
-}
-
-/// Cold- vs warm-cache serving throughput: the serving layer
-/// (`biocheck_serve`) answers a 12-request PSA-threshold sweep on the
-/// wire-registered prostate model. Cold mode builds a fresh
-/// `ServeCore`, registers the model, and answers every request by
-/// computing; warm mode re-answers the same requests against a core
-/// whose result cache is already populated — every answer is a pure
-/// memoization hit, so each timed repetition replays the batch many
-/// times to reach a jitter-proof duration. `samples` counts the
-/// distinct requests, `samples_per_sec` is requests/sec
-/// (`sequential` = cold, `parallel` = warm), and `deterministic`
-/// asserts the warm reports fingerprint-identical to the cold ones
-/// (the serving memoization invariant).
-pub fn serve_throughput_workload(samples_per_query: usize, seed: u64) -> PerfWorkload {
-    let patient = prostate::PatientParams::default();
-    let model = prostate::cas_model(&patient);
-    let source = model_to_source(&model);
-    let n = samples_per_query.max(1);
-    let requests: Vec<QueryRequest> = (0..12)
-        .map(|i| QueryRequest {
-            model: "prostate".into(),
-            id: None,
-            seed: seed.wrapping_add(i as u64 / 6),
-            budget: BudgetSpec::default(),
-            query: QuerySpec::Estimate {
-                smc: SmcSpecWire {
-                    init: vec![
-                        DistSpec::Uniform(10.0, 20.0),
-                        DistSpec::Uniform(0.05, 0.2),
-                        DistSpec::Uniform(10.0, 14.0),
-                    ],
-                    params: vec![],
-                    property: PropSpec::Globally {
-                        bound: 100.0,
-                        inner: Box::new(PropSpec::Prop {
-                            expr: format!(
-                                "{} - (x + y)",
-                                [14.0, 16.0, 18.0, 20.0, 22.0, 24.0][i % 6]
-                            ),
-                            rel: RelOp::Ge,
-                        }),
-                    },
-                    t_end: 100.0,
-                },
-                method: MethodSpec::Fixed { n },
-            },
-            trace: false,
-        })
-        .collect();
-
-    let answer_all = |core: &ServeCore| -> Vec<String> {
-        requests
-            .iter()
-            .map(|r| {
-                core.run_query(r)
-                    .expect("valid workload request")
-                    .0
-                    .fingerprint()
-            })
-            .collect()
-    };
-    let (cold_secs, cold_fps) = best_of(|| {
-        let core = ServeCore::new(ServeConfig::default());
-        core.register("prostate", &source).expect("valid model");
-        answer_all(&core)
-    });
-    let warm_core = ServeCore::new(ServeConfig::default());
-    warm_core
-        .register("prostate", &source)
-        .expect("valid model");
-    let warm_fps = answer_all(&warm_core); // populate the cache
-                                           // One warm pass over the 12 requests is pure hash lookups
-                                           // (microseconds) — far too short for the CI gate's 15% tolerance to
-                                           // be meaningful against scheduler jitter. Time many passes per
-                                           // repetition so the warm measurement spans milliseconds; the
-                                           // recorded wall time and throughput are per the whole repetition.
-    const WARM_ROUNDS: usize = 256;
-    let (warm_secs, _) = best_of(|| {
-        for _ in 0..WARM_ROUNDS {
-            let _ = answer_all(&warm_core);
-        }
-    });
-    let warm_hits = warm_core.cache_stats().hits >= requests.len() * WARM_ROUNDS;
-
-    // Latency percentiles from the core's own phase histograms — the
-    // same instrument the daemon's stats/metrics ops expose. The warm
-    // core saw the populate pass (misses) plus every warm round (hits).
-    let us = |ns: u64| ns as f64 / 1e3;
-    let hit = warm_core.metrics().request_hit.snapshot();
-    let miss = warm_core.metrics().request_miss.snapshot();
-    let latency = LatencySummary {
-        hit_p50_us: us(hit.quantile(0.5)),
-        hit_p99_us: us(hit.quantile(0.99)),
-        miss_p50_us: us(miss.quantile(0.5)),
-        miss_p99_us: us(miss.quantile(0.99)),
-    };
-
-    // p̂ of the first request, re-read from the cache.
-    let (first, _) = warm_core.run_query(&requests[0]).expect("cached");
-    let Value::Estimate(est) = &first.value else {
-        unreachable!("estimate request returns an estimate");
-    };
-    let count = requests.len();
-    PerfWorkload {
-        name: "serve_throughput".to_string(),
-        samples: count,
-        seed,
-        sequential: ModeTiming {
-            wall_seconds: cold_secs,
-            samples_per_sec: count as f64 / cold_secs,
-        },
-        parallel: ModeTiming {
-            wall_seconds: warm_secs,
-            samples_per_sec: (count * WARM_ROUNDS) as f64 / warm_secs,
-        },
-        p_hat: est.p_hat,
-        deterministic: cold_fps == warm_fps && warm_hits,
-        speedup: (cold_secs * WARM_ROUNDS as f64) / warm_secs,
-        avg_steps: 0.0,
-        early_stop_rate: 0.0,
-        latency: Some(latency),
-        scaling: None,
-    }
-}
-
-/// One pool-width probe, run inside a `--pool-probe` subprocess whose
-/// `BIOCHECK_THREADS` fixed the pool width at startup: times the
-/// parallel-path prostate estimate (artifact cache pre-populated, best
-/// of `REPEATS` runs) and returns `(wall_seconds, p_hat, fingerprint)` —
-/// the fingerprint lets the parent assert bit-identical reports across
-/// every width.
-pub fn pool_probe(samples: usize, seed: u64) -> (f64, f64, String) {
-    let (session, spec) = prostate_workload();
-    let query = Query::Estimate {
-        smc: spec.clone(),
-        method: EstimateMethod::Fixed { n: samples },
-    };
-    let _ = session
-        .query(Query::Estimate {
-            smc: spec,
-            method: EstimateMethod::Fixed { n: 1 },
-        })
-        .seed(seed)
-        .run()
-        .expect("valid workload");
-    let (wall, report) = best_of(|| {
-        session
-            .query(query.clone())
-            .seed(seed)
-            .run()
-            .expect("valid workload")
-    });
-    let Value::Estimate(est) = &report.value else {
-        unreachable!("estimate query returns an estimate");
-    };
-    (wall, est.p_hat, report.fingerprint())
-}
-
-/// The `pool_scaling` workload: the prostate SMC estimate swept over
-/// 1/2/8 pool threads. The vendored rayon pool fixes its width at
-/// first use from `BIOCHECK_THREADS`, so the sweep re-executes
-/// `probe_exe --pool-probe` once per width with the env var set; each
-/// subprocess prints `wall_seconds p_hat fingerprint`. The recorded
-/// row maps 1 thread to `sequential`, 8 threads to `parallel`
-/// (`speedup` is therefore the 8-way scaling factor), carries the full
-/// sweep in `scaling`, and sets `deterministic` only when all three
-/// widths produced bit-identical fingerprints. Returns `None` (with a
-/// diagnostic) if a subprocess fails — the suite then simply omits the
-/// row rather than poisoning the bench file.
-pub fn pool_scaling_workload(
-    probe_exe: &std::path::Path,
-    samples: usize,
-    seed: u64,
-) -> Option<PerfWorkload> {
-    let mut results: Vec<(usize, f64, f64, String)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let out = std::process::Command::new(probe_exe)
-            .args(["--pool-probe", &samples.to_string(), &seed.to_string()])
-            .env("BIOCHECK_THREADS", threads.to_string())
-            .env_remove("RAYON_NUM_THREADS")
-            .output();
-        let out = match out {
-            Ok(out) if out.status.success() => out,
-            Ok(out) => {
-                eprintln!(
-                    "pool_scaling: probe at {threads} threads exited {}: {}",
-                    out.status,
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                return None;
-            }
-            Err(e) => {
-                eprintln!("pool_scaling: cannot spawn probe at {threads} threads: {e}");
-                return None;
-            }
-        };
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let mut fields = stdout.split_whitespace();
-        let parsed = (|| {
-            let wall: f64 = fields.next()?.parse().ok()?;
-            let p_hat: f64 = fields.next()?.parse().ok()?;
-            let fingerprint = fields.next()?.to_string();
-            Some((wall, p_hat, fingerprint))
-        })();
-        match parsed {
-            Some((wall, p_hat, fingerprint)) => results.push((threads, wall, p_hat, fingerprint)),
-            None => {
-                eprintln!("pool_scaling: malformed probe output at {threads} threads: {stdout:?}");
-                return None;
-            }
-        }
-    }
-    let per_sec = |wall: f64| samples as f64 / wall;
-    let (t1, t2, t8) = (&results[0], &results[1], &results[2]);
-    Some(PerfWorkload {
-        name: "pool_scaling".to_string(),
-        samples,
-        seed,
-        sequential: ModeTiming {
-            wall_seconds: t1.1,
-            samples_per_sec: per_sec(t1.1),
-        },
-        parallel: ModeTiming {
-            wall_seconds: t8.1,
-            samples_per_sec: per_sec(t8.1),
-        },
-        p_hat: t1.2,
-        deterministic: results.iter().all(|r| r.3 == t1.3),
-        speedup: t1.1 / t8.1,
-        avg_steps: 0.0,
-        early_stop_rate: 0.0,
-        latency: None,
-        scaling: Some(ScalingSummary {
-            t1_samples_per_sec: per_sec(t1.1),
-            t2_samples_per_sec: per_sec(t2.1),
-            t8_samples_per_sec: per_sec(t8.1),
-        }),
-    })
-}
-
-/// Runs the perf workloads: three SMC samplers (`samples` Bernoulli
-/// draws each), the branch-and-prune paving workload, and the
-/// cold-vs-warm `engine_batch` and `serve_throughput` workloads
-/// (`samples`/20 draws per query). The subprocess-based `pool_scaling`
-/// workload is appended separately by the `report` bin (it needs an
-/// executable to re-exec; see [`pool_scaling_workload`]).
-pub fn perf_workloads(samples: usize, seed: u64) -> Vec<PerfWorkload> {
-    let (prostate_session, prostate_spec) = prostate_workload();
-    let (cardiac_session, cardiac_spec) = cardiac_workload();
-    let (radiation_session, radiation_spec) = radiation_workload();
-    vec![
-        run_workload(
-            "smc_prostate",
-            &prostate_session,
-            &prostate_spec,
-            samples,
-            seed,
-        ),
-        run_workload(
-            "smc_cardiac",
-            &cardiac_session,
-            &cardiac_spec,
-            samples,
-            seed,
-        ),
-        run_workload(
-            "smc_radiation",
-            &radiation_session,
-            &radiation_spec,
-            samples,
-            seed,
-        ),
-        icp_pave_workload(),
-        engine_batch_workload(samples / 20, seed),
-        serve_throughput_workload(samples / 20, seed),
-    ]
-}
-
-/// Renders the `BENCH_<n>.json` document. `calibration` is the
-/// measuring machine's [`calibration_score`].
-pub fn perf_to_json(rows: &[PerfWorkload], bench_version: u32, calibration: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"bench_version\": {bench_version},\n"));
-    s.push_str(&format!(
-        "  \"threads\": {},\n",
-        rayon::current_num_threads()
-    ));
-    s.push_str(&format!("  \"calibration\": {calibration:.0},\n"));
-    s.push_str("  \"workloads\": [\n");
-    for (i, w) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"seed\": {}, \
-             \"sequential\": {{\"wall_seconds\": {:.6}, \"samples_per_sec\": {:.2}}}, \
-             \"parallel\": {{\"wall_seconds\": {:.6}, \"samples_per_sec\": {:.2}}}, \
-             \"p_hat\": {}, \"deterministic\": {}, \"speedup\": {:.3}, \
-             \"avg_steps\": {:.2}, \"early_stop_rate\": {:.3}",
-            crate::json_escape(&w.name),
-            w.samples,
-            w.seed,
-            w.sequential.wall_seconds,
-            w.sequential.samples_per_sec,
-            w.parallel.wall_seconds,
-            w.parallel.samples_per_sec,
-            w.p_hat,
-            w.deterministic,
-            w.speedup,
-            w.avg_steps,
-            w.early_stop_rate,
-        ));
-        // Latency percentiles (serving workload only). The compare
-        // gate keys on samples_per_sec and never reads these — they
-        // are a recorded trajectory, not a gated quantity.
-        if let Some(l) = &w.latency {
-            s.push_str(&format!(
-                ", \"latency\": {{\"hit_p50_us\": {:.3}, \"hit_p99_us\": {:.3}, \
-                 \"miss_p50_us\": {:.3}, \"miss_p99_us\": {:.3}}}",
-                l.hit_p50_us, l.hit_p99_us, l.miss_p50_us, l.miss_p99_us
-            ));
-        }
-        // Pool-width sweep (pool_scaling workload only) — recorded
-        // trajectory, never gated.
-        if let Some(sc) = &w.scaling {
-            s.push_str(&format!(
-                ", \"scaling\": {{\"t1_samples_per_sec\": {:.2}, \"t2_samples_per_sec\": {:.2}, \
-                 \"t8_samples_per_sec\": {:.2}}}",
-                sc.t1_samples_per_sec, sc.t2_samples_per_sec, sc.t8_samples_per_sec
-            ));
-        }
-        s.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workloads_are_deterministic_and_timed() {
-        // Small sample counts: this is a correctness test, not a timing.
-        for w in perf_workloads(8, 7) {
-            assert!(w.deterministic, "{}: parallel != sequential", w.name);
-            assert!(w.sequential.wall_seconds > 0.0 && w.parallel.wall_seconds > 0.0);
-            assert!(
-                (0.0..=1.0).contains(&w.p_hat),
-                "{}: p̂ = {}",
-                w.name,
-                w.p_hat
-            );
-            assert!(
-                (0.0..=1.0).contains(&w.early_stop_rate),
-                "{}: early_stop_rate = {}",
-                w.name,
-                w.early_stop_rate
-            );
-            if w.name.starts_with("smc_") {
-                assert!(
-                    w.avg_steps >= 1.0,
-                    "{}: avg_steps = {}",
-                    w.name,
-                    w.avg_steps
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_scaling_row_renders_the_sweep() {
-        let w = PerfWorkload {
-            name: "pool_scaling".to_string(),
-            samples: 100,
-            seed: 7,
-            sequential: ModeTiming {
-                wall_seconds: 0.2,
-                samples_per_sec: 500.0,
-            },
-            parallel: ModeTiming {
-                wall_seconds: 0.05,
-                samples_per_sec: 2000.0,
-            },
-            p_hat: 0.5,
-            deterministic: true,
-            speedup: 4.0,
-            avg_steps: 0.0,
-            early_stop_rate: 0.0,
-            latency: None,
-            scaling: Some(ScalingSummary {
-                t1_samples_per_sec: 500.0,
-                t2_samples_per_sec: 950.0,
-                t8_samples_per_sec: 2000.0,
-            }),
-        };
-        let json = perf_to_json(&[w], 10, 1.0e9);
-        for key in [
-            "pool_scaling",
-            "\"scaling\"",
-            "t1_samples_per_sec",
-            "t2_samples_per_sec",
-            "t8_samples_per_sec",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert_eq!(json.matches("\"scaling\"").count(), 1);
-    }
 
     #[test]
     fn calibration_is_sane_and_repeatable() {
@@ -851,43 +50,5 @@ mod tests {
         }
         let ratio = a.max(b) / a.min(b);
         assert!(ratio < 10.0, "calibration unstable: {a:.3e} vs {b:.3e}");
-    }
-
-    #[test]
-    fn json_schema_fields_present() {
-        let rows = perf_workloads(4, 1);
-        let json = perf_to_json(&rows, 1, 1.0e9);
-        for key in [
-            "bench_version",
-            "threads",
-            "calibration",
-            "workloads",
-            "smc_prostate",
-            "smc_cardiac",
-            "smc_radiation",
-            "icp_pave_ring",
-            "engine_batch",
-            "serve_throughput",
-            "wall_seconds",
-            "samples_per_sec",
-            "deterministic",
-            "speedup",
-            "avg_steps",
-            "early_stop_rate",
-            "hit_p50_us",
-            "hit_p99_us",
-            "miss_p50_us",
-            "miss_p99_us",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // Only the serving workload carries the latency object, and no
-        // in-process workload carries the subprocess scaling sweep.
-        assert_eq!(json.matches("\"latency\"").count(), 1);
-        assert_eq!(json.matches("\"scaling\"").count(), 0);
-        let serve = rows.iter().find(|w| w.name == "serve_throughput").unwrap();
-        let l = serve.latency.expect("serve workload records latency");
-        assert!(l.hit_p50_us > 0.0 && l.hit_p99_us >= l.hit_p50_us);
-        assert!(l.miss_p50_us > 0.0 && l.miss_p99_us >= l.miss_p50_us);
     }
 }

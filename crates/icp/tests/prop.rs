@@ -177,4 +177,38 @@ proptest! {
             }
         }
     }
+
+    /// Branch-and-prune paving is scheduling-independent: the sequential
+    /// depth-first search and the batched parallel rounds classify the
+    /// same boxes. The two visit boxes in different orders, so measures
+    /// are summed over sorted widths before the bitwise comparison.
+    #[test]
+    fn pave_parallel_equals_sequential(r_lo in 0.1..0.5f64, r_hi in 0.8..1.2f64) {
+        let mut cx = Context::new();
+        let lo = cx.parse(&format!("x^2 + y^2 - {r_lo}")).unwrap();
+        let hi = cx.parse(&format!("x^2 + y^2 - {r_hi}")).unwrap();
+        let atoms = vec![Atom::new(lo, RelOp::Ge), Atom::new(hi, RelOp::Le)];
+        let init = IBox::uniform(2, Interval::new(-1.5, 1.5));
+        let mut solver = BranchAndPrune::new(0.02);
+        solver.eps = 0.02;
+        let measure = |boxes: &[IBox]| {
+            let mut widths: Vec<f64> = boxes.iter().map(IBox::total_width).collect();
+            widths.sort_by(f64::total_cmp);
+            widths.iter().sum::<f64>()
+        };
+        let seq = solver.clone().sequential().pave(&cx, &atoms, &init);
+        // A 2-D ring's depth-first frontier never reaches the default
+        // threshold of 64 boxes, so also force batched rounds early.
+        let mut batched = solver.clone();
+        batched.parallel_threshold = 4;
+        for par in [solver.pave(&cx, &atoms, &init), batched.pave(&cx, &atoms, &init)] {
+            prop_assert_eq!(seq.sat.len(), par.sat.len());
+            prop_assert_eq!(seq.undecided.len(), par.undecided.len());
+            prop_assert_eq!(measure(&seq.sat).to_bits(), measure(&par.sat).to_bits());
+            prop_assert_eq!(
+                measure(&seq.undecided).to_bits(),
+                measure(&par.undecided).to_bits()
+            );
+        }
+    }
 }

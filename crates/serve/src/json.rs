@@ -2,9 +2,8 @@
 //! parser and a canonical serializer.
 //!
 //! The build environment has no serde; every component that speaks JSON
-//! (the wire protocol here, the bench baselines in `biocheck_bench`)
-//! goes through this module. It was promoted out of
-//! `biocheck_bench::compare`, which now re-exports it.
+//! (the wire protocol, the cache and registry logs, the client)
+//! goes through this module.
 //!
 //! Serialization is canonical: object members render in sorted key
 //! order (a [`Json::Obj`] is a `BTreeMap`), numbers render in Rust's
