@@ -17,10 +17,9 @@ use crate::budget::Budget;
 use crate::query::EstimateMethod;
 use crate::report::{Outcome, RobustnessSummary, Value};
 use biocheck_smc::{
-    chernoff_sample_size, fork_rng, BayesState, Estimate, SampleScratch, SampleStats, SprtOutcome,
-    SprtState, TraceSampler,
+    chernoff_sample_size, par_fill, with_scratch, BayesState, Estimate, SampleScratch, SampleStats,
+    Slots, SprtOutcome, SprtState, TraceSampler,
 };
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// What an SMC query hands back to the session for packaging.
@@ -42,11 +41,14 @@ fn rate(part: usize, whole: usize) -> f64 {
 
 /// Index-ordered sample stream, refilled in speculative batches.
 ///
-/// Generic over the per-sample function so every SMC query (Boolean
-/// stats, robustness pairs) shares one batching/budget implementation.
-/// The function must be pure in its index argument (scratch reuse
-/// carries no state), which makes the stream's contents independent of
-/// chunk size, thread count, and execution mode.
+/// Generic over the range entry point that fills a batch (Boolean
+/// stats, robustness pairs), so every SMC query shares one
+/// batching/budget implementation. Sequential mode fills a batch with
+/// one range call through a pooled scratch ([`with_scratch`]); parallel
+/// mode has the pool's workers fill it together ([`par_fill`]). Each sample is
+/// a pure function of its index (scratch reuse carries no state), which
+/// makes the stream's contents independent of chunk size, thread count,
+/// and execution mode.
 struct Stream<'a, T, F> {
     sampler: &'a TraceSampler,
     parallel: bool,
@@ -58,16 +60,15 @@ struct Stream<'a, T, F> {
     /// The current batch only — memory stays O(chunk), not O(total).
     buf: Vec<T>,
     next: usize,
-    scratch: SampleScratch,
     budget: &'a Budget,
     deadline: Option<Instant>,
-    sample: F,
+    fill: F,
 }
 
 impl<'a, T, F> Stream<'a, T, F>
 where
-    T: Copy + Send,
-    F: Fn(&TraceSampler, &mut SampleScratch, u64) -> T + Sync,
+    T: Copy + Default + Send,
+    F: Fn(&TraceSampler, u64, &mut SampleScratch, &Slots<T>) + Sync,
 {
     fn new(
         sampler: &'a TraceSampler,
@@ -75,7 +76,7 @@ where
         limit: usize,
         budget: &'a Budget,
         deadline: Option<Instant>,
-        sample: F,
+        fill: F,
     ) -> Stream<'a, T, F> {
         let chunk = if parallel {
             32 * rayon::current_num_threads().max(1)
@@ -90,10 +91,9 @@ where
             generated: 0,
             buf: Vec::new(),
             next: 0,
-            scratch: sampler.scratch(),
             budget,
             deadline,
-            sample,
+            fill,
         }
     }
 
@@ -106,21 +106,13 @@ where
                 return None;
             }
             let base = self.generated as u64;
+            self.buf.clear();
+            self.buf.resize(want, T::default());
+            let (sampler, fill, buf) = (self.sampler, &self.fill, &mut self.buf);
             if self.parallel {
-                let (sampler, sample) = (self.sampler, &self.sample);
-                self.buf = (base..base + want as u64)
-                    .into_par_iter()
-                    .map_init(
-                        || sampler.scratch(),
-                        move |scratch, i| sample(sampler, scratch, i),
-                    )
-                    .collect();
+                par_fill(sampler, base, buf, fill);
             } else {
-                self.buf.clear();
-                for i in base..base + want as u64 {
-                    let t = (self.sample)(self.sampler, &mut self.scratch, i);
-                    self.buf.push(t);
-                }
+                with_scratch(|scratch| fill(sampler, base, scratch, &Slots::new(buf)));
             }
             self.generated += want;
             self.next = 0;
@@ -140,12 +132,12 @@ where
     }
 }
 
-/// The Boolean-verdict sample function shared by `Estimate`/`Sprt`:
-/// instrumented stats from the fused simulate-and-monitor path.
-fn stats_sample(
+/// The Boolean-verdict batch fill shared by `Estimate`/`Sprt`:
+/// instrumented stats from the fused simulate-and-monitor lanes.
+fn stats_fill(
     seed: u64,
-) -> impl Fn(&TraceSampler, &mut SampleScratch, u64) -> SampleStats + Sync {
-    move |sampler, scratch, i| sampler.sample_stats_with(&mut fork_rng(seed, i), scratch)
+) -> impl Fn(&TraceSampler, u64, &mut SampleScratch, &Slots<SampleStats>) + Sync {
+    move |sampler, first, scratch, slots| sampler.sample_stats_shared(seed, first, scratch, slots)
 }
 
 /// `Query::Estimate` (all three methods).
@@ -180,14 +172,7 @@ pub(crate) fn run_estimate(
         }
     };
     let goal = target.min(budget.max_samples.unwrap_or(usize::MAX));
-    let mut stream = Stream::new(
-        sampler,
-        parallel,
-        goal,
-        budget,
-        deadline,
-        stats_sample(seed),
-    );
+    let mut stream = Stream::new(sampler, parallel, goal, budget, deadline, stats_fill(seed));
     let progress = budget.trace.as_ref().map(|t| &t.progress);
     let (mut hits, mut drawn, mut steps, mut early) = (0usize, 0usize, 0usize, 0usize);
     while drawn < goal {
@@ -239,14 +224,7 @@ pub(crate) fn run_sprt(
     parallel: bool,
 ) -> SmcOutcome {
     let goal = max_samples.min(budget.max_samples.unwrap_or(usize::MAX));
-    let mut stream = Stream::new(
-        sampler,
-        parallel,
-        goal,
-        budget,
-        deadline,
-        stats_sample(seed),
-    );
+    let mut stream = Stream::new(sampler, parallel, goal, budget, deadline, stats_fill(seed));
     let progress = budget.trace.as_ref().map(|t| &t.progress);
     let mut state = SprtState::new(theta, indiff, alpha, beta);
     let (mut steps, mut early) = (0usize, 0usize);
@@ -292,14 +270,7 @@ fn run_bayes(
     parallel: bool,
 ) -> SmcOutcome {
     let goal = max_samples.min(budget.max_samples.unwrap_or(usize::MAX));
-    let mut stream = Stream::new(
-        sampler,
-        parallel,
-        goal,
-        budget,
-        deadline,
-        stats_sample(seed),
-    );
+    let mut stream = Stream::new(sampler, parallel, goal, budget, deadline, stats_fill(seed));
     let progress = budget.trace.as_ref().map(|t| &t.progress);
     let mut state = BayesState::new(half_width, confidence);
     let (mut steps, mut early) = (0usize, 0usize);
@@ -359,8 +330,8 @@ pub(crate) fn run_robustness(
         goal,
         budget,
         deadline,
-        move |s: &TraceSampler, scratch: &mut SampleScratch, i| {
-            s.sample_robustness_with(&mut fork_rng(seed, i), scratch)
+        move |s: &TraceSampler, first, scratch: &mut SampleScratch, slots: &Slots<(bool, f64)>| {
+            s.sample_robustness_shared(seed, first, scratch, slots)
         },
     );
     let (mut hits, mut drawn) = (0usize, 0usize);

@@ -144,6 +144,9 @@ impl Report {
             self.provenance.early_stop_rate,
             self.provenance.avg_steps,
         );
+        // Callers keep fingerprints to compare later; growth by doubling
+        // would leave a ~140-byte fingerprint in a 256-byte buffer.
+        s.shrink_to_fit();
         s
     }
 }

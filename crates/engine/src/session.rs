@@ -15,7 +15,7 @@ use biocheck_expr::Context;
 use biocheck_hybrid::HybridAutomaton;
 use biocheck_models::OdeModel;
 use biocheck_ode::{CompiledOde, OdeSystem, Trace};
-use biocheck_smc::{fork_seed, TraceSampler};
+use biocheck_smc::{fork_seed, Dist, TraceSampler};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -436,6 +436,7 @@ impl Session {
                 detail: format!("must be finite and positive, got {}", smc.t_end),
             });
         }
+        validate_dists(smc)?;
         let mut key = String::new();
         push_smc(&mut key, cx, smc);
         let mut plan_key = String::new();
@@ -797,6 +798,23 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
             expected: dim,
             got: opts.state_bounds.len(),
         });
+    }
+    Ok(())
+}
+
+/// Rejects empty uniform ranges (`lo > hi`, or a NaN bound) before any
+/// sample draws from them.
+fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
+    let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));
+    for d in dists {
+        if let Dist::Uniform(lo, hi) = *d {
+            if lo > hi || lo.is_nan() || hi.is_nan() {
+                return Err(Error::InvalidParameter {
+                    what: "uniform bounds",
+                    detail: format!("need lo <= hi, got [{lo}, {hi}]"),
+                });
+            }
+        }
     }
     Ok(())
 }

@@ -239,6 +239,29 @@ fn wrong_model_and_invalid_parameters_are_typed_errors() {
         .run()
         .unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }), "{err}");
+    // An empty uniform range (or a NaN bound) is refused up front
+    // instead of panicking inside a sample.
+    for (lo, hi) in [(0.05, 0.0), (f64::NAN, 1.0)] {
+        let mut bad = spec.clone();
+        bad.init[0] = Dist::Uniform(lo, hi);
+        let err = session
+            .query(Query::Robustness {
+                smc: bad,
+                samples: 10,
+            })
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::InvalidParameter {
+                    what: "uniform bounds",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
     // Dimension mismatch.
     let mut bad = spec.clone();
     bad.init.push(Dist::Point(0.0));

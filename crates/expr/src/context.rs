@@ -455,21 +455,29 @@ impl Context {
 /// Scalar semantics of unary ops (shared between folding and evaluation).
 /// Applies a unary operation to a scalar (public for downstream solvers).
 pub fn eval_unary_f64(op: UnaryOp, x: f64) -> f64 {
+    unary_lanes(op, &[x])[0]
+}
+
+/// Applies a unary operation to each of `K` lanes, dispatching on `op`
+/// once. Lane `l` computes exactly [`eval_unary_f64`]`(op, x[l])`: the
+/// scalar form is the `K = 1` instance.
+#[inline(always)]
+pub(crate) fn unary_lanes<const K: usize>(op: UnaryOp, x: &[f64; K]) -> [f64; K] {
     match op {
-        UnaryOp::Neg => -x,
-        UnaryOp::Abs => x.abs(),
-        UnaryOp::Sqrt => x.sqrt(),
-        UnaryOp::Exp => x.exp(),
-        UnaryOp::Ln => x.ln(),
-        UnaryOp::Sin => x.sin(),
-        UnaryOp::Cos => x.cos(),
-        UnaryOp::Tan => x.tan(),
-        UnaryOp::Asin => x.asin(),
-        UnaryOp::Acos => x.acos(),
-        UnaryOp::Atan => x.atan(),
-        UnaryOp::Sinh => x.sinh(),
-        UnaryOp::Cosh => x.cosh(),
-        UnaryOp::Tanh => x.tanh(),
+        UnaryOp::Neg => x.map(|v| -v),
+        UnaryOp::Abs => x.map(f64::abs),
+        UnaryOp::Sqrt => x.map(f64::sqrt),
+        UnaryOp::Exp => x.map(f64::exp),
+        UnaryOp::Ln => x.map(f64::ln),
+        UnaryOp::Sin => x.map(f64::sin),
+        UnaryOp::Cos => x.map(f64::cos),
+        UnaryOp::Tan => x.map(f64::tan),
+        UnaryOp::Asin => x.map(f64::asin),
+        UnaryOp::Acos => x.map(f64::acos),
+        UnaryOp::Atan => x.map(f64::atan),
+        UnaryOp::Sinh => x.map(f64::sinh),
+        UnaryOp::Cosh => x.map(f64::cosh),
+        UnaryOp::Tanh => x.map(f64::tanh),
     }
 }
 

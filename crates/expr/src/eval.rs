@@ -1,8 +1,9 @@
 //! Evaluation of expressions over `f64` points and interval boxes, plus
 //! [`Program`], a compiled form for hot loops (ODE right-hand sides).
 
-use crate::context::{eval_unary_f64, BinOp, Context, Node, NodeId, UnaryOp};
+use crate::context::{eval_unary_f64, unary_lanes, BinOp, Context, Node, NodeId, UnaryOp};
 use biocheck_interval::{IBox, Interval};
+use std::array::from_fn;
 
 /// Reusable evaluation workspace: buffers for node values plus the
 /// reachability plan (which arena nodes a set of roots actually uses).
@@ -263,14 +264,22 @@ impl Context {
 /// Scalar semantics of binary ops.
 /// Applies a binary operation to scalars (public for downstream solvers).
 pub fn eval_binary_f64(op: BinOp, a: f64, b: f64) -> f64 {
+    binary_lanes(op, &[a], &[b])[0]
+}
+
+/// Applies a binary operation to each of `K` lane pairs, dispatching on
+/// `op` once. Lane `l` computes exactly [`eval_binary_f64`]`(op, a[l],
+/// b[l])`: the scalar form is the `K = 1` instance.
+#[inline(always)]
+fn binary_lanes<const K: usize>(op: BinOp, a: &[f64; K], b: &[f64; K]) -> [f64; K] {
     match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Pow => a.powf(b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
+        BinOp::Add => from_fn(|l| a[l] + b[l]),
+        BinOp::Sub => from_fn(|l| a[l] - b[l]),
+        BinOp::Mul => from_fn(|l| a[l] * b[l]),
+        BinOp::Div => from_fn(|l| a[l] / b[l]),
+        BinOp::Pow => from_fn(|l| a[l].powf(b[l])),
+        BinOp::Min => from_fn(|l| a[l].min(b[l])),
+        BinOp::Max => from_fn(|l| a[l].max(b[l])),
     }
 }
 
@@ -660,21 +669,42 @@ impl Program {
     }
 
     /// Evaluates all roots at a point, reusing `scratch` (allocation-free
-    /// after warm-up).
+    /// after warm-up). This is the `K = 1` instance of
+    /// [`Program::eval_lanes`].
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.num_roots()`.
     pub fn eval_with(&self, env: &[f64], scratch: &mut EvalScratch, out: &mut [f64]) {
+        self.eval_lanes::<1>(env.as_chunks().0, scratch, out.as_chunks_mut().0);
+    }
+
+    /// Evaluates all roots at `K` points at once: `env[var][lane]` holds
+    /// lane `lane`'s environment and `out[root][lane]` receives its
+    /// results. Each instruction is dispatched once and then applied to
+    /// all `K` lanes, and lane `l` performs exactly the float operations
+    /// of [`Program::eval_with`] at its own point, in the same order, so
+    /// every lane's results are bit-identical to a scalar evaluation.
+    /// Reuses `scratch` (allocation-free after warm-up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.num_roots()`.
+    pub fn eval_lanes<const K: usize>(
+        &self,
+        env: &[[f64; K]],
+        scratch: &mut EvalScratch,
+        out: &mut [[f64; K]],
+    ) {
         assert_eq!(out.len(), self.roots.len(), "output arity mismatch");
-        let vals = scratch.scalar_buf(self.instrs.len());
+        let vals = scratch.scalar_buf(self.instrs.len() * K).as_chunks_mut().0;
         for (i, ins) in self.instrs.iter().enumerate() {
             vals[i] = match *ins {
-                Instr::Const(v, _) => v,
+                Instr::Const(v, _) => [v; K],
                 Instr::Var(v) => env[v as usize],
-                Instr::Unary(op, a) => eval_unary_f64(op, vals[a as usize]),
-                Instr::Binary(op, a, b) => eval_binary_f64(op, vals[a as usize], vals[b as usize]),
-                Instr::PowI(a, k) => vals[a as usize].powi(k),
+                Instr::Unary(op, a) => unary_lanes(op, &vals[a as usize]),
+                Instr::Binary(op, a, b) => binary_lanes(op, &vals[a as usize], &vals[b as usize]),
+                Instr::PowI(a, k) => vals[a as usize].map(|x| x.powi(k)),
                 Instr::Fused {
                     inner,
                     outer,
@@ -683,12 +713,12 @@ impl Program {
                     b,
                     c,
                 } => {
-                    let p = eval_binary_f64(inner, vals[a as usize], vals[b as usize]);
-                    let c = vals[c as usize];
+                    let p = binary_lanes(inner, &vals[a as usize], &vals[b as usize]);
+                    let c = &vals[c as usize];
                     if swap {
-                        eval_binary_f64(outer, c, p)
+                        binary_lanes(outer, c, &p)
                     } else {
-                        eval_binary_f64(outer, p, c)
+                        binary_lanes(outer, &p, c)
                     }
                 }
             };

@@ -1,6 +1,7 @@
 //! Verifies the acceptance criterion of the scratch API: after warm-up,
-//! `eval_with` / `eval_interval_with` / `Program::eval_with` perform zero
-//! heap allocations per call.
+//! `eval_with` / `eval_interval_with` / `Program::eval_with` and the
+//! 8-lane `Program::eval_lanes` sweep perform zero heap allocations per
+//! call.
 //!
 //! This binary holds exactly one test so the global allocation counter is
 //! not disturbed by concurrently running tests.
@@ -69,9 +70,14 @@ fn scratch_eval_paths_do_not_allocate() {
     let env = [0.7, -0.3];
     let bx = IBox::new(vec![Interval::new(0.5, 0.9), Interval::new(-0.5, -0.1)]);
 
+    let lane_env: Vec<[f64; 8]> = (0..2)
+        .map(|v| std::array::from_fn(|l| env[v] + 0.01 * l as f64))
+        .collect();
+
     let mut scratch = EvalScratch::new();
     let mut out = [0.0; 2];
     let mut iout = [Interval::ZERO; 2];
+    let mut lane_out = [[0.0; 8]; 2];
 
     // Warm-up: lets every buffer reach its high-water mark.
     let _ = cx.eval_with(f, &env, &mut scratch);
@@ -79,6 +85,7 @@ fn scratch_eval_paths_do_not_allocate() {
     let _ = cx.eval_interval_with(f, &bx, &mut scratch);
     prog.eval_with(&env, &mut scratch, &mut out);
     prog.eval_interval_with(&bx, &mut scratch, &mut iout);
+    prog.eval_lanes(&lane_env, &mut scratch, &mut lane_out);
 
     // Steady state: zero allocations over many calls.
     let sum = assert_allocation_free("scratch evaluation", || {
@@ -92,6 +99,8 @@ fn scratch_eval_paths_do_not_allocate() {
             acc += out[0];
             prog.eval_interval_with(&bx, &mut scratch, &mut iout);
             acc += iout[1].hi();
+            prog.eval_lanes(&lane_env, &mut scratch, &mut lane_out);
+            acc += lane_out[0][7];
         }
         acc
     });

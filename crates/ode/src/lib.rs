@@ -44,7 +44,7 @@ mod trace;
 mod validated;
 
 pub use contractor::FlowContractor;
-pub use rk::{DormandPrince, OdeError, OdeScratch, Rk4, StepControl, StreamEnd};
+pub use rk::{DormandPrince, LaneDriver, OdeError, OdeScratch, Rk4, StepControl, StreamEnd};
 pub use system::{CompiledOde, EventHit, OdeSystem};
 pub use trace::Trace;
 pub use validated::{FlowTube, ValidatedOde, ValidationError};

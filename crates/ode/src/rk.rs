@@ -63,15 +63,25 @@ pub struct StreamEnd {
 
 /// Reusable integrator workspace: state, stage, and environment buffers
 /// plus the expression-evaluation scratch. After the first integration
-/// with a given system dimension, subsequent integrations through the
-/// same scratch perform no heap allocations.
+/// with a given system dimension and lane count, subsequent integrations
+/// through the same scratch perform no heap allocations. One scratch
+/// serves the scalar entry points and [`DormandPrince::integrate_lanes`]
+/// alike: lane buffers are flat, laid out `[row][lane]`.
 #[derive(Clone, Debug, Default)]
 pub struct OdeScratch {
+    /// Environment, `[var][lane]`.
     env: Vec<f64>,
+    /// Current state, `[component][lane]`.
     y: Vec<f64>,
-    k: Vec<Vec<f64>>,
+    /// Stage derivatives, `[stage][component][lane]`.
+    k: Vec<f64>,
+    /// Right-hand-side input point (a stage state), `[component][lane]`.
     tmp: Vec<f64>,
-    y5: Vec<f64>,
+    /// Right-hand-side output, `[component][lane]`.
+    out: Vec<f64>,
+    /// One lane's candidate state, and its state and derivative gathered
+    /// for the sink: three `dim`-long runs.
+    lane: Vec<f64>,
     eval: EvalScratch,
 }
 
@@ -80,30 +90,12 @@ impl OdeScratch {
     pub fn new() -> OdeScratch {
         OdeScratch::default()
     }
+}
 
-    /// Sizes the buffers for a system (`stages` ≥ the integrator's stage
-    /// count) and loads `base_env`/`y0`.
-    fn prepare(&mut self, ode: &CompiledOde, base_env: &[f64], y0: &[f64], stages: usize) {
-        let n = ode.dim();
-        self.env.clear();
-        self.env.extend_from_slice(base_env);
-        if self.env.len() < ode.env_len() {
-            self.env.resize(ode.env_len(), 0.0);
-        }
-        self.y.clear();
-        self.y.extend_from_slice(y0);
-        if self.k.len() < stages {
-            self.k.resize(stages, Vec::new());
-        }
-        for ki in &mut self.k {
-            ki.clear();
-            ki.resize(n, 0.0);
-        }
-        self.tmp.clear();
-        self.tmp.resize(n, 0.0);
-        self.y5.clear();
-        self.y5.resize(n, 0.0);
-    }
+/// Clears `buf` to `len` zeros, keeping its capacity.
+fn zeroed(buf: &mut Vec<f64>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
 }
 
 /// Classic fixed-step fourth-order Runge–Kutta.
@@ -176,7 +168,6 @@ impl Rk4 {
         let (t0, t_end) = tspan;
         assert!(t_end >= t0, "time span must be forward");
         let n = ode.dim();
-        ws.prepare(ode, base_env, y0, 4);
         let OdeScratch {
             env,
             y,
@@ -185,10 +176,18 @@ impl Rk4 {
             eval,
             ..
         } = ws;
-        let (k1, rest) = k.split_at_mut(1);
-        let (k2, rest) = rest.split_at_mut(1);
-        let (k3, k4) = rest.split_at_mut(1);
-        let (k1, k2, k3, k4) = (&mut k1[0], &mut k2[0], &mut k3[0], &mut k4[0]);
+        env.clear();
+        env.extend_from_slice(base_env);
+        if env.len() < ode.env_len() {
+            env.resize(ode.env_len(), 0.0);
+        }
+        y.clear();
+        y.extend_from_slice(y0);
+        zeroed(k, 4 * n);
+        zeroed(tmp, n);
+        let (k1, rest) = k.split_at_mut(n);
+        let (k2, rest) = rest.split_at_mut(n);
+        let (k3, k4) = rest.split_at_mut(n);
         let mut t = t0;
         let mut steps = 1usize;
 
@@ -378,6 +377,7 @@ impl DormandPrince {
     /// early-terminating fused simulate-and-monitor SMC reproduce offline
     /// verdicts exactly.
     ///
+    /// This is the `K = 1` instance of [`DormandPrince::integrate_lanes`].
     /// Reuses `ws` buffers — allocation-free after warm-up.
     ///
     /// # Errors
@@ -390,132 +390,369 @@ impl DormandPrince {
         y0: &[f64],
         tspan: (f64, f64),
         ws: &mut OdeScratch,
-        mut sink: F,
+        sink: F,
     ) -> Result<StreamEnd, OdeError>
     where
         F: FnMut(f64, &[f64], &[f64]) -> StepControl,
     {
+        /// One trajectory, streamed to a closure.
+        struct One<'a, F> {
+            start: Option<(&'a [f64], &'a [f64])>,
+            sink: F,
+            end: Option<Result<StreamEnd, OdeError>>,
+        }
+        impl<F: FnMut(f64, &[f64], &[f64]) -> StepControl> LaneDriver for One<'_, F> {
+            fn load(&mut self, _lane: usize) -> Option<(&[f64], &[f64])> {
+                self.start.take()
+            }
+            fn sink(&mut self, _lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
+                (self.sink)(t, y, dy)
+            }
+            fn finish(&mut self, _lane: usize, end: Result<StreamEnd, OdeError>) {
+                self.end = Some(end);
+            }
+        }
+        let mut one = One {
+            start: Some((base_env, y0)),
+            sink,
+            end: None,
+        };
+        self.integrate_lanes::<1>(ode, tspan, ws, &mut one);
+        one.end.expect("the loaded trajectory ends")
+    }
+
+    /// Lockstep integration of independent trajectories over `K` lanes:
+    /// each sweep evaluates the compiled right-hand side once for all
+    /// lanes (`CompiledOde::deriv_lanes`), and each lane then advances
+    /// its own trajectory by one stage. A lane keeps its own time, step
+    /// size, step count, accept/reject decision and error; the lanes
+    /// only share the sweep. When a lane's trajectory ends, the driver
+    /// learns how ([`LaneDriver::finish`]) and the lane is refilled with
+    /// the next trajectory ([`LaneDriver::load`]). Once the driver has
+    /// none left, a finished lane is parked on a frozen copy of a live
+    /// lane's current state, preferably one whose derivative is already
+    /// known finite, so an idle lane repeats a live trajectory's
+    /// arithmetic instead of a finished one's NaNs or subnormals.
+    ///
+    /// Every lane performs exactly the float operations of
+    /// [`DormandPrince::integrate_streaming`], in the same order: its
+    /// samples and its end are bit-identical to a scalar run of its
+    /// trajectory, which is the `K = 1` instance of this method.
+    /// Reuses `ws` buffers — allocation-free after warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the time span runs backward.
+    pub fn integrate_lanes<const K: usize>(
+        &self,
+        ode: &CompiledOde,
+        tspan: (f64, f64),
+        ws: &mut OdeScratch,
+        driver: &mut dyn LaneDriver,
+    ) {
         let (t0, t_end) = tspan;
         assert!(t_end >= t0, "time span must be forward");
         let n = ode.dim();
-        ws.prepare(ode, base_env, y0, 7);
         let OdeScratch {
             env,
             y,
             k,
             tmp,
-            y5,
+            out,
+            lane,
             eval,
         } = ws;
-        let mut t = t0;
+        zeroed(env, ode.env_len() * K);
+        zeroed(y, n * K);
+        zeroed(k, 7 * n * K);
+        zeroed(tmp, n * K);
+        zeroed(out, n * K);
+        zeroed(lane, 3 * n);
+        let env = env.as_chunks_mut::<K>().0;
+        let y = y.as_chunks_mut::<K>().0;
+        let k = k.as_chunks_mut::<K>().0;
+        let tmp = tmp.as_chunks_mut::<K>().0;
+        let out = out.as_chunks_mut::<K>().0;
+        let (y5, rest) = lane.split_at_mut(n);
+        let (ly, ldy) = rest.split_at_mut(n);
 
-        ode.deriv_with(env, y, t, &mut k[0], eval);
-        if k[0].iter().any(|v| !v.is_finite()) {
-            return Err(OdeError::NonFinite { t });
-        }
-
-        let mut h = self.h0.unwrap_or_else(|| {
-            // Simple heuristic initial step.
+        // Simple heuristic initial step.
+        let h_init = self.h0.unwrap_or_else(|| {
             let span = (t_end - t0).max(1e-12);
             (span / 100.0).min(self.h_max).max(self.h_min * 10.0)
         });
-
-        let mut emitted = 1usize;
-        if sink(t, y, &k[0]) == StepControl::Stop {
-            return Ok(StreamEnd {
-                t,
-                steps: emitted,
-                stopped_early: true,
-            });
+        let mut st = [Lane::default(); K];
+        let mut tin = [t0; K];
+        let mut more = true;
+        for (l, lst) in st.iter_mut().enumerate() {
+            more = more && load(driver, l, env, y);
+            if more {
+                *lst = Lane::fresh(t0);
+            }
         }
-
-        if t_end == t0 {
-            return Ok(StreamEnd {
-                t,
-                steps: emitted,
-                stopped_early: false,
-            });
-        }
-
-        let mut steps = 0usize;
-        while t < t_end {
-            // Done up to roundoff: a sub-h_min sliver is not an error.
-            if t_end - t <= 1e-13 * (1.0 + t_end.abs()) {
-                break;
-            }
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(OdeError::TooManySteps { t });
-            }
-            h = h.min(t_end - t).min(self.h_max);
-            if h < self.h_min {
-                return Err(OdeError::StepUnderflow { t });
-            }
-            // Stages 2..7 (stage 1 = FSAL from previous step).
-            for s in 1..7 {
-                for i in 0..n {
-                    let mut acc = 0.0;
-                    for (j, kj) in k.iter().enumerate().take(s) {
-                        acc += A[s][j] * kj[i];
+        loop {
+            // Park finished lanes on a live lane's state: one whose
+            // derivative was already checked finite if there is one.
+            let donor = st
+                .iter()
+                .position(|s| matches!(s.phase, Phase::Stage(_)))
+                .or_else(|| st.iter().position(|s| s.phase == Phase::Fresh));
+            let Some(d) = donor else { return };
+            for l in 0..K {
+                if st[l].phase == Phase::Done {
+                    for row in tmp.iter_mut().zip(y.iter()) {
+                        row.0[l] = row.1[d];
                     }
-                    tmp[i] = y[i] + h * acc;
-                }
-                let (head, tail) = k.split_at_mut(s);
-                let _ = head;
-                ode.deriv_with(env, tmp, t + C[s] * h, &mut tail[0], eval);
-            }
-            // 5th/4th order solutions and the error estimate.
-            let mut err: f64 = 0.0;
-            for i in 0..n {
-                let mut s5 = 0.0;
-                let mut s4 = 0.0;
-                for j in 0..7 {
-                    s5 += B5[j] * k[j][i];
-                    s4 += B4[j] * k[j][i];
-                }
-                y5[i] = y[i] + h * s5;
-                let sc = self.atol + self.rtol * y[i].abs().max(y5[i].abs());
-                let e = h * (s5 - s4) / sc;
-                err += e * e;
-            }
-            let err = (err / n as f64).sqrt();
-            if !err.is_finite() {
-                // Derivative blew up inside the step: try a smaller one.
-                h *= 0.25;
-                if h < self.h_min {
-                    return Err(OdeError::NonFinite { t });
-                }
-                ode.deriv_with(env, y, t, &mut k[0], eval);
-                continue;
-            }
-            if err <= 1.0 {
-                // Accept.
-                t += h;
-                std::mem::swap(y, y5);
-                k.swap(0, 6); // FSAL: k7 = f(t+h, y5)
-                emitted += 1;
-                if sink(t, y, &k[0]) == StepControl::Stop {
-                    return Ok(StreamEnd {
-                        t,
-                        steps: emitted,
-                        stopped_early: true,
-                    });
+                    tin[l] = st[d].t;
+                    for row in env.iter_mut() {
+                        row[l] = row[d];
+                    }
+                    st[l].phase = Phase::Parked;
                 }
             }
-            // Step-size update (both accept and reject).
-            let factor = if err == 0.0 {
-                5.0
-            } else {
-                (0.9 * err.powf(-0.2)).clamp(0.2, 5.0)
-            };
-            h *= factor;
+
+            // Each live lane's input point for this sweep.
+            for (l, s) in st.iter().enumerate() {
+                match s.phase {
+                    Phase::Done | Phase::Parked => {}
+                    Phase::Fresh | Phase::Stage(0) => {
+                        for (ti, yi) in tmp.iter_mut().zip(y.iter()) {
+                            ti[l] = yi[l];
+                        }
+                        tin[l] = s.t;
+                    }
+                    Phase::Stage(stage) => {
+                        for i in 0..n {
+                            let mut acc = 0.0;
+                            for (j, a) in A[stage].iter().enumerate().take(stage) {
+                                acc += a * k[j * n + i][l];
+                            }
+                            tmp[i][l] = y[i][l] + s.h * acc;
+                        }
+                        tin[l] = s.t + C[stage] * s.h;
+                    }
+                }
+            }
+
+            ode.deriv_lanes(env, tmp, &tin, out, eval);
+
+            // Each live lane consumes its result and advances one stage.
+            'lanes: for l in 0..K {
+                let s = &mut st[l];
+                let ended = 'lane: {
+                    let stage = match s.phase {
+                        Phase::Done | Phase::Parked => continue 'lanes,
+                        Phase::Fresh => 0,
+                        Phase::Stage(stage) => stage,
+                    };
+                    for (kr, o) in k[stage * n..(stage + 1) * n].iter_mut().zip(out.iter()) {
+                        kr[l] = o[l];
+                    }
+                    match (s.phase, stage) {
+                        (Phase::Fresh, _) => {
+                            if k[..n].iter().any(|v| !v[l].is_finite()) {
+                                break 'lane Some(Err(OdeError::NonFinite { t: s.t }));
+                            }
+                            s.h = h_init;
+                            s.emitted = 1;
+                            let dy = lane_of(&k[..n], l, ldy);
+                            if driver.sink(l, s.t, lane_of(y, l, ly), dy) == StepControl::Stop {
+                                break 'lane Some(Ok(s.end(true)));
+                            }
+                            if t_end == t0 {
+                                break 'lane Some(Ok(s.end(false)));
+                            }
+                            s.head(self, t_end, Phase::Stage(1))
+                        }
+                        (_, 0..=5) => {
+                            s.phase = Phase::Stage(stage + 1);
+                            None
+                        }
+                        _ => {
+                            // 5th/4th order solutions and the error estimate.
+                            let h = s.h;
+                            let mut err: f64 = 0.0;
+                            for i in 0..n {
+                                let mut s5 = 0.0;
+                                let mut s4 = 0.0;
+                                for j in 0..7 {
+                                    s5 += B5[j] * k[j * n + i][l];
+                                    s4 += B4[j] * k[j * n + i][l];
+                                }
+                                y5[i] = y[i][l] + h * s5;
+                                let sc = self.atol + self.rtol * y[i][l].abs().max(y5[i].abs());
+                                let e = h * (s5 - s4) / sc;
+                                err += e * e;
+                            }
+                            let err = (err / n as f64).sqrt();
+                            if !err.is_finite() {
+                                // Derivative blew up inside the step: try
+                                // a smaller one, from a re-evaluated k1.
+                                s.h *= 0.25;
+                                if s.h < self.h_min {
+                                    break 'lane Some(Err(OdeError::NonFinite { t: s.t }));
+                                }
+                                break 'lane s.head(self, t_end, Phase::Stage(0));
+                            }
+                            if err <= 1.0 {
+                                // Accept; FSAL: k1 of the next step is k7.
+                                s.t += h;
+                                for (i, yi) in y.iter_mut().enumerate() {
+                                    yi[l] = y5[i];
+                                    k[i][l] = k[6 * n + i][l];
+                                }
+                                s.emitted += 1;
+                                let dy = lane_of(&k[..n], l, ldy);
+                                if driver.sink(l, s.t, lane_of(y, l, ly), dy) == StepControl::Stop {
+                                    break 'lane Some(Ok(s.end(true)));
+                                }
+                            }
+                            // Step-size update (both accept and reject).
+                            let factor = if err == 0.0 {
+                                5.0
+                            } else {
+                                (0.9 * err.powf(-0.2)).clamp(0.2, 5.0)
+                            };
+                            s.h *= factor;
+                            s.head(self, t_end, Phase::Stage(1))
+                        }
+                    }
+                };
+                if let Some(end) = ended {
+                    driver.finish(l, end);
+                    more = more && load(driver, l, env, y);
+                    st[l] = if more {
+                        Lane::fresh(t0)
+                    } else {
+                        Lane::default()
+                    };
+                }
+            }
         }
-        Ok(StreamEnd {
-            t,
-            steps: emitted,
-            stopped_early: false,
-        })
     }
+}
+
+/// The caller's side of lockstep integration
+/// ([`DormandPrince::integrate_lanes`]): it supplies independent
+/// trajectories, consumes each lane's accepted samples, and learns how
+/// each trajectory ended. Lanes are numbered `0..K`.
+pub trait LaneDriver {
+    /// Starts the next trajectory in `lane`: returns its parameter
+    /// environment and initial state, or `None` when none is left.
+    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])>;
+
+    /// One accepted sample `(t, state, derivative)` of the trajectory in
+    /// `lane`: the sink of [`DormandPrince::integrate_streaming`].
+    fn sink(&mut self, lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl;
+
+    /// The trajectory in `lane` ended with what
+    /// [`DormandPrince::integrate_streaming`] returns for it.
+    fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>);
+}
+
+/// Where a lane of [`DormandPrince::integrate_lanes`] stands.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+enum Phase {
+    /// No trajectory, not yet parked.
+    #[default]
+    Done,
+    /// No trajectory; re-evaluates a frozen copy of a live lane's point.
+    Parked,
+    /// Just loaded: the next sweep evaluates the initial derivative.
+    Fresh,
+    /// The next sweep evaluates this stage (0 re-evaluates k1 after a
+    /// non-finite step).
+    Stage(usize),
+}
+
+/// One lane's integrator state: the locals of the scalar loop.
+#[derive(Copy, Clone, Debug, Default)]
+struct Lane {
+    phase: Phase,
+    t: f64,
+    h: f64,
+    /// Step attempts (the `max_steps` budget).
+    steps: usize,
+    /// Samples handed to the sink.
+    emitted: usize,
+}
+
+impl Lane {
+    fn fresh(t0: f64) -> Lane {
+        Lane {
+            phase: Phase::Fresh,
+            t: t0,
+            ..Lane::default()
+        }
+    }
+
+    fn end(&self, stopped_early: bool) -> StreamEnd {
+        StreamEnd {
+            t: self.t,
+            steps: self.emitted,
+            stopped_early,
+        }
+    }
+
+    /// The scalar loop's head: ends the trajectory at the end of the
+    /// span (up to roundoff), on an exhausted step budget or on step
+    /// underflow, and otherwise clamps the step and moves on to `next`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn head(
+        &mut self,
+        dp: &DormandPrince,
+        t_end: f64,
+        next: Phase,
+    ) -> Option<Result<StreamEnd, OdeError>> {
+        // Done up to roundoff: a sub-h_min sliver is not an error.
+        if !(self.t < t_end) || t_end - self.t <= 1e-13 * (1.0 + t_end.abs()) {
+            return Some(Ok(self.end(false)));
+        }
+        self.steps += 1;
+        if self.steps > dp.max_steps {
+            return Some(Err(OdeError::TooManySteps { t: self.t }));
+        }
+        self.h = self.h.min(t_end - self.t).min(dp.h_max);
+        if self.h < dp.h_min {
+            return Some(Err(OdeError::StepUnderflow { t: self.t }));
+        }
+        self.phase = next;
+        None
+    }
+}
+
+/// Loads the driver's next trajectory into lane `l` of `env` and `y`;
+/// `false` when the driver has none left. The environment is the
+/// driver's, zero-extended to the system's width.
+fn load<const K: usize>(
+    driver: &mut dyn LaneDriver,
+    l: usize,
+    env: &mut [[f64; K]],
+    y: &mut [[f64; K]],
+) -> bool {
+    let Some((base_env, y0)) = driver.load(l) else {
+        return false;
+    };
+    let base = base_env.iter().chain(std::iter::repeat(&0.0));
+    for (row, &v) in env.iter_mut().zip(base) {
+        row[l] = v;
+    }
+    for (row, &v) in y.iter_mut().zip(y0) {
+        row[l] = v;
+    }
+    true
+}
+
+/// Lane `l` of `m` as a contiguous slice: `m` itself when there is one
+/// lane, else gathered into `buf`.
+fn lane_of<'a, const K: usize>(m: &'a [[f64; K]], l: usize, buf: &'a mut [f64]) -> &'a [f64] {
+    if K == 1 {
+        return m.as_flattened();
+    }
+    for (b, row) in buf.iter_mut().zip(m) {
+        *b = row[l];
+    }
+    buf
 }
 
 #[cfg(test)]

@@ -122,7 +122,8 @@ impl CompiledOde {
     }
 
     /// Evaluates `f(y, t)` into `out`, reusing `scratch` — the
-    /// allocation-free form sitting under every integrator step.
+    /// allocation-free form sitting under every integrator step, and the
+    /// `K = 1` instance of the crate's lane-generic `deriv_lanes`.
     ///
     /// # Panics
     ///
@@ -135,14 +136,39 @@ impl CompiledOde {
         out: &mut [f64],
         scratch: &mut EvalScratch,
     ) {
+        self.deriv_lanes::<1>(
+            env.as_chunks_mut().0,
+            y.as_chunks().0,
+            &[t],
+            out.as_chunks_mut().0,
+            scratch,
+        );
+    }
+
+    /// Evaluates `f(y, t)` at `K` points in one sweep of the compiled
+    /// right-hand side: lane `l` reads `y[i][l]`, `t[l]` and its own
+    /// parameters `env[var][l]`, and receives `out[i][l]`, bit-identical
+    /// to [`CompiledOde::deriv_with`] at that point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != dim()` or `env` is too short.
+    pub(crate) fn deriv_lanes<const K: usize>(
+        &self,
+        env: &mut [[f64; K]],
+        y: &[[f64; K]],
+        t: &[f64; K],
+        out: &mut [[f64; K]],
+        scratch: &mut EvalScratch,
+    ) {
         debug_assert_eq!(y.len(), self.states.len());
-        for (&v, &yi) in self.states.iter().zip(y) {
-            env[v.index()] = yi;
+        for (&v, yi) in self.states.iter().zip(y) {
+            env[v.index()] = *yi;
         }
         if let Some(tv) = self.time {
-            env[tv.index()] = t;
+            env[tv.index()] = *t;
         }
-        self.prog.eval_with(env, scratch, out);
+        self.prog.eval_lanes(env, scratch, out);
     }
 
     /// Convenience: adaptive integration with default tolerances.

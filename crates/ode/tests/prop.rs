@@ -1,10 +1,103 @@
 //! Property tests: validated tubes always contain numeric solutions; the
-//! adaptive integrator matches closed forms on random linear systems.
+//! adaptive integrator matches closed forms on random linear systems;
+//! and lockstep lanes reproduce the scalar integrator bit-for-bit.
 
 use biocheck_expr::Context;
 use biocheck_interval::{IBox, Interval};
-use biocheck_ode::{DormandPrince, OdeSystem, ValidatedOde};
+use biocheck_ode::{
+    CompiledOde, DormandPrince, LaneDriver, OdeError, OdeScratch, OdeSystem, StepControl,
+    StreamEnd, ValidatedOde,
+};
 use proptest::prelude::*;
+
+/// One trajectory's accepted `(t, y, dy)` samples, as bits.
+type Stream = Vec<(u64, Vec<u64>, Vec<u64>)>;
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A trajectory's end, as bits: `Ok((t, steps, stopped_early))` or the
+/// error with its time.
+fn end_bits(end: &Result<StreamEnd, OdeError>) -> Result<(u64, usize, bool), String> {
+    match end {
+        Ok(e) => Ok((e.t.to_bits(), e.steps, e.stopped_early)),
+        Err(e) => Err(format!("{e:?}")),
+    }
+}
+
+/// Drives lanes through a list of `(env, y0)` starts, records each
+/// trajectory's stream and end, and stops a trajectory once `y[0]`
+/// exceeds `stop_above`.
+struct Recorder {
+    starts: Vec<(Vec<f64>, Vec<f64>)>,
+    stop_above: f64,
+    next: usize,
+    held: Vec<usize>,
+    streams: Vec<Stream>,
+    ends: Vec<Option<Result<StreamEnd, OdeError>>>,
+}
+
+impl LaneDriver for Recorder {
+    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])> {
+        let (env, y0) = self.starts.get(self.next)?;
+        self.held[lane] = self.next;
+        self.next += 1;
+        Some((env, y0))
+    }
+
+    fn sink(&mut self, lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
+        self.streams[self.held[lane]].push((t.to_bits(), bits(y), bits(dy)));
+        if y[0] > self.stop_above {
+            StepControl::Stop
+        } else {
+            StepControl::Continue
+        }
+    }
+
+    fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>) {
+        let slot = &mut self.ends[self.held[lane]];
+        assert!(slot.is_none(), "a trajectory ends once");
+        *slot = Some(end);
+    }
+}
+
+/// Runs `starts` through `K` lanes and through the scalar integrator,
+/// and asserts equal streams and ends for every trajectory.
+fn assert_lanes_equal_scalar<const K: usize>(
+    ode: &CompiledOde,
+    starts: &[(Vec<f64>, Vec<f64>)],
+    t_end: f64,
+    stop_above: f64,
+) -> Result<(), TestCaseError> {
+    let dp = DormandPrince::with_tolerances(1e-6, 1e-8);
+    let mut rec = Recorder {
+        starts: starts.to_vec(),
+        stop_above,
+        next: 0,
+        held: vec![0; K],
+        streams: vec![Vec::new(); starts.len()],
+        ends: vec![None; starts.len()],
+    };
+    let mut ws = OdeScratch::new();
+    dp.integrate_lanes::<K>(ode, (0.0, t_end), &mut ws, &mut rec);
+    prop_assert_eq!(rec.next, starts.len(), "every trajectory loaded");
+    for (i, (env, y0)) in starts.iter().enumerate() {
+        let mut stream = Stream::new();
+        let end = dp.integrate_streaming(ode, env, y0, (0.0, t_end), &mut ws, |t, y, dy| {
+            stream.push((t.to_bits(), bits(y), bits(dy)));
+            if y[0] > stop_above {
+                StepControl::Stop
+            } else {
+                StepControl::Continue
+            }
+        });
+        prop_assert!(rec.streams[i] == stream, "trajectory {} streams differ", i);
+        let lane_end = rec.ends[i].as_ref().expect("every trajectory ends");
+        prop_assert_eq!(end_bits(lane_end), end_bits(&end), "trajectory {}", i);
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -93,5 +186,33 @@ proptest! {
         prop_assert!(v <= x0 + 1e-9 && v >= x0 * (-2.0f64).exp() - 1e-9);
         let exact = x0 * (-t_q).exp();
         prop_assert!((v - exact).abs() < 1e-6);
+    }
+
+    /// Lockstep lanes equal the scalar integrator, sample for sample and
+    /// end for end: trajectories that blow up (x' = x² from x₀ > ½ over
+    /// a horizon of 2) next to ones that finish or stop early, on a
+    /// time-reading right-hand side with a per-trajectory parameter, at
+    /// lane counts that leave lanes parked and refill them.
+    #[test]
+    fn lanes_equal_scalar_integration(
+        starts in proptest::collection::vec((0.1..0.9f64, 0.5..2.0f64), 0..20),
+        stop_above in 1.0..4.0f64,
+    ) {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let t = cx.intern_var("t");
+        let _k = cx.intern_var("k");
+        let blowup = cx.parse("x^2").unwrap();
+        let blowup = OdeSystem::new(vec![x], vec![blowup]).compile(&cx);
+        let forced = cx.parse("-k*x + sin(3*t)").unwrap();
+        let forced = OdeSystem::with_time(vec![x], vec![forced], t).compile(&cx);
+        let runs: Vec<(Vec<f64>, Vec<f64>)> = starts
+            .iter()
+            .map(|&(x0, k)| (vec![0.0, 0.0, k], vec![x0]))
+            .collect();
+        for (ode, stop) in [(&blowup, f64::INFINITY), (&blowup, stop_above), (&forced, 0.5)] {
+            assert_lanes_equal_scalar::<8>(ode, &runs, 2.0, stop)?;
+            assert_lanes_equal_scalar::<3>(ode, &runs, 2.0, stop)?;
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! early ones. The [`Scheduler`] multiplexes instead: callers wait in
 //! [`Scheduler::admit`] and are admitted strictly in arrival order
 //! (ticket-based), at most `capacity` at a time. Each admitted request
-//! then uses the full rayon pool for its own parallel sampling.
+//! then samples on its own thread plus whatever pool threads no other
+//! request is sampling on (`biocheck_smc::par_fill`), so concurrent
+//! requests share the cores without oversubscribing them.
 //!
 //! Unlike a plain FIFO gate the queue is **bounded**: when `max_queue`
 //! callers are already waiting, further arrivals are shed immediately

@@ -582,7 +582,7 @@ impl ServeCore {
                     self.panics.fetch_add(1, Ordering::Relaxed);
                     return Err(ServeError::Internal(format!(
                         "query execution panicked: {}",
-                        panic_message(&payload)
+                        panic_message(&*payload)
                     )));
                 }
             };
@@ -985,7 +985,7 @@ impl ServeCore {
                 (
                     error_json(
                         "internal_error",
-                        &format!("request handling panicked: {}", panic_message(&payload)),
+                        &format!("request handling panicked: {}", panic_message(&*payload)),
                         None,
                     )
                     .render(),

@@ -435,7 +435,11 @@ impl DistSpec {
         Ok(match *self {
             DistSpec::Point(v) => Dist::Point(finite(v, "point value")?),
             DistSpec::Uniform(lo, hi) => {
-                Dist::Uniform(finite(lo, "uniform lo")?, finite(hi, "uniform hi")?)
+                let (lo, hi) = (finite(lo, "uniform lo")?, finite(hi, "uniform hi")?);
+                if lo > hi {
+                    return Err(format!("uniform lo {lo} exceeds hi {hi}"));
+                }
+                Dist::Uniform(lo, hi)
             }
             DistSpec::Normal { mean, sd } => Dist::Normal {
                 mean: finite(mean, "normal mean")?,

@@ -110,6 +110,9 @@ fn solver_panics_are_contained_and_poison_nothing() {
             }
             Err(ServeError::Internal(msg)) => {
                 assert!(msg.contains("panicked"), "{msg}");
+                // The payload itself survives into the reply, not an
+                // opaque "<non-string panic payload>".
+                assert!(msg.contains("injected fault: solver panic"), "{msg}");
                 panicked += 1;
             }
             Err(other) => panic!("unexpected error under panic injection: {other}"),

@@ -384,6 +384,33 @@ fn property_constants_substitute_their_pinned_values() {
     assert_eq!(symbolic.fingerprint(), literal.fingerprint());
 }
 
+/// An inverted uniform range is a typed `invalid_request`, refused
+/// before any sample draws from it (it used to panic a pool worker
+/// inside the sampler and come back as `internal_error`).
+#[test]
+fn inverted_uniform_bounds_are_rejected_without_a_panic() {
+    let core = ServeCore::new(ServeConfig::default());
+    core.register("decay", &decay_source()).unwrap();
+    for init in [DistSpec::Uniform(0.05, 0.0), DistSpec::Uniform(2.0, 1.0)] {
+        let mut qr = estimate("x - 1", 3, 20);
+        let QuerySpec::Estimate { smc, .. } = &mut qr.query else {
+            unreachable!()
+        };
+        smc.init = vec![init];
+        let err = core.run_query(&qr).unwrap_err();
+        assert_eq!(err.kind(), "invalid_request", "{err}");
+        assert!(err.to_string().contains("exceeds hi"), "{err}");
+    }
+    // A degenerate range is a valid point distribution.
+    let mut qr = estimate("x - 1", 3, 20);
+    let QuerySpec::Estimate { smc, .. } = &mut qr.query else {
+        unreachable!()
+    };
+    smc.init = vec![DistSpec::Uniform(1.5, 1.5)];
+    core.run_query(&qr).unwrap();
+    assert_eq!(core.panic_count(), 0);
+}
+
 /// A typo'd name in a property is an error, never a silent 0.
 #[test]
 fn unknown_property_names_are_rejected() {

@@ -12,7 +12,10 @@
 //!   streaming monitor, each integration step feeds it directly (no
 //!   trace materialized, no monitor built per sample), integration stops
 //!   the moment the verdict decides, and a reused [`SampleScratch`]
-//!   makes the steady-state loop allocation-free.
+//!   makes the steady-state loop allocation-free. The range entry
+//!   points ([`TraceSampler::sample_stats_range`],
+//!   [`TraceSampler::sample_robustness_range`]) run [`LANES`]
+//!   trajectories in lockstep, bit-identical to the one-sample forms.
 //! * [`sprt`] — Wald's sequential probability ratio test for
 //!   `H₀: p ≥ θ+δᵢ` vs `H₁: p ≤ θ−δᵢ` at error levels (α, β).
 //! * [`chernoff_estimate`] — fixed-sample estimation with a
@@ -23,7 +26,9 @@
 //!   [`par_bayes_estimate`] — deterministic parallel forms: per-sample
 //!   RNGs forked from a master seed, adaptive rules fed speculative
 //!   batches in index order, so every parallel result is bit-for-bit
-//!   the sequential one.
+//!   the sequential one. [`par_fill`] has up to one worker per pool
+//!   thread fill a batch's shared [`Slots`], each claiming the next
+//!   index as a lane frees up.
 //! * [`SmcFit`] — SMC-driven parameter estimation: simulated-annealing
 //!   search scored by satisfaction probability (or mean robustness), the
 //!   strategy of the paper's SMC calibration line of work.
@@ -45,7 +50,7 @@ pub use estimate::{
 };
 pub use fit::{FitResult, SmcFit};
 pub use parallel::{
-    fork_rng, fork_seed, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
-    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
+    fork_rng, fork_seed, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_fill,
+    par_sprt, seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
 };
-pub use sampler::{Dist, SampleScratch, SampleStats, TraceSampler};
+pub use sampler::{with_scratch, Dist, SampleScratch, SampleStats, Slots, TraceSampler, LANES};

@@ -11,7 +11,10 @@
 //!
 //! The `seq_*` functions are the same estimators run on one thread over
 //! the same per-index streams; `parallel == sequential` is asserted by
-//! the property tests at the bottom of this file.
+//! the property tests at the bottom of this file. The `par_*` functions
+//! sample through the lockstep range entry points and the `seq_*` ones
+//! one scalar sample at a time, so those tests also hold the lanes to
+//! the scalar path.
 //!
 //! Adaptive-stopping procedures (SPRT) are parallelized speculatively:
 //! samples are generated in parallel batches and fed to the sequential
@@ -25,10 +28,10 @@
 //! preferred by application code.
 
 use crate::estimate::{bayes_estimate, sprt, Estimate, SprtResult};
-use crate::sampler::TraceSampler;
+use crate::sampler::{with_scratch, SampleScratch, SampleStats, Slots, TraceSampler, LANES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The per-index seed fork: a SplitMix64-style mix of a master seed and
 /// an index. Shared by [`fork_rng`] (per-sample streams) and the engine
@@ -47,21 +50,79 @@ pub fn fork_rng(master_seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(fork_seed(master_seed, index))
 }
 
-/// Draws samples `base..base + n` of the seeded stream in parallel.
-///
-/// Each sequential leaf of the recursive split owns one
-/// [`SampleScratch`](crate::SampleScratch) (via `map_init`), so after
-/// warm-up a worker's samples are allocation-free. Sample `i` is a pure
-/// function of `(seed, i)` — scratch reuse carries no state across
-/// samples — so the result vector is identical at any thread count.
+/// Indices per sampler a parallel fill recruits: four lane fills, so a
+/// sampler's lanes are refilled rather than drained at once.
+const LEAF_MIN: usize = 4 * LANES;
+
+/// Samplers of every [`par_fill`] running in the process, callers
+/// included. A fill recruits pool helpers only while this stays below
+/// the pool width, so concurrent fills (a daemon running several
+/// queries at once) never put more samplers than pool threads on the
+/// cores: each runs on its own caller, and a fill that runs alone gets
+/// the whole pool.
+static SAMPLERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Sampler places a fill holds in [`SAMPLERS`], released on drop (also
+/// when a sample panics).
+struct Reserved(usize);
+
+impl Drop for Reserved {
+    fn drop(&mut self) {
+        SAMPLERS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Fills `out` with samples `first..first + out.len()` across the pool.
+/// One sampler per `LEAF_MIN` indices calls `fill` — a shared range
+/// entry point such as [`TraceSampler::sample_stats_shared`] — on the
+/// same [`Slots`], through a scratch borrowed with [`with_scratch`].
+/// The calling thread is the first sampler; the rest are helper jobs
+/// spawned into the pool ([`rayon::in_place_scope`]), as many as the
+/// pool has threads not already sampling for some fill (`SAMPLERS`).
+/// Each sampler's lanes claim the next unsampled index as they free up,
+/// so the work balances itself sample by sample: a helper the OS
+/// preempts, or one that starts late, leaves its share to the others,
+/// and the caller never waits for a sleeping worker to wake. Sample `i`
+/// is a pure function of `(seed, i)`, so `out` is identical at any
+/// thread count and whichever sampler claims which index.
+pub fn par_fill<T, F>(sampler: &TraceSampler, first: u64, out: &mut [T], fill: F)
+where
+    T: Send,
+    F: Fn(&TraceSampler, u64, &mut SampleScratch, &Slots<T>) + Sync,
+{
+    let width = rayon::current_num_threads().max(1);
+    let wanted = out.len().div_ceil(LEAF_MIN).saturating_sub(1);
+    let mut running = SAMPLERS.load(Ordering::Relaxed);
+    let reserved = loop {
+        let helpers = wanted.min(width.saturating_sub(running + 1));
+        match SAMPLERS.compare_exchange_weak(
+            running,
+            running + 1 + helpers,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => break Reserved(1 + helpers),
+            Err(now) => running = now,
+        }
+    };
+    let slots = Slots::new(out);
+    let work = || with_scratch(|scratch| fill(sampler, first, scratch, &slots));
+    rayon::in_place_scope(|scope| {
+        for _ in 1..reserved.0 {
+            scope.spawn(|_| work());
+        }
+        work();
+    });
+}
+
+/// Draws samples `base..base + n` of the seeded stream in parallel
+/// ([`par_fill`] over [`TraceSampler::sample_stats_shared`]).
 fn batch(sampler: &TraceSampler, seed: u64, base: u64, n: usize) -> Vec<bool> {
-    (base..base + n as u64)
-        .into_par_iter()
-        .map_init(
-            || sampler.scratch(),
-            |scratch, i| sampler.sample_with(&mut fork_rng(seed, i), scratch),
-        )
-        .collect()
+    let mut out = vec![SampleStats::default(); n];
+    par_fill(sampler, base, &mut out, |s, first, scratch, slots| {
+        s.sample_stats_shared(seed, first, scratch, slots)
+    });
+    out.iter().map(|st| st.sat).collect()
 }
 
 /// Parallel fixed-sample estimate of the satisfaction probability.

@@ -21,12 +21,29 @@
 //! integration error and conservatively counts the sample as a
 //! violation. Simulation failures *before* the verdict decides count as
 //! violations on both paths.
+//!
+//! The range entry points run the same fused body over [`LANES`]
+//! lockstep lanes ([`DormandPrince::integrate_lanes`]), one streaming
+//! monitor per lane; the one-sample entry points are its one-lane
+//! instances, so both produce the same bits. Lanes claim their indices
+//! one at a time from a [`Slots`] cursor, so several samplers can fill
+//! one range together (the `*_shared` entry points), each refilling its
+//! lanes until the range runs out.
 
+use crate::parallel::fork_rng;
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
 use biocheck_expr::{Context, VarId};
-use biocheck_ode::{CompiledOde, DormandPrince, OdeScratch, OdeSystem, StepControl};
+use biocheck_ode::{
+    CompiledOde, DormandPrince, LaneDriver, OdeError, OdeScratch, OdeSystem, StepControl, StreamEnd,
+};
 use rand::Rng;
-use std::sync::Arc;
+use std::iter::Enumerate;
+use std::slice::IterMut;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Trajectories one range call advances in lockstep: each sweep of the
+/// compiled right-hand side evaluates this many samples at once.
+pub const LANES: usize = 8;
 
 /// A sampling distribution for an initial state or parameter.
 #[derive(Clone, Debug)]
@@ -89,15 +106,15 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Reusable per-worker workspace for fused sampling: the parameter
 /// environment, the initial-state buffer, the integrator's step buffers,
-/// and the streaming monitor's arena. After the first sample through a
-/// given sampler (warm-up), every subsequent sample through the same
-/// scratch is allocation-free.
+/// and one streaming-monitor arena per lane. After the first sample (or
+/// range) through a given sampler (warm-up), every subsequent sample or
+/// range through the same scratch is allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct SampleScratch {
     env: Vec<f64>,
     y0: Vec<f64>,
     ode: OdeScratch,
-    mon: MonitorScratch,
+    mons: Vec<MonitorScratch>,
 }
 
 impl SampleScratch {
@@ -107,8 +124,68 @@ impl SampleScratch {
     }
 }
 
+/// Idle warm scratches, shared by every sampler: a scratch carries no
+/// sampler state, only buffer capacity.
+static SPARE: Mutex<Vec<SampleScratch>> = Mutex::new(Vec::new());
+
+/// Runs `f` with a warm scratch from the process-wide pool of idle ones
+/// (a new one when all are in use) and returns the scratch to the pool
+/// afterwards. Batch loops and parallel workers borrow their scratch
+/// here, so lane buffers stay warm across batches and queries instead of
+/// regrowing each time, and the pool holds one scratch per concurrent
+/// caller at most. Scratch reuse carries no state between samples, so
+/// results do not depend on which scratch a call gets.
+pub fn with_scratch<R>(f: impl FnOnce(&mut SampleScratch) -> R) -> R {
+    let pool = || SPARE.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut scratch = pool().pop().unwrap_or_default();
+    let r = f(&mut scratch);
+    pool().push(scratch);
+    r
+}
+
+/// The output slots of one range call, handed out one index at a time:
+/// each claim yields the next index and exclusive access to its slot.
+/// Several workers may fill one `Slots` together through the `*_shared`
+/// range entry points; whichever worker is free claims the next index,
+/// so a slow or preempted worker never holds back indices another could
+/// sample. Sample `i` is a pure function of its index, so the filled
+/// slots do not depend on which worker claimed what.
+pub struct Slots<'a, T> {
+    next: Mutex<Enumerate<IterMut<'a, T>>>,
+    len: usize,
+}
+
+impl<'a, T> Slots<'a, T> {
+    /// Slots for `out`, claimed in index order.
+    pub fn new(out: &'a mut [T]) -> Slots<'a, T> {
+        Slots {
+            len: out.len(),
+            next: Mutex::new(out.iter_mut().enumerate()),
+        }
+    }
+
+    /// The number of slots, claimed or not.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no slots at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The next unclaimed index and its slot, or `None` once every slot
+    /// has been claimed.
+    fn claim(&self) -> Option<(usize, &'a mut T)> {
+        self.next
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next()
+    }
+}
+
 /// Outcome of one instrumented Bernoulli sample.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SampleStats {
     /// Did the property hold on this trajectory?
     pub sat: bool,
@@ -196,18 +273,18 @@ impl TraceSampler {
         SampleScratch::new()
     }
 
-    /// Draws the random instantiation into `scratch.env` / `scratch.y0`.
-    /// This is the only RNG consumption of a sample, so early
-    /// termination never perturbs the per-index random streams.
-    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut SampleScratch) {
-        scratch.env.clear();
-        scratch.env.resize(self.cx.num_vars(), 0.0);
+    /// Draws the random instantiation into `env` / `y0`. This is the
+    /// only RNG consumption of a sample, so early termination never
+    /// perturbs the per-index random streams.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, env: &mut Vec<f64>, y0: &mut Vec<f64>) {
+        env.clear();
+        env.resize(self.cx.num_vars(), 0.0);
         for (v, d) in &self.params {
-            scratch.env[v.index()] = d.sample(rng);
+            env[v.index()] = d.sample(rng);
         }
-        scratch.y0.clear();
+        y0.clear();
         for d in &self.init {
-            scratch.y0.push(d.sample(rng));
+            y0.push(d.sample(rng));
         }
     }
 
@@ -229,44 +306,47 @@ impl TraceSampler {
     }
 
     /// [`TraceSampler::sample_with`] plus instrumentation: integration
-    /// step count and whether the verdict decided early.
+    /// step count and whether the verdict decided early. The `K = 1`
+    /// instance of [`TraceSampler::sample_stats_range`].
     pub fn sample_stats_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         scratch: &mut SampleScratch,
     ) -> SampleStats {
-        self.draw(rng, scratch);
-        let SampleScratch { env, y0, ode, mon } = scratch;
-        self.plan.begin(mon, env);
-        let plan = &self.plan;
-        let res = self.integrator.integrate_streaming(
-            &self.ode,
-            env,
-            y0,
-            (0.0, self.t_end),
-            ode,
-            |t, y, _dy| {
-                if plan.feed(mon, t, y).decided() {
-                    StepControl::Stop
-                } else {
-                    StepControl::Continue
-                }
-            },
-        );
-        match res {
-            Ok(end) => SampleStats {
-                sat: self.plan.finish_bool(mon),
-                steps: end.steps,
-                early_stop: end.stopped_early,
-            },
-            // Failed simulations count as violations (conservative), as
-            // in the offline path.
-            Err(_) => SampleStats {
-                sat: false,
-                steps: mon.samples(),
-                early_stop: false,
-            },
-        }
+        let mut out = [SampleStats::default()];
+        self.fuse::<1, _>(scratch, one_draw(rng), &Slots::new(&mut out));
+        out[0]
+    }
+
+    /// Samples `first..first + out.len()` of the seeded per-index
+    /// streams (sample `i` draws from [`fork_rng`]`(seed, i)`), fused and
+    /// instrumented, into `out` in index order. Trajectories advance
+    /// [`LANES`] at a time in lockstep, each lane refilled from the next
+    /// index as its verdict decides; every entry is bit-identical to
+    /// [`TraceSampler::sample_stats_with`] on its own stream.
+    pub fn sample_stats_range(
+        &self,
+        seed: u64,
+        first: u64,
+        scratch: &mut SampleScratch,
+        out: &mut [SampleStats],
+    ) {
+        self.fuse_range(seed, first, scratch, &Slots::new(out));
+    }
+
+    /// [`TraceSampler::sample_stats_range`] over shared slots: claims
+    /// and samples indices of `slots` until none are left. Any number of
+    /// workers may call this on the same `slots` at once, each with its
+    /// own scratch; together they fill every slot exactly once, each
+    /// with the same bits as the one-worker call.
+    pub fn sample_stats_shared(
+        &self,
+        seed: u64,
+        first: u64,
+        scratch: &mut SampleScratch,
+        slots: &Slots<SampleStats>,
+    ) {
+        self.fuse_range(seed, first, scratch, slots);
     }
 
     /// Draws one sample, returning `(satisfied, robustness)`.
@@ -280,31 +360,90 @@ impl TraceSampler {
     /// Fused single-pass `(satisfied, robustness)` sample. Robustness
     /// needs the whole horizon, so there is no early termination, but
     /// simulation and both semantics still run in one pass with no trace
-    /// materialization and no steady-state allocation.
+    /// materialization and no steady-state allocation. The `K = 1`
+    /// instance of [`TraceSampler::sample_robustness_range`].
     pub fn sample_robustness_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         scratch: &mut SampleScratch,
     ) -> (bool, f64) {
-        self.draw(rng, scratch);
-        let SampleScratch { env, y0, ode, mon } = scratch;
-        self.plan.begin(mon, env);
-        let plan = &self.plan;
-        let res = self.integrator.integrate_streaming(
-            &self.ode,
+        let mut out = [(false, 0.0)];
+        self.fuse::<1, _>(scratch, one_draw(rng), &Slots::new(&mut out));
+        out[0]
+    }
+
+    /// The `(satisfied, robustness)` twin of
+    /// [`TraceSampler::sample_stats_range`]: samples `first..first +
+    /// out.len()` in lockstep lanes, each entry bit-identical to
+    /// [`TraceSampler::sample_robustness_with`] on its own stream.
+    pub fn sample_robustness_range(
+        &self,
+        seed: u64,
+        first: u64,
+        scratch: &mut SampleScratch,
+        out: &mut [(bool, f64)],
+    ) {
+        self.fuse_range(seed, first, scratch, &Slots::new(out));
+    }
+
+    /// [`TraceSampler::sample_robustness_range`] over shared slots, as
+    /// [`TraceSampler::sample_stats_shared`] is to the Boolean range.
+    pub fn sample_robustness_shared(
+        &self,
+        seed: u64,
+        first: u64,
+        scratch: &mut SampleScratch,
+        slots: &Slots<(bool, f64)>,
+    ) {
+        self.fuse_range(seed, first, scratch, slots);
+    }
+
+    /// The range entry points' body: samples the claimed indices of
+    /// `slots`, slot `j` being sample `first + j` of the seeded streams,
+    /// in lockstep lanes.
+    fn fuse_range<O: Outcome>(
+        &self,
+        seed: u64,
+        first: u64,
+        scratch: &mut SampleScratch,
+        slots: &Slots<O>,
+    ) {
+        let draw = range_draw(seed, first);
+        // One 8-lane sweep costs about four one-lane sweeps on the case
+        // studies, so a range that cannot fill half the lanes runs
+        // through a single lane, refilled index by index.
+        if slots.len() < LANES / 2 {
+            self.fuse::<1, _>(scratch, draw, slots);
+        } else {
+            self.fuse::<LANES, _>(scratch, draw, slots);
+        }
+    }
+
+    /// The one fused sample body: claims slot after slot of `slots`,
+    /// draws each claimed sample through `draw`, integrates them over
+    /// `K` lockstep lanes with a streaming monitor per lane, and writes
+    /// each sample's outcome to its slot.
+    fn fuse<const K: usize, O: Outcome>(
+        &self,
+        scratch: &mut SampleScratch,
+        draw: impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
+        slots: &Slots<O>,
+    ) {
+        let SampleScratch { env, y0, ode, mons } = scratch;
+        if mons.len() < K {
+            mons.resize_with(K, MonitorScratch::new);
+        }
+        let mut lanes = Fused {
+            sampler: self,
+            draw,
             env,
             y0,
-            (0.0, self.t_end),
-            ode,
-            |t, y, _dy| {
-                plan.feed(mon, t, y);
-                StepControl::Continue
-            },
-        );
-        match res {
-            Ok(_) => (self.plan.finish_bool(mon), self.plan.finish_robustness(mon)),
-            Err(_) => (false, f64::NEG_INFINITY),
-        }
+            mons,
+            slots,
+            held: [const { None }; K],
+        };
+        self.integrator
+            .integrate_lanes::<K>(&self.ode, (0.0, self.t_end), ode, &mut lanes);
     }
 
     /// Reference implementation used by the equivalence property tests:
@@ -348,6 +487,118 @@ impl TraceSampler {
             }
         }
         hits as f64 / n as f64
+    }
+}
+
+/// The per-sample draw of a single-sample call: slot 0 from `rng`.
+fn one_draw<R: Rng + ?Sized>(
+    rng: &mut R,
+) -> impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>) + '_ {
+    move |_, s, env, y0| s.draw(rng, env, y0)
+}
+
+/// The per-sample draw of a range call: slot `j` from
+/// `fork_rng(seed, first + j)`.
+fn range_draw(
+    seed: u64,
+    first: u64,
+) -> impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>) {
+    move |j, s, env, y0| s.draw(&mut fork_rng(seed, first + j as u64), env, y0)
+}
+
+/// What a fused sample reports: the Boolean stats (the monitor stops
+/// integration once the verdict decides) or `(satisfied, robustness)`
+/// (the whole horizon).
+trait Outcome: Copy {
+    /// Whether a decided Boolean verdict ends the trajectory.
+    const STOP_WHEN_DECIDED: bool;
+    /// The outcome of a trajectory that ended with `end`.
+    fn finish(
+        plan: &CompiledBltl,
+        mon: &mut MonitorScratch,
+        end: Result<StreamEnd, OdeError>,
+    ) -> Self;
+}
+
+impl Outcome for SampleStats {
+    const STOP_WHEN_DECIDED: bool = true;
+    fn finish(
+        plan: &CompiledBltl,
+        mon: &mut MonitorScratch,
+        end: Result<StreamEnd, OdeError>,
+    ) -> Self {
+        match end {
+            Ok(end) => SampleStats {
+                sat: plan.finish_bool(mon),
+                steps: end.steps,
+                early_stop: end.stopped_early,
+            },
+            // Failed simulations count as violations (conservative), as
+            // in the offline path.
+            Err(_) => SampleStats {
+                sat: false,
+                steps: mon.samples(),
+                early_stop: false,
+            },
+        }
+    }
+}
+
+impl Outcome for (bool, f64) {
+    const STOP_WHEN_DECIDED: bool = false;
+    fn finish(
+        plan: &CompiledBltl,
+        mon: &mut MonitorScratch,
+        end: Result<StreamEnd, OdeError>,
+    ) -> Self {
+        match end {
+            Ok(_) => (plan.finish_bool(mon), plan.finish_robustness(mon)),
+            Err(_) => (false, f64::NEG_INFINITY),
+        }
+    }
+}
+
+/// The lane driver of [`TraceSampler::fuse`]: loads slot after claimed
+/// slot, feeds each lane's accepted steps to that lane's monitor, and
+/// writes each outcome to the slot its lane holds.
+struct Fused<'a, 's, D, O, const K: usize> {
+    sampler: &'a TraceSampler,
+    draw: D,
+    env: &'a mut Vec<f64>,
+    y0: &'a mut Vec<f64>,
+    mons: &'a mut [MonitorScratch],
+    slots: &'a Slots<'s, O>,
+    /// The output slot each lane is sampling.
+    held: [Option<&'s mut O>; K],
+}
+
+impl<D, O, const K: usize> LaneDriver for Fused<'_, '_, D, O, K>
+where
+    D: FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
+    O: Outcome,
+{
+    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])> {
+        let (j, slot) = self.slots.claim()?;
+        (self.draw)(j, self.sampler, self.env, self.y0);
+        self.sampler.plan.begin(&mut self.mons[lane], self.env);
+        self.held[lane] = Some(slot);
+        Some((self.env, self.y0))
+    }
+
+    fn sink(&mut self, lane: usize, t: f64, y: &[f64], _dy: &[f64]) -> StepControl {
+        let verdict = self.sampler.plan.feed(&mut self.mons[lane], t, y);
+        if O::STOP_WHEN_DECIDED && verdict.decided() {
+            StepControl::Stop
+        } else {
+            StepControl::Continue
+        }
+    }
+
+    fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>) {
+        let slot = self.held[lane]
+            .take()
+            .expect("a finished lane holds a slot");
+        *slot = O::finish(&self.sampler.plan, &mut self.mons[lane], end);
     }
 }
 

@@ -3,7 +3,9 @@
 //! integration, streaming monitoring, verdict — through a reused
 //! [`SampleScratch`] performs zero heap allocations and builds zero
 //! monitors or traces (the sibling of `crates/expr/tests/alloc.rs`,
-//! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`).
+//! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`). The
+//! lockstep range entry points, which refill lanes from the next index
+//! and park idle ones, are held to the same bar.
 //!
 //! This binary holds exactly one test so the global allocation counter
 //! is not disturbed by concurrently running tests.
@@ -11,7 +13,7 @@
 use biocheck_bltl::Bltl;
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_ode::OdeSystem;
-use biocheck_smc::{fork_rng, Dist, TraceSampler};
+use biocheck_smc::{fork_rng, Dist, SampleStats, TraceSampler, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -114,4 +116,24 @@ fn fused_smc_sampling_does_not_allocate() {
     });
     assert_eq!(hits, 20, "Point-distribution samples are identical");
     assert!((rob - 20.0 * first_rob).abs() < 1e-12);
+
+    // Lockstep ranges through a reused lane scratch: a length that is
+    // not a multiple of the lane count, so refills and parked lanes both
+    // occur, and a start that is not zero.
+    let mut stats = vec![SampleStats::default(); 2 * LANES + 3];
+    let mut robust = vec![(false, 0.0); 2 * LANES + 3];
+    sampler.sample_stats_range(7, 5, &mut scratch, &mut stats);
+    sampler.sample_robustness_range(7, 5, &mut scratch, &mut robust);
+    assert_allocation_free("lockstep SMC ranges", || {
+        for first in [5u64, 40, 1000] {
+            sampler.sample_stats_range(7, first, &mut scratch, &mut stats);
+            sampler.sample_robustness_range(7, first, &mut scratch, &mut robust);
+        }
+    });
+    assert!(stats
+        .iter()
+        .all(|st| st.sat && st.steps > 1 && !st.early_stop));
+    assert!(robust
+        .iter()
+        .all(|r| r.0 && r.1.to_bits() == first_rob.to_bits()));
 }

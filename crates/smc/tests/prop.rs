@@ -3,14 +3,18 @@
 //! confidence interval — for arbitrary seeds and sample counts; and the
 //! fused simulate-and-monitor sample body (streaming monitor, early
 //! termination, scratch reuse) reproduces the offline
-//! integrate-then-monitor reference exactly.
+//! integrate-then-monitor reference exactly; and the lockstep range
+//! entry points reproduce the scalar per-index samples bit-for-bit,
+//! also when several workers fill one range's shared slots together.
 
 use biocheck_bltl::Bltl;
 use biocheck_expr::{Atom, Context, RelOp};
+use biocheck_models::{cardiac, prostate, radiation};
 use biocheck_ode::OdeSystem;
 use biocheck_smc::{
     fork_rng, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
-    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, Dist, TraceSampler,
+    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, Dist, SampleStats, Slots,
+    TraceSampler, LANES,
 };
 use proptest::prelude::*;
 
@@ -37,6 +41,161 @@ fn globally_sampler() -> TraceSampler {
     let e = cx.parse("60 - x").unwrap();
     let prop = Bltl::globally(4.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
     TraceSampler::new(cx, &sys, vec![Dist::Uniform(0.5, 1.5)], vec![], prop, 4.0)
+}
+
+/// x' = x² blows up at t = 1/x₀: over a horizon of 2, draws with
+/// x₀ > ½ fail to integrate while their neighbours finish. The property
+/// never decides early, so every trajectory runs until it ends or fails.
+fn blowup_sampler() -> TraceSampler {
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let rhs = cx.parse("x^2").unwrap();
+    let sys = OdeSystem::new(vec![x], vec![rhs]);
+    let e = cx.parse("-1 - x").unwrap();
+    let prop = Bltl::eventually(2.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+    TraceSampler::new(cx, &sys, vec![Dist::Uniform(0.1, 0.9)], vec![], prop, 2.0)
+}
+
+/// A forced, non-autonomous system: the right-hand side reads the time
+/// variable and a randomized rate parameter.
+fn forced_sampler() -> TraceSampler {
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let t = cx.intern_var("t");
+    let k = cx.intern_var("k");
+    let rhs = cx.parse("-k*x + sin(3*t)").unwrap();
+    let sys = OdeSystem::with_time(vec![x], vec![rhs], t);
+    let e = cx.parse("x - 0.3").unwrap();
+    let prop = Bltl::globally(3.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+    TraceSampler::new(
+        cx,
+        &sys,
+        vec![Dist::Uniform(0.2, 1.2)],
+        vec![(k, Dist::Uniform(0.5, 2.0))],
+        prop,
+        3.0,
+    )
+}
+
+/// The three case studies with the benchmark's properties: prostate CAS
+/// keeps PSA under 18, the Fenton–Karma cell fires under a random
+/// stimulus, the untreated radiation cell commits to RIP3.
+fn case_study_samplers() -> Vec<TraceSampler> {
+    let mut m = prostate::cas_model(&prostate::PatientParams::default());
+    let psa_ok = m.cx.parse("18 - (x + y)").unwrap();
+    let prostate = TraceSampler::new(
+        m.cx,
+        &m.sys,
+        vec![
+            Dist::Uniform(10.0, 20.0),
+            Dist::Uniform(0.05, 0.2),
+            Dist::Uniform(10.0, 14.0),
+        ],
+        vec![],
+        Bltl::globally(100.0, Bltl::Prop(Atom::new(psa_ok, RelOp::Ge))),
+        100.0,
+    );
+    let mut m = cardiac::fenton_karma();
+    let stim = m.cx.var_id("I_stim").unwrap();
+    let fires = m.cx.parse("u - 0.8").unwrap();
+    let cardiac = TraceSampler::new(
+        m.cx,
+        &m.sys,
+        vec![
+            Dist::Uniform(0.0, 0.05),
+            Dist::Uniform(0.9, 1.0),
+            Dist::Uniform(0.9, 1.0),
+        ],
+        vec![(stim, Dist::Uniform(0.0, 0.4))],
+        Bltl::eventually(30.0, Bltl::Prop(Atom::new(fires, RelOp::Ge))),
+        30.0,
+    );
+    let ha = radiation::tbi_automaton();
+    let live = ha.mode_by_name("0").unwrap();
+    let sys = OdeSystem::new(ha.states.clone(), ha.modes[live].rhs.clone());
+    let mut cx = ha.cx.clone();
+    let committed = cx.parse("rip3 - 1").unwrap();
+    let mut init: Vec<Dist> = radiation::tbi_init().into_iter().map(Dist::Point).collect();
+    init[0] = Dist::Uniform(0.1, 0.3);
+    let radiation = TraceSampler::new(
+        cx,
+        &sys,
+        init,
+        vec![],
+        Bltl::eventually(20.0, Bltl::Prop(Atom::new(committed, RelOp::Ge))),
+        20.0,
+    );
+    vec![prostate, cardiac, radiation]
+}
+
+/// Range lengths that exercise the lane bookkeeping: empty, one sample,
+/// fewer samples than lanes, exactly one fill, and not a multiple of it.
+const RANGE_LENS: [usize; 5] = [0, 1, LANES - 3, LANES, 2 * LANES + 5];
+
+/// Asserts that the range entry points equal the scalar per-index
+/// samples bit-for-bit over `first..first + len`, through one reused
+/// scratch on each side.
+fn assert_range_equals_scalar(
+    s: &TraceSampler,
+    seed: u64,
+    first: u64,
+    len: usize,
+) -> Result<(), TestCaseError> {
+    let (mut lanes, mut scalar) = (s.scratch(), s.scratch());
+    let mut stats = vec![SampleStats::default(); len];
+    s.sample_stats_range(seed, first, &mut lanes, &mut stats);
+    let mut robust = vec![(false, 0.0); len];
+    s.sample_robustness_range(seed, first, &mut lanes, &mut robust);
+    for (j, (st, &(sat, rob))) in stats.iter().zip(&robust).enumerate() {
+        let i = first + j as u64;
+        let want = s.sample_stats_with(&mut fork_rng(seed, i), &mut scalar);
+        prop_assert_eq!(*st, want, "seed {} sample {}", seed, i);
+        let (want_sat, want_rob) = s.sample_robustness_with(&mut fork_rng(seed, i), &mut scalar);
+        prop_assert_eq!(sat, want_sat, "seed {} sample {}", seed, i);
+        prop_assert!(
+            rob.to_bits() == want_rob.to_bits(),
+            "seed {seed} sample {i}: lanes rob {rob} vs scalar {want_rob}"
+        );
+    }
+    Ok(())
+}
+
+/// Asserts that `workers` threads filling one range's shared slots
+/// together produce exactly the one-worker range call, whichever thread
+/// claims which index.
+fn assert_shared_equals_range(
+    s: &TraceSampler,
+    seed: u64,
+    first: u64,
+    len: usize,
+    workers: usize,
+) -> Result<(), TestCaseError> {
+    let mut want = vec![SampleStats::default(); len];
+    s.sample_stats_range(seed, first, &mut s.scratch(), &mut want);
+    let mut want_rob = vec![(false, 0.0); len];
+    s.sample_robustness_range(seed, first, &mut s.scratch(), &mut want_rob);
+
+    let mut got = vec![SampleStats::default(); len];
+    let mut got_rob = vec![(false, 0.0); len];
+    let (slots, slots_rob) = (Slots::new(&mut got), Slots::new(&mut got_rob));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut scratch = s.scratch();
+                s.sample_stats_shared(seed, first, &mut scratch, &slots);
+                s.sample_robustness_shared(seed, first, &mut scratch, &slots_rob);
+            });
+        }
+    });
+    prop_assert_eq!(&got, &want, "seed {} first {} len {}", seed, first, len);
+    for (j, (g, w)) in got_rob.iter().zip(&want_rob).enumerate() {
+        prop_assert!(
+            g.0 == w.0 && g.1.to_bits() == w.1.to_bits(),
+            "seed {seed} sample {}: shared {g:?} vs range {w:?}",
+            first + j as u64
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -129,5 +288,48 @@ proptest! {
             early += st.early_stop as usize;
         }
         prop_assert!(early > 0, "48 draws at p ≈ ½ should stop early sometimes");
+    }
+
+    #[test]
+    fn lockstep_ranges_equal_scalar_samples(
+        seed in 0..u64::MAX / 2,
+        first in 0..1_000u64,
+        len in 0..3 * LANES,
+    ) {
+        // Decided at the first sample, decided mid-horizon, blow-ups
+        // next to finishing lanes, and a time-reading RHS.
+        let toy = [threshold_sampler(), globally_sampler(), blowup_sampler(), forced_sampler()];
+        for s in &toy {
+            for l in RANGE_LENS.into_iter().chain([len]) {
+                assert_range_equals_scalar(s, seed, first, l)?;
+            }
+        }
+        for s in &case_study_samplers() {
+            assert_range_equals_scalar(s, seed, first, len)?;
+        }
+    }
+
+    #[test]
+    fn shared_slots_equal_one_range_call(
+        seed in 0..u64::MAX / 2,
+        first in 0..1_000u64,
+        len in 0..6 * LANES,
+        workers in 1..4usize,
+    ) {
+        let toy = [threshold_sampler(), globally_sampler(), blowup_sampler(), forced_sampler()];
+        for s in toy.iter().chain(&case_study_samplers()) {
+            assert_shared_equals_range(s, seed, first, len, workers)?;
+        }
+    }
+
+    #[test]
+    fn blowup_ranges_mix_failed_and_finished_lanes(seed in 0..u64::MAX / 2) {
+        // The mixed-lane case above must really occur: some lanes fail
+        // (robustness −∞) while others in the same fill finish.
+        let s = blowup_sampler();
+        let mut robust = vec![(false, 0.0); 2 * LANES];
+        s.sample_robustness_range(seed, 0, &mut s.scratch(), &mut robust);
+        prop_assert!(robust.iter().any(|r| r.1 == f64::NEG_INFINITY));
+        prop_assert!(robust.iter().any(|r| r.1.is_finite()));
     }
 }
