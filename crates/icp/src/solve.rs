@@ -89,11 +89,6 @@ pub struct Paving {
 }
 
 impl Paving {
-    /// Total width-sum of inner boxes (a crude measure of the sat region).
-    pub fn sat_measure(&self) -> f64 {
-        self.sat.iter().map(IBox::total_width).sum()
-    }
-
     /// Does any inner box contain the point?
     pub fn sat_contains(&self, p: &[f64]) -> bool {
         self.sat.iter().any(|b| b.contains_point(p))

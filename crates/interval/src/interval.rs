@@ -127,18 +127,6 @@ impl Interval {
         }
     }
 
-    /// Builds an interval from any two corner values, ordering them.
-    #[inline]
-    pub fn hull_of(a: f64, b: f64) -> Interval {
-        if a.is_nan() || b.is_nan() {
-            return Interval::EMPTY;
-        }
-        Interval {
-            lo: a.min(b),
-            hi: a.max(b),
-        }
-    }
-
     /// Lower endpoint (NaN when empty).
     #[inline]
     pub fn lo(&self) -> f64 {
@@ -217,18 +205,6 @@ impl Interval {
             0.0
         } else {
             self.lo.abs().min(self.hi.abs())
-        }
-    }
-
-    /// Relative width: width scaled by magnitude when large.
-    #[inline]
-    pub fn rel_width(&self) -> f64 {
-        let w = self.width();
-        let m = self.mag();
-        if m > 1.0 {
-            w / m
-        } else {
-            w
         }
     }
 

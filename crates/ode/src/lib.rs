@@ -6,9 +6,10 @@
 //! with unknown parameters `p`, and multi-mode systems as hybrid automata
 //! whose per-mode dynamics are such ODEs. Three consumers, three regimes:
 //!
-//! * [`Rk4`] / [`DormandPrince`] — classic fixed-step and adaptive
-//!   embedded Runge–Kutta integrators producing dense [`Trace`]s; used by
-//!   simulation, SMC sampling, and BLTL monitoring.
+//! * [`DormandPrince`] — the adaptive embedded Runge–Kutta integrator,
+//!   producing dense [`Trace`]s or streaming each accepted step (one
+//!   trajectory, or `K` in lockstep); used by simulation, SMC
+//!   sampling, and BLTL monitoring.
 //! * Event detection ([`CompiledOde::integrate_with_events`]) — locates
 //!   guard zero-crossings by Hermite interpolation + bisection; used by
 //!   hybrid-automaton simulation for mode jumps.
@@ -44,7 +45,7 @@ mod trace;
 mod validated;
 
 pub use contractor::FlowContractor;
-pub use rk::{DormandPrince, LaneDriver, OdeError, OdeScratch, Rk4, StepControl, StreamEnd};
+pub use rk::{DormandPrince, LaneDriver, OdeError, OdeScratch, StepControl, StreamEnd};
 pub use system::{CompiledOde, EventHit, OdeSystem};
 pub use trace::Trace;
 pub use validated::{FlowTube, ValidatedOde, ValidationError};

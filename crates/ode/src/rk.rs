@@ -1,5 +1,4 @@
-//! Runge–Kutta integrators: classic fixed-step RK4 and the adaptive
-//! Dormand–Prince 5(4) embedded pair.
+//! The adaptive Dormand–Prince 5(4) embedded Runge–Kutta pair.
 
 use crate::system::CompiledOde;
 use crate::trace::Trace;
@@ -96,153 +95,6 @@ impl OdeScratch {
 fn zeroed(buf: &mut Vec<f64>, len: usize) {
     buf.clear();
     buf.resize(len, 0.0);
-}
-
-/// Classic fixed-step fourth-order Runge–Kutta.
-#[derive(Clone, Debug)]
-pub struct Rk4 {
-    /// Step size.
-    pub step: f64,
-}
-
-impl Rk4 {
-    /// Creates an RK4 integrator with the given step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step <= 0`.
-    pub fn new(step: f64) -> Rk4 {
-        assert!(step > 0.0, "step must be positive");
-        Rk4 { step }
-    }
-
-    /// Integrates `ode` from `y0` over `tspan`, collecting a dense trace.
-    ///
-    /// # Errors
-    ///
-    /// [`OdeError::NonFinite`] when the derivative blows up.
-    pub fn integrate(
-        &self,
-        ode: &CompiledOde,
-        base_env: &[f64],
-        y0: &[f64],
-        tspan: (f64, f64),
-    ) -> Result<Trace, OdeError> {
-        let mut ws = OdeScratch::new();
-        let mut times = Vec::new();
-        let mut states = Vec::new();
-        let mut derivs = Vec::new();
-        self.integrate_streaming(ode, base_env, y0, tspan, &mut ws, |t, y, dy| {
-            times.push(t);
-            states.push(y.to_vec());
-            derivs.push(dy.to_vec());
-            StepControl::Continue
-        })?;
-        Ok(Trace::new(times, states, derivs))
-    }
-
-    /// Step-streaming integration: hands every accepted sample
-    /// `(t, state, derivative)` to `sink` as soon as it exists instead of
-    /// building a [`Trace`], and stops as soon as the sink requests it.
-    /// The fused simulate-and-monitor SMC path drives this with a
-    /// streaming BLTL monitor, cutting trajectories at the moment the
-    /// property's verdict is decided.
-    ///
-    /// Reuses `ws` buffers — allocation-free after warm-up.
-    ///
-    /// # Errors
-    ///
-    /// [`OdeError::NonFinite`] when the derivative blows up.
-    pub fn integrate_streaming<F>(
-        &self,
-        ode: &CompiledOde,
-        base_env: &[f64],
-        y0: &[f64],
-        tspan: (f64, f64),
-        ws: &mut OdeScratch,
-        mut sink: F,
-    ) -> Result<StreamEnd, OdeError>
-    where
-        F: FnMut(f64, &[f64], &[f64]) -> StepControl,
-    {
-        let (t0, t_end) = tspan;
-        assert!(t_end >= t0, "time span must be forward");
-        let n = ode.dim();
-        let OdeScratch {
-            env,
-            y,
-            k,
-            tmp,
-            eval,
-            ..
-        } = ws;
-        env.clear();
-        env.extend_from_slice(base_env);
-        if env.len() < ode.env_len() {
-            env.resize(ode.env_len(), 0.0);
-        }
-        y.clear();
-        y.extend_from_slice(y0);
-        zeroed(k, 4 * n);
-        zeroed(tmp, n);
-        let (k1, rest) = k.split_at_mut(n);
-        let (k2, rest) = rest.split_at_mut(n);
-        let (k3, k4) = rest.split_at_mut(n);
-        let mut t = t0;
-        let mut steps = 1usize;
-
-        ode.deriv_with(env, y, t, k1, eval);
-        if sink(t, y, k1) == StepControl::Stop {
-            return Ok(StreamEnd {
-                t,
-                steps,
-                stopped_early: true,
-            });
-        }
-
-        while t < t_end {
-            if t_end - t <= 1e-13 * (1.0 + t_end.abs()) {
-                break;
-            }
-            let h = self.step.min(t_end - t);
-            // k1 = f(t, y) already: computed before the loop for the
-            // initial sample, and at the end of the previous iteration
-            // for every later one. 4 RHS evaluations per step, not 5.
-            for i in 0..n {
-                tmp[i] = y[i] + 0.5 * h * k1[i];
-            }
-            ode.deriv_with(env, tmp, t + 0.5 * h, k2, eval);
-            for i in 0..n {
-                tmp[i] = y[i] + 0.5 * h * k2[i];
-            }
-            ode.deriv_with(env, tmp, t + 0.5 * h, k3, eval);
-            for i in 0..n {
-                tmp[i] = y[i] + h * k3[i];
-            }
-            ode.deriv_with(env, tmp, t + h, k4, eval);
-            for i in 0..n {
-                y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
-            t += h;
-            if y.iter().any(|v| !v.is_finite()) {
-                return Err(OdeError::NonFinite { t });
-            }
-            ode.deriv_with(env, y, t, k1, eval);
-            steps += 1;
-            if sink(t, y, k1) == StepControl::Stop {
-                return Ok(StreamEnd {
-                    t,
-                    steps,
-                    stopped_early: true,
-                });
-            }
-        }
-        Ok(StreamEnd {
-            t,
-            steps,
-            stopped_early: false,
-        })
-    }
 }
 
 /// Dormand–Prince 5(4): adaptive embedded Runge–Kutta with FSAL.
@@ -782,16 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn rk4_exponential_decay() {
-        let (_cx, ode) = decay_ode();
-        let tr = Rk4::new(0.01)
-            .integrate(&ode, &[1.0], &[1.0], (0.0, 2.0))
-            .unwrap();
-        let want = (-2.0f64).exp();
-        assert!((tr.last_state()[0] - want).abs() < 1e-8);
-    }
-
-    #[test]
     fn dopri_exponential_decay_tight() {
         let (_cx, ode) = decay_ode();
         let tr = DormandPrince::with_tolerances(1e-10, 1e-12)
@@ -877,26 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn rk4_error_scales_with_h4() {
-        let (_cx, ode) = decay_ode();
-        let exact = (-1.0f64).exp();
-        let e1 = (Rk4::new(0.1)
-            .integrate(&ode, &[1.0], &[1.0], (0.0, 1.0))
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let e2 = (Rk4::new(0.05)
-            .integrate(&ode, &[1.0], &[1.0], (0.0, 1.0))
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let ratio = e1 / e2.max(1e-300);
-        assert!(ratio > 10.0, "expected ~16x error reduction, got {ratio}");
-    }
-
-    #[test]
     fn streaming_reproduces_collected_trace_exactly() {
         let (_cx, ode) = oscillator_ode();
         let dp = DormandPrince::default();
@@ -956,35 +778,6 @@ mod tests {
         assert!(end.stopped_early);
         assert_eq!(end.steps, 1);
         assert_eq!(end.t, 0.0);
-    }
-
-    #[test]
-    fn rk4_streaming_matches_collected() {
-        let (_cx, ode) = decay_ode();
-        let rk = Rk4::new(0.01);
-        let trace = rk.integrate(&ode, &[1.0], &[1.0], (0.0, 1.0)).unwrap();
-        let mut ws = OdeScratch::new();
-        let mut i = 0usize;
-        let end = rk
-            .integrate_streaming(&ode, &[1.0], &[1.0], (0.0, 1.0), &mut ws, |t, y, _| {
-                assert_eq!(t.to_bits(), trace.times()[i].to_bits());
-                assert_eq!(y[0].to_bits(), trace.state(i)[0].to_bits());
-                i += 1;
-                StepControl::Continue
-            })
-            .unwrap();
-        assert_eq!(end.steps, trace.len());
-        // Early stop mid-way.
-        let end = rk
-            .integrate_streaming(&ode, &[1.0], &[1.0], (0.0, 1.0), &mut ws, |t, _, _| {
-                if t >= 0.5 {
-                    StepControl::Stop
-                } else {
-                    StepControl::Continue
-                }
-            })
-            .unwrap();
-        assert!(end.stopped_early && end.t < 0.6);
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of clauses (original + learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Number of conflicts encountered so far.
     pub fn num_conflicts(&self) -> u64 {
         self.conflicts

@@ -70,7 +70,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hits as a fraction of all lookups, 0.0 before any lookup. The
-    /// operator-facing hit ratio in `stats`/`metrics` replies.
+    /// operator-facing hit ratio: `stats.cache.hit_ratio` and
+    /// `biocheckd_cache_hit_ratio` in the `metrics` exposition.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

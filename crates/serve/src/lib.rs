@@ -42,11 +42,10 @@
 //!   `inflight` stats view read one per-request in-flight table, the
 //!   active map of [`trace::TraceHub`], which also keeps the recent
 //!   span trees for `trace_export`.
-//! * [`metrics::ServeMetrics`] — **per-phase latency histograms**
-//!   (lock-free, from `biocheck_obs`) recorded inline on the serving
-//!   path and surfaced through `{"op":"stats"}` (percentile object),
-//!   `{"op":"metrics"}` (Prometheus text exposition), and
-//!   `biocheck_client --stats-watch`.
+//! * [`metrics`] — **per-phase latency histograms** (lock-free, from
+//!   `biocheck_obs`), each phase timed by one guard that also opens its
+//!   span. `{"op":"stats"}` and `{"op":"metrics"}` render them beside
+//!   one counter table; `biocheck_client --stats-watch` polls `stats`.
 //!
 //! Serving is deterministic per request: the same `(model, query, seed,
 //! count budget)` produces a bit-identical report at any pool width, any
@@ -117,7 +116,6 @@ pub use cache::{CacheStats, ResultCache};
 pub use case_studies::{case_study_source, pinned_lint_json, CASE_STUDIES};
 pub use client::{Client, ClientConfig, QueryReply};
 pub use json::{parse_json, Json};
-pub use metrics::ServeMetrics;
 pub use registry::persist::{ModelRecord, RegistryLog};
 pub use registry::{fingerprint64, MemoryStats, ModelEntry, Registry};
 pub use scheduler::{AdmitError, AdmitWait, Scheduler};

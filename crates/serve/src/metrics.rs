@@ -1,12 +1,15 @@
 //! Per-phase latency aggregation for the serving core.
 //!
-//! [`ServeMetrics`] owns one [`PhaseMetric`] per phase of the query
-//! lifecycle — a lock-free lifetime [`Histogram`] paired with a
-//! sliding 60-second [`Windowed`] view — and
-//! [`ServeCore`](crate::ServeCore) records into them inline (a record
-//! is a handful of relaxed atomic ops — cheap enough for the
-//! microsecond-scale warm path, measured through a real daemon socket
-//! by the `daemon_mix` benchmark workload). Two renderings exist:
+//! [`ServeMetrics`] keeps, per [`Phase`] of the query lifecycle, a
+//! lock-free lifetime [`Histogram`] and a sliding 60-second
+//! [`Windowed`] view. [`ServeCore`](crate::ServeCore) times each
+//! boundary with one [`PhaseTimer`]: a single start `Instant` plus,
+//! when the request is traced, the boundary's span. Finishing the
+//! timer records the histogram and closes the span; dropping it
+//! unfinished (a refused or failed request) only closes the span. A
+//! record is a handful of relaxed atomic ops, cheap enough for the
+//! microsecond-scale warm path that the `daemon_mix` benchmark
+//! workload measures through a real daemon socket. Two renderings:
 //!
 //! * [`ServeMetrics::latency_json`] — the `latency` object inside the
 //!   `{"op":"stats"}` reply: per-phase count / mean / p50 / p90 / p99 /
@@ -16,106 +19,89 @@
 //!   is it doing *now*").
 //! * [`ServeMetrics::prometheus_into`] — Prometheus-style text
 //!   exposition (summary quantiles in seconds plus `_sum`/`_count`),
-//!   embedded in the `{"op":"metrics"}` reply alongside the counter
-//!   metrics rendered by
-//!   [`ServeCore::metrics_text`](crate::ServeCore::metrics_text).
+//!   embedded in the `{"op":"metrics"}` reply ahead of the counter
+//!   table of [`ServeCore::metrics_text`](crate::ServeCore::metrics_text).
 //!
-//! # Phases
-//!
-//! | phase           | measures                                                    |
-//! |-----------------|-------------------------------------------------------------|
-//! | `request_hit`   | end-to-end time of a request answered from the result cache |
-//! | `request_miss`  | end-to-end time of a request that computed its answer       |
-//! | `queue_wait`    | time spent waiting for a scheduler execution slot           |
-//! | `execute`       | engine execution time (inside the panic boundary)           |
-//! | `compile`       | artifact-acquisition share of execution (from provenance)   |
-//! | `persist_append`| spill-file append time for memoized results                 |
-//! | `lint`          | execution time of static-analysis (`lint`) queries          |
-//!
-//! The request histograms cover successful replies; refused or failed
+//! The request phases cover successful replies; refused or failed
 //! requests are visible in the scheduler/cache/panic counters instead.
 
 use crate::json::Json;
-use biocheck_obs::{Histogram, Snapshot, Windowed};
+use biocheck_obs::{Histogram, Snapshot, TraceCtx, TraceSpan, Windowed};
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// One phase's latency state: the lifetime histogram plus a sliding
-/// last-60-seconds window. Recording lands in both; both stay
-/// lock-free.
-pub struct PhaseMetric {
-    /// Lifetime histogram (all samples since daemon start).
-    pub lifetime: Histogram,
-    /// Sliding last-minute window.
-    pub recent: Windowed,
+/// A timed phase of the query lifecycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// `request_hit`: end-to-end time of a request answered from the cache.
+    RequestHit,
+    /// `request_miss`: end-to-end time of a request that computed its answer.
+    RequestMiss,
+    /// `queue_wait`: admitted requests' wait for a scheduler slot.
+    QueueWait,
+    /// `execute`: engine time inside the panic boundary, panics excluded.
+    Execute,
+    /// `compile`: the artifact-acquisition share of execution (provenance).
+    Compile,
+    /// `persist_append`: spill-file append time of a memoized result.
+    PersistAppend,
+    /// `lint`: execute time of static-analysis queries (within `execute`).
+    Lint,
 }
 
-impl Default for PhaseMetric {
-    fn default() -> PhaseMetric {
-        PhaseMetric {
-            lifetime: Histogram::new(),
-            recent: Windowed::last_minute(),
+/// Phase names in [`Phase`] order: the `stats.latency` keys and the
+/// exposition's `phase` labels.
+const PHASE_NAMES: [&str; 7] = [
+    "request_hit",
+    "request_miss",
+    "queue_wait",
+    "execute",
+    "compile",
+    "persist_append",
+    "lint",
+];
+
+/// The latency metrics of one [`ServeCore`](crate::ServeCore), indexed
+/// by [`Phase`], in nanoseconds. Recording is lock-free, so every
+/// connection thread writes directly into the shared instance.
+pub struct ServeMetrics {
+    lifetime: [Histogram; PHASE_NAMES.len()],
+    recent: [Windowed; PHASE_NAMES.len()],
+}
+
+impl Default for ServeMetrics {
+    fn default() -> ServeMetrics {
+        ServeMetrics {
+            lifetime: Default::default(),
+            recent: std::array::from_fn(|_| Windowed::last_minute()),
         }
     }
 }
 
-impl PhaseMetric {
-    /// Records one sample into the lifetime histogram and the window.
-    pub fn record(&self, d: Duration) {
-        self.lifetime.record(d);
-        self.recent.record(d);
-    }
-
-    /// Lifetime snapshot (the stable quantile API).
-    pub fn snapshot(&self) -> Snapshot {
-        self.lifetime.snapshot()
-    }
+/// One open timing boundary; see [`ServeMetrics::open`].
+#[must_use = "a phase timer records only when finished"]
+pub struct PhaseTimer<'a> {
+    metrics: &'a ServeMetrics,
+    start: Instant,
+    _span: Option<TraceSpan>,
 }
 
-/// The latency metrics of one [`ServeCore`](crate::ServeCore).
-/// All fields record nanoseconds; recording is lock-free, so every
-/// connection thread writes directly into the shared instance.
-#[derive(Default)]
-pub struct ServeMetrics {
-    /// End-to-end latency of cache-hit replies.
-    pub request_hit: PhaseMetric,
-    /// End-to-end latency of computed (miss) replies.
-    pub request_miss: PhaseMetric,
-    /// Scheduler admission wait of admitted requests.
-    pub queue_wait: PhaseMetric,
-    /// Engine execution time (successful runs).
-    pub execute: PhaseMetric,
-    /// Compile/artifact-acquisition phase, as stamped into
-    /// [`Provenance::compile_time`](biocheck_engine::Provenance::compile_time).
-    pub compile: PhaseMetric,
-    /// Persistence-log append latency.
-    pub persist_append: PhaseMetric,
-    /// Execution time of static-analysis (`lint`) queries — a subset
-    /// of `execute`, split out so the pre-flight path is visible on
-    /// its own.
-    pub lint: PhaseMetric,
-}
-
-/// Phase name → metric, the single place the phase list lives.
-fn phases(m: &ServeMetrics) -> [(&'static str, &PhaseMetric); 7] {
-    [
-        ("request_hit", &m.request_hit),
-        ("request_miss", &m.request_miss),
-        ("queue_wait", &m.queue_wait),
-        ("execute", &m.execute),
-        ("compile", &m.compile),
-        ("persist_append", &m.persist_append),
-        ("lint", &m.lint),
-    ]
+impl PhaseTimer<'_> {
+    /// Records the elapsed time as one `phase` sample, closes the span
+    /// and returns the elapsed time.
+    pub fn finish(self, phase: Phase) -> Duration {
+        let elapsed = self.start.elapsed();
+        self.metrics.record(phase, elapsed);
+        elapsed
+    }
 }
 
 fn ns_to_ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn phase_json(metric: &PhaseMetric) -> Json {
-    let snap = metric.lifetime.snapshot();
-    let recent = metric.recent.snapshot();
+fn phase_json(snap: Snapshot, recent: Snapshot) -> Json {
     Json::obj([
         ("count", Json::num(snap.count() as f64)),
         ("mean_ms", Json::num(snap.mean_ns() / 1e6)),
@@ -130,16 +116,31 @@ fn phase_json(metric: &PhaseMetric) -> Json {
 }
 
 impl ServeMetrics {
+    /// Records one `phase` sample into its lifetime histogram and window.
+    pub fn record(&self, phase: Phase, d: Duration) {
+        self.lifetime[phase as usize].record(d);
+        self.recent[phase as usize].record(d);
+    }
+
+    /// Starts timing a boundary now, opening the span `span` when the
+    /// request is traced. Finish the timer with the phase to record;
+    /// dropping it unfinished only closes the span.
+    pub fn open(&self, span: &'static str, trace: Option<&Arc<TraceCtx>>) -> PhaseTimer<'_> {
+        PhaseTimer {
+            metrics: self,
+            start: Instant::now(),
+            _span: trace.map(|ctx| ctx.span(span)),
+        }
+    }
+
     /// The `latency` object of the stats reply: one entry per phase
     /// (always all seven, zeroed when nothing was recorded yet), each
     /// with lifetime percentiles plus the `*_60s` windowed pair.
     pub fn latency_json(&self) -> Json {
-        Json::obj(
-            phases(self)
-                .into_iter()
-                .map(|(name, metric)| (name, phase_json(metric)))
-                .collect::<Vec<_>>(),
-        )
+        Json::obj(PHASE_NAMES.into_iter().enumerate().map(|(i, name)| {
+            let (snap, recent) = (self.lifetime[i].snapshot(), self.recent[i].snapshot());
+            (name, phase_json(snap, recent))
+        }))
     }
 
     /// Appends the latency summaries in Prometheus text exposition
@@ -150,8 +151,8 @@ impl ServeMetrics {
     pub fn prometheus_into(&self, out: &mut String) {
         out.push_str("# HELP biocheckd_request_latency_seconds Per-phase request latency.\n");
         out.push_str("# TYPE biocheckd_request_latency_seconds summary\n");
-        for (name, metric) in phases(self) {
-            let snap = metric.lifetime.snapshot();
+        for (name, histogram) in PHASE_NAMES.into_iter().zip(&self.lifetime) {
+            let snap = histogram.snapshot();
             for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99), ("1", 1.0)] {
                 let _ = writeln!(
                     out,
@@ -161,12 +162,9 @@ impl ServeMetrics {
             }
             let _ = writeln!(
                 out,
-                "biocheckd_request_latency_seconds_sum{{phase=\"{name}\"}} {}",
-                snap.sum_ns() as f64 / 1e9
-            );
-            let _ = writeln!(
-                out,
-                "biocheckd_request_latency_seconds_count{{phase=\"{name}\"}} {}",
+                "biocheckd_request_latency_seconds_sum{{phase=\"{name}\"}} {}\n\
+                 biocheckd_request_latency_seconds_count{{phase=\"{name}\"}} {}",
+                snap.sum_ns() as f64 / 1e9,
                 snap.count()
             );
         }
@@ -177,11 +175,31 @@ impl ServeMetrics {
 mod tests {
     use super::*;
 
+    fn count(m: &ServeMetrics, phase: &str) -> Option<f64> {
+        m.latency_json().get(phase)?.get("count")?.as_f64()
+    }
+
+    #[test]
+    fn a_timer_records_only_when_finished_and_always_closes_its_span() {
+        let m = ServeMetrics::default();
+        let ctx = TraceCtx::new(8);
+        drop(m.open("serve.queue_wait", Some(&ctx)));
+        assert_eq!(count(&m, "queue_wait"), Some(0.0));
+        m.open("serve.execute", Some(&ctx)).finish(Phase::Execute);
+        assert_eq!(count(&m, "execute"), Some(1.0));
+        let spans: Vec<_> = ctx.records().iter().map(|r| r.name).collect();
+        assert_eq!(spans, ["serve.queue_wait", "serve.execute"]);
+        // Untraced: the same histogram, no span anywhere.
+        m.open("serve.execute", None).finish(Phase::Lint);
+        assert_eq!(count(&m, "lint"), Some(1.0));
+        assert_eq!(ctx.records().len(), 2);
+    }
+
     #[test]
     fn latency_json_has_all_phases_and_ordered_quantiles() {
         let m = ServeMetrics::default();
         for i in 1..=200u64 {
-            m.queue_wait.record(Duration::from_micros(i));
+            m.record(Phase::QueueWait, Duration::from_micros(i));
         }
         let j = m.latency_json();
         for phase in [
@@ -211,7 +229,7 @@ mod tests {
     fn windowed_pair_tracks_fresh_samples() {
         let m = ServeMetrics::default();
         for _ in 0..50 {
-            m.execute.record(Duration::from_millis(2));
+            m.record(Phase::Execute, Duration::from_millis(2));
         }
         let ex = m.latency_json();
         let ex = ex.get("execute").unwrap();
@@ -232,7 +250,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_well_formed() {
         let m = ServeMetrics::default();
-        m.execute.record(Duration::from_millis(3));
+        m.record(Phase::Execute, Duration::from_millis(3));
         let mut out = String::new();
         m.prometheus_into(&mut out);
         assert!(out.starts_with("# HELP biocheckd_request_latency_seconds"));

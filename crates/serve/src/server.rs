@@ -58,7 +58,7 @@ use crate::append_log::{AppendLog, Codec, Extent, LogStats};
 use crate::cache::persist::{locator, CacheLog, CacheRecord};
 use crate::cache::{CacheStats, ResultCache};
 use crate::json::Json;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Phase, ServeMetrics};
 use crate::registry::persist::{ModelRecord, RegistryLog};
 use crate::registry::Registry;
 use crate::scheduler::{AdmitError, AdmitWait, Scheduler};
@@ -388,11 +388,6 @@ impl ServeCore {
         &self.scheduler
     }
 
-    /// The per-phase latency histograms.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
     /// The request-tracing hub: the in-flight table (`inflight` stats
     /// block, cancel by id, the watchdog) and retained span trees
     /// (`trace_export`). Arm it to trace every request regardless of
@@ -432,12 +427,12 @@ impl ServeCore {
     /// Runs (or recalls) one query. Returns the report and whether it
     /// came from the cache.
     ///
-    /// Every successful reply lands in the latency histograms
-    /// ([`ServeCore::metrics`]): end-to-end split by cache hit/miss,
-    /// queue wait, engine execute time, the compile share stamped into
-    /// the report's provenance, and the persistence append. The hit
-    /// path pays two clock reads and one histogram record — overhead
-    /// the `daemon_mix` benchmark workload measures end to end.
+    /// Every successful reply lands in the latency histograms (the
+    /// `latency` block of [`ServeCore::stats_json`]): end-to-end split
+    /// by cache hit/miss, queue wait, engine execute time, the compile
+    /// share stamped into the report's provenance, and the persistence
+    /// append. The hit path pays two clock reads and one histogram
+    /// record — overhead the `daemon_mix` benchmark workload measures.
     pub fn run_query(&self, qr: &QueryRequest) -> Result<(Arc<Report>, bool), ServeError> {
         self.run_query_traced(qr)
             .map(|(report, cached, _trace)| (report, cached))
@@ -471,14 +466,13 @@ impl ServeCore {
         qr: &QueryRequest,
         trace: Option<&Arc<TraceCtx>>,
     ) -> Result<(Arc<Report>, bool), ServeError> {
-        // The hub-guard slot is declared *before* the root span on
-        // purpose: locals drop in reverse order, so the root span
-        // closes (landing its record in the ring) before the guard
-        // publishes the completed trace — on success, error, and
-        // unwind alike.
+        // The hub-guard slot is declared *before* the request timer,
+        // which holds the root span, on purpose: locals drop in reverse
+        // order, so the root span closes (landing its record in the
+        // ring) before the guard publishes the completed trace — on
+        // success, error, and unwind alike.
         let mut hub_guard: Option<crate::trace::TraceGuard<'_>> = None;
-        let _tspan = trace.map(|ctx| ctx.span("serve.request"));
-        let t_request = Instant::now();
+        let request = self.metrics.open("serve.request", trace);
         let entry = self
             .registry
             .get(&qr.model)
@@ -505,7 +499,7 @@ impl ServeCore {
         // request and its untraced twin share one cache entry.
         let key = format!("{base_key}|seed={}|{}", qr.seed, budget.canonical_caps());
         if let Some(hit) = self.lookup(&key) {
-            self.metrics.request_hit.record(t_request.elapsed());
+            request.finish(Phase::RequestHit);
             return Ok((hit, true));
         }
         // Registration in the one in-flight table: from here until the
@@ -524,25 +518,22 @@ impl ServeCore {
             token.clone(),
         )?);
         let result = {
-            let t_queue = Instant::now();
-            let queue_span = trace.map(|ctx| ctx.span("serve.queue_wait"));
+            let queue = self.metrics.open("serve.queue_wait", trace);
             let _permit = self.scheduler.admit(AdmitWait {
                 deadline: budget.queue_deadline,
                 cancel: Some(token.as_flag()),
             })?;
-            drop(queue_span);
             // Queue wait covers admitted requests; refused admissions
             // are visible in the shed/expired counters instead.
-            self.metrics.queue_wait.record(t_queue.elapsed());
+            queue.finish(Phase::QueueWait);
             // A racing identical request may have populated the cache
             // while this one queued; recheck before paying for compute.
             if let Some(hit) = self.lookup(&key) {
-                self.metrics.request_hit.record(t_request.elapsed());
+                request.finish(Phase::RequestHit);
                 guard.set_ok();
                 return Ok((hit, true));
             }
-            let t_execute = Instant::now();
-            let exec_span = trace.map(|ctx| ctx.span("serve.execute"));
+            let execute = self.metrics.open("serve.execute", trace);
             // The watchdog watches only the execute window: queue wait
             // is governed by its own deadline.
             // Panic isolation: a solver bug (or an injected fault)
@@ -569,30 +560,22 @@ impl ServeCore {
                     .budget(budget.clone().with_cancel(token.clone()))
                     .run()
             }));
-            drop(exec_span);
-            let outcome = match run {
-                Ok(r) => {
-                    self.metrics.execute.record(t_execute.elapsed());
-                    if matches!(&r, Ok(rep) if rep.kind == biocheck_engine::QueryKind::Lint) {
-                        self.metrics.lint.record(t_execute.elapsed());
-                    }
-                    r
-                }
-                Err(payload) => {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Internal(format!(
-                        "query execution panicked: {}",
-                        panic_message(&*payload)
-                    )));
-                }
-            };
+            let outcome = run.map_err(|payload| {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                let message = panic_message(&*payload);
+                ServeError::Internal(format!("query execution panicked: {message}"))
+            })?;
+            let elapsed = execute.finish(Phase::Execute);
+            if matches!(&outcome, Ok(rep) if rep.kind == biocheck_engine::QueryKind::Lint) {
+                self.metrics.record(Phase::Lint, elapsed);
+            }
             // A watchdog-reaped run surfaces as a typed error, not a
             // silently truncated report (the engine treats a raised
             // token as exhaustion, which is right for *client* cancels
             // answered out-of-band but would mask a reaped hang here).
             if let (true, Some(dog)) = (reaped, &self.watchdog) {
                 return Err(ServeError::WatchdogCancelled {
-                    elapsed_ms: t_execute.elapsed().as_millis() as u64,
+                    elapsed_ms: elapsed.as_millis() as u64,
                     ceiling_ms: dog.ceiling.as_millis() as u64,
                 });
             }
@@ -600,7 +583,7 @@ impl ServeCore {
         };
         let report = Arc::new(result.map_err(|e| ServeError::Query(e.to_string()))?);
         if let Some(compile) = report.provenance.compile_time {
-            self.metrics.compile.record(compile);
+            self.metrics.record(Phase::Compile, compile);
         }
         // Pure-function check: no wall clock involved, token never
         // raised → memoize.
@@ -616,14 +599,12 @@ impl ServeCore {
             // and never fail the request; the result then stays in RAM,
             // like one the codec refuses or a locator cannot describe.
             let written = self.persist.as_ref().and_then(|log| {
-                let t_append = Instant::now();
-                let append_span = trace.map(|ctx| ctx.span("serve.persist_append"));
+                let append = self.metrics.open("serve.persist_append", trace);
                 let at = log
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .append(&record);
-                drop(append_span);
-                self.metrics.persist_append.record(t_append.elapsed());
+                append.finish(Phase::PersistAppend);
                 at.and_then(locator)
             });
             match written {
@@ -631,7 +612,7 @@ impl ServeCore {
                 None => self.cache.insert(record.key, record.report, cost),
             };
         }
-        self.metrics.request_miss.record(t_request.elapsed());
+        request.finish(Phase::RequestMiss);
         guard.set_ok();
         Ok((report, false))
     }
@@ -650,91 +631,107 @@ impl ServeCore {
         self.trace_hub.cancel(id)
     }
 
-    /// Statistics payload (`op: stats`).
-    pub fn stats_json(&self) -> Json {
+    /// The counter table: every numeric `stats` counter and gauge, one
+    /// section per `stats` block in reply order. `persist` and
+    /// `registry_persist` are present only when their log is attached.
+    /// [`ServeCore::stats_json`] and [`ServeCore::metrics_text`] both
+    /// render it, so a counter is named once.
+    #[rustfmt::skip]
+    fn counter_table(&self) -> Vec<Section> {
         let c = self.cache.stats();
-        let mut pairs = vec![
-            (
-                "cache",
-                Json::obj([
-                    ("hits", Json::num(c.hits as f64)),
-                    ("misses", Json::num(c.misses as f64)),
-                    ("inserts", Json::num(c.inserts as f64)),
-                    ("evictions", Json::num(c.evictions as f64)),
-                    ("rejected", Json::num(c.rejected as f64)),
-                    ("purged", Json::num(c.purged as f64)),
-                    ("entries", Json::num(c.entries as f64)),
-                    ("bytes", Json::num(c.bytes as f64)),
-                    (
-                        "capacity_bytes",
-                        Json::num(self.cache.capacity_bytes() as f64),
-                    ),
-                    ("hit_ratio", Json::num(c.hit_ratio())),
-                ]),
-            ),
-            (
-                "scheduler",
-                Json::obj([
-                    ("capacity", Json::num(self.scheduler.capacity() as f64)),
-                    ("in_flight", Json::num(self.scheduler.in_flight() as f64)),
-                    (
-                        "queue_depth",
-                        Json::num(self.scheduler.queue_depth() as f64),
-                    ),
-                    ("max_queue", Json::num(self.scheduler.max_queue() as f64)),
-                    (
-                        "queue_high_water",
-                        Json::num(self.scheduler.queue_high_water() as f64),
-                    ),
-                    ("shed", Json::num(self.scheduler.shed_count() as f64)),
-                    ("expired", Json::num(self.scheduler.expired_count() as f64)),
-                    ("draining", Json::Bool(self.scheduler.is_draining())),
-                ]),
-            ),
-            (
-                "server",
-                Json::obj([
-                    ("panic_replies", Json::num(self.panic_count() as f64)),
-                    (
-                        "watchdog_cancelled",
-                        Json::num(self.watchdog_cancelled_count() as f64),
-                    ),
-                ]),
-            ),
-        ];
+        let s = &self.scheduler;
         let m = self.registry.memory_stats();
-        pairs.push((
-            "sessions",
-            Json::obj([
-                ("artifact_count", Json::num(m.artifact_count as f64)),
-                ("artifact_evictions", Json::num(m.artifact_evictions as f64)),
+        let mut table = vec![
+            Section("cache", "cache_", vec![
+                counter("hits", c.hits as f64, "Result-cache hits."),
+                counter("misses", c.misses as f64, "Result-cache misses."),
+                counter("inserts", c.inserts as f64, "Result-cache inserts."),
+                counter("evictions", c.evictions as f64, "Entries evicted to fit the byte budget."),
+                counter("rejected", c.rejected as f64,
+                    "Entries refused as costlier than the budget."),
+                counter("purged", c.purged as f64, "Entries purged by a model re-registration."),
+                gauge("entries", c.entries as f64, "Entries currently cached."),
+                gauge("bytes", c.bytes as f64, "Bytes currently charged against the cache budget."),
+                gauge("capacity_bytes", self.cache.capacity_bytes() as f64,
+                    "The cache byte budget."),
+                gauge("hit_ratio", c.hit_ratio(), "Hits over all lookups, 0 before the first."),
             ]),
-        ));
+            Section("scheduler", "scheduler_", vec![
+                gauge("capacity", s.capacity() as f64, "Concurrent executions admitted."),
+                gauge("in_flight", s.in_flight() as f64, "Queries currently executing."),
+                gauge("queue_depth", s.queue_depth() as f64,
+                    "Requests waiting for an execution slot."),
+                gauge("max_queue", s.max_queue() as f64,
+                    "Wait-queue bound; arrivals beyond it are shed."),
+                gauge("queue_high_water", s.queue_high_water() as f64,
+                    "Deepest the wait queue has been since startup."),
+                counter("shed", s.shed_count() as f64,
+                    "Requests refused with an overloaded reply."),
+                counter("expired", s.expired_count() as f64,
+                    "Requests whose queue deadline elapsed before admission."),
+            ]),
+            Section("server", "", vec![
+                counter("panic_replies", self.panic_count() as f64,
+                    "Query executions that panicked and became internal_error replies."),
+                counter("watchdog_cancelled", self.watchdog_cancelled_count() as f64,
+                    "Queries cancelled for exceeding the execute ceiling."),
+            ]),
+            Section("sessions", "session_", vec![
+                gauge("artifact_count", m.artifact_count as f64,
+                    "Compiled artifacts cached across sessions."),
+                counter("artifact_evictions", m.artifact_evictions as f64,
+                    "Compiled artifacts evicted by the per-model LRU bound."),
+            ]),
+        ];
         if let Some(p) = self.persist_stats() {
-            pairs.push((
-                "persist",
-                Json::obj([
-                    ("loaded", Json::num(p.loaded as f64)),
-                    ("skipped", Json::num(p.skipped as f64)),
-                    ("indexed", Json::num(c.indexed as f64)),
-                    ("appended", Json::num(p.appended as f64)),
-                    ("append_errors", Json::num(p.append_errors as f64)),
-                    ("unsupported", Json::num(p.unsupported as f64)),
-                ]),
-            ));
+            table.push(Section("persist", "persist_", vec![
+                counter("loaded", p.loaded as f64, "Records indexed from the spill file at boot."),
+                counter("skipped", p.skipped as f64,
+                    "Unreadable spill-file lines skipped at boot."),
+                gauge("indexed", c.indexed as f64,
+                    "Memoized results located in the spill file by the in-memory index."),
+                counter("appended", p.appended as f64,
+                    "Memoized results appended to the spill file."),
+                counter("append_errors", p.append_errors as f64,
+                    "Spill-file append failures (best-effort, request unaffected)."),
+                counter("unsupported", p.unsupported as f64,
+                    "Results the spill-file codec refused; they stay in RAM."),
+            ]));
         }
         if let Some(r) = self.registry_persist_stats() {
-            pairs.push((
-                "registry_persist",
-                Json::obj([
-                    ("loaded", Json::num(r.loaded as f64)),
-                    ("skipped", Json::num(r.skipped as f64)),
-                    ("deduped", Json::num(r.deduped as f64)),
-                    ("appended", Json::num(r.appended as f64)),
-                    ("append_errors", Json::num(r.append_errors as f64)),
-                ]),
-            ));
+            table.push(Section("registry_persist", "registry_", vec![
+                counter("loaded", r.loaded as f64,
+                    "Models replayed from the registry log at boot."),
+                counter("skipped", r.skipped as f64,
+                    "Unreadable registry-log lines skipped at boot."),
+                counter("deduped", r.deduped as f64,
+                    "Superseded registry-log records dropped at boot."),
+                counter("appended", r.appended as f64,
+                    "Registrations appended to the registry log."),
+                counter("append_errors", r.append_errors as f64,
+                    "Registry-log append failures (best-effort, request unaffected)."),
+            ]));
         }
+        table
+    }
+
+    /// Statistics payload (`op: stats`): the counter table plus the
+    /// non-numeric blocks.
+    pub fn stats_json(&self) -> Json {
+        let mut pairs: Vec<_> = self
+            .counter_table()
+            .into_iter()
+            .map(|Section(section, _, rows)| {
+                let mut fields: Vec<_> = rows
+                    .into_iter()
+                    .map(|Row(key, _, _, value)| (key, Json::num(value)))
+                    .collect();
+                if section == "scheduler" {
+                    fields.push(("draining", Json::Bool(self.scheduler.is_draining())));
+                }
+                (section, Json::obj(fields))
+            })
+            .collect();
         pairs.push((
             "models",
             Json::Arr(
@@ -754,138 +751,24 @@ impl ServeCore {
     }
 
     /// Prometheus text exposition (`op: metrics`): the per-phase
-    /// latency summaries plus every counter/gauge from the stats
-    /// payload under stable `biocheckd_*` names. The format is
-    /// documented with example scrape output in `docs/OPERATIONS.md`.
+    /// latency summaries, then every row of the counter table as
+    /// `biocheckd_` + section prefix + key, with `_total` on counters.
+    /// The format is documented with example scrape output in
+    /// `docs/OPERATIONS.md`.
     pub fn metrics_text(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
         self.metrics.prometheus_into(&mut out);
-        let c = self.cache.stats();
-        let mut counter = |name: &str, help: &str, value: f64| {
-            use std::fmt::Write as _;
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "biocheckd_cache_hits_total",
-            "Result-cache hits.",
-            c.hits as f64,
-        );
-        counter(
-            "biocheckd_cache_misses_total",
-            "Result-cache misses.",
-            c.misses as f64,
-        );
-        counter(
-            "biocheckd_cache_inserts_total",
-            "Result-cache inserts.",
-            c.inserts as f64,
-        );
-        counter(
-            "biocheckd_cache_evictions_total",
-            "Entries evicted to fit the byte budget.",
-            c.evictions as f64,
-        );
-        counter(
-            "biocheckd_cache_entries",
-            "Entries currently cached.",
-            c.entries as f64,
-        );
-        counter(
-            "biocheckd_cache_bytes",
-            "Bytes currently charged against the cache budget.",
-            c.bytes as f64,
-        );
-        counter(
-            "biocheckd_scheduler_in_flight",
-            "Queries currently executing.",
-            self.scheduler.in_flight() as f64,
-        );
-        counter(
-            "biocheckd_scheduler_queue_depth",
-            "Requests waiting for an execution slot.",
-            self.scheduler.queue_depth() as f64,
-        );
-        counter(
-            "biocheckd_scheduler_queue_high_water",
-            "Deepest the wait queue has been since startup.",
-            self.scheduler.queue_high_water() as f64,
-        );
-        counter(
-            "biocheckd_scheduler_shed_total",
-            "Requests refused with an overloaded reply.",
-            self.scheduler.shed_count() as f64,
-        );
-        counter(
-            "biocheckd_scheduler_expired_total",
-            "Requests whose queue deadline elapsed before admission.",
-            self.scheduler.expired_count() as f64,
-        );
-        counter(
-            "biocheckd_panic_replies_total",
-            "Query executions that panicked and became internal_error replies.",
-            self.panic_count() as f64,
-        );
-        counter(
-            "biocheckd_watchdog_cancelled_total",
-            "Queries cancelled for exceeding the execute ceiling.",
-            self.watchdog_cancelled_count() as f64,
-        );
-        let m = self.registry.memory_stats();
-        counter(
-            "biocheckd_session_artifact_count",
-            "Compiled artifacts cached across sessions.",
-            m.artifact_count as f64,
-        );
-        counter(
-            "biocheckd_session_artifact_evictions_total",
-            "Compiled artifacts evicted by the per-model LRU bound.",
-            m.artifact_evictions as f64,
-        );
-        if let Some(p) = self.persist_stats() {
-            counter(
-                "biocheckd_persist_appended_total",
-                "Memoized results appended to the spill file.",
-                p.appended as f64,
-            );
-            counter(
-                "biocheckd_persist_append_errors_total",
-                "Spill-file append failures (best-effort, request unaffected).",
-                p.append_errors as f64,
-            );
-            counter(
-                "biocheckd_persist_loaded_total",
-                "Records indexed from the spill file at boot.",
-                p.loaded as f64,
-            );
-            counter(
-                "biocheckd_persist_indexed",
-                "Memoized results located in the spill file by the in-memory index.",
-                c.indexed as f64,
-            );
-        }
-        if let Some(r) = self.registry_persist_stats() {
-            counter(
-                "biocheckd_registry_appended_total",
-                "Registrations appended to the registry log.",
-                r.appended as f64,
-            );
-            counter(
-                "biocheckd_registry_append_errors_total",
-                "Registry-log append failures (best-effort, request unaffected).",
-                r.append_errors as f64,
-            );
-            counter(
-                "biocheckd_registry_loaded_total",
-                "Models replayed from the registry log at boot.",
-                r.loaded as f64,
-            );
+        for Section(_, prefix, rows) in self.counter_table() {
+            for Row(key, counter, help, value) in rows {
+                let kind = if counter { "counter" } else { "gauge" };
+                let suffix = if counter { "_total" } else { "" };
+                let name = format!("biocheckd_{prefix}{key}{suffix}");
+                let _ = writeln!(
+                    out,
+                    "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
+                );
+            }
         }
         out
     }
@@ -1091,6 +974,22 @@ fn error_json(kind: &str, message: &str, retry_after_ms: Option<u64>) -> Json {
         pairs.push(("retry_after_ms", Json::num(ms as f64)));
     }
     Json::obj(pairs)
+}
+
+/// One counter-table section: its `stats` key, the metric-name
+/// prefix after `biocheckd_`, and its rows.
+struct Section(&'static str, &'static str, Vec<Row>);
+
+/// One numeric `stats` field and its `biocheckd_*` metric: key,
+/// counter (`_total`, monotonic) or gauge, help text, value.
+struct Row(&'static str, bool, &'static str, f64);
+
+fn counter(key: &'static str, value: f64, help: &'static str) -> Row {
+    Row(key, true, help, value)
+}
+
+fn gauge(key: &'static str, value: f64, help: &'static str) -> Row {
+    Row(key, false, help, value)
 }
 
 /// A running daemon: the bound address plus the accept-loop handle.

@@ -624,3 +624,154 @@ fn stats_report_latency_percentiles_after_mixed_batch() {
     assert!(text.contains("biocheckd_cache_hits_total 9"));
     assert!(text.contains("biocheckd_scheduler_queue_high_water 1"));
 }
+
+/// Every numeric `stats` key, by section, of a core with both logs.
+/// None may disappear or change its JSON type.
+const STATS_NUMBERS: &[(&str, &str)] = &[
+    (
+        "cache",
+        "hits misses inserts evictions rejected purged entries bytes capacity_bytes hit_ratio",
+    ),
+    (
+        "scheduler",
+        "capacity in_flight queue_depth max_queue queue_high_water shed expired",
+    ),
+    ("server", "panic_replies watchdog_cancelled"),
+    ("sessions", "artifact_count artifact_evictions"),
+    (
+        "persist",
+        "loaded skipped indexed appended append_errors unsupported",
+    ),
+    (
+        "registry_persist",
+        "loaded skipped deduped appended append_errors",
+    ),
+];
+
+/// Every `biocheckd_*` name a core with both logs renders, with its
+/// `# TYPE`. None may disappear from the exposition.
+const METRIC_INVENTORY: &[(&str, &str)] = &[
+    ("biocheckd_request_latency_seconds", "summary"),
+    ("biocheckd_cache_hits_total", "counter"),
+    ("biocheckd_cache_misses_total", "counter"),
+    ("biocheckd_cache_inserts_total", "counter"),
+    ("biocheckd_cache_evictions_total", "counter"),
+    ("biocheckd_cache_entries", "gauge"),
+    ("biocheckd_cache_bytes", "gauge"),
+    ("biocheckd_scheduler_in_flight", "gauge"),
+    ("biocheckd_scheduler_queue_depth", "gauge"),
+    ("biocheckd_scheduler_queue_high_water", "gauge"),
+    ("biocheckd_scheduler_shed_total", "counter"),
+    ("biocheckd_scheduler_expired_total", "counter"),
+    ("biocheckd_panic_replies_total", "counter"),
+    ("biocheckd_watchdog_cancelled_total", "counter"),
+    ("biocheckd_session_artifact_count", "gauge"),
+    ("biocheckd_session_artifact_evictions_total", "counter"),
+    ("biocheckd_persist_appended_total", "counter"),
+    ("biocheckd_persist_append_errors_total", "counter"),
+    ("biocheckd_persist_loaded_total", "counter"),
+    ("biocheckd_persist_indexed", "gauge"),
+    ("biocheckd_registry_appended_total", "counter"),
+    ("biocheckd_registry_append_errors_total", "counter"),
+    ("biocheckd_registry_loaded_total", "counter"),
+];
+
+/// The metric-name prefix after `biocheckd_` of each counter section.
+fn metric_prefix(section: &str) -> &'static str {
+    match section {
+        "cache" => "cache_",
+        "scheduler" => "scheduler_",
+        "sessions" => "session_",
+        "persist" => "persist_",
+        "registry_persist" => "registry_",
+        _ => "",
+    }
+}
+
+/// The inventory pin for `stats` and `metrics`: with both logs
+/// attached and a cold/warm batch served, every `stats` key path keeps
+/// its JSON type, every metric name keeps its `# TYPE`, and each
+/// counter that both surfaces render reads the same value in each.
+#[test]
+fn stats_and_metrics_keep_their_inventory_and_agree() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let persist = dir.join(format!("biocheck-inventory-cache-{pid}"));
+    let registry = dir.join(format!("biocheck-inventory-registry-{pid}"));
+    let _ = std::fs::remove_file(&persist);
+    let _ = std::fs::remove_file(&registry);
+    let core = ServeCore::new(ServeConfig {
+        persist: Some(persist.clone()),
+        registry: Some(registry.clone()),
+        ..ServeConfig::default()
+    });
+    core.register("decay", &decay_source()).unwrap();
+    let batch: Vec<QueryRequest> = (0..3).map(|i| estimate("x - 1", i, 40)).collect();
+    for _ in 0..2 {
+        for qr in &batch {
+            core.run_query(qr).unwrap();
+        }
+    }
+    let stats = core.stats_json();
+    let text = core.metrics_text();
+    let _ = std::fs::remove_file(&persist);
+    let _ = std::fs::remove_file(&registry);
+
+    let path = |keys: &[&str]| keys.iter().try_fold(&stats, |j, k| j.get(k));
+    let phase_keys = "count mean_ms p50_ms p90_ms p99_ms max_ms count_60s p50_60s_ms p99_60s_ms";
+    let phases = "request_hit request_miss queue_wait execute compile persist_append lint";
+    let latency = phases
+        .split(' ')
+        .flat_map(|p| phase_keys.split(' ').map(move |k| vec!["latency", p, k]));
+    let counters = STATS_NUMBERS
+        .iter()
+        .flat_map(|(s, keys)| keys.split(' ').map(move |k| vec![*s, k]));
+    for keys in counters.chain(latency).chain([vec!["threads"]]) {
+        let v = path(&keys);
+        assert!(v.and_then(Json::as_f64).is_some(), "stats {keys:?}: {v:?}");
+    }
+    assert!(path(&["scheduler", "draining"])
+        .and_then(Json::as_bool)
+        .is_some());
+    assert!(path(&["models"]).and_then(Json::as_arr).is_some());
+    assert!(path(&["inflight"]).and_then(Json::as_arr).is_some());
+
+    for (name, kind) in METRIC_INVENTORY {
+        let line = format!("# TYPE {name} {kind}");
+        assert!(text.lines().any(|l| l == line), "metrics lost `{line}`");
+    }
+    // `name value` samples; labelled ones keep their labels in the name.
+    let samples: std::collections::HashMap<&str, f64> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (name, value) = l.rsplit_once(' ').expect("sample line");
+            (name, value.parse::<f64>().expect("numeric sample"))
+        })
+        .collect();
+    let mut matched = Vec::new();
+    for (section, _) in STATS_NUMBERS {
+        let Some(Json::Obj(fields)) = stats.get(section) else {
+            panic!("stats.{section} missing");
+        };
+        for (key, value) in fields {
+            let gauge = format!("biocheckd_{}{key}", metric_prefix(section));
+            for name in [format!("{gauge}_total"), gauge] {
+                if let Some(&sample) = samples.get(name.as_str()) {
+                    assert_eq!(
+                        Some(sample),
+                        value.as_f64(),
+                        "{name} vs stats.{section}.{key}"
+                    );
+                    matched.push(name);
+                }
+            }
+        }
+    }
+    for (name, _) in &METRIC_INVENTORY[1..] {
+        assert!(
+            matched.iter().any(|m| m == name),
+            "{name} matches no stats key"
+        );
+    }
+}
