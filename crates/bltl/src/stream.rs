@@ -123,20 +123,21 @@ pub struct MonitorScratch {
     times: Vec<f64>,
     /// Margins, flat `[sample * n_atoms + atom]`.
     margins: Vec<f64>,
-    /// Memoized Boolean verdict per op per sample index.
-    bval: Vec<Vec<Verdict>>,
-    /// Per until, per start index: next sample its Boolean scan reads.
-    bfrontier: Vec<Vec<usize>>,
-    /// Is the robustness value at `[op][sample]` final?
-    rknown: Vec<Vec<bool>>,
-    /// Memoized robustness value per op per sample index.
-    rval: Vec<Vec<f64>>,
-    /// Per until, per start index: next sample its robustness scan reads.
-    rfrontier: Vec<Vec<usize>>,
-    /// Per until, per start index: running `max_j min(prefix, rhs_j)`.
-    rbest: Vec<Vec<f64>>,
-    /// Per until, per start index: running `min_j lhs_j`.
-    rprefix: Vec<Vec<f64>>,
+    /// Memoized Boolean verdict, flat `[sample * n_ops + op]`.
+    bval: Vec<Verdict>,
+    /// Is the robustness value at `[sample * n_ops + op]` final?
+    rknown: Vec<bool>,
+    /// Memoized robustness value, flat `[sample * n_ops + op]`.
+    rval: Vec<f64>,
+    /// Per start sample and until, flat `[sample * n_untils + until]`:
+    /// next sample its Boolean scan reads.
+    bfrontier: Vec<usize>,
+    /// Next sample the robustness scan reads, flat like `bfrontier`.
+    rfrontier: Vec<usize>,
+    /// Running `max_j min(prefix, rhs_j)`, flat like `bfrontier`.
+    rbest: Vec<f64>,
+    /// Running `min_j lhs_j`, flat like `bfrontier`.
+    rprefix: Vec<f64>,
     /// Whether the trace has ended (end-of-trace semantics apply).
     ended: bool,
 }
@@ -255,39 +256,13 @@ impl CompiledBltl {
         s.times.clear();
         s.margins.clear();
         s.ended = false;
-        let n_ops = self.ops.len();
-        if s.bval.len() < n_ops {
-            s.bval.resize(n_ops, Vec::new());
-            s.rknown.resize(n_ops, Vec::new());
-            s.rval.resize(n_ops, Vec::new());
-        }
-        for v in &mut s.bval {
-            v.clear();
-        }
-        for v in &mut s.rknown {
-            v.clear();
-        }
-        for v in &mut s.rval {
-            v.clear();
-        }
-        if s.bfrontier.len() < self.n_untils {
-            s.bfrontier.resize(self.n_untils, Vec::new());
-            s.rfrontier.resize(self.n_untils, Vec::new());
-            s.rbest.resize(self.n_untils, Vec::new());
-            s.rprefix.resize(self.n_untils, Vec::new());
-        }
-        for v in &mut s.bfrontier {
-            v.clear();
-        }
-        for v in &mut s.rfrontier {
-            v.clear();
-        }
-        for v in &mut s.rbest {
-            v.clear();
-        }
-        for v in &mut s.rprefix {
-            v.clear();
-        }
+        s.bval.clear();
+        s.rknown.clear();
+        s.rval.clear();
+        s.bfrontier.clear();
+        s.rfrontier.clear();
+        s.rbest.clear();
+        s.rprefix.clear();
     }
 
     /// Feeds one sample and returns the current verdict of the formula
@@ -322,21 +297,14 @@ impl CompiledBltl {
         }
         let j = s.times.len();
         s.times.push(t);
-        for v in &mut s.bval[..self.ops.len()] {
-            v.push(Verdict::Undecided);
-        }
-        for v in &mut s.rknown[..self.ops.len()] {
-            v.push(false);
-        }
-        for v in &mut s.rval[..self.ops.len()] {
-            v.push(0.0);
-        }
-        for u in 0..self.n_untils {
-            s.bfrontier[u].push(j);
-            s.rfrontier[u].push(j);
-            s.rbest[u].push(f64::NEG_INFINITY);
-            s.rprefix[u].push(f64::INFINITY);
-        }
+        let (ops, untils) = ((j + 1) * self.ops.len(), (j + 1) * self.n_untils);
+        s.bval.resize(ops, Verdict::Undecided);
+        s.rknown.resize(ops, false);
+        s.rval.resize(ops, 0.0);
+        s.bfrontier.resize(untils, j);
+        s.rfrontier.resize(untils, j);
+        s.rbest.resize(untils, f64::NEG_INFINITY);
+        s.rprefix.resize(untils, f64::INFINITY);
         self.eval_b(s, self.ops.len() - 1, 0)
     }
 
@@ -400,7 +368,7 @@ impl CompiledBltl {
     /// observed prefix (three-valued; `True`/`False` are extension-proof
     /// unless the trace has ended, in which case they are final).
     fn eval_b(&self, s: &mut MonitorScratch, node: usize, i: usize) -> Verdict {
-        let memo = s.bval[node][i];
+        let memo = s.bval[i * self.ops.len() + node];
         if memo.decided() {
             return memo;
         }
@@ -448,8 +416,9 @@ impl CompiledBltl {
                 // keeps streaming as cheap as one offline pass. Mirrors
                 // the offline scan exactly: bound first, then the
                 // witness, then the prefix.
+                let u = i * self.n_untils + uidx as usize;
                 loop {
-                    let j = s.bfrontier[uidx as usize][i];
+                    let j = s.bfrontier[u];
                     if j >= s.times.len() {
                         break if s.ended {
                             Verdict::False
@@ -468,13 +437,13 @@ impl CompiledBltl {
                     match self.eval_b(s, lhs as usize, j) {
                         Verdict::False => break Verdict::False,
                         Verdict::Undecided => break Verdict::Undecided,
-                        Verdict::True => s.bfrontier[uidx as usize][i] = j + 1,
+                        Verdict::True => s.bfrontier[u] = j + 1,
                     }
                 }
             }
         };
         if v.decided() {
-            s.bval[node][i] = v;
+            s.bval[i * self.ops.len() + node] = v;
         }
         v
     }
@@ -484,8 +453,9 @@ impl CompiledBltl {
     /// identical to the offline `rob_vec` recursion, so resolved values
     /// match it bit-for-bit.
     fn eval_r(&self, s: &mut MonitorScratch, node: usize, i: usize) -> Option<f64> {
-        if s.rknown[node][i] {
-            return Some(s.rval[node][i]);
+        let memo = i * self.ops.len() + node;
+        if s.rknown[memo] {
+            return Some(s.rval[memo]);
         }
         let v = match &self.ops[node] {
             PlanOp::Prop(a) => Some(s.margins[i * self.atoms.len() + *a as usize]),
@@ -524,17 +494,17 @@ impl CompiledBltl {
                 bound,
                 uidx,
             } => {
-                let u = uidx as usize;
+                let u = i * self.n_untils + uidx as usize;
                 loop {
-                    let j = s.rfrontier[u][i];
+                    let j = s.rfrontier[u];
                     if j >= s.times.len() {
                         if s.ended {
-                            break Some(s.rbest[u][i]);
+                            break Some(s.rbest[u]);
                         }
                         break None;
                     }
                     if s.times[j] - s.times[i] > bound {
-                        break Some(s.rbest[u][i]);
+                        break Some(s.rbest[u]);
                     }
                     let Some(r) = self.eval_r(s, rhs as usize, j) else {
                         break None;
@@ -542,17 +512,17 @@ impl CompiledBltl {
                     let Some(l) = self.eval_r(s, lhs as usize, j) else {
                         break None;
                     };
-                    let best = s.rbest[u][i];
-                    let prefix = s.rprefix[u][i];
-                    s.rbest[u][i] = best.max(prefix.min(r));
-                    s.rprefix[u][i] = prefix.min(l);
-                    s.rfrontier[u][i] = j + 1;
+                    let best = s.rbest[u];
+                    let prefix = s.rprefix[u];
+                    s.rbest[u] = best.max(prefix.min(r));
+                    s.rprefix[u] = prefix.min(l);
+                    s.rfrontier[u] = j + 1;
                 }
             }
         };
         if let Some(v) = v {
-            s.rknown[node][i] = true;
-            s.rval[node][i] = v;
+            s.rknown[memo] = true;
+            s.rval[memo] = v;
         }
         v
     }

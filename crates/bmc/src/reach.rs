@@ -54,6 +54,13 @@ pub struct ReachOptions {
     /// Cumulative frontier-box counter, forwarded into every per-path
     /// branch-and-prune run (same plumbing as `cancel`).
     pub progress_boxes: Option<Arc<AtomicU64>>,
+    /// CDCL conflict gauge of the whole-formula route
+    /// ([`check_reach_whole`](crate::check_reach_whole)): each depth's
+    /// SAT core stores its running conflict count here. Purely
+    /// observational, never read back.
+    pub progress_conflicts: Option<Arc<AtomicU64>>,
+    /// CDCL restart gauge, stored like `progress_conflicts`.
+    pub progress_restarts: Option<Arc<AtomicU64>>,
 }
 
 impl ReachOptions {
@@ -69,6 +76,8 @@ impl ReachOptions {
             deadline: None,
             progress_depth: None,
             progress_boxes: None,
+            progress_conflicts: None,
+            progress_restarts: None,
         }
     }
 

@@ -70,6 +70,9 @@ fn solve_depth(
     smt.max_splits = opts.max_splits;
     smt.cancel = opts.cancel.clone();
     smt.deadline = opts.deadline;
+    smt.progress_boxes = opts.progress_boxes.clone();
+    smt.progress_conflicts = opts.progress_conflicts.clone();
+    smt.progress_restarts = opts.progress_restarts.clone();
     let enc = PathEncoding::allocate(smt.cx_mut(), &ha.states, n_steps);
 
     // Mode-occupancy flags: one flow contractor per (step, mode).
@@ -213,6 +216,52 @@ mod tests {
             time_bound: 6.0,
         };
         assert!(check_reach_whole(&ha, &spec, &opts()).is_unsat());
+    }
+
+    /// Progress gauges observe without steering: the traced run returns
+    /// the untraced result. From `a` the path may jump to `b` (x keeps
+    /// rising) or to `c` (x falls); only `b` reaches x ≥ 4.5 in time.
+    /// The SAT core's first Boolean model takes `c`, the theory refutes
+    /// it, and the blocked model then costs a conflict, so the conflict
+    /// gauge moves.
+    #[test]
+    fn progress_gauges_move_and_change_nothing() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state x;
+            mode a { flow: x' = 1; jump to b when x >= 2; jump to c when x >= 2; }
+            mode b { flow: x' = 1; }
+            mode c { flow: x' = -1; }
+            init a: x = 0;
+            "#,
+        )
+        .unwrap();
+        let e = ha.cx.parse("x - 4.5").unwrap();
+        let spec = ReachSpec {
+            goal_mode: None,
+            goal: vec![Atom::new(e, RelOp::Ge)],
+            k_max: 1,
+            time_bound: 3.0,
+        };
+        let gauge = || Some(Arc::new(AtomicU64::new(0)));
+        let traced = ReachOptions {
+            progress_boxes: gauge(),
+            progress_conflicts: gauge(),
+            progress_restarts: gauge(),
+            ..opts()
+        };
+        let plain = check_reach_whole(&ha, &spec, &opts());
+        let seen = check_reach_whole(&ha, &spec, &traced);
+        assert!(plain.is_delta_sat(), "{plain:?}");
+        assert_eq!(format!("{seen:?}"), format!("{plain:?}"));
+        let read = |g: &Option<Arc<AtomicU64>>| g.as_ref().unwrap().load(Ordering::Relaxed);
+        assert!(
+            read(&traced.progress_conflicts) > 0,
+            "conflicts never moved"
+        );
+        assert!(read(&traced.progress_boxes) > 0, "boxes never moved");
     }
 
     #[test]

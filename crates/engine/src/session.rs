@@ -522,6 +522,8 @@ impl Session {
         if let Some(trace) = &budget.trace {
             opts.progress_depth = Some(Arc::clone(&trace.progress.depth));
             opts.progress_boxes = Some(Arc::clone(&trace.progress.boxes));
+            opts.progress_conflicts = Some(Arc::clone(&trace.progress.conflicts));
+            opts.progress_restarts = Some(Arc::clone(&trace.progress.restarts));
         }
         opts.deadline = match (opts.deadline, deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),

@@ -1,4 +1,13 @@
 //! The adaptive Dormand–Prince 5(4) embedded Runge–Kutta pair.
+//!
+//! One integrator loop serves one trajectory and `K` lockstep ones
+//! ([`DormandPrince::integrate_lanes`]). Lanes are stage-synchronous:
+//! every live lane is at the same stage in every sweep, so the stage
+//! sums, the 5th/4th-order solutions and the error norm run across the
+//! lanes, and only the accept/reject decision, the step-size update,
+//! the sink and the loop head run lane by lane. A lane starts a new
+//! trajectory, or retries a step after a non-finite error, at the step
+//! boundary, with its first stage from the one-lane program.
 
 use crate::system::CompiledOde;
 use crate::trace::Trace;
@@ -74,12 +83,11 @@ pub struct OdeScratch {
     y: Vec<f64>,
     /// Stage derivatives, `[stage][component][lane]`.
     k: Vec<f64>,
-    /// Right-hand-side input point (a stage state), `[component][lane]`.
+    /// Right-hand-side input point (a stage state), then the 5th-order
+    /// solution, `[component][lane]`.
     tmp: Vec<f64>,
-    /// Right-hand-side output, `[component][lane]`.
-    out: Vec<f64>,
-    /// One lane's candidate state, and its state and derivative gathered
-    /// for the sink: three `dim`-long runs.
+    /// One lane's environment, state and derivative, gathered for the
+    /// one-lane program and the sink.
     lane: Vec<f64>,
     eval: EvalScratch,
 }
@@ -273,18 +281,22 @@ impl DormandPrince {
         one.end.expect("the loaded trajectory ends")
     }
 
-    /// Lockstep integration of independent trajectories over `K` lanes:
-    /// each sweep evaluates the compiled right-hand side once for all
-    /// lanes (`CompiledOde::deriv_lanes`), and each lane then advances
-    /// its own trajectory by one stage. A lane keeps its own time, step
-    /// size, step count, accept/reject decision and error; the lanes
-    /// only share the sweep. When a lane's trajectory ends, the driver
-    /// learns how ([`LaneDriver::finish`]) and the lane is refilled with
-    /// the next trajectory ([`LaneDriver::load`]). Once the driver has
-    /// none left, a finished lane is parked on a frozen copy of a live
-    /// lane's current state, preferably one whose derivative is already
-    /// known finite, so an idle lane repeats a live trajectory's
-    /// arithmetic instead of a finished one's NaNs or subnormals.
+    /// Lockstep integration of independent trajectories over `K` lanes.
+    /// Every live lane is at the same Runge–Kutta stage in every sweep:
+    /// each stage evaluates the compiled right-hand side once for all
+    /// lanes (`CompiledOde::deriv_lanes`), and the stage sums, the
+    /// 5th/4th-order solutions and the scaled error run across the lanes
+    /// with per-lane times and step sizes. Each lane then accepts or
+    /// rejects its own step, adapts its own step size, feeds its own
+    /// sink and keeps its own step budget.
+    ///
+    /// When a lane's trajectory ends, the driver learns how
+    /// ([`LaneDriver::finish`]), and at the step boundary the lane is
+    /// refilled with the next trajectory ([`LaneDriver::load`]). A
+    /// refilled lane's first derivative comes from the one-lane program
+    /// on that lane's column, as does the re-evaluated first stage after
+    /// a non-finite step. Once the driver has none left, an ended lane
+    /// idles on its stale column, and nothing reads its results.
     ///
     /// Every lane performs exactly the float operations of
     /// [`DormandPrince::integrate_streaming`], in the same order: its
@@ -310,7 +322,6 @@ impl DormandPrince {
             y,
             k,
             tmp,
-            out,
             lane,
             eval,
         } = ws;
@@ -318,14 +329,12 @@ impl DormandPrince {
         zeroed(y, n * K);
         zeroed(k, 7 * n * K);
         zeroed(tmp, n * K);
-        zeroed(out, n * K);
-        zeroed(lane, 3 * n);
+        zeroed(lane, ode.env_len() + 2 * n);
         let env = env.as_chunks_mut::<K>().0;
         let y = y.as_chunks_mut::<K>().0;
         let k = k.as_chunks_mut::<K>().0;
         let tmp = tmp.as_chunks_mut::<K>().0;
-        let out = out.as_chunks_mut::<K>().0;
-        let (y5, rest) = lane.split_at_mut(n);
+        let (lenv, rest) = lane.split_at_mut(ode.env_len());
         let (ly, ldy) = rest.split_at_mut(n);
 
         // Simple heuristic initial step.
@@ -333,154 +342,176 @@ impl DormandPrince {
             let span = (t_end - t0).max(1e-12);
             (span / 100.0).min(self.h_max).max(self.h_min * 10.0)
         });
-        let mut st = [Lane::default(); K];
-        let mut tin = [t0; K];
+        let mut t = [t0; K];
+        let mut h = [0.0; K];
+        // Step attempts (the `max_steps` budget) and samples emitted.
+        let mut steps = [0usize; K];
+        let mut emitted = [0usize; K];
+        let mut live = [false; K];
         let mut more = true;
-        for (l, lst) in st.iter_mut().enumerate() {
-            more = more && load(driver, l, env, y);
-            if more {
-                *lst = Lane::fresh(t0);
-            }
-        }
         loop {
-            // Park finished lanes on a live lane's state: one whose
-            // derivative was already checked finite if there is one.
-            let donor = st
-                .iter()
-                .position(|s| matches!(s.phase, Phase::Stage(_)))
-                .or_else(|| st.iter().position(|s| s.phase == Phase::Fresh));
-            let Some(d) = donor else { return };
+            // Refill ended lanes: a trajectory joins the sweeps once its
+            // first sample is out and its first step is sized.
             for l in 0..K {
-                if st[l].phase == Phase::Done {
-                    for row in tmp.iter_mut().zip(y.iter()) {
-                        row.0[l] = row.1[d];
+                while !live[l] && more {
+                    more = load(driver, l, env, y);
+                    if !more {
+                        break;
                     }
-                    tin[l] = st[d].t;
-                    for row in env.iter_mut() {
-                        row[l] = row[d];
-                    }
-                    st[l].phase = Phase::Parked;
-                }
-            }
-
-            // Each live lane's input point for this sweep.
-            for (l, s) in st.iter().enumerate() {
-                match s.phase {
-                    Phase::Done | Phase::Parked => {}
-                    Phase::Fresh | Phase::Stage(0) => {
-                        for (ti, yi) in tmp.iter_mut().zip(y.iter()) {
-                            ti[l] = yi[l];
+                    (t[l], steps[l], emitted[l]) = (t0, 0, 1);
+                    let col = (&mut *lenv, &mut *ly, &mut *ldy);
+                    lane_k1(ode, l, t0, (&*env, &*y), &mut k[..n], col, eval);
+                    let ended = if k[..n].iter().any(|r| !r[l].is_finite()) {
+                        Some(Err(OdeError::NonFinite { t: t0 }))
+                    } else {
+                        h[l] = h_init;
+                        let dy = lane_of(&k[..n], l, ldy);
+                        if driver.sink(l, t0, lane_of(y, l, ly), dy) == StepControl::Stop {
+                            Some(Ok(StreamEnd {
+                                t: t0,
+                                steps: 1,
+                                stopped_early: true,
+                            }))
+                        } else {
+                            self.head(t_end, t0, &mut h[l], &mut steps[l], 1)
                         }
-                        tin[l] = s.t;
-                    }
-                    Phase::Stage(stage) => {
-                        for i in 0..n {
-                            let mut acc = 0.0;
-                            for (j, a) in A[stage].iter().enumerate().take(stage) {
-                                acc += a * k[j * n + i][l];
-                            }
-                            tmp[i][l] = y[i][l] + s.h * acc;
-                        }
-                        tin[l] = s.t + C[stage] * s.h;
-                    }
-                }
-            }
-
-            ode.deriv_lanes(env, tmp, &tin, out, eval);
-
-            // Each live lane consumes its result and advances one stage.
-            'lanes: for l in 0..K {
-                let s = &mut st[l];
-                let ended = 'lane: {
-                    let stage = match s.phase {
-                        Phase::Done | Phase::Parked => continue 'lanes,
-                        Phase::Fresh => 0,
-                        Phase::Stage(stage) => stage,
                     };
-                    for (kr, o) in k[stage * n..(stage + 1) * n].iter_mut().zip(out.iter()) {
-                        kr[l] = o[l];
+                    match ended {
+                        Some(end) => driver.finish(l, end),
+                        None => live[l] = true,
                     }
-                    match (s.phase, stage) {
-                        (Phase::Fresh, _) => {
-                            if k[..n].iter().any(|v| !v[l].is_finite()) {
-                                break 'lane Some(Err(OdeError::NonFinite { t: s.t }));
-                            }
-                            s.h = h_init;
-                            s.emitted = 1;
-                            let dy = lane_of(&k[..n], l, ldy);
-                            if driver.sink(l, s.t, lane_of(y, l, ly), dy) == StepControl::Stop {
-                                break 'lane Some(Ok(s.end(true)));
-                            }
-                            if t_end == t0 {
-                                break 'lane Some(Ok(s.end(false)));
-                            }
-                            s.head(self, t_end, Phase::Stage(1))
-                        }
-                        (_, 0..=5) => {
-                            s.phase = Phase::Stage(stage + 1);
-                            None
-                        }
-                        _ => {
-                            // 5th/4th order solutions and the error estimate.
-                            let h = s.h;
-                            let mut err: f64 = 0.0;
-                            for i in 0..n {
-                                let mut s5 = 0.0;
-                                let mut s4 = 0.0;
-                                for j in 0..7 {
-                                    s5 += B5[j] * k[j * n + i][l];
-                                    s4 += B4[j] * k[j * n + i][l];
-                                }
-                                y5[i] = y[i][l] + h * s5;
-                                let sc = self.atol + self.rtol * y[i][l].abs().max(y5[i].abs());
-                                let e = h * (s5 - s4) / sc;
-                                err += e * e;
-                            }
-                            let err = (err / n as f64).sqrt();
-                            if !err.is_finite() {
-                                // Derivative blew up inside the step: try
-                                // a smaller one, from a re-evaluated k1.
-                                s.h *= 0.25;
-                                if s.h < self.h_min {
-                                    break 'lane Some(Err(OdeError::NonFinite { t: s.t }));
-                                }
-                                break 'lane s.head(self, t_end, Phase::Stage(0));
-                            }
-                            if err <= 1.0 {
-                                // Accept; FSAL: k1 of the next step is k7.
-                                s.t += h;
-                                for (i, yi) in y.iter_mut().enumerate() {
-                                    yi[l] = y5[i];
-                                    k[i][l] = k[6 * n + i][l];
-                                }
-                                s.emitted += 1;
-                                let dy = lane_of(&k[..n], l, ldy);
-                                if driver.sink(l, s.t, lane_of(y, l, ly), dy) == StepControl::Stop {
-                                    break 'lane Some(Ok(s.end(true)));
-                                }
-                            }
-                            // Step-size update (both accept and reject).
-                            let factor = if err == 0.0 {
-                                5.0
-                            } else {
-                                (0.9 * err.powf(-0.2)).clamp(0.2, 5.0)
-                            };
-                            s.h *= factor;
-                            s.head(self, t_end, Phase::Stage(1))
+                }
+            }
+            if !live.contains(&true) {
+                return;
+            }
+
+            // Stages 2..=7, every lane at once: `y + h·Σ_{j<s} A[s][j]·k_j`
+            // at `t + C[s]·h`, summed from 0.0 in `j` order.
+            for s in 1..7 {
+                let (done, next) = k.split_at_mut(s * n);
+                for (i, (ti, yi)) in tmp.iter_mut().zip(y.iter()).enumerate() {
+                    let mut acc = [0.0; K];
+                    for (j, a) in A[s].iter().enumerate().take(s) {
+                        let kj = &done[j * n + i];
+                        for l in 0..K {
+                            acc[l] += a * kj[l];
                         }
                     }
+                    for l in 0..K {
+                        ti[l] = yi[l] + h[l] * acc[l];
+                    }
+                }
+                let tin = std::array::from_fn(|l| t[l] + C[s] * h[l]);
+                ode.deriv_lanes(env, tmp, &tin, &mut next[..n], eval);
+            }
+
+            // 5th/4th order solutions (the 5th into `tmp`) and the error
+            // estimate.
+            let mut err = [0.0f64; K];
+            for (i, (ti, yi)) in tmp.iter_mut().zip(y.iter()).enumerate() {
+                let mut s5 = [0.0; K];
+                let mut s4 = [0.0; K];
+                for j in 0..7 {
+                    let kj = &k[j * n + i];
+                    for l in 0..K {
+                        s5[l] += B5[j] * kj[l];
+                        s4[l] += B4[j] * kj[l];
+                    }
+                }
+                for l in 0..K {
+                    ti[l] = yi[l] + h[l] * s5[l];
+                    let sc = self.atol + self.rtol * yi[l].abs().max(ti[l].abs());
+                    let e = h[l] * (s5[l] - s4[l]) / sc;
+                    err[l] += e * e;
+                }
+            }
+
+            // Each live lane accepts or rejects its own step.
+            for l in 0..K {
+                if !live[l] {
+                    continue;
+                }
+                let err = (err[l] / n as f64).sqrt();
+                let ended = 'lane: {
+                    if !err.is_finite() {
+                        // Derivative blew up inside the step: try a
+                        // smaller one, from a re-evaluated k1.
+                        h[l] *= 0.25;
+                        if h[l] < self.h_min {
+                            break 'lane Some(Err(OdeError::NonFinite { t: t[l] }));
+                        }
+                        let ended = self.head(t_end, t[l], &mut h[l], &mut steps[l], emitted[l]);
+                        if ended.is_none() {
+                            let col = (&mut *lenv, &mut *ly, &mut *ldy);
+                            lane_k1(ode, l, t[l], (&*env, &*y), &mut k[..n], col, eval);
+                        }
+                        break 'lane ended;
+                    }
+                    if err <= 1.0 {
+                        // Accept; FSAL: k1 of the next step is k7.
+                        t[l] += h[l];
+                        for (i, (yi, ti)) in y.iter_mut().zip(tmp.iter()).enumerate() {
+                            yi[l] = ti[l];
+                            k[i][l] = k[6 * n + i][l];
+                        }
+                        emitted[l] += 1;
+                        let dy = lane_of(&k[..n], l, ldy);
+                        if driver.sink(l, t[l], lane_of(y, l, ly), dy) == StepControl::Stop {
+                            break 'lane Some(Ok(StreamEnd {
+                                t: t[l],
+                                steps: emitted[l],
+                                stopped_early: true,
+                            }));
+                        }
+                    }
+                    // Step-size update (both accept and reject).
+                    let factor = if err == 0.0 {
+                        5.0
+                    } else {
+                        (0.9 * err.powf(-0.2)).clamp(0.2, 5.0)
+                    };
+                    h[l] *= factor;
+                    self.head(t_end, t[l], &mut h[l], &mut steps[l], emitted[l])
                 };
                 if let Some(end) = ended {
                     driver.finish(l, end);
-                    more = more && load(driver, l, env, y);
-                    st[l] = if more {
-                        Lane::fresh(t0)
-                    } else {
-                        Lane::default()
-                    };
+                    live[l] = false;
                 }
             }
         }
+    }
+
+    /// The scalar loop's head for a trajectory at `t` with step `h` and
+    /// `emitted` samples: ends it at the end of the span (up to
+    /// roundoff), on an exhausted step budget or on step underflow, and
+    /// otherwise counts the step attempt and clamps `h`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn head(
+        &self,
+        t_end: f64,
+        t: f64,
+        h: &mut f64,
+        steps: &mut usize,
+        emitted: usize,
+    ) -> Option<Result<StreamEnd, OdeError>> {
+        // Done up to roundoff: a sub-h_min sliver is not an error.
+        if !(t < t_end) || t_end - t <= 1e-13 * (1.0 + t_end.abs()) {
+            return Some(Ok(StreamEnd {
+                t,
+                steps: emitted,
+                stopped_early: false,
+            }));
+        }
+        *steps += 1;
+        if *steps > self.max_steps {
+            return Some(Err(OdeError::TooManySteps { t }));
+        }
+        *h = h.min(t_end - t).min(self.h_max);
+        if *h < self.h_min {
+            return Some(Err(OdeError::StepUnderflow { t }));
+        }
+        None
     }
 }
 
@@ -500,77 +531,6 @@ pub trait LaneDriver {
     /// The trajectory in `lane` ended with what
     /// [`DormandPrince::integrate_streaming`] returns for it.
     fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>);
-}
-
-/// Where a lane of [`DormandPrince::integrate_lanes`] stands.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-enum Phase {
-    /// No trajectory, not yet parked.
-    #[default]
-    Done,
-    /// No trajectory; re-evaluates a frozen copy of a live lane's point.
-    Parked,
-    /// Just loaded: the next sweep evaluates the initial derivative.
-    Fresh,
-    /// The next sweep evaluates this stage (0 re-evaluates k1 after a
-    /// non-finite step).
-    Stage(usize),
-}
-
-/// One lane's integrator state: the locals of the scalar loop.
-#[derive(Copy, Clone, Debug, Default)]
-struct Lane {
-    phase: Phase,
-    t: f64,
-    h: f64,
-    /// Step attempts (the `max_steps` budget).
-    steps: usize,
-    /// Samples handed to the sink.
-    emitted: usize,
-}
-
-impl Lane {
-    fn fresh(t0: f64) -> Lane {
-        Lane {
-            phase: Phase::Fresh,
-            t: t0,
-            ..Lane::default()
-        }
-    }
-
-    fn end(&self, stopped_early: bool) -> StreamEnd {
-        StreamEnd {
-            t: self.t,
-            steps: self.emitted,
-            stopped_early,
-        }
-    }
-
-    /// The scalar loop's head: ends the trajectory at the end of the
-    /// span (up to roundoff), on an exhausted step budget or on step
-    /// underflow, and otherwise clamps the step and moves on to `next`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn head(
-        &mut self,
-        dp: &DormandPrince,
-        t_end: f64,
-        next: Phase,
-    ) -> Option<Result<StreamEnd, OdeError>> {
-        // Done up to roundoff: a sub-h_min sliver is not an error.
-        if !(self.t < t_end) || t_end - self.t <= 1e-13 * (1.0 + t_end.abs()) {
-            return Some(Ok(self.end(false)));
-        }
-        self.steps += 1;
-        if self.steps > dp.max_steps {
-            return Some(Err(OdeError::TooManySteps { t: self.t }));
-        }
-        self.h = self.h.min(t_end - self.t).min(dp.h_max);
-        if self.h < dp.h_min {
-            return Some(Err(OdeError::StepUnderflow { t: self.t }));
-        }
-        self.phase = next;
-        None
-    }
 }
 
 /// Loads the driver's next trajectory into lane `l` of `env` and `y`;
@@ -593,6 +553,27 @@ fn load<const K: usize>(
         row[l] = v;
     }
     true
+}
+
+/// Lane `l`'s first stage `f(t, y)` into `k1`, through the one-lane
+/// program on the lane's gathered environment and state (`col`):
+/// bit-identical to the lane's slot in a sweep.
+fn lane_k1<const K: usize>(
+    ode: &CompiledOde,
+    l: usize,
+    t: f64,
+    (env, y): (&[[f64; K]], &[[f64; K]]),
+    k1: &mut [[f64; K]],
+    (cenv, cy, cdy): (&mut [f64], &mut [f64], &mut [f64]),
+    eval: &mut EvalScratch,
+) {
+    for (c, row) in cenv.iter_mut().zip(env).chain(cy.iter_mut().zip(y)) {
+        *c = row[l];
+    }
+    ode.deriv_with(cenv, cy, t, cdy, eval);
+    for (row, &d) in k1.iter_mut().zip(cdy.iter()) {
+        row[l] = d;
+    }
 }
 
 /// Lane `l` of `m` as a contiguous slice: `m` itself when there is one
@@ -778,6 +759,20 @@ mod tests {
         assert!(end.stopped_early);
         assert_eq!(end.steps, 1);
         assert_eq!(end.t, 0.0);
+    }
+
+    /// FSAL and the synchronous step boundary rest on these tableau
+    /// facts: the last stage is evaluated at the 5th-order solution at
+    /// `t + h`, so its derivative is the next step's first stage.
+    #[test]
+    fn tableau_supports_fsal() {
+        assert_eq!(A[6], B5[..6]);
+        assert_eq!(B5[6], 0.0);
+        assert_eq!(C[6], 1.0);
+        for (row, &c) in A.iter().zip(&C) {
+            let sum: f64 = row.iter().sum();
+            assert!((sum - c).abs() < 1e-15, "row sums to {sum}, C = {c}");
+        }
     }
 
     #[test]

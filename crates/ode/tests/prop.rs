@@ -1,8 +1,9 @@
 //! Property tests: validated tubes always contain numeric solutions; the
 //! adaptive integrator matches closed forms on random linear systems;
-//! and lockstep lanes reproduce the scalar integrator bit-for-bit.
+//! and lockstep lanes and the streaming entry point both reproduce an
+//! independent scalar Dormand–Prince loop bit-for-bit.
 
-use biocheck_expr::Context;
+use biocheck_expr::{Context, EvalScratch};
 use biocheck_interval::{IBox, Interval};
 use biocheck_ode::{
     CompiledOde, DormandPrince, LaneDriver, OdeError, OdeScratch, OdeSystem, StepControl,
@@ -62,14 +63,185 @@ impl LaneDriver for Recorder {
     }
 }
 
-/// Runs `starts` through `K` lanes and through the scalar integrator,
-/// and asserts equal streams and ends for every trajectory.
+// Dormand–Prince 5(4) tableau, written out independently of the
+// integrator's own copy.
+const C: [f64; 7] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
+const A: [[f64; 6]; 7] = [
+    [0.0; 6],
+    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+    [
+        19372.0 / 6561.0,
+        -25360.0 / 2187.0,
+        64448.0 / 6561.0,
+        -212.0 / 729.0,
+        0.0,
+        0.0,
+    ],
+    [
+        9017.0 / 3168.0,
+        -355.0 / 33.0,
+        46732.0 / 5247.0,
+        49.0 / 176.0,
+        -5103.0 / 18656.0,
+        0.0,
+    ],
+    [
+        35.0 / 384.0,
+        0.0,
+        500.0 / 1113.0,
+        125.0 / 192.0,
+        -2187.0 / 6784.0,
+        11.0 / 84.0,
+    ],
+];
+const B5: [f64; 7] = [
+    35.0 / 384.0,
+    0.0,
+    500.0 / 1113.0,
+    125.0 / 192.0,
+    -2187.0 / 6784.0,
+    11.0 / 84.0,
+    0.0,
+];
+const B4: [f64; 7] = [
+    5179.0 / 57600.0,
+    0.0,
+    7571.0 / 16695.0,
+    393.0 / 640.0,
+    -92097.0 / 339200.0,
+    187.0 / 2100.0,
+    1.0 / 40.0,
+];
+
+/// One reference run: the accepted samples, the end, and how many times
+/// a non-finite error estimate forced a retry from a re-evaluated k1.
+type Reference = (Stream, Result<StreamEnd, OdeError>, usize);
+
+/// A plain scalar Dormand–Prince 5(4) loop with FSAL, `dp`'s tolerances
+/// and step control, and a sink that stops once `y[0] > stop_above`: the
+/// oracle for every lane and for the streaming entry point. Each sum
+/// starts from 0.0 and runs in stage order.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn reference_dopri(
+    dp: &DormandPrince,
+    ode: &CompiledOde,
+    env: &[f64],
+    y0: &[f64],
+    (t0, t_end): (f64, f64),
+    stop_above: f64,
+) -> Reference {
+    let n = y0.len();
+    let mut env = env.to_vec();
+    env.resize(ode.env_len(), 0.0);
+    let mut scratch = EvalScratch::new();
+    let mut f =
+        |t: f64, y: &[f64], out: &mut [f64]| ode.deriv_with(&mut env, y, t, out, &mut scratch);
+    let mut stream = Stream::new();
+    let mut retries = 0;
+    let mut y = y0.to_vec();
+    let mut k = vec![vec![0.0; n]; 7];
+    let mut t = t0;
+    f(t, &y, &mut k[0]);
+    if k[0].iter().any(|v| !v.is_finite()) {
+        return (stream, Err(OdeError::NonFinite { t }), retries);
+    }
+    let mut h = dp.h0.unwrap_or_else(|| {
+        let span = (t_end - t0).max(1e-12);
+        (span / 100.0).min(dp.h_max).max(dp.h_min * 10.0)
+    });
+    let end = |stream: &Stream, t: f64, stopped_early: bool| StreamEnd {
+        t,
+        steps: stream.len(),
+        stopped_early,
+    };
+    stream.push((t.to_bits(), bits(&y), bits(&k[0])));
+    if y[0] > stop_above {
+        return (stream.clone(), Ok(end(&stream, t, true)), retries);
+    }
+    let mut attempts = 0;
+    let mut refresh_k1 = false;
+    loop {
+        if !(t < t_end) || t_end - t <= 1e-13 * (1.0 + t_end.abs()) {
+            let e = end(&stream, t, false);
+            return (stream, Ok(e), retries);
+        }
+        attempts += 1;
+        if attempts > dp.max_steps {
+            return (stream, Err(OdeError::TooManySteps { t }), retries);
+        }
+        h = h.min(t_end - t).min(dp.h_max);
+        if h < dp.h_min {
+            return (stream, Err(OdeError::StepUnderflow { t }), retries);
+        }
+        if refresh_k1 {
+            f(t, &y, &mut k[0]);
+            refresh_k1 = false;
+        }
+        let mut ys = vec![0.0; n];
+        for s in 1..7 {
+            for (i, yi) in ys.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for j in 0..s {
+                    acc += A[s][j] * k[j][i];
+                }
+                *yi = y[i] + h * acc;
+            }
+            f(t + C[s] * h, &ys, &mut k[s]);
+        }
+        let mut y5 = vec![0.0; n];
+        let mut err: f64 = 0.0;
+        for i in 0..n {
+            let mut s5 = 0.0;
+            let mut s4 = 0.0;
+            for j in 0..7 {
+                s5 += B5[j] * k[j][i];
+                s4 += B4[j] * k[j][i];
+            }
+            y5[i] = y[i] + h * s5;
+            let sc = dp.atol + dp.rtol * y[i].abs().max(y5[i].abs());
+            let e = h * (s5 - s4) / sc;
+            err += e * e;
+        }
+        let err = (err / n as f64).sqrt();
+        if !err.is_finite() {
+            retries += 1;
+            h *= 0.25;
+            if h < dp.h_min {
+                return (stream, Err(OdeError::NonFinite { t }), retries);
+            }
+            refresh_k1 = true;
+            continue;
+        }
+        if err <= 1.0 {
+            t += h;
+            y = y5;
+            k[0] = k[6].clone();
+            stream.push((t.to_bits(), bits(&y), bits(&k[0])));
+            if y[0] > stop_above {
+                let e = end(&stream, t, true);
+                return (stream, Ok(e), retries);
+            }
+        }
+        let factor = if err == 0.0 {
+            5.0
+        } else {
+            (0.9 * err.powf(-0.2)).clamp(0.2, 5.0)
+        };
+        h *= factor;
+    }
+}
+
+/// Runs `starts` through `K` lanes, through the streaming entry point
+/// and through the reference loop, asserts equal streams and ends for
+/// every trajectory, and returns the reference's retry count.
 fn assert_lanes_equal_scalar<const K: usize>(
     ode: &CompiledOde,
     starts: &[(Vec<f64>, Vec<f64>)],
-    t_end: f64,
+    tspan: (f64, f64),
     stop_above: f64,
-) -> Result<(), TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let dp = DormandPrince::with_tolerances(1e-6, 1e-8);
     let mut rec = Recorder {
         starts: starts.to_vec(),
@@ -80,11 +252,14 @@ fn assert_lanes_equal_scalar<const K: usize>(
         ends: vec![None; starts.len()],
     };
     let mut ws = OdeScratch::new();
-    dp.integrate_lanes::<K>(ode, (0.0, t_end), &mut ws, &mut rec);
+    dp.integrate_lanes::<K>(ode, tspan, &mut ws, &mut rec);
     prop_assert_eq!(rec.next, starts.len(), "every trajectory loaded");
+    let mut retries = 0;
     for (i, (env, y0)) in starts.iter().enumerate() {
+        let (want, want_end, r) = reference_dopri(&dp, ode, env, y0, tspan, stop_above);
+        retries += r;
         let mut stream = Stream::new();
-        let end = dp.integrate_streaming(ode, env, y0, (0.0, t_end), &mut ws, |t, y, dy| {
+        let end = dp.integrate_streaming(ode, env, y0, tspan, &mut ws, |t, y, dy| {
             stream.push((t.to_bits(), bits(y), bits(dy)));
             if y[0] > stop_above {
                 StepControl::Stop
@@ -92,11 +267,57 @@ fn assert_lanes_equal_scalar<const K: usize>(
                 StepControl::Continue
             }
         });
-        prop_assert!(rec.streams[i] == stream, "trajectory {} streams differ", i);
+        prop_assert!(stream == want, "trajectory {}: streaming differs", i);
+        prop_assert_eq!(end_bits(&end), end_bits(&want_end), "trajectory {}", i);
+        prop_assert!(rec.streams[i] == want, "trajectory {}: lane differs", i);
         let lane_end = rec.ends[i].as_ref().expect("every trajectory ends");
-        prop_assert_eq!(end_bits(lane_end), end_bits(&end), "trajectory {}", i);
+        prop_assert_eq!(end_bits(lane_end), end_bits(&want_end), "trajectory {}", i);
     }
-    Ok(())
+    Ok(retries)
+}
+
+/// `x' = x²` (blows up) and `x' = -k·x + sin(3t)` (reads time and a
+/// per-trajectory parameter `k`), compiled over one context whose
+/// environment is `[x, t, k]`.
+fn blowup_and_forced() -> (CompiledOde, CompiledOde) {
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let t = cx.intern_var("t");
+    let _k = cx.intern_var("k");
+    let blowup = cx.parse("x^2").unwrap();
+    let blowup = OdeSystem::new(vec![x], vec![blowup]).compile(&cx);
+    let forced = cx.parse("-k*x + sin(3*t)").unwrap();
+    let forced = OdeSystem::with_time(vec![x], vec![forced], t).compile(&cx);
+    (blowup, forced)
+}
+
+/// The oracle's edge cases, at 8 lanes with refills and at one: the
+/// non-finite retry (a start so large that the first trial step
+/// overflows), blow-ups that end in an error, a time-dependent
+/// right-hand side, a sink that stops on the first sample, and a span
+/// with `t_end == t0`.
+#[test]
+fn lanes_and_streaming_match_an_independent_dopri() {
+    let (blowup, forced) = blowup_and_forced();
+    let runs: Vec<(Vec<f64>, Vec<f64>)> =
+        [0.3, 0.6, 0.95, 1e150, 2.0, 0.1, 1e150, 0.8, 0.5, 1.2, 0.7]
+            .iter()
+            .enumerate()
+            .map(|(i, &x0)| (vec![0.0, 0.0, 0.5 + i as f64 * 0.1], vec![x0]))
+            .collect();
+    let mut retries = 0;
+    for (ode, tspan, stop) in [
+        (&blowup, (0.0, 2.0), f64::INFINITY),
+        (&blowup, (0.0, 2.0), 3.0),
+        (&forced, (0.0, 2.0), 0.9),
+        (&forced, (0.0, 2.0), f64::NEG_INFINITY),
+        (&forced, (1.5, 1.5), f64::INFINITY),
+        (&blowup, (0.0, 0.0), 3.0),
+    ] {
+        retries += assert_lanes_equal_scalar::<8>(ode, &runs, tspan, stop).unwrap();
+        retries += assert_lanes_equal_scalar::<1>(ode, &runs, tspan, stop).unwrap();
+    }
+    assert!(retries > 0, "the battery takes the non-finite retry");
 }
 
 proptest! {
@@ -188,31 +409,25 @@ proptest! {
         prop_assert!((v - exact).abs() < 1e-6);
     }
 
-    /// Lockstep lanes equal the scalar integrator, sample for sample and
-    /// end for end: trajectories that blow up (x' = x² from x₀ > ½ over
-    /// a horizon of 2) next to ones that finish or stop early, on a
-    /// time-reading right-hand side with a per-trajectory parameter, at
-    /// lane counts that leave lanes parked and refill them.
+    /// Lockstep lanes and the streaming entry point equal the reference
+    /// loop, sample for sample and end for end: trajectories that blow
+    /// up (x' = x² from x₀ > ½ over a horizon of 2) next to ones that
+    /// finish or stop early, on a time-reading right-hand side with a
+    /// per-trajectory parameter, at lane counts that leave lanes idle
+    /// and refill them.
     #[test]
     fn lanes_equal_scalar_integration(
         starts in proptest::collection::vec((0.1..0.9f64, 0.5..2.0f64), 0..20),
         stop_above in 1.0..4.0f64,
     ) {
-        let mut cx = Context::new();
-        let x = cx.intern_var("x");
-        let t = cx.intern_var("t");
-        let _k = cx.intern_var("k");
-        let blowup = cx.parse("x^2").unwrap();
-        let blowup = OdeSystem::new(vec![x], vec![blowup]).compile(&cx);
-        let forced = cx.parse("-k*x + sin(3*t)").unwrap();
-        let forced = OdeSystem::with_time(vec![x], vec![forced], t).compile(&cx);
+        let (blowup, forced) = blowup_and_forced();
         let runs: Vec<(Vec<f64>, Vec<f64>)> = starts
             .iter()
             .map(|&(x0, k)| (vec![0.0, 0.0, k], vec![x0]))
             .collect();
         for (ode, stop) in [(&blowup, f64::INFINITY), (&blowup, stop_above), (&forced, 0.5)] {
-            assert_lanes_equal_scalar::<8>(ode, &runs, 2.0, stop)?;
-            assert_lanes_equal_scalar::<3>(ode, &runs, 2.0, stop)?;
+            assert_lanes_equal_scalar::<8>(ode, &runs, (0.0, 2.0), stop)?;
+            assert_lanes_equal_scalar::<3>(ode, &runs, (0.0, 2.0), stop)?;
         }
     }
 }

@@ -23,12 +23,13 @@
 //! violations on both paths.
 //!
 //! The range entry points run the same fused body over [`LANES`]
-//! lockstep lanes ([`DormandPrince::integrate_lanes`]), one streaming
-//! monitor per lane; the one-sample entry points are its one-lane
-//! instances, so both produce the same bits. Lanes claim their indices
-//! one at a time from a [`Slots`] cursor, so several samplers can fill
-//! one range together (the `*_shared` entry points), each refilling its
-//! lanes until the range runs out.
+//! stage-synchronous lanes ([`DormandPrince::integrate_lanes`]), one
+//! streaming monitor per lane; the one-sample entry points are its
+//! one-lane instances, so both produce the same bits. Lanes claim their
+//! indices one at a time from a [`Slots`] cursor, so several samplers
+//! can fill one range together (the `*_shared` entry points), each
+//! refilling a lane at the step boundary after its sample ends, until
+//! the range runs out.
 
 use crate::parallel::fork_rng;
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
@@ -409,9 +410,12 @@ impl TraceSampler {
         slots: &Slots<O>,
     ) {
         let draw = range_draw(seed, first);
-        // One 8-lane sweep costs about four one-lane sweeps on the case
-        // studies, so a range that cannot fill half the lanes runs
-        // through a single lane, refilled index by index.
+        // One 8-lane sweep costs about two to three one-lane sweeps on
+        // the case studies (x86-64, release build). Four or more
+        // trajectories run faster on 8 lanes for all three; three win on
+        // prostate and radiation but not reliably on cardiac. So a range
+        // that cannot fill half the lanes runs through a single lane,
+        // refilled index by index.
         if slots.len() < LANES / 2 {
             self.fuse::<1, _>(scratch, draw, slots);
         } else {
