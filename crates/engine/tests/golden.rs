@@ -67,12 +67,8 @@ fn render() -> String {
 #[test]
 fn case_study_fingerprints_match_the_pinned_fixture() {
     let got = render();
-    if got != GOLDEN {
-        for (g, w) in got.lines().zip(GOLDEN.lines()) {
-            if g != w {
-                eprintln!("want {w}\n got {g}");
-            }
-        }
-        panic!("case-study fingerprints drifted from fixtures/golden_smc.txt:\n{got}");
+    for (g, w) in got.lines().zip(GOLDEN.lines()) {
+        assert_eq!(g, w, "drifted from fixtures/golden_smc.txt");
     }
+    assert_eq!(got, GOLDEN);
 }
