@@ -1,10 +1,12 @@
 //! First-class resource budgets with cooperative cancellation.
 //!
-//! A [`Budget`] is threaded through every query: the SMC speculative
-//! batch loop polls it between batches, and the ICP/BMC frontier loops
-//! poll it between frontier rounds (via the `cancel`/`deadline` fields
-//! on `BranchAndPrune`, `ReachOptions`, and `DeltaSmt`). A tripped
-//! budget never panics and never corrupts a result — the query returns a
+//! A [`Budget`] is threaded through every query: an SMC query's lane
+//! stream polls it whenever a lane claims a sample index (a tripped
+//! poll halts the stream, and the lanes in flight stop at their next
+//! accepted step), and the ICP/BMC frontier loops poll it between
+//! frontier rounds (via the `cancel`/`deadline` fields on
+//! `BranchAndPrune`, `ReachOptions`, and `DeltaSmt`). A tripped budget
+//! never panics and never corrupts a result — the query returns a
 //! well-formed partial [`Report`](crate::Report) with
 //! [`Outcome::Exhausted`](crate::Outcome::Exhausted).
 //!
@@ -31,7 +33,7 @@ impl CancelToken {
     }
 
     /// Raises the flag; every query holding a clone stops at its next
-    /// poll point (batch/round granularity, never mid-sample).
+    /// poll point (an SMC sample claim or a frontier round).
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }

@@ -25,8 +25,8 @@
 //! * [`Query`] — the typed request: `Estimate`, `Sprt`, `Robustness`,
 //!   `Falsify`, `Calibrate`, `Stability`, `Therapy`.
 //! * [`Budget`] — sample caps, split caps, deadlines, and a
-//!   [`CancelToken`]; polled cooperatively inside the SMC speculative
-//!   batch loop and the ICP/BMC frontier loops, so any query can be
+//!   [`CancelToken`]; polled cooperatively at every SMC sample claim
+//!   and inside the ICP/BMC frontier loops, so any query can be
 //!   stopped mid-flight and still returns a well-formed partial
 //!   [`Report`] with [`Outcome::Exhausted`].
 //! * [`Report`] — verdict/estimate plus structured provenance (seed,

@@ -3,7 +3,7 @@
 use crate::budget::Budget;
 use crate::calibrate::{self, CalibrationProblem};
 use crate::error::Error;
-use crate::exec_smc::{self, SmcOutcome};
+use crate::exec_smc::{Sampling, SmcOutcome};
 use crate::falsify::{self, FalsificationOutcome};
 use crate::query::{push_bltl, push_smc, EstimateMethod, Query, QueryKind, SmcSpec};
 use crate::report::{Outcome, Provenance, Report, Value};
@@ -604,12 +604,18 @@ impl Session {
         compile: &mut Duration,
     ) -> Result<Report, Error> {
         let _kind_span = budget.trace.as_ref().map(|t| t.span(kind_span_name(query)));
+        let sampling = |sampler| Sampling {
+            sampler,
+            seed,
+            budget,
+            deadline,
+            parallel,
+        };
         match query {
             Query::Estimate { smc, method } => {
                 validate_method(method)?;
                 let sampler = self.timed_sampler(smc, budget, compile)?;
-                let out =
-                    exec_smc::run_estimate(&sampler, seed, *method, budget, deadline, parallel);
+                let out = sampling(&sampler).estimate(*method);
                 Ok(self.smc_report(query.kind(), seed, out))
             }
             Query::Sprt {
@@ -628,25 +634,20 @@ impl Session {
                         ),
                     });
                 }
-                if !(*alpha > 0.0 && *beta > 0.0) {
+                if !(*alpha > 0.0 && *alpha < 1.0 && *beta > 0.0 && *beta < 1.0) {
                     return Err(Error::InvalidParameter {
                         what: "alpha/beta",
-                        detail: "error levels must be positive".into(),
+                        detail: format!("need alpha, beta in (0, 1), got {alpha}, {beta}"),
+                    });
+                }
+                if *max_samples == 0 {
+                    return Err(Error::InvalidParameter {
+                        what: "max_samples",
+                        detail: "a sequential test needs a positive cap".into(),
                     });
                 }
                 let sampler = self.timed_sampler(smc, budget, compile)?;
-                let out = exec_smc::run_sprt(
-                    &sampler,
-                    seed,
-                    *theta,
-                    *indiff,
-                    *alpha,
-                    *beta,
-                    *max_samples,
-                    budget,
-                    deadline,
-                    parallel,
-                );
+                let out = sampling(&sampler).sprt(*theta, *indiff, *alpha, *beta, *max_samples);
                 Ok(self.smc_report(query.kind(), seed, out))
             }
             Query::Robustness { smc, samples } => {
@@ -657,8 +658,7 @@ impl Session {
                     });
                 }
                 let sampler = self.timed_sampler(smc, budget, compile)?;
-                let out =
-                    exec_smc::run_robustness(&sampler, seed, *samples, budget, deadline, parallel);
+                let out = sampling(&sampler).robustness(*samples);
                 Ok(self.smc_report(query.kind(), seed, out))
             }
             Query::Falsify { spec, opts } => {

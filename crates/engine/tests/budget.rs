@@ -9,7 +9,7 @@ use biocheck_engine::{
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_interval::Interval;
 use biocheck_ode::OdeSystem;
-use biocheck_smc::Dist;
+use biocheck_smc::{fork_rng, Dist, TraceSampler};
 use std::time::Duration;
 
 fn decay_session() -> (Session, Bltl) {
@@ -161,7 +161,7 @@ fn pre_cancelled_queries_return_exhausted_everywhere() {
 #[test]
 fn mid_flight_cancellation_is_well_formed() {
     // Cancel from another thread while a long SMC query runs; whichever
-    // batch boundary sees the flag first, the report must be coherent.
+    // claim sees the flag first, the report must be coherent.
     let (session, prop) = decay_session();
     let token = CancelToken::new();
     let budget = Budget::unlimited().with_cancel(token.clone());
@@ -253,4 +253,108 @@ fn paver_box_budget_caps_reachability() {
     // Unlimited budget decides it (consistent: x ≤ 0.5 is reachable).
     let r = session.query(Query::Falsify { spec, opts }).run().unwrap();
     assert_eq!(r.outcome, Outcome::Complete);
+}
+
+/// Exponential growth from x₀ ~ U[0.5, 1.5] under G≤4 (x ≤ 60): the
+/// violated samples stop as soon as x crosses 60, the others run the
+/// whole horizon, so lanes finish out of index order. Returns the
+/// session and a sampler built from the same model and property.
+fn growth_session() -> (Session, TraceSampler, SmcSpec) {
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let rhs = cx.parse("x").unwrap();
+    let sys = OdeSystem::new(vec![x], vec![rhs]);
+    let e = cx.parse("60 - x").unwrap();
+    let prop = Bltl::globally(4.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+    let spec = SmcSpec {
+        init: vec![Dist::Uniform(0.5, 1.5)],
+        params: vec![],
+        property: prop.clone(),
+        t_end: 4.0,
+    };
+    let sampler = TraceSampler::new(cx.clone(), &sys, spec.init.clone(), vec![], prop, 4.0);
+    (Session::from_parts(cx, sys), sampler, spec)
+}
+
+/// A cancelled, deadline-cut or sample-capped `Estimate` or `Robustness`
+/// equals the sequential reference over its first `samples` indices: the
+/// stream never hands a rule a gap, whichever lanes were in flight when
+/// it stopped.
+#[test]
+fn cut_queries_equal_the_sequential_prefix() {
+    let (session, sampler, spec) = growth_session();
+    let n = 200_000;
+    let queries = [
+        Query::Estimate {
+            smc: spec.clone(),
+            method: EstimateMethod::Fixed { n },
+        },
+        Query::Robustness {
+            smc: spec.clone(),
+            samples: n,
+        },
+    ];
+    for (seed, q) in (11u64..).zip(queries.iter().cycle().take(4)) {
+        let token = CancelToken::new();
+        let budgets = [
+            Budget::unlimited().with_max_samples(77),
+            Budget::unlimited().with_deadline(Duration::from_millis(3)),
+            Budget::unlimited().with_cancel(token.clone()),
+        ];
+        for (b, budget) in budgets.into_iter().enumerate() {
+            let sequential = seed % 2 == 0;
+            let r = std::thread::scope(|scope| {
+                let cancel = token.clone();
+                scope.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(3));
+                    cancel.cancel();
+                });
+                let run = session.query(q.clone()).seed(seed).budget(budget);
+                if sequential {
+                    run.sequential().run().unwrap()
+                } else {
+                    run.run().unwrap()
+                }
+            });
+            let k = r.provenance.samples;
+            assert_eq!(r.outcome, Outcome::Exhausted, "budget {b} seed {seed}");
+            assert!(k < n, "budget {b} seed {seed}: the cut stopped the query");
+            if b == 0 {
+                assert_eq!(k, 77, "a sample cap is exact");
+            }
+            let mut scratch = sampler.scratch();
+            match &r.value {
+                Value::Estimate(e) => {
+                    let hits = (0..k as u64)
+                        .filter(|&i| sampler.sample_with(&mut fork_rng(seed, i), &mut scratch))
+                        .count();
+                    let want = if k == 0 { 0.0 } else { hits as f64 / k as f64 };
+                    assert_eq!(e.samples, k);
+                    assert_eq!(e.p_hat.to_bits(), want.to_bits(), "budget {b} seed {seed}");
+                }
+                Value::Robustness(summary) => {
+                    let (mut hits, mut sum, mut min) = (0usize, 0.0f64, f64::INFINITY);
+                    for i in 0..k as u64 {
+                        let (sat, rob) =
+                            sampler.sample_robustness_with(&mut fork_rng(seed, i), &mut scratch);
+                        hits += sat as usize;
+                        sum += rob;
+                        min = min.min(rob);
+                    }
+                    let want = if k == 0 {
+                        (0.0, 0.0, 0.0)
+                    } else {
+                        (hits as f64 / k as f64, sum / k as f64, min)
+                    };
+                    let got = (summary.p_hat, summary.mean, summary.min);
+                    assert_eq!(
+                        [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                        [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                        "budget {b} seed {seed}: {got:?} vs {want:?}"
+                    );
+                }
+                other => panic!("unexpected value {other:?}"),
+            }
+        }
+    }
 }

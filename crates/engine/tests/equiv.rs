@@ -1,4 +1,4 @@
-//! The engine's budgeted speculative loop must reproduce the
+//! The engine's budgeted lane streams must reproduce the
 //! `biocheck_smc` free functions bit-for-bit on every method — the
 //! proof that the API redesign changed no numbers.
 
@@ -147,8 +147,8 @@ fn bayes_matches_par_bayes() {
 #[test]
 fn sequential_mode_matches_parallel_mode() {
     let (decay, _, decay_spec) = setup();
-    // Neither count is a chunk multiple; 97 crosses a batch boundary at
-    // one and at two pool threads.
+    // Neither count is a multiple of the lane width, and both are large
+    // enough to recruit pool helpers when the pool has threads.
     let cases = [
         ("decay", (decay, decay_spec), 257),
         ("prostate", prostate_case(), 97),
@@ -166,6 +166,38 @@ fn sequential_mode_matches_parallel_mode() {
             assert_eq!(par.fingerprint(), seq.fingerprint(), "{name} seed {seed}");
         }
     }
+}
+
+/// SPRT error levels outside (0, 1) make the decision thresholds
+/// degenerate (α = 2 would accept H₁ on the first sample), and a zero
+/// cap answers nothing: all are refused before any sample is drawn.
+#[test]
+fn sprt_refuses_degenerate_error_levels_and_a_zero_cap() {
+    use biocheck_engine::Error;
+    let (session, _, spec) = setup();
+    let sprt = |alpha: f64, beta: f64, max_samples: usize| Query::Sprt {
+        smc: spec.clone(),
+        theta: 0.5,
+        indiff: 0.1,
+        alpha,
+        beta,
+        max_samples,
+    };
+    for (alpha, beta, cap, what) in [
+        (2.0, 0.05, 1000, "alpha/beta"),
+        (0.05, 1.0, 1000, "alpha/beta"),
+        (0.0, 0.05, 1000, "alpha/beta"),
+        (f64::NAN, 0.05, 1000, "alpha/beta"),
+        (0.05, 0.05, 0, "max_samples"),
+    ] {
+        let err = session.query(sprt(alpha, beta, cap)).run().unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidParameter { what: w, .. } if w == what),
+            "alpha {alpha} beta {beta} cap {cap}: {err}"
+        );
+    }
+    let ok = session.query(sprt(0.05, 0.05, 1000)).run().unwrap();
+    assert!(ok.provenance.samples > 1, "a sound test needs evidence");
 }
 
 #[test]

@@ -45,7 +45,7 @@ mod trace;
 mod validated;
 
 pub use contractor::FlowContractor;
-pub use rk::{DormandPrince, LaneDriver, OdeError, OdeScratch, StepControl, StreamEnd};
+pub use rk::{DormandPrince, LaneDriver, Load, OdeError, OdeScratch, StepControl, StreamEnd};
 pub use system::{CompiledOde, EventHit, OdeSystem};
 pub use trace::Trace;
 pub use validated::{FlowTube, ValidatedOde, ValidationError};

@@ -262,8 +262,11 @@ impl DormandPrince {
             end: Option<Result<StreamEnd, OdeError>>,
         }
         impl<F: FnMut(f64, &[f64], &[f64]) -> StepControl> LaneDriver for One<'_, F> {
-            fn load(&mut self, _lane: usize) -> Option<(&[f64], &[f64])> {
-                self.start.take()
+            fn load(&mut self, _lane: usize) -> Load<'_> {
+                match self.start.take() {
+                    Some((env, y0)) => Load::Start(env, y0),
+                    None => Load::Done,
+                }
             }
             fn sink(&mut self, _lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
                 (self.sink)(t, y, dy)
@@ -295,8 +298,11 @@ impl DormandPrince {
     /// refilled with the next trajectory ([`LaneDriver::load`]). A
     /// refilled lane's first derivative comes from the one-lane program
     /// on that lane's column, as does the re-evaluated first stage after
-    /// a non-finite step. Once the driver has none left, an ended lane
-    /// idles on its stale column, and nothing reads its results.
+    /// a non-finite step. While the driver has none ready
+    /// ([`Load::Later`]) or none left ([`Load::Done`]), an ended lane
+    /// idles on its stale column, and nothing reads its results. The
+    /// call returns once no lane is live: when the driver is done, or
+    /// when every lane waits on it.
     ///
     /// Every lane performs exactly the float operations of
     /// [`DormandPrince::integrate_streaming`], in the same order: its
@@ -351,12 +357,17 @@ impl DormandPrince {
         let mut more = true;
         loop {
             // Refill ended lanes: a trajectory joins the sweeps once its
-            // first sample is out and its first step is sized.
-            for l in 0..K {
+            // first sample is out and its first step is sized. A driver
+            // with none ready yet is asked again at the next boundary.
+            'refill: for l in 0..K {
                 while !live[l] && more {
-                    more = load(driver, l, env, y);
-                    if !more {
-                        break;
+                    match load(driver, l, env, y) {
+                        Refill::Loaded => {}
+                        Refill::Later => break 'refill,
+                        Refill::Done => {
+                            more = false;
+                            break;
+                        }
                     }
                     (t[l], steps[l], emitted[l]) = (t0, 0, 1);
                     let col = (&mut *lenv, &mut *ly, &mut *ldy);
@@ -520,9 +531,8 @@ impl DormandPrince {
 /// trajectories, consumes each lane's accepted samples, and learns how
 /// each trajectory ended. Lanes are numbered `0..K`.
 pub trait LaneDriver {
-    /// Starts the next trajectory in `lane`: returns its parameter
-    /// environment and initial state, or `None` when none is left.
-    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])>;
+    /// Starts the next trajectory in `lane`, if there is one now.
+    fn load(&mut self, lane: usize) -> Load<'_>;
 
     /// One accepted sample `(t, state, derivative)` of the trajectory in
     /// `lane`: the sink of [`DormandPrince::integrate_streaming`].
@@ -533,17 +543,38 @@ pub trait LaneDriver {
     fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>);
 }
 
-/// Loads the driver's next trajectory into lane `l` of `env` and `y`;
-/// `false` when the driver has none left. The environment is the
-/// driver's, zero-extended to the system's width.
+/// What [`LaneDriver::load`] hands a free lane.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum Load<'a> {
+    /// The next trajectory: its parameter environment and initial state.
+    Start(&'a [f64], &'a [f64]),
+    /// None yet: the lane idles through the next sweep and asks again at
+    /// the step boundary after it.
+    Later,
+    /// None is left: the lane idles from now on.
+    Done,
+}
+
+/// How a lane refill went: [`Load`] with the trajectory's data copied
+/// into the lane.
+enum Refill {
+    Loaded,
+    Later,
+    Done,
+}
+
+/// Loads the driver's next trajectory into lane `l` of `env` and `y`,
+/// the environment zero-extended to the system's width.
 fn load<const K: usize>(
     driver: &mut dyn LaneDriver,
     l: usize,
     env: &mut [[f64; K]],
     y: &mut [[f64; K]],
-) -> bool {
-    let Some((base_env, y0)) = driver.load(l) else {
-        return false;
+) -> Refill {
+    let (base_env, y0) = match driver.load(l) {
+        Load::Start(base_env, y0) => (base_env, y0),
+        Load::Later => return Refill::Later,
+        Load::Done => return Refill::Done,
     };
     let base = base_env.iter().chain(std::iter::repeat(&0.0));
     for (row, &v) in env.iter_mut().zip(base) {
@@ -552,7 +583,7 @@ fn load<const K: usize>(
     for (row, &v) in y.iter_mut().zip(y0) {
         row[l] = v;
     }
-    true
+    Refill::Loaded
 }
 
 /// Lane `l`'s first stage `f(t, y)` into `k1`, through the one-lane

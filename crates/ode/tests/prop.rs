@@ -6,7 +6,7 @@
 use biocheck_expr::{Context, EvalScratch};
 use biocheck_interval::{IBox, Interval};
 use biocheck_ode::{
-    CompiledOde, DormandPrince, LaneDriver, OdeError, OdeScratch, OdeSystem, StepControl,
+    CompiledOde, DormandPrince, LaneDriver, Load, OdeError, OdeScratch, OdeSystem, StepControl,
     StreamEnd, ValidatedOde,
 };
 use proptest::prelude::*;
@@ -29,10 +29,14 @@ fn end_bits(end: &Result<StreamEnd, OdeError>) -> Result<(u64, usize, bool), Str
 
 /// Drives lanes through a list of `(env, y0)` starts, records each
 /// trajectory's stream and end, and stops a trajectory once `y[0]`
-/// exceeds `stop_above`.
+/// exceeds `stop_above`. With `later_every = n > 0`, every `n`-th load
+/// is answered [`Load::Later`], as a driver waiting on other threads
+/// does.
 struct Recorder {
     starts: Vec<(Vec<f64>, Vec<f64>)>,
     stop_above: f64,
+    later_every: usize,
+    loads: usize,
     next: usize,
     held: Vec<usize>,
     streams: Vec<Stream>,
@@ -40,11 +44,17 @@ struct Recorder {
 }
 
 impl LaneDriver for Recorder {
-    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])> {
-        let (env, y0) = self.starts.get(self.next)?;
+    fn load(&mut self, lane: usize) -> Load<'_> {
+        self.loads += 1;
+        if self.later_every > 0 && self.loads.is_multiple_of(self.later_every) {
+            return Load::Later;
+        }
+        let Some((env, y0)) = self.starts.get(self.next) else {
+            return Load::Done;
+        };
         self.held[lane] = self.next;
         self.next += 1;
-        Some((env, y0))
+        Load::Start(env, y0)
     }
 
     fn sink(&mut self, lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
@@ -235,7 +245,10 @@ fn reference_dopri(
 
 /// Runs `starts` through `K` lanes, through the streaming entry point
 /// and through the reference loop, asserts equal streams and ends for
-/// every trajectory, and returns the reference's retry count.
+/// every trajectory, and returns the reference's retry count. The lanes
+/// run twice: once loading whenever a lane is free, and once through a
+/// driver that sometimes answers [`Load::Later`], re-entered whenever
+/// every lane waited.
 fn assert_lanes_equal_scalar<const K: usize>(
     ode: &CompiledOde,
     starts: &[(Vec<f64>, Vec<f64>)],
@@ -243,17 +256,30 @@ fn assert_lanes_equal_scalar<const K: usize>(
     stop_above: f64,
 ) -> Result<usize, TestCaseError> {
     let dp = DormandPrince::with_tolerances(1e-6, 1e-8);
-    let mut rec = Recorder {
-        starts: starts.to_vec(),
-        stop_above,
-        next: 0,
-        held: vec![0; K],
-        streams: vec![Vec::new(); starts.len()],
-        ends: vec![None; starts.len()],
-    };
     let mut ws = OdeScratch::new();
-    dp.integrate_lanes::<K>(ode, tspan, &mut ws, &mut rec);
-    prop_assert_eq!(rec.next, starts.len(), "every trajectory loaded");
+    let mut recs = Vec::new();
+    for later_every in [0, 3] {
+        let mut rec = Recorder {
+            starts: starts.to_vec(),
+            stop_above,
+            later_every,
+            loads: 0,
+            next: 0,
+            held: vec![0; K],
+            streams: vec![Vec::new(); starts.len()],
+            ends: vec![None; starts.len()],
+        };
+        dp.integrate_lanes::<K>(ode, tspan, &mut ws, &mut rec);
+        while rec.ends.iter().any(Option::is_none) {
+            prop_assert!(
+                later_every > 0,
+                "a driver that never waits is done in one call"
+            );
+            dp.integrate_lanes::<K>(ode, tspan, &mut ws, &mut rec);
+        }
+        prop_assert_eq!(rec.next, starts.len(), "every trajectory loaded");
+        recs.push(rec);
+    }
     let mut retries = 0;
     for (i, (env, y0)) in starts.iter().enumerate() {
         let (want, want_end, r) = reference_dopri(&dp, ode, env, y0, tspan, stop_above);
@@ -269,9 +295,11 @@ fn assert_lanes_equal_scalar<const K: usize>(
         });
         prop_assert!(stream == want, "trajectory {}: streaming differs", i);
         prop_assert_eq!(end_bits(&end), end_bits(&want_end), "trajectory {}", i);
-        prop_assert!(rec.streams[i] == want, "trajectory {}: lane differs", i);
-        let lane_end = rec.ends[i].as_ref().expect("every trajectory ends");
-        prop_assert_eq!(end_bits(lane_end), end_bits(&want_end), "trajectory {}", i);
+        for rec in &recs {
+            prop_assert!(rec.streams[i] == want, "trajectory {}: lane differs", i);
+            let lane_end = rec.ends[i].as_ref().expect("every trajectory ends");
+            prop_assert_eq!(end_bits(lane_end), end_bits(&want_end), "trajectory {}", i);
+        }
     }
     Ok(retries)
 }
@@ -291,7 +319,7 @@ fn blowup_and_forced() -> (CompiledOde, CompiledOde) {
     (blowup, forced)
 }
 
-/// The oracle's edge cases, at 8 lanes with refills and at one: the
+/// The oracle's edge cases, at 16 and 8 lanes with refills and at one: the
 /// non-finite retry (a start so large that the first trial step
 /// overflows), blow-ups that end in an error, a time-dependent
 /// right-hand side, a sink that stops on the first sample, and a span
@@ -314,6 +342,7 @@ fn lanes_and_streaming_match_an_independent_dopri() {
         (&forced, (1.5, 1.5), f64::INFINITY),
         (&blowup, (0.0, 0.0), 3.0),
     ] {
+        retries += assert_lanes_equal_scalar::<16>(ode, &runs, tspan, stop).unwrap();
         retries += assert_lanes_equal_scalar::<8>(ode, &runs, tspan, stop).unwrap();
         retries += assert_lanes_equal_scalar::<1>(ode, &runs, tspan, stop).unwrap();
     }
@@ -426,6 +455,7 @@ proptest! {
             .map(|&(x0, k)| (vec![0.0, 0.0, k], vec![x0]))
             .collect();
         for (ode, stop) in [(&blowup, f64::INFINITY), (&blowup, stop_above), (&forced, 0.5)] {
+            assert_lanes_equal_scalar::<16>(ode, &runs, (0.0, 2.0), stop)?;
             assert_lanes_equal_scalar::<8>(ode, &runs, (0.0, 2.0), stop)?;
             assert_lanes_equal_scalar::<3>(ode, &runs, (0.0, 2.0), stop)?;
         }

@@ -7,8 +7,9 @@
 //! [`Scheduler::admit`] and are admitted strictly in arrival order
 //! (ticket-based), at most `capacity` at a time. Each admitted request
 //! then samples on its own thread plus whatever pool threads no other
-//! request is sampling on (`biocheck_smc::par_fill`), so concurrent
-//! requests share the cores without oversubscribing them.
+//! request is sampling on when its query starts
+//! (`biocheck_smc::LaneStream::run`), so concurrent requests share the
+//! cores without oversubscribing them.
 //!
 //! Unlike a plain FIFO gate the queue is **bounded**: when `max_queue`
 //! callers are already waiting, further arrivals are shed immediately

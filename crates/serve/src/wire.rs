@@ -244,6 +244,15 @@ fn finite(v: f64, what: &str) -> Result<f64, String> {
     }
 }
 
+/// An error level: strictly between 0 and 1.
+fn error_level(v: f64, what: &str) -> Result<f64, String> {
+    if v > 0.0 && v < 1.0 {
+        Ok(v)
+    } else {
+        Err(format!("{what} must lie in (0, 1), got {v}"))
+    }
+}
+
 fn rel_name(rel: RelOp) -> &'static str {
     match rel {
         RelOp::Gt => "gt",
@@ -784,9 +793,12 @@ impl QuerySpec {
                 smc: smc.build(cx)?,
                 theta: finite(*theta, "theta")?,
                 indiff: finite(*indiff, "indiff")?,
-                alpha: finite(*alpha, "alpha")?,
-                beta: finite(*beta, "beta")?,
-                max_samples: *max_samples,
+                alpha: error_level(*alpha, "alpha")?,
+                beta: error_level(*beta, "beta")?,
+                max_samples: match *max_samples {
+                    0 => return Err("sprt max_samples must be positive".into()),
+                    n => n,
+                },
             },
             QuerySpec::Robustness { smc, samples } => Query::Robustness {
                 smc: smc.build(cx)?,

@@ -372,7 +372,7 @@ fn watchdog_cancels_overrunning_query() {
     });
     core.register("decay", &decay_source()).unwrap();
     // Big enough that execution is still running when the ceiling
-    // trips; the engine polls the raised token between batches and
+    // trips; the engine polls the raised token at every sample claim and
     // unwedges long before the full run would finish.
     let big = QueryRequest {
         model: "decay".into(),

@@ -411,6 +411,37 @@ fn inverted_uniform_bounds_are_rejected_without_a_panic() {
     assert_eq!(core.panic_count(), 0);
 }
 
+/// SPRT error levels outside (0, 1) and a zero sample cap are refused
+/// over the wire as `invalid_request` (α = 2 used to accept H₁ on the
+/// first sample; a zero cap answered `Inconclusive` from no evidence).
+#[test]
+fn degenerate_sprt_requests_are_invalid() {
+    let core = ServeCore::new(ServeConfig::default());
+    core.register("decay", &decay_source()).unwrap();
+    let line = |alpha: &str, beta: &str, cap: usize| {
+        format!(
+            r#"{{"op":"query","model":"decay","seed":1,"query":{{"type":"sprt","smc":{{"init":[{{"dist":"uniform","lo":0.5,"hi":1.5}}],"params":[],"property":{{"type":"eventually","bound":0.01,"inner":{{"type":"prop","expr":"x - 1","rel":"ge"}}}},"t_end":0.01}},"theta":0.5,"indiff":0.1,"alpha":{alpha},"beta":{beta},"max_samples":{cap}}}}}"#
+        )
+    };
+    for (alpha, beta, cap) in [
+        ("2", "0.05", 1000),
+        ("0.05", "1", 1000),
+        ("0.05", "0.05", 0),
+    ] {
+        let (reply, _) = core.handle_line(&line(alpha, beta, cap));
+        assert!(
+            reply.contains(r#""kind":"invalid_request""#),
+            "alpha {alpha} beta {beta} cap {cap}: {reply}"
+        );
+    }
+    let (reply, _) = core.handle_line(&line("0.05", "0.05", 1000));
+    assert!(
+        reply.contains(r#""ok":true"#),
+        "a sound test is answered: {reply}"
+    );
+    assert_eq!(core.panic_count(), 0);
+}
+
 /// A typo'd name in a property is an error, never a silent 0.
 #[test]
 fn unknown_property_names_are_rejected() {

@@ -24,9 +24,9 @@ pub struct SprtResult {
 
 /// Resumable Wald SPRT: the log-likelihood-ratio accumulator behind
 /// [`sprt`], exposed so drivers that interleave sample generation with
-/// budget checks (the engine's speculative batch loop) can push samples
-/// one at a time and stop between batches. Pushing the same sample
-/// sequence reproduces [`sprt`] bit-for-bit.
+/// budget checks (a query's lane stream) can push samples one at a time
+/// and stop at any sample. Pushing the same sample sequence reproduces
+/// [`sprt`] bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct SprtState {
     llr: f64,
@@ -44,8 +44,8 @@ impl SprtState {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate arguments (`θ ± δ` outside `(0,1)`,
-    /// non-positive error levels).
+    /// Panics on degenerate arguments (`θ ± δ` or an error level
+    /// outside `(0,1)`).
     pub fn new(theta: f64, indiff: f64, alpha: f64, beta: f64) -> SprtState {
         let p0 = theta + indiff; // boundary of H0
         let p1 = theta - indiff; // boundary of H1
@@ -53,7 +53,10 @@ impl SprtState {
             p1 > 0.0 && p0 < 1.0,
             "theta ± indiff must stay inside (0, 1)"
         );
-        assert!(alpha > 0.0 && beta > 0.0, "error levels must be positive");
+        assert!(
+            alpha > 0.0 && alpha < 1.0 && beta > 0.0 && beta < 1.0,
+            "error levels must lie in (0, 1)"
+        );
         SprtState {
             llr: 0.0,
             hits: 0,
@@ -111,8 +114,8 @@ impl SprtState {
 ///
 /// # Panics
 ///
-/// Panics on degenerate arguments (`θ ± δ` outside `(0,1)`, non-positive
-/// error levels).
+/// Panics on degenerate arguments (`θ ± δ` or an error level outside
+/// `(0,1)`).
 pub fn sprt<F: FnMut() -> bool>(
     mut sample: F,
     theta: f64,
@@ -398,7 +401,7 @@ mod tests {
 
     /// The push-based state machines must reproduce the closure-driven
     /// functions bit-for-bit on the same sample sequence — they are what
-    /// the engine's budgeted batch loops drive.
+    /// the engine's budgeted lane streams drive.
     #[test]
     fn resumable_states_match_closure_drivers() {
         for (p, seed) in [(0.5, 1u64), (0.9, 2), (0.2, 3)] {
@@ -441,5 +444,13 @@ mod tests {
     #[should_panic(expected = "inside (0, 1)")]
     fn sprt_rejects_degenerate_theta() {
         let _ = sprt(|| true, 0.99, 0.05, 0.01, 0.01, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "error levels must lie in (0, 1)")]
+    fn sprt_rejects_error_levels_of_one_or_more() {
+        // With α = 2 the H₁ threshold ln((1 − β)/α) is negative, so the
+        // first sample would accept H₁.
+        let _ = SprtState::new(0.5, 0.1, 2.0, 0.05);
     }
 }

@@ -22,13 +22,14 @@
 //!   Chernoff–Hoeffding guarantee `P(|p̂ − p| > ε) ≤ δ`.
 //! * [`bayes_estimate`] — Beta-posterior estimation run until the
 //!   credible interval is narrower than a target width.
+//! * [`LaneStream`] — one query's samples from the first to the rule's
+//!   decision: up to one sampler per pool thread, each claiming the next
+//!   index as a lane frees up, with finished samples reordered so the
+//!   query's rule consumes them in index order.
 //! * [`par_estimate`] / [`par_chernoff_estimate`] / [`par_sprt`] /
 //!   [`par_bayes_estimate`] — deterministic parallel forms: per-sample
-//!   RNGs forked from a master seed, adaptive rules fed speculative
-//!   batches in index order, so every parallel result is bit-for-bit
-//!   the sequential one. [`par_fill`] has up to one worker per pool
-//!   thread fill a batch's shared [`Slots`], each claiming the next
-//!   index as a lane frees up.
+//!   RNGs forked from a master seed, every rule fed one stream in index
+//!   order, so every parallel result is bit-for-bit the sequential one.
 //! * [`SmcFit`] — SMC-driven parameter estimation: simulated-annealing
 //!   search scored by satisfaction probability (or mean robustness), the
 //!   strategy of the paper's SMC calibration line of work.
@@ -43,6 +44,7 @@ mod estimate;
 mod fit;
 mod parallel;
 mod sampler;
+mod stream;
 
 pub use estimate::{
     bayes_estimate, chernoff_estimate, chernoff_sample_size, sprt, BayesState, Estimate,
@@ -50,7 +52,8 @@ pub use estimate::{
 };
 pub use fit::{FitResult, SmcFit};
 pub use parallel::{
-    fork_rng, fork_seed, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_fill,
-    par_sprt, seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
+    fork_rng, fork_seed, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
+    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
 };
-pub use sampler::{with_scratch, Dist, SampleScratch, SampleStats, Slots, TraceSampler, LANES};
+pub use sampler::{Dist, SampleOutcome, SampleScratch, SampleStats, TraceSampler, LANES};
+pub use stream::LaneStream;

@@ -12,26 +12,26 @@
 //! The `seq_*` functions are the same estimators run on one thread over
 //! the same per-index streams; `parallel == sequential` is asserted by
 //! the property tests at the bottom of this file. The `par_*` functions
-//! sample through the lockstep range entry points and the `seq_*` ones
-//! one scalar sample at a time, so those tests also hold the lanes to
-//! the scalar path.
+//! sample through one [`LaneStream`](crate::LaneStream) per call, in
+//! lockstep lanes, and the `seq_*` ones one scalar sample at a time, so
+//! those tests also hold the lanes to the scalar path.
 //!
-//! Adaptive-stopping procedures (SPRT) are parallelized speculatively:
-//! samples are generated in parallel batches and fed to the sequential
-//! decision rule in index order, so the verdict and the reported sample
-//! count match the sequential run exactly (at the cost of up to one
-//! discarded batch of speculative samples).
+//! Adaptive-stopping procedures (SPRT, Bayes) consume the stream in
+//! index order, so the verdict and the reported sample count match the
+//! sequential run exactly; lanes run at most `samplers × LANES` samples
+//! past the decision, and those are discarded.
 //!
 //! These free functions have no notion of budgets or cancellation; the
-//! `biocheck_engine` crate's `Session` API drives the same per-index
-//! streams through a budget-aware speculative loop and should be
-//! preferred by application code.
+//! `biocheck_engine` crate's `Session` API drives the same streams with
+//! its budget as their poll and should be preferred by application
+//! code.
 
-use crate::estimate::{bayes_estimate, sprt, Estimate, SprtResult};
-use crate::sampler::{with_scratch, SampleScratch, SampleStats, Slots, TraceSampler, LANES};
+use crate::estimate::{
+    bayes_estimate, sprt, BayesState, Estimate, SprtOutcome, SprtResult, SprtState,
+};
+use crate::sampler::TraceSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The per-index seed fork: a SplitMix64-style mix of a master seed and
 /// an index. Shared by [`fork_rng`] (per-sample streams) and the engine
@@ -50,81 +50,6 @@ pub fn fork_rng(master_seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(fork_seed(master_seed, index))
 }
 
-/// Indices per sampler a parallel fill recruits: four lane fills, so a
-/// sampler's lanes are refilled rather than drained at once.
-const LEAF_MIN: usize = 4 * LANES;
-
-/// Samplers of every [`par_fill`] running in the process, callers
-/// included. A fill recruits pool helpers only while this stays below
-/// the pool width, so concurrent fills (a daemon running several
-/// queries at once) never put more samplers than pool threads on the
-/// cores: each runs on its own caller, and a fill that runs alone gets
-/// the whole pool.
-static SAMPLERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sampler places a fill holds in [`SAMPLERS`], released on drop (also
-/// when a sample panics).
-struct Reserved(usize);
-
-impl Drop for Reserved {
-    fn drop(&mut self) {
-        SAMPLERS.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
-
-/// Fills `out` with samples `first..first + out.len()` across the pool.
-/// One sampler per `LEAF_MIN` indices calls `fill` — a shared range
-/// entry point such as [`TraceSampler::sample_stats_shared`] — on the
-/// same [`Slots`], through a scratch borrowed with [`with_scratch`].
-/// The calling thread is the first sampler; the rest are helper jobs
-/// spawned into the pool ([`rayon::in_place_scope`]), as many as the
-/// pool has threads not already sampling for some fill (`SAMPLERS`).
-/// Each sampler's lanes claim the next unsampled index as they free up,
-/// so the work balances itself sample by sample: a helper the OS
-/// preempts, or one that starts late, leaves its share to the others,
-/// and the caller never waits for a sleeping worker to wake. Sample `i`
-/// is a pure function of `(seed, i)`, so `out` is identical at any
-/// thread count and whichever sampler claims which index.
-pub fn par_fill<T, F>(sampler: &TraceSampler, first: u64, out: &mut [T], fill: F)
-where
-    T: Send,
-    F: Fn(&TraceSampler, u64, &mut SampleScratch, &Slots<T>) + Sync,
-{
-    let width = rayon::current_num_threads().max(1);
-    let wanted = out.len().div_ceil(LEAF_MIN).saturating_sub(1);
-    let mut running = SAMPLERS.load(Ordering::Relaxed);
-    let reserved = loop {
-        let helpers = wanted.min(width.saturating_sub(running + 1));
-        match SAMPLERS.compare_exchange_weak(
-            running,
-            running + 1 + helpers,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => break Reserved(1 + helpers),
-            Err(now) => running = now,
-        }
-    };
-    let slots = Slots::new(out);
-    let work = || with_scratch(|scratch| fill(sampler, first, scratch, &slots));
-    rayon::in_place_scope(|scope| {
-        for _ in 1..reserved.0 {
-            scope.spawn(|_| work());
-        }
-        work();
-    });
-}
-
-/// Draws samples `base..base + n` of the seeded stream in parallel
-/// ([`par_fill`] over [`TraceSampler::sample_stats_shared`]).
-fn batch(sampler: &TraceSampler, seed: u64, base: u64, n: usize) -> Vec<bool> {
-    let mut out = vec![SampleStats::default(); n];
-    par_fill(sampler, base, &mut out, |s, first, scratch, slots| {
-        s.sample_stats_shared(seed, first, scratch, slots)
-    });
-    out.iter().map(|st| st.sat).collect()
-}
-
 /// Parallel fixed-sample estimate of the satisfaction probability.
 ///
 /// # Panics
@@ -132,7 +57,13 @@ fn batch(sampler: &TraceSampler, seed: u64, base: u64, n: usize) -> Vec<bool> {
 /// Panics if `n == 0`.
 pub fn par_estimate(sampler: &TraceSampler, seed: u64, n: usize) -> f64 {
     assert!(n > 0, "estimate needs at least one sample");
-    let hits = batch(sampler, seed, 0, n).iter().filter(|&&b| b).count();
+    let mut hits = 0usize;
+    sampler
+        .stats_stream(seed, n, |st| {
+            hits += st.sat as usize;
+            false
+        })
+        .run(true);
     hits as f64 / n as f64
 }
 
@@ -182,35 +113,13 @@ pub fn seq_chernoff_estimate(sampler: &TraceSampler, seed: u64, eps: f64, delta:
     }
 }
 
-/// A closure yielding samples `0, 1, 2, …` of the seeded per-index
-/// streams, refilled in speculatively generated parallel batches.
+/// Parallel SPRT: Wald's sequential test fed in index order by one
+/// adaptive [`LaneStream`](crate::LaneStream). Verdict, sample count,
+/// and `p_hat` are identical to [`seq_sprt`] with the same seed.
 ///
-/// Adaptive procedures ([`sprt`], [`bayes_estimate`]) consume samples
-/// strictly in index order, so feeding them from this stream produces
-/// the exact sequential verdict; at most one batch of speculative
-/// samples is discarded when the procedure stops early.
-fn speculative_stream(
-    sampler: &TraceSampler,
-    seed: u64,
-    max_samples: usize,
-) -> impl FnMut() -> bool + '_ {
-    let chunk = 32 * rayon::current_num_threads().max(1);
-    let mut buf: Vec<bool> = Vec::new();
-    let mut next = 0usize; // index of the next sample to hand out
-    move || {
-        if next == buf.len() {
-            let want = chunk.min(max_samples.saturating_sub(buf.len())).max(1);
-            buf.extend(batch(sampler, seed, buf.len() as u64, want));
-        }
-        let b = buf[next];
-        next += 1;
-        b
-    }
-}
-
-/// Parallel SPRT: Wald's sequential test fed by speculatively
-/// batch-generated samples. Verdict, sample count, and `p_hat` are
-/// identical to [`seq_sprt`] with the same seed.
+/// # Panics
+///
+/// Panics on degenerate arguments (see [`sprt`](crate::sprt)).
 #[allow(clippy::too_many_arguments)]
 pub fn par_sprt(
     sampler: &TraceSampler,
@@ -221,15 +130,23 @@ pub fn par_sprt(
     beta: f64,
     max_samples: usize,
 ) -> SprtResult {
-    let mut take = speculative_stream(sampler, seed, max_samples);
-    sprt(&mut take, theta, indiff, alpha, beta, max_samples)
+    let mut state = SprtState::new(theta, indiff, alpha, beta);
+    let mut decision = None;
+    sampler
+        .stats_stream(seed, max_samples, |st| {
+            decision = state.push(st.sat);
+            decision.is_some()
+        })
+        .adaptive()
+        .run(true);
+    state.result(decision.unwrap_or(SprtOutcome::Inconclusive))
 }
 
 /// Parallel Bayesian estimation (`Beta(1, 1)` prior, adaptive stopping)
-/// fed by speculatively batch-generated samples. Estimate and sample
-/// count are identical to [`seq_bayes_estimate`] with the same seed —
-/// the adaptive stopping rule sees samples in index order regardless of
-/// which worker simulated them.
+/// fed in index order by one adaptive [`LaneStream`](crate::LaneStream).
+/// Estimate and sample count are identical to [`seq_bayes_estimate`]
+/// with the same seed — the adaptive stopping rule sees samples in index
+/// order regardless of which lane simulated them.
 ///
 /// # Panics
 ///
@@ -241,8 +158,16 @@ pub fn par_bayes_estimate(
     confidence: f64,
     max_samples: usize,
 ) -> Estimate {
-    let mut take = speculative_stream(sampler, seed, max_samples);
-    bayes_estimate(&mut take, half_width, confidence, max_samples)
+    let mut state = BayesState::new(half_width, confidence);
+    let mut decision = None;
+    sampler
+        .stats_stream(seed, max_samples, |st| {
+            decision = state.push(st.sat);
+            decision.is_some()
+        })
+        .adaptive()
+        .run(true);
+    decision.unwrap_or_else(|| state.finish())
 }
 
 /// Sequential reference for [`par_bayes_estimate`] (same per-index

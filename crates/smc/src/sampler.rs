@@ -26,25 +26,23 @@
 //! stage-synchronous lanes ([`DormandPrince::integrate_lanes`]), one
 //! streaming monitor per lane; the one-sample entry points are its
 //! one-lane instances, so both produce the same bits. Lanes claim their
-//! indices one at a time from a [`Slots`] cursor, so several samplers
-//! can fill one range together (the `*_shared` entry points), each
-//! refilling a lane at the step boundary after its sample ends, until
-//! the range runs out.
+//! indices one at a time from a source, refilling a lane at the step
+//! boundary after its sample ends: a range's slice, or a query's
+//! [`LaneStream`](crate::LaneStream), which several samplers share.
 
 use crate::parallel::fork_rng;
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
 use biocheck_expr::{Context, VarId};
 use biocheck_ode::{
-    CompiledOde, DormandPrince, LaneDriver, OdeError, OdeScratch, OdeSystem, StepControl, StreamEnd,
+    CompiledOde, DormandPrince, LaneDriver, Load, OdeError, OdeScratch, OdeSystem, StepControl,
+    StreamEnd,
 };
 use rand::Rng;
-use std::iter::Enumerate;
-use std::slice::IterMut;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Trajectories one range call advances in lockstep: each sweep of the
+/// Trajectories one sampler advances in lockstep: each sweep of the
 /// compiled right-hand side evaluates this many samples at once.
-pub const LANES: usize = 8;
+pub const LANES: usize = 16;
 
 /// A sampling distribution for an initial state or parameter.
 #[derive(Clone, Debug)]
@@ -131,58 +129,17 @@ static SPARE: Mutex<Vec<SampleScratch>> = Mutex::new(Vec::new());
 
 /// Runs `f` with a warm scratch from the process-wide pool of idle ones
 /// (a new one when all are in use) and returns the scratch to the pool
-/// afterwards. Batch loops and parallel workers borrow their scratch
-/// here, so lane buffers stay warm across batches and queries instead of
-/// regrowing each time, and the pool holds one scratch per concurrent
-/// caller at most. Scratch reuse carries no state between samples, so
-/// results do not depend on which scratch a call gets.
-pub fn with_scratch<R>(f: impl FnOnce(&mut SampleScratch) -> R) -> R {
+/// afterwards. Every sampler of a [`LaneStream`](crate::LaneStream)
+/// borrows its scratch here, so lane buffers stay warm across queries
+/// instead of regrowing each time, and the pool holds one scratch per
+/// concurrent sampler at most. Scratch reuse carries no state between
+/// samples, so results do not depend on which scratch a call gets.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SampleScratch) -> R) -> R {
     let pool = || SPARE.lock().unwrap_or_else(PoisonError::into_inner);
     let mut scratch = pool().pop().unwrap_or_default();
     let r = f(&mut scratch);
     pool().push(scratch);
     r
-}
-
-/// The output slots of one range call, handed out one index at a time:
-/// each claim yields the next index and exclusive access to its slot.
-/// Several workers may fill one `Slots` together through the `*_shared`
-/// range entry points; whichever worker is free claims the next index,
-/// so a slow or preempted worker never holds back indices another could
-/// sample. Sample `i` is a pure function of its index, so the filled
-/// slots do not depend on which worker claimed what.
-pub struct Slots<'a, T> {
-    next: Mutex<Enumerate<IterMut<'a, T>>>,
-    len: usize,
-}
-
-impl<'a, T> Slots<'a, T> {
-    /// Slots for `out`, claimed in index order.
-    pub fn new(out: &'a mut [T]) -> Slots<'a, T> {
-        Slots {
-            len: out.len(),
-            next: Mutex::new(out.iter_mut().enumerate()),
-        }
-    }
-
-    /// The number of slots, claimed or not.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether there are no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The next unclaimed index and its slot, or `None` once every slot
-    /// has been claimed.
-    fn claim(&self) -> Option<(usize, &'a mut T)> {
-        self.next
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .next()
-    }
 }
 
 /// Outcome of one instrumented Bernoulli sample.
@@ -315,7 +272,7 @@ impl TraceSampler {
         scratch: &mut SampleScratch,
     ) -> SampleStats {
         let mut out = [SampleStats::default()];
-        self.fuse::<1, _>(scratch, one_draw(rng), &Slots::new(&mut out));
+        self.fuse::<1, _, _>(scratch, one_draw(rng), &mut Range::new(&mut out));
         out[0]
     }
 
@@ -332,22 +289,8 @@ impl TraceSampler {
         scratch: &mut SampleScratch,
         out: &mut [SampleStats],
     ) {
-        self.fuse_range(seed, first, scratch, &Slots::new(out));
-    }
-
-    /// [`TraceSampler::sample_stats_range`] over shared slots: claims
-    /// and samples indices of `slots` until none are left. Any number of
-    /// workers may call this on the same `slots` at once, each with its
-    /// own scratch; together they fill every slot exactly once, each
-    /// with the same bits as the one-worker call.
-    pub fn sample_stats_shared(
-        &self,
-        seed: u64,
-        first: u64,
-        scratch: &mut SampleScratch,
-        slots: &Slots<SampleStats>,
-    ) {
-        self.fuse_range(seed, first, scratch, slots);
+        let len = out.len();
+        self.fuse_any(scratch, range_draw(seed, first), &mut Range::new(out), len);
     }
 
     /// Draws one sample, returning `(satisfied, robustness)`.
@@ -369,7 +312,7 @@ impl TraceSampler {
         scratch: &mut SampleScratch,
     ) -> (bool, f64) {
         let mut out = [(false, 0.0)];
-        self.fuse::<1, _>(scratch, one_draw(rng), &Slots::new(&mut out));
+        self.fuse::<1, _, _>(scratch, one_draw(rng), &mut Range::new(&mut out));
         out[0]
     }
 
@@ -384,54 +327,43 @@ impl TraceSampler {
         scratch: &mut SampleScratch,
         out: &mut [(bool, f64)],
     ) {
-        self.fuse_range(seed, first, scratch, &Slots::new(out));
+        let len = out.len();
+        self.fuse_any(scratch, range_draw(seed, first), &mut Range::new(out), len);
     }
 
-    /// [`TraceSampler::sample_robustness_range`] over shared slots, as
-    /// [`TraceSampler::sample_stats_shared`] is to the Boolean range.
-    pub fn sample_robustness_shared(
-        &self,
-        seed: u64,
-        first: u64,
-        scratch: &mut SampleScratch,
-        slots: &Slots<(bool, f64)>,
-    ) {
-        self.fuse_range(seed, first, scratch, slots);
-    }
-
-    /// The range entry points' body: samples the claimed indices of
-    /// `slots`, slot `j` being sample `first + j` of the seeded streams,
-    /// in lockstep lanes.
-    fn fuse_range<O: Outcome>(
-        &self,
-        seed: u64,
-        first: u64,
-        scratch: &mut SampleScratch,
-        slots: &Slots<O>,
-    ) {
-        let draw = range_draw(seed, first);
-        // One 8-lane sweep costs about two to three one-lane sweeps on
-        // the case studies (x86-64, release build). Four or more
-        // trajectories run faster on 8 lanes for all three; three win on
-        // prostate and radiation but not reliably on cardiac. So a range
-        // that cannot fill half the lanes runs through a single lane,
-        // refilled index by index.
-        if slots.len() < LANES / 2 {
-            self.fuse::<1, _>(scratch, draw, slots);
-        } else {
-            self.fuse::<LANES, _>(scratch, draw, slots);
-        }
-    }
-
-    /// The one fused sample body: claims slot after slot of `slots`,
-    /// draws each claimed sample through `draw`, integrates them over
-    /// `K` lockstep lanes with a streaming monitor per lane, and writes
-    /// each sample's outcome to its slot.
-    fn fuse<const K: usize, O: Outcome>(
+    /// Samples what `source` hands out, at most `len` samples, in
+    /// lockstep lanes: index `j` draws through `draw`. Returns when no
+    /// lane is live (see [`DormandPrince::integrate_lanes`]).
+    pub(crate) fn fuse_any<O: SampleOutcome>(
         &self,
         scratch: &mut SampleScratch,
         draw: impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
-        slots: &Slots<O>,
+        source: &mut impl Source<O>,
+        len: usize,
+    ) {
+        // One 16-lane sweep costs about two to four and a half one-lane
+        // sweeps on the case studies (prostate 1.7, radiation 2.3,
+        // cardiac 4.5; x86-64, release build). Eight or more
+        // trajectories run faster on 16 lanes for all three; prostate
+        // wins from four and radiation from three, cardiac not reliably
+        // below eight. So a range that cannot fill half the lanes runs
+        // through a single lane, refilled index by index.
+        if len < LANES / 2 {
+            self.fuse::<1, _, _>(scratch, draw, source);
+        } else {
+            self.fuse::<LANES, _, _>(scratch, draw, source);
+        }
+    }
+
+    /// The one fused sample body: claims index after index of `source`,
+    /// draws each claimed sample through `draw`, integrates them over
+    /// `K` lockstep lanes with a streaming monitor per lane, and hands
+    /// each sample's outcome back to `source`.
+    fn fuse<const K: usize, O: SampleOutcome, S: Source<O>>(
+        &self,
+        scratch: &mut SampleScratch,
+        draw: impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
+        source: &mut S,
     ) {
         let SampleScratch { env, y0, ode, mons } = scratch;
         if mons.len() < K {
@@ -443,8 +375,9 @@ impl TraceSampler {
             env,
             y0,
             mons,
-            slots,
-            held: [const { None }; K],
+            source,
+            held: [0; K],
+            outcome: std::marker::PhantomData,
         };
         self.integrator
             .integrate_lanes::<K>(&self.ode, (0.0, self.t_end), ode, &mut lanes);
@@ -503,20 +436,23 @@ fn one_draw<R: Rng + ?Sized>(
 
 /// The per-sample draw of a range call: slot `j` from
 /// `fork_rng(seed, first + j)`.
-fn range_draw(
+pub(crate) fn range_draw(
     seed: u64,
     first: u64,
 ) -> impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>) {
     move |j, s, env, y0| s.draw(&mut fork_rng(seed, first + j as u64), env, y0)
 }
 
-/// What a fused sample reports: the Boolean stats (the monitor stops
-/// integration once the verdict decides) or `(satisfied, robustness)`
-/// (the whole horizon).
-trait Outcome: Copy {
+/// What a fused sample reports: the Boolean [`SampleStats`] (the monitor
+/// stops integration once the verdict decides) or `(satisfied,
+/// robustness)` (the whole horizon). Sealed: these two are the only
+/// outcomes.
+pub trait SampleOutcome: Copy + Send + sealed::Sealed {
     /// Whether a decided Boolean verdict ends the trajectory.
+    #[doc(hidden)]
     const STOP_WHEN_DECIDED: bool;
     /// The outcome of a trajectory that ended with `end`.
+    #[doc(hidden)]
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
@@ -524,7 +460,13 @@ trait Outcome: Copy {
     ) -> Self;
 }
 
-impl Outcome for SampleStats {
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::SampleStats {}
+    impl Sealed for (bool, f64) {}
+}
+
+impl SampleOutcome for SampleStats {
     const STOP_WHEN_DECIDED: bool = true;
     fn finish(
         plan: &CompiledBltl,
@@ -548,7 +490,7 @@ impl Outcome for SampleStats {
     }
 }
 
-impl Outcome for (bool, f64) {
+impl SampleOutcome for (bool, f64) {
     const STOP_WHEN_DECIDED: bool = false;
     fn finish(
         plan: &CompiledBltl,
@@ -562,34 +504,94 @@ impl Outcome for (bool, f64) {
     }
 }
 
-/// The lane driver of [`TraceSampler::fuse`]: loads slot after claimed
-/// slot, feeds each lane's accepted steps to that lane's monitor, and
-/// writes each outcome to the slot its lane holds.
-struct Fused<'a, 's, D, O, const K: usize> {
+/// A sampler's answer to a free lane: the next index to sample, or why
+/// there is none.
+pub(crate) enum Claim {
+    /// Sample this index.
+    Index(usize),
+    /// None yet: ask again at the next step boundary.
+    Later,
+    /// None is left.
+    Done,
+}
+
+/// Where a fused run's samples come from and where their outcomes go.
+pub(crate) trait Source<O> {
+    /// The next index for a free lane.
+    fn claim(&mut self) -> Claim;
+    /// Whether in-flight lanes should stop at their next accepted step,
+    /// their samples unwanted.
+    fn halted(&self) -> bool {
+        false
+    }
+    /// Sample `index` ended with `outcome`.
+    fn put(&mut self, index: usize, outcome: O);
+}
+
+/// The source of a range call: slot `j` of a slice is sample `j`,
+/// claimed in order.
+struct Range<'o, O> {
+    out: &'o mut [O],
+    next: usize,
+}
+
+impl<'o, O> Range<'o, O> {
+    fn new(out: &'o mut [O]) -> Range<'o, O> {
+        Range { out, next: 0 }
+    }
+}
+
+impl<O> Source<O> for Range<'_, O> {
+    fn claim(&mut self) -> Claim {
+        if self.next == self.out.len() {
+            return Claim::Done;
+        }
+        self.next += 1;
+        Claim::Index(self.next - 1)
+    }
+
+    fn put(&mut self, index: usize, outcome: O) {
+        self.out[index] = outcome;
+    }
+}
+
+/// The lane driver of [`TraceSampler::fuse`]: loads index after claimed
+/// index, feeds each lane's accepted steps to that lane's monitor, and
+/// hands each outcome to the source.
+struct Fused<'a, D, O, S, const K: usize> {
     sampler: &'a TraceSampler,
     draw: D,
     env: &'a mut Vec<f64>,
     y0: &'a mut Vec<f64>,
     mons: &'a mut [MonitorScratch],
-    slots: &'a Slots<'s, O>,
-    /// The output slot each lane is sampling.
-    held: [Option<&'s mut O>; K],
+    source: &'a mut S,
+    /// The index each lane is sampling.
+    held: [usize; K],
+    outcome: std::marker::PhantomData<O>,
 }
 
-impl<D, O, const K: usize> LaneDriver for Fused<'_, '_, D, O, K>
+impl<D, O, S, const K: usize> LaneDriver for Fused<'_, D, O, S, K>
 where
     D: FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
-    O: Outcome,
+    O: SampleOutcome,
+    S: Source<O>,
 {
-    fn load(&mut self, lane: usize) -> Option<(&[f64], &[f64])> {
-        let (j, slot) = self.slots.claim()?;
+    fn load(&mut self, lane: usize) -> Load<'_> {
+        let j = match self.source.claim() {
+            Claim::Index(j) => j,
+            Claim::Later => return Load::Later,
+            Claim::Done => return Load::Done,
+        };
         (self.draw)(j, self.sampler, self.env, self.y0);
         self.sampler.plan.begin(&mut self.mons[lane], self.env);
-        self.held[lane] = Some(slot);
-        Some((self.env, self.y0))
+        self.held[lane] = j;
+        Load::Start(self.env, self.y0)
     }
 
     fn sink(&mut self, lane: usize, t: f64, y: &[f64], _dy: &[f64]) -> StepControl {
+        if self.source.halted() {
+            return StepControl::Stop;
+        }
         let verdict = self.sampler.plan.feed(&mut self.mons[lane], t, y);
         if O::STOP_WHEN_DECIDED && verdict.decided() {
             StepControl::Stop
@@ -599,10 +601,11 @@ where
     }
 
     fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>) {
-        let slot = self.held[lane]
-            .take()
-            .expect("a finished lane holds a slot");
-        *slot = O::finish(&self.sampler.plan, &mut self.mons[lane], end);
+        if self.source.halted() {
+            return;
+        }
+        let outcome = O::finish(&self.sampler.plan, &mut self.mons[lane], end);
+        self.source.put(self.held[lane], outcome);
     }
 }
 

@@ -5,7 +5,8 @@
 //! monitors or traces (the sibling of `crates/expr/tests/alloc.rs`,
 //! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`). The
 //! lockstep range entry points, which refill lanes from the next index
-//! and park idle ones, are held to the same bar.
+//! and park idle ones, are held to the same bar, and a query's lane
+//! stream allocates only its reorder buffer, once.
 //!
 //! This binary holds exactly one test so the global allocation counter
 //! is not disturbed by concurrently running tests.
@@ -136,4 +137,27 @@ fn fused_smc_sampling_does_not_allocate() {
     assert!(robust
         .iter()
         .all(|r| r.0 && r.1.to_bits() == first_rob.to_bits()));
+
+    // A query's lane stream on the calling thread: after the warm-up
+    // stream, a stream allocates its reorder buffer once, however many
+    // samples pass through it.
+    let stream = |n: usize| {
+        let mut hits = 0usize;
+        sampler
+            .stats_stream(7, n, |st| {
+                hits += st.sat as usize;
+                false
+            })
+            .join();
+        hits
+    };
+    assert_eq!(stream(10 * LANES), 10 * LANES);
+    for n in [LANES, 40 * LANES] {
+        let fewest = (0..5).map(|_| allocations(|| stream(n)).0).min();
+        assert_eq!(
+            fewest,
+            Some(1),
+            "a {n}-sample stream allocates its ring once"
+        );
+    }
 }

@@ -5,7 +5,9 @@
 //! termination, scratch reuse) reproduces the offline
 //! integrate-then-monitor reference exactly; and the lockstep range
 //! entry points reproduce the scalar per-index samples bit-for-bit,
-//! also when several workers fill one range's shared slots together.
+//! also when several workers sample one query's lane stream together,
+//! and an adaptive stream runs at most `samplers × LANES` samples past
+//! its decision.
 
 use biocheck_bltl::Bltl;
 use biocheck_expr::{Atom, Context, RelOp};
@@ -13,8 +15,8 @@ use biocheck_models::{cardiac, prostate, radiation};
 use biocheck_ode::OdeSystem;
 use biocheck_smc::{
     fork_rng, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
-    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, Dist, SampleStats, Slots,
-    TraceSampler, LANES,
+    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, BayesState, Dist,
+    SampleStats, SprtOutcome, SprtState, TraceSampler, LANES,
 };
 use proptest::prelude::*;
 
@@ -160,41 +162,113 @@ fn assert_range_equals_scalar(
     Ok(())
 }
 
-/// Asserts that `workers` threads filling one range's shared slots
-/// together produce exactly the one-worker range call, whichever thread
-/// claims which index.
-fn assert_shared_equals_range(
+/// Asserts that `workers` threads joining one lane stream hand its rule
+/// exactly the one-worker range call over `0..len`, in index order,
+/// whichever thread claims which index.
+fn assert_stream_equals_range(
     s: &TraceSampler,
     seed: u64,
-    first: u64,
     len: usize,
     workers: usize,
 ) -> Result<(), TestCaseError> {
     let mut want = vec![SampleStats::default(); len];
-    s.sample_stats_range(seed, first, &mut s.scratch(), &mut want);
+    s.sample_stats_range(seed, 0, &mut s.scratch(), &mut want);
     let mut want_rob = vec![(false, 0.0); len];
-    s.sample_robustness_range(seed, first, &mut s.scratch(), &mut want_rob);
+    s.sample_robustness_range(seed, 0, &mut s.scratch(), &mut want_rob);
 
-    let mut got = vec![SampleStats::default(); len];
-    let mut got_rob = vec![(false, 0.0); len];
-    let (slots, slots_rob) = (Slots::new(&mut got), Slots::new(&mut got_rob));
+    let (mut got, mut got_rob) = (Vec::new(), Vec::new());
+    let stats = s.stats_stream(seed, len, |st| {
+        got.push(st);
+        false
+    });
+    let robust = s.robustness_stream(seed, len, |r| {
+        got_rob.push(r);
+        false
+    });
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut scratch = s.scratch();
-                s.sample_stats_shared(seed, first, &mut scratch, &slots);
-                s.sample_robustness_shared(seed, first, &mut scratch, &slots_rob);
+                stats.join();
+                robust.join();
             });
         }
     });
-    prop_assert_eq!(&got, &want, "seed {} first {} len {}", seed, first, len);
+    prop_assert_eq!((stats.claimed(), stats.consumed()), (len, len));
+    drop((stats, robust));
+    prop_assert_eq!(&got, &want, "seed {} len {}", seed, len);
+    prop_assert_eq!(got_rob.len(), len);
     for (j, (g, w)) in got_rob.iter().zip(&want_rob).enumerate() {
         prop_assert!(
             g.0 == w.0 && g.1.to_bits() == w.1.to_bits(),
-            "seed {seed} sample {}: shared {g:?} vs range {w:?}",
-            first + j as u64
+            "seed {seed} sample {j}: stream {g:?} vs range {w:?}"
         );
     }
+    Ok(())
+}
+
+/// Runs an SPRT and a Bayes rule through adaptive streams joined by
+/// `workers` threads: each equals its sequential reference, and neither
+/// claims more than `samplers × LANES` indices past its decision.
+fn assert_adaptive_speculation_is_bounded(
+    s: &TraceSampler,
+    seed: u64,
+    theta: f64,
+    workers: usize,
+) -> Result<(), TestCaseError> {
+    let max = 3_000;
+    let mut sprt = SprtState::new(theta, 0.05, 0.01, 0.01);
+    let mut sprt_decision = None;
+    let mut bayes = BayesState::new(0.08, 0.9);
+    let mut bayes_decision = None;
+    let sprt_stream = s
+        .stats_stream(seed, max, |st| {
+            sprt_decision = sprt.push(st.sat);
+            sprt_decision.is_some()
+        })
+        .adaptive();
+    let bayes_stream = s
+        .stats_stream(seed, max, |st| {
+            bayes_decision = bayes.push(st.sat);
+            bayes_decision.is_some()
+        })
+        .adaptive();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                sprt_stream.join();
+                bayes_stream.join();
+            });
+        }
+    });
+    let counts = [
+        (
+            "sprt",
+            sprt_stream.claimed(),
+            sprt_stream.consumed(),
+            sprt_stream.samplers(),
+        ),
+        (
+            "bayes",
+            bayes_stream.claimed(),
+            bayes_stream.consumed(),
+            bayes_stream.samplers(),
+        ),
+    ];
+    for (what, claimed, consumed, samplers) in counts {
+        prop_assert!(consumed < max, "{} decides before its cap", what);
+        prop_assert!(
+            claimed <= consumed + samplers * LANES,
+            "{what}: {claimed} claimed for {consumed} consumed by {samplers} samplers"
+        );
+    }
+    drop((sprt_stream, bayes_stream));
+    let got = sprt.result(sprt_decision.unwrap_or(SprtOutcome::Inconclusive));
+    let want = seq_sprt(s, seed, theta, 0.05, 0.01, 0.01, max);
+    prop_assert_eq!((got.outcome, got.samples), (want.outcome, want.samples));
+    let got = bayes_decision.unwrap_or_else(|| bayes.finish());
+    let want = seq_bayes_estimate(s, seed, 0.08, 0.9, max);
+    prop_assert_eq!(got.samples, want.samples);
+    prop_assert!(got.p_hat.to_bits() == want.p_hat.to_bits());
     Ok(())
 }
 
@@ -310,15 +384,29 @@ proptest! {
     }
 
     #[test]
-    fn shared_slots_equal_one_range_call(
+    fn shared_stream_equals_one_range_call(
         seed in 0..u64::MAX / 2,
-        first in 0..1_000u64,
         len in 0..6 * LANES,
         workers in 1..4usize,
     ) {
         let toy = [threshold_sampler(), globally_sampler(), blowup_sampler(), forced_sampler()];
         for s in toy.iter().chain(&case_study_samplers()) {
-            assert_shared_equals_range(s, seed, first, len, workers)?;
+            assert_stream_equals_range(s, seed, len, workers)?;
+        }
+    }
+
+    #[test]
+    fn adaptive_streams_speculate_at_most_a_lane_fill_per_sampler(
+        seed in 0..u64::MAX / 2,
+        workers in 1..4usize,
+    ) {
+        // p ≈ ½ on the toy samplers; the case studies at the benchmark's
+        // SPRT thresholds (prostate ≈ 0.48, cardiac ≈ 0.92, radiation 1).
+        assert_adaptive_speculation_is_bounded(&threshold_sampler(), seed, 0.8, workers)?;
+        assert_adaptive_speculation_is_bounded(&globally_sampler(), seed, 0.3, workers)?;
+        let studies = case_study_samplers();
+        for (s, theta) in studies.iter().zip([0.4, 0.85, 0.9]) {
+            assert_adaptive_speculation_is_bounded(s, seed, theta, workers)?;
         }
     }
 
