@@ -234,7 +234,20 @@ where
     /// Samples on the calling thread, [`LANES`] lanes through a pooled
     /// scratch, until the stream ends. Any number of threads may join
     /// one stream; together they hand the rule the same samples as one.
+    /// A sampler that panics halts the stream on its way out, so no
+    /// other sampler waits for the samples its lanes held.
     pub fn join(&self) {
+        struct HaltOnPanic<'s, 'a, O: SampleOutcome, R: FnMut(O) -> bool + Send>(
+            &'s LaneStream<'a, O, R>,
+        );
+        impl<O: SampleOutcome, R: FnMut(O) -> bool + Send> Drop for HaltOnPanic<'_, '_, O, R> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.halt(&self.0.lock());
+                }
+            }
+        }
+        let _halt = HaltOnPanic(self);
         self.lock().samplers += 1;
         let mut source = self;
         with_scratch(|scratch| loop {

@@ -272,6 +272,42 @@ fn assert_adaptive_speculation_is_bounded(
     Ok(())
 }
 
+/// A sampler that panics halts its stream: the other samplers of an
+/// adaptive stream stop instead of waiting for the samples the
+/// panicking sampler's lanes held, and the panic reaches the caller.
+#[test]
+fn a_panicking_sampler_halts_its_stream() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let s = globally_sampler();
+        let claims = AtomicUsize::new(0);
+        let poll = || {
+            assert!(claims.fetch_add(1, Ordering::Relaxed) != 40, "poll fault");
+            false
+        };
+        let stream = s
+            .stats_stream(7, 100_000, |_| false)
+            .adaptive()
+            .until(&poll);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| stream.join());
+                }
+            })
+        }));
+        let _ = done.send((run.is_err(), stream.consumed()));
+    });
+    let (panicked, consumed) = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the other sampler stops once the stream halts");
+    assert!(panicked, "the sampler's panic reaches the caller");
+    assert!(consumed < 100_000);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
