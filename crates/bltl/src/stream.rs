@@ -13,6 +13,14 @@
 //!   at the start of the trace is already decided *no matter how the
 //!   trajectory continues*, so a simulation loop can stop integrating
 //!   (bounded operators decide as early as their semantics allow).
+//! * [`CompiledBltl::feed_lanes`] feeds `K` traces at once, one sample
+//!   each from `[state][lane]` rows: one [`Program::eval_lanes`] sweep
+//!   computes every atom term of every lane, then each lane's margins
+//!   and `Until` scans advance on its own arena. `feed` is its `K = 1`
+//!   instance, so a lane's verdicts are the ones it would get alone.
+//! * A trace begun without robustness ([`CompiledBltl::begin_lane`])
+//!   keeps only the Boolean arenas: its verdicts are unchanged, and the
+//!   robustness arenas stay empty.
 //! * [`CompiledBltl::finish_bool`] / [`CompiledBltl::finish_robustness`]
 //!   finalize end-of-trace semantics; satisfaction and quantitative
 //!   robustness come out of the same single pass over the samples and
@@ -106,19 +114,32 @@ pub struct CompiledBltl {
     n_untils: usize,
 }
 
-/// Reusable per-trace evaluation arena for a [`CompiledBltl`]: sample
-/// times, atom margins, memoized subformula verdicts/robustness values,
-/// and the per-`Until` incremental scan state. All buffers keep their
+/// Reusable evaluation workspace for a [`CompiledBltl`] monitoring one
+/// trace per lane: the lanes' environment and atom-term buffers, and per
+/// lane an arena of sample times, atom margins, memoized subformula
+/// verdicts/robustness values and the per-`Until` incremental scan
+/// state. One scratch serves the one-trace entry points (lane 0 of one)
+/// and [`CompiledBltl::feed_lanes`] alike. All buffers keep their
 /// high-water-mark capacity across traces, so steady-state monitoring is
 /// allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct MonitorScratch {
-    /// Evaluation environment (parameters + scribbled states).
+    /// Evaluation environment, `[var][lane]`: each lane's parameters,
+    /// loaded at `begin`, with the fed states scribbled over them.
     env: Vec<f64>,
+    /// The lane count `env` and `out` are laid out for.
+    lanes: usize,
     /// Expression-evaluation buffers.
     eval: EvalScratch,
-    /// Program output buffer (one slot per distinct atom term).
+    /// Program outputs, `[atom term][lane]`.
     out: Vec<f64>,
+    /// One trace arena per lane.
+    arenas: Vec<Arena>,
+}
+
+/// One trace's monitoring state.
+#[derive(Clone, Debug, Default)]
+struct Arena {
     /// Sample times.
     times: Vec<f64>,
     /// Margins, flat `[sample * n_atoms + atom]`.
@@ -138,6 +159,9 @@ pub struct MonitorScratch {
     rbest: Vec<f64>,
     /// Running `min_j lhs_j`, flat like `bfrontier`.
     rprefix: Vec<f64>,
+    /// Whether the trace keeps robustness: without it, the five `r*`
+    /// arenas stay empty.
+    robust: bool,
     /// Whether the trace has ended (end-of-trace semantics apply).
     ended: bool,
 }
@@ -150,7 +174,13 @@ impl MonitorScratch {
 
     /// Number of samples fed since the last [`CompiledBltl::begin`].
     pub fn samples(&self) -> usize {
-        self.times.len()
+        self.lane_samples(0)
+    }
+
+    /// Number of samples fed to `lane` since its last
+    /// [`CompiledBltl::begin_lane`].
+    pub fn lane_samples(&self, lane: usize) -> usize {
+        self.arenas[lane].times.len()
     }
 }
 
@@ -244,68 +274,147 @@ impl CompiledBltl {
     }
 
     /// Starts monitoring a new trace: resets `s` (keeping buffer
-    /// capacity) and loads the parameter environment.
+    /// capacity) and loads the parameter environment. The `K = 1`
+    /// instance of [`CompiledBltl::begin_lane`], keeping robustness.
     pub fn begin(&self, s: &mut MonitorScratch, env: &[f64]) {
-        s.env.clear();
-        s.env.extend_from_slice(env);
-        if s.env.len() < self.env_len {
-            s.env.resize(self.env_len, 0.0);
+        self.begin_lane::<1>(s, 0, env, true);
+    }
+
+    /// Starts monitoring a new trace in `lane` of `K`: resets the lane's
+    /// arena (keeping buffer capacity) and loads its parameter
+    /// environment, zero-extended to [`CompiledBltl::env_len`]. Without
+    /// `robustness`, the trace keeps only what its Boolean verdict
+    /// reads; its verdicts are the same, and
+    /// [`CompiledBltl::finish_robustness_lane`] refuses it. Begin every
+    /// lane of a scratch with the same `K` and plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane >= K`.
+    pub fn begin_lane<const K: usize>(
+        &self,
+        s: &mut MonitorScratch,
+        lane: usize,
+        env: &[f64],
+        robustness: bool,
+    ) {
+        assert!(lane < K, "lane {lane} of {K}");
+        let (vars, roots) = (self.env_len * K, self.prog.num_roots() * K);
+        if s.lanes != K || s.env.len() != vars || s.out.len() != roots {
+            s.lanes = K;
+            s.env.clear();
+            s.env.resize(vars, 0.0);
+            s.out.clear();
+            s.out.resize(roots, 0.0);
         }
-        s.out.clear();
-        s.out.resize(self.prog.num_roots(), 0.0);
-        s.times.clear();
-        s.margins.clear();
-        s.ended = false;
-        s.bval.clear();
-        s.rknown.clear();
-        s.rval.clear();
-        s.bfrontier.clear();
-        s.rfrontier.clear();
-        s.rbest.clear();
-        s.rprefix.clear();
+        if s.arenas.len() < K {
+            s.arenas.resize_with(K, Arena::default);
+        }
+        let rows = s.env.as_chunks_mut::<K>().0;
+        for (row, &v) in rows
+            .iter_mut()
+            .zip(env.iter().chain(std::iter::repeat(&0.0)))
+        {
+            row[lane] = v;
+        }
+        let a = &mut s.arenas[lane];
+        a.times.clear();
+        a.margins.clear();
+        a.bval.clear();
+        a.rknown.clear();
+        a.rval.clear();
+        a.bfrontier.clear();
+        a.rfrontier.clear();
+        a.rbest.clear();
+        a.rprefix.clear();
+        a.robust = robustness;
+        a.ended = false;
     }
 
     /// Feeds one sample and returns the current verdict of the formula
     /// at the *start* of the trace. `True`/`False` are final: the
     /// Boolean verdict on any extension of this prefix — in particular
     /// on the full trajectory — is the same, so integration can stop.
+    /// The `K = 1` instance of [`CompiledBltl::feed_lanes`].
     ///
     /// # Panics
     ///
-    /// Panics when `state` is shorter than the compiled state layout or
-    /// when fed non-increasing times.
+    /// Panics when fed non-increasing times.
     pub fn feed(&self, s: &mut MonitorScratch, t: f64, state: &[f64]) -> Verdict {
+        let [v] = self.feed_lanes::<1>(s, &[true], &[t], state.as_chunks().0);
+        v
+    }
+
+    /// Feeds one sample to each lane `l` with `mask[l]` set: time `t[l]`
+    /// and state `y[i][l]`, laid out `[state][lane]` in the compiled
+    /// state order. The states of all lanes go into the lanes'
+    /// environment, one [`Program::eval_lanes`] sweep computes every
+    /// atom term of every lane, and only then does each masked lane push
+    /// its margins and resume its `Until` scans. Entry `l` of the result
+    /// is lane `l`'s verdict, as [`CompiledBltl::feed`] returns it;
+    /// masked-off lanes read [`Verdict::Undecided`] and are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the scratch was begun for another lane count, when a
+    /// masked lane was never begun, or when a lane is fed non-increasing
+    /// times.
+    pub fn feed_lanes<const K: usize>(
+        &self,
+        s: &mut MonitorScratch,
+        mask: &[bool; K],
+        t: &[f64; K],
+        y: &[[f64; K]],
+    ) -> [Verdict; K] {
+        assert_eq!(s.lanes, K, "the scratch was begun for {} lanes", s.lanes);
+        let env = s.env.as_chunks_mut::<K>().0;
+        for (&v, row) in self.states.iter().zip(y) {
+            env[v.index()] = *row;
+        }
+        let out = s.out.as_chunks_mut::<K>().0;
+        // One program sweep computes every distinct atom term of every
+        // lane.
+        self.prog.eval_lanes(env, &mut s.eval, out);
+        let mut verdicts = [Verdict::Undecided; K];
+        for (l, v) in verdicts.iter_mut().enumerate() {
+            if mask[l] {
+                *v = self.push(&mut s.arenas[l], t[l], out, l);
+            }
+        }
+        verdicts
+    }
+
+    /// Appends lane `l`'s sample at `t`, its atom terms in `out`, to its
+    /// arena `a`, and returns the lane's verdict.
+    fn push<const K: usize>(&self, a: &mut Arena, t: f64, out: &[[f64; K]], l: usize) -> Verdict {
         // A full assert, not a debug_assert: out-of-order times would
         // silently corrupt the bound checks of every `Until` scan, and
         // one compare per sample is noise next to the program sweep.
         assert!(
-            s.times.last().is_none_or(|&last| last < t),
+            a.times.last().is_none_or(|&last| last < t),
             "samples must arrive in strictly increasing time order"
         );
-        for (&v, &x) in self.states.iter().zip(state) {
-            s.env[v.index()] = x;
-        }
-        // One program sweep computes every distinct atom term.
-        self.prog.eval_with(&s.env, &mut s.eval, &mut s.out);
         for &(ridx, op) in &self.atoms {
-            let t = s.out[ridx as usize];
-            s.margins.push(match op {
+            let t = out[ridx as usize][l];
+            a.margins.push(match op {
                 RelOp::Ge | RelOp::Gt => t,
                 RelOp::Le | RelOp::Lt => -t,
                 RelOp::Eq => -t.abs(),
             });
         }
-        let j = s.times.len();
-        s.times.push(t);
+        let j = a.times.len();
+        a.times.push(t);
         let (ops, untils) = ((j + 1) * self.ops.len(), (j + 1) * self.n_untils);
-        s.bval.resize(ops, Verdict::Undecided);
-        s.rknown.resize(ops, false);
-        s.rval.resize(ops, 0.0);
-        s.bfrontier.resize(untils, j);
-        s.rfrontier.resize(untils, j);
-        s.rbest.resize(untils, f64::NEG_INFINITY);
-        s.rprefix.resize(untils, f64::INFINITY);
-        self.eval_b(s, self.ops.len() - 1, 0)
+        a.bval.resize(ops, Verdict::Undecided);
+        a.bfrontier.resize(untils, j);
+        if a.robust {
+            a.rknown.resize(ops, false);
+            a.rval.resize(ops, 0.0);
+            a.rfrontier.resize(untils, j);
+            a.rbest.resize(untils, f64::NEG_INFINITY);
+            a.rprefix.resize(untils, f64::INFINITY);
+        }
+        self.eval_b(a, self.ops.len() - 1, 0)
     }
 
     /// Ends the trace and returns the Boolean verdict (end-of-trace
@@ -317,9 +426,19 @@ impl CompiledBltl {
     ///
     /// Panics when no sample was fed.
     pub fn finish_bool(&self, s: &mut MonitorScratch) -> bool {
-        assert!(!s.times.is_empty(), "finish before any sample");
-        s.ended = true;
-        match self.eval_b(s, self.ops.len() - 1, 0) {
+        self.finish_bool_lane(s, 0)
+    }
+
+    /// [`CompiledBltl::finish_bool`] for the trace in `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no sample was fed to the lane.
+    pub fn finish_bool_lane(&self, s: &mut MonitorScratch, lane: usize) -> bool {
+        let a = &mut s.arenas[lane];
+        assert!(!a.times.is_empty(), "finish before any sample");
+        a.ended = true;
+        match self.eval_b(a, self.ops.len() - 1, 0) {
             Verdict::True => true,
             Verdict::False => false,
             Verdict::Undecided => unreachable!("ended traces always decide"),
@@ -336,16 +455,28 @@ impl CompiledBltl {
     ///
     /// Panics when no sample was fed.
     pub fn finish_robustness(&self, s: &mut MonitorScratch) -> f64 {
-        assert!(!s.times.is_empty(), "finish before any sample");
-        s.ended = true;
-        self.eval_r(s, self.ops.len() - 1, 0)
+        self.finish_robustness_lane(s, 0)
+    }
+
+    /// [`CompiledBltl::finish_robustness`] for the trace in `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no sample was fed to the lane, or when the lane was
+    /// begun without robustness.
+    pub fn finish_robustness_lane(&self, s: &mut MonitorScratch, lane: usize) -> f64 {
+        let a = &mut s.arenas[lane];
+        assert!(!a.times.is_empty(), "finish before any sample");
+        assert!(a.robust, "the trace was begun without robustness");
+        a.ended = true;
+        self.eval_r(a, self.ops.len() - 1, 0)
             .expect("ended traces always resolve robustness")
     }
 
     /// Offline convenience: monitors a whole [`Trace`], stopping the
     /// sample loop as soon as the verdict decides.
     pub fn check_trace(&self, s: &mut MonitorScratch, env: &[f64], trace: &Trace) -> bool {
-        self.begin(s, env);
+        self.begin_lane::<1>(s, 0, env, false);
         for i in 0..trace.len() {
             if self.feed(s, trace.times()[i], trace.state(i)).decided() {
                 break;
@@ -367,7 +498,7 @@ impl CompiledBltl {
     /// Boolean verdict of op `node` at sample index `i` under the
     /// observed prefix (three-valued; `True`/`False` are extension-proof
     /// unless the trace has ended, in which case they are final).
-    fn eval_b(&self, s: &mut MonitorScratch, node: usize, i: usize) -> Verdict {
+    fn eval_b(&self, s: &mut Arena, node: usize, i: usize) -> Verdict {
         let memo = s.bval[i * self.ops.len() + node];
         if memo.decided() {
             return memo;
@@ -452,7 +583,7 @@ impl CompiledBltl {
     /// samples can still change the value. The accumulation order is
     /// identical to the offline `rob_vec` recursion, so resolved values
     /// match it bit-for-bit.
-    fn eval_r(&self, s: &mut MonitorScratch, node: usize, i: usize) -> Option<f64> {
+    fn eval_r(&self, s: &mut Arena, node: usize, i: usize) -> Option<f64> {
         let memo = i * self.ops.len() + node;
         if s.rknown[memo] {
             return Some(s.rval[memo]);
@@ -676,6 +807,40 @@ mod tests {
         assert!(plan.check_trace(&mut s, &env, &tr));
         env[thr.index()] = 3.5;
         assert!(!plan.check_trace(&mut s, &env, &tr));
+    }
+
+    /// A trace begun without robustness decides alike and leaves the
+    /// five robustness arenas empty; one begun with it fills them.
+    #[test]
+    fn boolean_only_traces_keep_no_robustness_arenas() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let states = [x];
+        let f = Bltl::globally(
+            6.0,
+            Bltl::eventually(2.0, prop(&mut cx, "x - 1", RelOp::Ge)),
+        );
+        let plan = CompiledBltl::compile(&cx, &states, &f);
+        let tr = tent();
+        let env = vec![0.0; cx.num_vars()];
+        let mut s = MonitorScratch::new();
+        for robustness in [false, true] {
+            plan.begin_lane::<1>(&mut s, 0, &env, robustness);
+            for i in 0..tr.len() {
+                plan.feed(&mut s, tr.times()[i], tr.state(i));
+            }
+            assert!(!plan.finish_bool(&mut s));
+            let a = &s.arenas[0];
+            let sizes = [
+                a.rknown.len(),
+                a.rval.len(),
+                a.rfrontier.len(),
+                a.rbest.len(),
+                a.rprefix.len(),
+            ];
+            assert_eq!(sizes.iter().all(|&n| n > 0), robustness, "{sizes:?}");
+            assert_eq!(sizes.iter().all(|&n| n == 0), !robustness, "{sizes:?}");
+        }
     }
 
     /// Atom dedup: a formula mentioning the same term in several guises

@@ -1,12 +1,13 @@
 //! Verifies the streaming-monitor acceptance criterion: after warm-up,
 //! a whole begin/feed*/finish monitoring cycle through a reused
 //! [`MonitorScratch`] performs zero heap allocations (the sibling of
-//! `crates/expr/tests/alloc.rs` and `crates/icp/tests/alloc.rs`).
+//! `crates/expr/tests/alloc.rs` and `crates/icp/tests/alloc.rs`), and so
+//! do lane-feed cycles over several lanes, with and without robustness.
 //!
 //! This binary holds exactly one test so the global allocation counter
 //! is not disturbed by concurrently running tests.
 
-use biocheck_bltl::{Bltl, CompiledBltl, MonitorScratch};
+use biocheck_bltl::{Bltl, CompiledBltl, MonitorScratch, Verdict};
 use biocheck_expr::{Atom, Context, RelOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,4 +120,58 @@ fn streaming_monitoring_does_not_allocate() {
     });
     assert_eq!(got, want, "steady-state cycles must reproduce the verdict");
     assert!(got.1.is_finite());
+
+    // Lane feed: the cycle of `run` in four lanes begun at different
+    // sweeps, one of them sitting out every third sweep, with and
+    // without robustness.
+    const K: usize = 4;
+    let lanes = |s: &mut MonitorScratch, robustness: bool| {
+        let mut fed = [0usize; K];
+        let mut out = [None; K];
+        for sweep in 0..80 {
+            let mut mask = [false; K];
+            let mut t = [0.0; K];
+            let mut y = [[0.0; K]; 2];
+            for l in 0..K {
+                if sweep == l {
+                    plan.begin_lane::<K>(s, l, &env, robustness);
+                }
+                if sweep >= l && out[l].is_none() && !(l == 1 && sweep % 3 == 0) {
+                    mask[l] = true;
+                    t[l] = fed[l] as f64 * 0.25;
+                    [y[0][l], y[1][l]] = sample(fed[l]);
+                }
+            }
+            let v: [Verdict; K] = plan.feed_lanes(s, &mask, &t, &y);
+            for l in (0..K).filter(|&l| mask[l]) {
+                fed[l] += 1;
+                if v[l].decided() || fed[l] == 40 {
+                    let sat = plan.finish_bool_lane(s, l);
+                    out[l] = Some((sat, robustness.then(|| plan.finish_robustness_lane(s, l))));
+                }
+            }
+        }
+        out
+    };
+    let mut ls = MonitorScratch::new();
+    let full = lanes(&mut ls, true);
+    let boolean = lanes(&mut ls, false);
+    for (f, b) in full.iter().zip(&boolean) {
+        assert_eq!(
+            *f,
+            Some((want.0, Some(want.1))),
+            "every lane monitors one trace"
+        );
+        assert_eq!(
+            *b,
+            Some((want.0, None)),
+            "a Boolean-only lane decides alike"
+        );
+    }
+    assert_allocation_free("the lane feed", || {
+        for _ in 0..5 {
+            assert_eq!(lanes(&mut ls, true), full);
+            assert_eq!(lanes(&mut ls, false), boolean);
+        }
+    });
 }

@@ -3,9 +3,11 @@
 //! Boolean verdict and robustness equal `Monitor::check` /
 //! `Monitor::robustness` bit-for-bit, and any verdict decided on a
 //! prefix equals the offline verdict on the full trace (the soundness
-//! fact that lets fused SMC stop integrating early).
+//! fact that lets fused SMC stop integrating early). The lane feed
+//! monitors ragged lanes exactly as the offline monitor and the scalar
+//! feed do, with or without robustness.
 
-use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
+use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch, Verdict};
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_ode::Trace;
 use proptest::prelude::*;
@@ -76,8 +78,139 @@ fn make_trace(increments: &[f64], values: &[f64]) -> Trace {
     Trace::new(times, states, derivs)
 }
 
+/// What a lane run reports per trace: the verdict after each sample,
+/// the Boolean verdict and, when kept, the robustness.
+type LaneRun = (Vec<Verdict>, bool, Option<f64>);
+
+/// Monitors `traces` (each with its parameter environment) over `K`
+/// lanes of one scratch, every sample of a trace fed in order. Lanes are
+/// ragged: at each sweep, lane `l` reads `pause = idle[(sweep + l) %
+/// idle.len()]`; a free lane begins the next trace only when `pause` is
+/// 0, and a busy lane sits the sweep out (masked off) when it is 2. So
+/// traces begin at different sweeps, lanes idle in between and sit out
+/// sweeps mid-trace, and traces have their own lengths. Masked-off lanes
+/// carry NaN samples, which must not reach any verdict.
+fn run_lanes<const K: usize>(
+    plan: &CompiledBltl,
+    traces: &[(Trace, Vec<f64>)],
+    idle: &[usize],
+    robustness: bool,
+) -> Result<Vec<LaneRun>, TestCaseError> {
+    let mut s = MonitorScratch::new();
+    let mut held: [Option<(usize, usize)>; K] = [None; K];
+    let mut next = 0;
+    let mut runs: Vec<Option<LaneRun>> = vec![None; traces.len()];
+    let mut verdicts = vec![Vec::new(); traces.len()];
+    let mut sweep = 0;
+    while runs.iter().any(Option::is_none) {
+        let mut mask = [false; K];
+        let mut t = [f64::NAN; K];
+        let mut y = [[f64::NAN; K]];
+        for l in 0..K {
+            let pause = idle[(sweep + l) % idle.len()];
+            if held[l].is_none() && next < traces.len() && pause == 0 {
+                plan.begin_lane::<K>(&mut s, l, &traces[next].1, robustness);
+                held[l] = Some((next, 0));
+                next += 1;
+            }
+            if let (Some((i, j)), true) = (held[l], pause < 2) {
+                mask[l] = true;
+                t[l] = traces[i].0.times()[j];
+                y[0][l] = traces[i].0.state(j)[0];
+            }
+        }
+        let v = plan.feed_lanes(&mut s, &mask, &t, &y);
+        for l in 0..K {
+            if !mask[l] {
+                prop_assert_eq!(v[l], Verdict::Undecided, "masked-off lane {}", l);
+                continue;
+            }
+            let (i, j) = held[l].expect("a masked lane holds a trace");
+            verdicts[i].push(v[l]);
+            prop_assert_eq!(s.lane_samples(l), j + 1);
+            if j + 1 < traces[i].0.len() {
+                held[l] = Some((i, j + 1));
+                continue;
+            }
+            let sat = plan.finish_bool_lane(&mut s, l);
+            let rob = robustness.then(|| plan.finish_robustness_lane(&mut s, l));
+            runs[i] = Some((std::mem::take(&mut verdicts[i]), sat, rob));
+            held[l] = None;
+        }
+        sweep += 1;
+    }
+    Ok(runs.into_iter().map(Option::unwrap).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Every lane of the lane feed equals the offline monitor (Boolean
+    /// and robustness, bit for bit) and the scalar feed (verdict after
+    /// every sample), on ragged lanes at 4 and 16 lanes; each trace
+    /// reads its own parameter `p`. Boolean-only lanes give the same
+    /// verdicts as lanes that keep robustness.
+    #[test]
+    fn lane_feed_equals_offline(
+        g in gen_formula(),
+        traces in collection::vec(
+            (
+                collection::vec(0.05..1.5f64, 0..10),
+                collection::vec(-4.0..4.0f64, 11..12),
+                -4.0..4.0f64,
+            ),
+            1..10,
+        ),
+        idle in collection::vec(0..3usize, 0..12),
+    ) {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let p = cx.intern_var("p");
+        let states = [x];
+        let xp = cx.parse("x - p").unwrap();
+        let g = materialize(&mut cx, &g);
+        let f = Bltl::Or(vec![g, Bltl::eventually(2.0, Bltl::Prop(Atom::new(xp, RelOp::Ge)))]);
+        let plan = CompiledBltl::compile(&cx, &states, &f);
+        let traces: Vec<(Trace, Vec<f64>)> = traces
+            .iter()
+            .map(|(incs, vals, pv)| {
+                let mut env = vec![0.0; cx.num_vars()];
+                env[p.index()] = *pv;
+                (make_trace(incs, vals), env)
+            })
+            .collect();
+        let mut idle = idle;
+        idle.insert(0, 0);
+        let mut s = MonitorScratch::new();
+        let wants: Vec<LaneRun> = traces
+            .iter()
+            .map(|(tr, env)| {
+                plan.begin(&mut s, env);
+                let verdicts = (0..tr.len())
+                    .map(|i| plan.feed(&mut s, tr.times()[i], tr.state(i)))
+                    .collect();
+                let mut mon = Monitor::new(&cx, &states).with_env(env.clone());
+                (verdicts, mon.check(&f, tr), Some(mon.robustness(&f, tr)))
+            })
+            .collect();
+        for robustness in [true, false] {
+            let runs = [
+                run_lanes::<4>(&plan, &traces, &idle, robustness)?,
+                run_lanes::<16>(&plan, &traces, &idle, robustness)?,
+            ];
+            for got in &runs {
+                for (i, ((verdicts, sat, rob), want)) in got.iter().zip(&wants).enumerate() {
+                    prop_assert_eq!(verdicts, &want.0, "trace {}: {:?}", i, f);
+                    prop_assert_eq!(*sat, want.1, "trace {}: {:?}", i, f);
+                    if robustness {
+                        let (r, w) = (rob.unwrap(), want.2.unwrap());
+                        prop_assert!(r.to_bits() == w.to_bits(),
+                            "trace {}: {:?}: lane {} vs offline {}", i, f, r, w);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn streaming_equals_offline(

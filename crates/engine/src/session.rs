@@ -804,18 +804,40 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
     Ok(())
 }
 
-/// Rejects empty uniform ranges (`lo > hi`, or a NaN bound) before any
-/// sample draws from them.
+/// Rejects distributions no sample can draw from before any sample
+/// tries: a non-finite parameter, an empty uniform range (`lo > hi`) or
+/// a negative spread. Drawing from one would give every sample a
+/// non-finite start, and each would count as a violation.
 fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
     let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));
     for d in dists {
-        if let Dist::Uniform(lo, hi) = *d {
-            if lo > hi || lo.is_nan() || hi.is_nan() {
-                return Err(Error::InvalidParameter {
-                    what: "uniform bounds",
-                    detail: format!("need lo <= hi, got [{lo}, {hi}]"),
-                });
+        let bad = match *d {
+            Dist::Point(v) => {
+                (!v.is_finite()).then(|| ("point value", format!("need a finite value, got {v}")))
             }
+            Dist::Uniform(lo, hi) => (!(lo.is_finite() && hi.is_finite() && lo <= hi)).then(|| {
+                (
+                    "uniform bounds",
+                    format!("need finite lo <= hi, got [{lo}, {hi}]"),
+                )
+            }),
+            Dist::Normal { mean, sd } => {
+                (!(mean.is_finite() && sd.is_finite() && sd >= 0.0)).then(|| {
+                    let detail =
+                        format!("need a finite mean and a finite sd >= 0, got {mean}, {sd}");
+                    ("normal parameters", detail)
+                })
+            }
+            Dist::LogNormal { mu, sigma } => {
+                (!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0)).then(|| {
+                    let detail =
+                        format!("need a finite mu and a finite sigma >= 0, got {mu}, {sigma}");
+                    ("lognormal parameters", detail)
+                })
+            }
+        };
+        if let Some((what, detail)) = bad {
+            return Err(Error::InvalidParameter { what, detail });
         }
     }
     Ok(())

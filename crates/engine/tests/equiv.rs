@@ -276,3 +276,93 @@ fn wrong_model_and_invalid_parameters_are_typed_errors() {
     assert!(matches!(err, Error::WrongModel { .. }), "{err}");
     assert!(err.to_string().contains("hybrid automaton"));
 }
+
+/// x' = −x from x₀ ~ U(0.5, 1.5) satisfies F≤5 (x ≤ 0.2) on every
+/// sample. A distribution no sample can draw from — a non-finite
+/// parameter or a negative spread — used to run and count every sample
+/// as a violation (p̂ = 0); it is a typed error instead.
+#[test]
+fn unsampleable_distributions_are_invalid_parameters() {
+    use biocheck_engine::Error;
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let rhs = cx.parse("-x").unwrap();
+    let sys = OdeSystem::new(vec![x], vec![rhs]);
+    let e = cx.parse("0.2 - x").unwrap();
+    let spec = SmcSpec {
+        init: vec![Dist::Uniform(0.5, 1.5)],
+        params: vec![],
+        property: Bltl::eventually(5.0, Bltl::Prop(Atom::new(e, RelOp::Ge))),
+        t_end: 5.0,
+    };
+    let session = Session::from_parts(cx, sys);
+    let estimate = |smc: SmcSpec| {
+        session
+            .query(Query::Estimate {
+                smc,
+                method: EstimateMethod::Fixed { n: 10 },
+            })
+            .run()
+    };
+    let report = estimate(spec.clone()).unwrap();
+    let Value::Estimate(ok) = &report.value else {
+        panic!("estimate expected")
+    };
+    assert_eq!(ok.p_hat, 1.0, "the property is certain");
+    for (dist, what) in [
+        (Dist::Uniform(0.5, f64::INFINITY), "uniform bounds"),
+        (Dist::Uniform(f64::NEG_INFINITY, 1.5), "uniform bounds"),
+        (Dist::Point(f64::NAN), "point value"),
+        (Dist::Point(f64::INFINITY), "point value"),
+        (
+            Dist::Normal {
+                mean: 1.0,
+                sd: f64::INFINITY,
+            },
+            "normal parameters",
+        ),
+        (
+            Dist::Normal {
+                mean: f64::NAN,
+                sd: 0.1,
+            },
+            "normal parameters",
+        ),
+        (
+            Dist::Normal {
+                mean: 1.0,
+                sd: -0.1,
+            },
+            "normal parameters",
+        ),
+        (
+            Dist::LogNormal {
+                mu: 0.0,
+                sigma: -0.1,
+            },
+            "lognormal parameters",
+        ),
+        (
+            Dist::LogNormal {
+                mu: f64::INFINITY,
+                sigma: 0.1,
+            },
+            "lognormal parameters",
+        ),
+        (
+            Dist::LogNormal {
+                mu: 0.0,
+                sigma: f64::NAN,
+            },
+            "lognormal parameters",
+        ),
+    ] {
+        let mut bad = spec.clone();
+        bad.init[0] = dist.clone();
+        let err = estimate(bad).unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidParameter { what: w, .. } if w == what),
+            "{dist:?}: {err}"
+        );
+    }
+}

@@ -685,11 +685,14 @@ impl Program {
     /// all `K` lanes, and lane `l` performs exactly the float operations
     /// of [`Program::eval_with`] at its own point, in the same order, so
     /// every lane's results are bit-identical to a scalar evaluation.
-    /// Reuses `scratch` (allocation-free after warm-up).
+    /// Reuses `scratch` (allocation-free after warm-up). Always inlined,
+    /// so a caller compiled with a target feature (the integrator's AVX2
+    /// instance) compiles the sweep with it.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.num_roots()`.
+    #[inline(always)]
     pub fn eval_lanes<const K: usize>(
         &self,
         env: &[[f64; K]],

@@ -4,10 +4,21 @@
 //! ([`DormandPrince::integrate_lanes`]). Lanes are stage-synchronous:
 //! every live lane is at the same stage in every sweep, so the stage
 //! sums, the 5th/4th-order solutions and the error norm run across the
-//! lanes, and only the accept/reject decision, the step-size update,
-//! the sink and the loop head run lane by lane. A lane starts a new
-//! trajectory, or retries a step after a non-finite error, at the step
-//! boundary, with its first stage from the one-lane program.
+//! lanes, and the sink takes every accepted sample of a sweep in one
+//! call on the `[row][lane]` state. Only the accept/reject decision,
+//! the step-size update and the loop head run lane by lane. A lane
+//! starts a new trajectory, or retries a step after a non-finite error,
+//! at the step boundary, with its first stage from the one-lane program.
+//!
+//! On x86-64 CPUs with AVX2, the `K > 1` loop runs an instance of the
+//! same body compiled for AVX2, with the right-hand-side sweep inlined
+//! into it; runtime detection alone chooses it. A target feature cannot
+//! change a bit of the result: Rust never contracts a multiply and an
+//! add into a fused multiply-add (and `fma` is not enabled anyway); add,
+//! sub, mul, div, sqrt, abs, min and max are exactly rounded IEEE
+//! operations at any vector width; and `exp`, `tanh`, `powf`, `powi` and
+//! the other elementary functions make the same library calls, one per
+//! lane.
 
 use crate::system::CompiledOde;
 use crate::trace::Trace;
@@ -87,7 +98,7 @@ pub struct OdeScratch {
     /// solution, `[component][lane]`.
     tmp: Vec<f64>,
     /// One lane's environment, state and derivative, gathered for the
-    /// one-lane program and the sink.
+    /// one-lane program.
     lane: Vec<f64>,
     eval: EvalScratch,
 }
@@ -261,15 +272,21 @@ impl DormandPrince {
             sink: F,
             end: Option<Result<StreamEnd, OdeError>>,
         }
-        impl<F: FnMut(f64, &[f64], &[f64]) -> StepControl> LaneDriver for One<'_, F> {
+        impl<F: FnMut(f64, &[f64], &[f64]) -> StepControl> LaneDriver<1> for One<'_, F> {
             fn load(&mut self, _lane: usize) -> Load<'_> {
                 match self.start.take() {
                     Some((env, y0)) => Load::Start(env, y0),
                     None => Load::Done,
                 }
             }
-            fn sink(&mut self, _lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
-                (self.sink)(t, y, dy)
+            fn sink(
+                &mut self,
+                _accepted: &[bool; 1],
+                t: &[f64; 1],
+                y: &[[f64; 1]],
+                dy: &[[f64; 1]],
+            ) -> [StepControl; 1] {
+                [(self.sink)(t[0], y.as_flattened(), dy.as_flattened())]
             }
             fn finish(&mut self, _lane: usize, end: Result<StreamEnd, OdeError>) {
                 self.end = Some(end);
@@ -290,24 +307,28 @@ impl DormandPrince {
     /// lanes (`CompiledOde::deriv_lanes`), and the stage sums, the
     /// 5th/4th-order solutions and the scaled error run across the lanes
     /// with per-lane times and step sizes. Each lane then accepts or
-    /// rejects its own step, adapts its own step size, feeds its own
-    /// sink and keeps its own step budget.
+    /// rejects its own step; the sweep's accepted samples go to the
+    /// driver in one [`LaneDriver::sink`] call, and only then does each
+    /// lane adapt its own step size and keep its own step budget.
     ///
     /// When a lane's trajectory ends, the driver learns how
     /// ([`LaneDriver::finish`]), and at the step boundary the lane is
     /// refilled with the next trajectory ([`LaneDriver::load`]). A
     /// refilled lane's first derivative comes from the one-lane program
     /// on that lane's column, as does the re-evaluated first stage after
-    /// a non-finite step. While the driver has none ready
-    /// ([`Load::Later`]) or none left ([`Load::Done`]), an ended lane
-    /// idles on its stale column, and nothing reads its results. The
-    /// call returns once no lane is live: when the driver is done, or
-    /// when every lane waits on it.
+    /// a non-finite step, and its first sample goes to the sink with a
+    /// one-lane mask. While the driver has none ready ([`Load::Later`])
+    /// or none left ([`Load::Done`]), an ended lane idles on its stale
+    /// column, and nothing reads its results. The call returns once no
+    /// lane is live: when the driver is done, or when every lane waits
+    /// on it.
     ///
     /// Every lane performs exactly the float operations of
     /// [`DormandPrince::integrate_streaming`], in the same order: its
     /// samples and its end are bit-identical to a scalar run of its
-    /// trajectory, which is the `K = 1` instance of this method.
+    /// trajectory, which is the `K = 1` instance of this method. With
+    /// `K > 1` on an x86-64 CPU with AVX2, the loop runs its AVX2
+    /// instance, which computes the same bits (see the module docs).
     /// Reuses `ws` buffers — allocation-free after warm-up.
     ///
     /// # Panics
@@ -318,7 +339,40 @@ impl DormandPrince {
         ode: &CompiledOde,
         tspan: (f64, f64),
         ws: &mut OdeScratch,
-        driver: &mut dyn LaneDriver,
+        driver: &mut dyn LaneDriver<K>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if K > 1 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU has AVX2, the one feature the
+            // instance is compiled for.
+            return unsafe { self.lanes_avx2::<K>(ode, tspan, ws, driver) };
+        }
+        self.lanes::<K>(ode, tspan, ws, driver);
+    }
+
+    /// [`DormandPrince::lanes`] compiled for AVX2, with the right-hand
+    /// side's sweep inlined into it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lanes_avx2<const K: usize>(
+        &self,
+        ode: &CompiledOde,
+        tspan: (f64, f64),
+        ws: &mut OdeScratch,
+        driver: &mut dyn LaneDriver<K>,
+    ) {
+        self.lanes::<K>(ode, tspan, ws, driver);
+    }
+
+    /// The body of [`DormandPrince::integrate_lanes`], inlined into each
+    /// of its instances.
+    #[inline(always)]
+    fn lanes<const K: usize>(
+        &self,
+        ode: &CompiledOde,
+        tspan: (f64, f64),
+        ws: &mut OdeScratch,
+        driver: &mut dyn LaneDriver<K>,
     ) {
         let (t0, t_end) = tspan;
         assert!(t_end >= t0, "time span must be forward");
@@ -376,8 +430,9 @@ impl DormandPrince {
                         Some(Err(OdeError::NonFinite { t: t0 }))
                     } else {
                         h[l] = h_init;
-                        let dy = lane_of(&k[..n], l, ldy);
-                        if driver.sink(l, t0, lane_of(y, l, ly), dy) == StepControl::Stop {
+                        let mut one = [false; K];
+                        one[l] = true;
+                        if driver.sink(&one, &t, y, &k[..n])[l] == StepControl::Stop {
                             Some(Ok(StreamEnd {
                                 t: t0,
                                 steps: 1,
@@ -438,12 +493,38 @@ impl DormandPrince {
                 }
             }
 
-            // Each live lane accepts or rejects its own step.
+            // Each live lane accepts (a finite error norm of at most one)
+            // or rejects its own step. An accepted lane moves to `t + h`,
+            // and FSAL: k1 of its next step is k7.
+            let err = err.map(|e| (e / n as f64).sqrt());
+            let accepted: [bool; K] = std::array::from_fn(|l| live[l] && err[l] <= 1.0);
+            let mut control = [StepControl::Continue; K];
+            if accepted.contains(&true) {
+                for l in 0..K {
+                    if accepted[l] {
+                        t[l] += h[l];
+                        emitted[l] += 1;
+                    }
+                }
+                let (k1, rest) = k.split_at_mut(n);
+                let k7 = &rest[5 * n..];
+                for (((yi, ti), k1i), k7i) in y.iter_mut().zip(tmp.iter()).zip(k1).zip(k7) {
+                    for l in 0..K {
+                        if accepted[l] {
+                            yi[l] = ti[l];
+                            k1i[l] = k7i[l];
+                        }
+                    }
+                }
+                control = driver.sink(&accepted, &t, y, &k[..n]);
+            }
+
+            // Then each live lane ends, retries or adapts its step size.
             for l in 0..K {
                 if !live[l] {
                     continue;
                 }
-                let err = (err[l] / n as f64).sqrt();
+                let err = err[l];
                 let ended = 'lane: {
                     if !err.is_finite() {
                         // Derivative blew up inside the step: try a
@@ -459,22 +540,12 @@ impl DormandPrince {
                         }
                         break 'lane ended;
                     }
-                    if err <= 1.0 {
-                        // Accept; FSAL: k1 of the next step is k7.
-                        t[l] += h[l];
-                        for (i, (yi, ti)) in y.iter_mut().zip(tmp.iter()).enumerate() {
-                            yi[l] = ti[l];
-                            k[i][l] = k[6 * n + i][l];
-                        }
-                        emitted[l] += 1;
-                        let dy = lane_of(&k[..n], l, ldy);
-                        if driver.sink(l, t[l], lane_of(y, l, ly), dy) == StepControl::Stop {
-                            break 'lane Some(Ok(StreamEnd {
-                                t: t[l],
-                                steps: emitted[l],
-                                stopped_early: true,
-                            }));
-                        }
+                    if accepted[l] && control[l] == StepControl::Stop {
+                        break 'lane Some(Ok(StreamEnd {
+                            t: t[l],
+                            steps: emitted[l],
+                            stopped_early: true,
+                        }));
                     }
                     // Step-size update (both accept and reject).
                     let factor = if err == 0.0 {
@@ -526,17 +597,31 @@ impl DormandPrince {
     }
 }
 
-/// The caller's side of lockstep integration
+/// The caller's side of lockstep integration over `K` lanes
 /// ([`DormandPrince::integrate_lanes`]): it supplies independent
-/// trajectories, consumes each lane's accepted samples, and learns how
+/// trajectories, consumes each sweep's accepted samples, and learns how
 /// each trajectory ended. Lanes are numbered `0..K`.
-pub trait LaneDriver {
+pub trait LaneDriver<const K: usize> {
     /// Starts the next trajectory in `lane`, if there is one now.
     fn load(&mut self, lane: usize) -> Load<'_>;
 
-    /// One accepted sample `(t, state, derivative)` of the trajectory in
-    /// `lane`: the sink of [`DormandPrince::integrate_streaming`].
-    fn sink(&mut self, lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl;
+    /// The accepted samples of one sweep, all lanes in one call: every
+    /// lane `l` with `accepted[l]` set has the sample `(t[l], y[i][l],
+    /// dy[i][l])`, laid out `[component][lane]`; the other lanes' slots
+    /// are stale and must not be read. It is called once a sweep has
+    /// decided every lane's step and before any step-size update or
+    /// [`LaneDriver::finish`], and only when some lane accepted; a
+    /// refilled lane's first sample comes alone, with a one-lane mask.
+    /// Entry `l` of the result is the control of an accepted lane `l`,
+    /// what the sink of [`DormandPrince::integrate_streaming`] returns
+    /// for it; the other entries are ignored.
+    fn sink(
+        &mut self,
+        accepted: &[bool; K],
+        t: &[f64; K],
+        y: &[[f64; K]],
+        dy: &[[f64; K]],
+    ) -> [StepControl; K];
 
     /// The trajectory in `lane` ended with what
     /// [`DormandPrince::integrate_streaming`] returns for it.
@@ -566,7 +651,7 @@ enum Refill {
 /// Loads the driver's next trajectory into lane `l` of `env` and `y`,
 /// the environment zero-extended to the system's width.
 fn load<const K: usize>(
-    driver: &mut dyn LaneDriver,
+    driver: &mut dyn LaneDriver<K>,
     l: usize,
     env: &mut [[f64; K]],
     y: &mut [[f64; K]],
@@ -605,18 +690,6 @@ fn lane_k1<const K: usize>(
     for (row, &d) in k1.iter_mut().zip(cdy.iter()) {
         row[l] = d;
     }
-}
-
-/// Lane `l` of `m` as a contiguous slice: `m` itself when there is one
-/// lane, else gathered into `buf`.
-fn lane_of<'a, const K: usize>(m: &'a [[f64; K]], l: usize, buf: &'a mut [f64]) -> &'a [f64] {
-    if K == 1 {
-        return m.as_flattened();
-    }
-    for (b, row) in buf.iter_mut().zip(m) {
-        *b = row[l];
-    }
-    buf
 }
 
 #[cfg(test)]

@@ -153,6 +153,10 @@ impl CompiledOde {
     /// # Panics
     ///
     /// Panics if `out.len() != dim()` or `env` is too short.
+    ///
+    /// Always inlined, so the integrator's AVX2 instance compiles the
+    /// sweep for AVX2 too.
+    #[inline(always)]
     pub(crate) fn deriv_lanes<const K: usize>(
         &self,
         env: &mut [[f64; K]],

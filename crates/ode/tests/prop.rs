@@ -43,7 +43,7 @@ struct Recorder {
     ends: Vec<Option<Result<StreamEnd, OdeError>>>,
 }
 
-impl LaneDriver for Recorder {
+impl<const K: usize> LaneDriver<K> for Recorder {
     fn load(&mut self, lane: usize) -> Load<'_> {
         self.loads += 1;
         if self.later_every > 0 && self.loads.is_multiple_of(self.later_every) {
@@ -57,13 +57,22 @@ impl LaneDriver for Recorder {
         Load::Start(env, y0)
     }
 
-    fn sink(&mut self, lane: usize, t: f64, y: &[f64], dy: &[f64]) -> StepControl {
-        self.streams[self.held[lane]].push((t.to_bits(), bits(y), bits(dy)));
-        if y[0] > self.stop_above {
-            StepControl::Stop
-        } else {
-            StepControl::Continue
+    fn sink(
+        &mut self,
+        accepted: &[bool; K],
+        t: &[f64; K],
+        y: &[[f64; K]],
+        dy: &[[f64; K]],
+    ) -> [StepControl; K] {
+        let mut control = [StepControl::Continue; K];
+        for l in (0..K).filter(|&l| accepted[l]) {
+            let column = |rows: &[[f64; K]]| rows.iter().map(|r| r[l].to_bits()).collect();
+            self.streams[self.held[l]].push((t[l].to_bits(), column(y), column(dy)));
+            if y[0][l] > self.stop_above {
+                control[l] = StepControl::Stop;
+            }
         }
+        control
     }
 
     fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>) {
@@ -304,10 +313,11 @@ fn assert_lanes_equal_scalar<const K: usize>(
     Ok(retries)
 }
 
-/// `x' = x²` (blows up) and `x' = -k·x + sin(3t)` (reads time and a
-/// per-trajectory parameter `k`), compiled over one context whose
-/// environment is `[x, t, k]`.
-fn blowup_and_forced() -> (CompiledOde, CompiledOde) {
+/// `x' = x²` (blows up), `x' = -k·x + sin(3t)` (reads time and a
+/// per-trajectory parameter `k`) and a right-hand side with every other
+/// instruction kind, compiled over one context whose environment is
+/// `[x, t, k]`.
+fn blowup_forced_and_every_opcode() -> (CompiledOde, CompiledOde, CompiledOde) {
     let mut cx = Context::new();
     let x = cx.intern_var("x");
     let t = cx.intern_var("t");
@@ -316,23 +326,37 @@ fn blowup_and_forced() -> (CompiledOde, CompiledOde) {
     let blowup = OdeSystem::new(vec![x], vec![blowup]).compile(&cx);
     let forced = cx.parse("-k*x + sin(3*t)").unwrap();
     let forced = OdeSystem::with_time(vec![x], vec![forced], t).compile(&cx);
-    (blowup, forced)
+    // Div, min, max, abs, sqrt, an integer power, `Pow` with a constant
+    // and with a parameter exponent, exp, ln of a positive term, tanh,
+    // and `a*b + c`-shaped pairs the compiler fuses. Damped near the
+    // origin, the `x^3` term blows up from starts beyond about ±10, and
+    // a start of 1e150 overflows at once.
+    let every = cx
+        .parse(
+            "0.2*x^3 / (1 + abs(x)) - 4*x + min(x, k) - max(0 - x, 0.5*k) \
+             + 0.1*sqrt(1 + abs(x)) + 0.2*exp(0 - x^2) + 0.05*ln(1 + x^2) \
+             + 0.3*tanh(3*t - x) + 0.01*abs(x)^1.5 - (1 + abs(x))^(0.1*k)",
+        )
+        .unwrap();
+    let every = OdeSystem::with_time(vec![x], vec![every], t).compile(&cx);
+    (blowup, forced, every)
 }
 
 /// The oracle's edge cases, at 16 and 8 lanes with refills and at one: the
 /// non-finite retry (a start so large that the first trial step
 /// overflows), blow-ups that end in an error, a time-dependent
-/// right-hand side, a sink that stops on the first sample, and a span
-/// with `t_end == t0`.
+/// right-hand side, one with every instruction kind, a sink that stops
+/// on the first sample, and a span with `t_end == t0`.
 #[test]
 fn lanes_and_streaming_match_an_independent_dopri() {
-    let (blowup, forced) = blowup_and_forced();
-    let runs: Vec<(Vec<f64>, Vec<f64>)> =
-        [0.3, 0.6, 0.95, 1e150, 2.0, 0.1, 1e150, 0.8, 0.5, 1.2, 0.7]
-            .iter()
-            .enumerate()
-            .map(|(i, &x0)| (vec![0.0, 0.0, 0.5 + i as f64 * 0.1], vec![x0]))
-            .collect();
+    let (blowup, forced, every) = blowup_forced_and_every_opcode();
+    let runs: Vec<(Vec<f64>, Vec<f64>)> = [
+        0.3, 0.6, 0.95, 1e150, 2.0, 0.1, 1e150, 0.8, 0.5, 1.2, 0.7, -3.0, 60.0, 1e30,
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &x0)| (vec![0.0, 0.0, 0.5 + i as f64 * 0.1], vec![x0]))
+    .collect();
     let mut retries = 0;
     for (ode, tspan, stop) in [
         (&blowup, (0.0, 2.0), f64::INFINITY),
@@ -341,12 +365,60 @@ fn lanes_and_streaming_match_an_independent_dopri() {
         (&forced, (0.0, 2.0), f64::NEG_INFINITY),
         (&forced, (1.5, 1.5), f64::INFINITY),
         (&blowup, (0.0, 0.0), 3.0),
+        (&every, (0.0, 2.0), f64::INFINITY),
+        (&every, (0.0, 2.0), 1.5),
+        (&every, (0.0, 2.0), f64::NEG_INFINITY),
     ] {
         retries += assert_lanes_equal_scalar::<16>(ode, &runs, tspan, stop).unwrap();
         retries += assert_lanes_equal_scalar::<8>(ode, &runs, tspan, stop).unwrap();
         retries += assert_lanes_equal_scalar::<1>(ode, &runs, tspan, stop).unwrap();
     }
     assert!(retries > 0, "the battery takes the non-finite retry");
+}
+
+/// The every-opcode right-hand side ends each way a trajectory can on
+/// the oracle, so comparing lanes with it covers lanes that go
+/// non-finite next to lanes that finish: moderate starts finish, ±60
+/// blow up into a step underflow, 1e30 retries non-finite steps until it
+/// fails, and 1e150 fails on its first derivative.
+#[test]
+fn every_opcode_rhs_finishes_and_fails() {
+    let (_, _, every) = blowup_forced_and_every_opcode();
+    let dp = DormandPrince::with_tolerances(1e-6, 1e-8);
+    let run = |x0: f64| {
+        reference_dopri(
+            &dp,
+            &every,
+            &[0.0, 0.0, 1.0],
+            &[x0],
+            (0.0, 2.0),
+            f64::INFINITY,
+        )
+    };
+    for x0 in [0.3, -3.0, 4.0] {
+        let (_, end, _) = run(x0);
+        assert!(matches!(end, Ok(e) if e.t == 2.0), "{x0}: {end:?}");
+    }
+    for x0 in [60.0, -60.0] {
+        let (_, end, _) = run(x0);
+        assert!(
+            matches!(end, Err(OdeError::StepUnderflow { .. })),
+            "{x0}: {end:?}"
+        );
+    }
+    let (_, end, retries) = run(1e30);
+    assert!(
+        matches!(end, Err(OdeError::NonFinite { .. })) && retries > 0,
+        "{end:?}"
+    );
+    let (stream, end, _) = run(1e150);
+    assert!(stream.is_empty() && matches!(end, Err(OdeError::NonFinite { t: 0.0 })));
+}
+
+/// A start for the lane properties: mostly moderate, sometimes one that
+/// overflows the first trial step or the right-hand side at once.
+fn start() -> BoxedStrategy<f64> {
+    prop_oneof![0.1..0.9f64, 0.1..0.9f64, 0.9..5.0f64, Just(1e150)]
 }
 
 proptest! {
@@ -446,18 +518,25 @@ proptest! {
     /// and refill them.
     #[test]
     fn lanes_equal_scalar_integration(
-        starts in proptest::collection::vec((0.1..0.9f64, 0.5..2.0f64), 0..20),
+        starts in proptest::collection::vec((start(), 0.5..2.0f64), 0..20),
         stop_above in 1.0..4.0f64,
     ) {
-        let (blowup, forced) = blowup_and_forced();
+        let (blowup, forced, every) = blowup_forced_and_every_opcode();
         let runs: Vec<(Vec<f64>, Vec<f64>)> = starts
             .iter()
             .map(|&(x0, k)| (vec![0.0, 0.0, k], vec![x0]))
             .collect();
-        for (ode, stop) in [(&blowup, f64::INFINITY), (&blowup, stop_above), (&forced, 0.5)] {
+        for (ode, stop) in [
+            (&blowup, f64::INFINITY),
+            (&blowup, stop_above),
+            (&forced, 0.5),
+            (&every, f64::INFINITY),
+            (&every, stop_above),
+        ] {
             assert_lanes_equal_scalar::<16>(ode, &runs, (0.0, 2.0), stop)?;
             assert_lanes_equal_scalar::<8>(ode, &runs, (0.0, 2.0), stop)?;
             assert_lanes_equal_scalar::<3>(ode, &runs, (0.0, 2.0), stop)?;
+            assert_lanes_equal_scalar::<1>(ode, &runs, (0.0, 2.0), stop)?;
         }
     }
 }

@@ -23,9 +23,12 @@
 //! violations on both paths.
 //!
 //! The range entry points run the same fused body over [`LANES`]
-//! stage-synchronous lanes ([`DormandPrince::integrate_lanes`]), one
-//! streaming monitor per lane; the one-sample entry points are its
-//! one-lane instances, so both produce the same bits. Lanes claim their
+//! stage-synchronous lanes ([`DormandPrince::integrate_lanes`]), with
+//! each sweep's accepted samples fed to every lane's monitor in one
+//! lane-wide call ([`CompiledBltl::feed_lanes`]); the one-sample entry
+//! points are its one-lane instances, so both produce the same bits. A
+//! Boolean outcome ([`SampleStats`]) monitors without the robustness
+//! arenas it never reads. Lanes claim their
 //! indices one at a time from a source, refilling a lane at the step
 //! boundary after its sample ends: a range's slice, or a query's
 //! [`LaneStream`](crate::LaneStream), which several samplers share.
@@ -105,15 +108,15 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Reusable per-worker workspace for fused sampling: the parameter
 /// environment, the initial-state buffer, the integrator's step buffers,
-/// and one streaming-monitor arena per lane. After the first sample (or
-/// range) through a given sampler (warm-up), every subsequent sample or
-/// range through the same scratch is allocation-free.
+/// and the lanes' streaming-monitor workspace. After the first sample
+/// (or range) through a given sampler (warm-up), every subsequent sample
+/// or range through the same scratch is allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct SampleScratch {
     env: Vec<f64>,
     y0: Vec<f64>,
     ode: OdeScratch,
-    mons: Vec<MonitorScratch>,
+    mon: MonitorScratch,
 }
 
 impl SampleScratch {
@@ -342,13 +345,13 @@ impl TraceSampler {
         len: usize,
     ) {
         // One 16-lane sweep costs about two to four and a half one-lane
-        // sweeps on the case studies (prostate 1.7, radiation 2.3,
-        // cardiac 4.5; x86-64, release build). Eight or more
-        // trajectories run faster on 16 lanes for all three; prostate
-        // wins from four and radiation from three, cardiac not reliably
-        // below eight. So a range that cannot fill half the lanes runs
+        // sweeps on the case studies (prostate 1.7–2.0, radiation
+        // 1.9–2.1, cardiac 4.3–4.4; x86-64 with AVX2, release build).
+        // Seven or more trajectories run faster on 16 lanes for all
+        // three; radiation wins from three and prostate from four,
+        // cardiac not below seven. So a range of fewer than seven runs
         // through a single lane, refilled index by index.
-        if len < LANES / 2 {
+        if len < 7 {
             self.fuse::<1, _, _>(scratch, draw, source);
         } else {
             self.fuse::<LANES, _, _>(scratch, draw, source);
@@ -357,7 +360,7 @@ impl TraceSampler {
 
     /// The one fused sample body: claims index after index of `source`,
     /// draws each claimed sample through `draw`, integrates them over
-    /// `K` lockstep lanes with a streaming monitor per lane, and hands
+    /// `K` lockstep lanes with a lane-wide streaming monitor, and hands
     /// each sample's outcome back to `source`.
     fn fuse<const K: usize, O: SampleOutcome, S: Source<O>>(
         &self,
@@ -365,16 +368,13 @@ impl TraceSampler {
         draw: impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
         source: &mut S,
     ) {
-        let SampleScratch { env, y0, ode, mons } = scratch;
-        if mons.len() < K {
-            mons.resize_with(K, MonitorScratch::new);
-        }
+        let SampleScratch { env, y0, ode, mon } = scratch;
         let mut lanes = Fused {
             sampler: self,
             draw,
             env,
             y0,
-            mons,
+            mon,
             source,
             held: [0; K],
             outcome: std::marker::PhantomData,
@@ -415,7 +415,12 @@ impl TraceSampler {
 
     /// Estimates the satisfaction probability with `n` simple samples
     /// (one scratch reused across all of them).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0`, like the other estimators.
     pub fn estimate<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> f64 {
+        assert!(n > 0, "estimate needs at least one sample");
         let mut scratch = self.scratch();
         let mut hits = 0usize;
         for _ in 0..n {
@@ -451,11 +456,16 @@ pub trait SampleOutcome: Copy + Send + sealed::Sealed {
     /// Whether a decided Boolean verdict ends the trajectory.
     #[doc(hidden)]
     const STOP_WHEN_DECIDED: bool;
-    /// The outcome of a trajectory that ended with `end`.
+    /// Whether the outcome reads robustness, so the monitor keeps it.
+    #[doc(hidden)]
+    const ROBUSTNESS: bool;
+    /// The outcome of the trajectory in `lane` of `mon`, which ended
+    /// with `end`.
     #[doc(hidden)]
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
+        lane: usize,
         end: Result<StreamEnd, OdeError>,
     ) -> Self;
 }
@@ -468,14 +478,16 @@ mod sealed {
 
 impl SampleOutcome for SampleStats {
     const STOP_WHEN_DECIDED: bool = true;
+    const ROBUSTNESS: bool = false;
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
+        lane: usize,
         end: Result<StreamEnd, OdeError>,
     ) -> Self {
         match end {
             Ok(end) => SampleStats {
-                sat: plan.finish_bool(mon),
+                sat: plan.finish_bool_lane(mon, lane),
                 steps: end.steps,
                 early_stop: end.stopped_early,
             },
@@ -483,7 +495,7 @@ impl SampleOutcome for SampleStats {
             // in the offline path.
             Err(_) => SampleStats {
                 sat: false,
-                steps: mon.samples(),
+                steps: mon.lane_samples(lane),
                 early_stop: false,
             },
         }
@@ -492,13 +504,18 @@ impl SampleOutcome for SampleStats {
 
 impl SampleOutcome for (bool, f64) {
     const STOP_WHEN_DECIDED: bool = false;
+    const ROBUSTNESS: bool = true;
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
+        lane: usize,
         end: Result<StreamEnd, OdeError>,
     ) -> Self {
         match end {
-            Ok(_) => (plan.finish_bool(mon), plan.finish_robustness(mon)),
+            Ok(_) => (
+                plan.finish_bool_lane(mon, lane),
+                plan.finish_robustness_lane(mon, lane),
+            ),
             Err(_) => (false, f64::NEG_INFINITY),
         }
     }
@@ -556,21 +573,21 @@ impl<O> Source<O> for Range<'_, O> {
 }
 
 /// The lane driver of [`TraceSampler::fuse`]: loads index after claimed
-/// index, feeds each lane's accepted steps to that lane's monitor, and
+/// index, feeds each sweep's accepted steps to the lanes' monitor, and
 /// hands each outcome to the source.
 struct Fused<'a, D, O, S, const K: usize> {
     sampler: &'a TraceSampler,
     draw: D,
     env: &'a mut Vec<f64>,
     y0: &'a mut Vec<f64>,
-    mons: &'a mut [MonitorScratch],
+    mon: &'a mut MonitorScratch,
     source: &'a mut S,
     /// The index each lane is sampling.
     held: [usize; K],
     outcome: std::marker::PhantomData<O>,
 }
 
-impl<D, O, S, const K: usize> LaneDriver for Fused<'_, D, O, S, K>
+impl<D, O, S, const K: usize> LaneDriver<K> for Fused<'_, D, O, S, K>
 where
     D: FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>),
     O: SampleOutcome,
@@ -583,28 +600,37 @@ where
             Claim::Done => return Load::Done,
         };
         (self.draw)(j, self.sampler, self.env, self.y0);
-        self.sampler.plan.begin(&mut self.mons[lane], self.env);
+        let plan = &self.sampler.plan;
+        plan.begin_lane::<K>(self.mon, lane, self.env, O::ROBUSTNESS);
         self.held[lane] = j;
         Load::Start(self.env, self.y0)
     }
 
-    fn sink(&mut self, lane: usize, t: f64, y: &[f64], _dy: &[f64]) -> StepControl {
+    fn sink(
+        &mut self,
+        accepted: &[bool; K],
+        t: &[f64; K],
+        y: &[[f64; K]],
+        _dy: &[[f64; K]],
+    ) -> [StepControl; K] {
         if self.source.halted() {
-            return StepControl::Stop;
+            return [StepControl::Stop; K];
         }
-        let verdict = self.sampler.plan.feed(&mut self.mons[lane], t, y);
-        if O::STOP_WHEN_DECIDED && verdict.decided() {
-            StepControl::Stop
-        } else {
-            StepControl::Continue
-        }
+        let verdicts = self.sampler.plan.feed_lanes(self.mon, accepted, t, y);
+        verdicts.map(|v| {
+            if O::STOP_WHEN_DECIDED && v.decided() {
+                StepControl::Stop
+            } else {
+                StepControl::Continue
+            }
+        })
     }
 
     fn finish(&mut self, lane: usize, end: Result<StreamEnd, OdeError>) {
         if self.source.halted() {
             return;
         }
-        let outcome = O::finish(&self.sampler.plan, &mut self.mons[lane], end);
+        let outcome = O::finish(&self.sampler.plan, self.mon, lane, end);
         self.source.put(self.held[lane], outcome);
     }
 }
@@ -695,6 +721,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let p = s.estimate(&mut rng, 600);
         assert!((p - 0.5).abs() < 0.1, "p = {p}");
+    }
+
+    #[test]
+    #[should_panic(expected = "estimate needs at least one sample")]
+    fn estimate_refuses_zero_samples() {
+        let s = decay_sampler("0.2 - x", RelOp::Ge);
+        s.estimate(&mut StdRng::seed_from_u64(1), 0);
     }
 
     #[test]

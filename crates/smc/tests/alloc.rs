@@ -5,8 +5,10 @@
 //! monitors or traces (the sibling of `crates/expr/tests/alloc.rs`,
 //! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`). The
 //! lockstep range entry points, which refill lanes from the next index
-//! and park idle ones, are held to the same bar, and a query's lane
-//! stream allocates only its reorder buffer, once.
+//! and park idle ones, are held to the same bar — with the lane-wide
+//! monitor feed, and with Boolean-only monitoring on a scratch that never
+//! kept robustness — and a query's lane stream allocates only its
+//! reorder buffer, once.
 //!
 //! This binary holds exactly one test so the global allocation counter
 //! is not disturbed by concurrently running tests.
@@ -137,6 +139,21 @@ fn fused_smc_sampling_does_not_allocate() {
     assert!(robust
         .iter()
         .all(|r| r.0 && r.1.to_bits() == first_rob.to_bits()));
+
+    // Boolean-only monitoring on its own: a fresh scratch warmed by
+    // one Boolean range (lane feed at 16 lanes) and one short range
+    // (the one-lane fallback) stays allocation-free on both.
+    let mut boolean = sampler.scratch();
+    let mut short = vec![SampleStats::default(); 3];
+    sampler.sample_stats_range(7, 5, &mut boolean, &mut stats);
+    sampler.sample_stats_range(7, 5, &mut boolean, &mut short);
+    assert_allocation_free("Boolean-only lane monitoring", || {
+        for first in [5u64, 40, 1000] {
+            sampler.sample_stats_range(7, first, &mut boolean, &mut stats);
+            sampler.sample_stats_range(7, first, &mut boolean, &mut short);
+        }
+    });
+    assert!(stats.iter().chain(&short).all(|st| st.sat && st.steps > 1));
 
     // A query's lane stream on the calling thread: after the warm-up
     // stream, a stream allocates its reorder buffer once, however many
