@@ -339,7 +339,8 @@ impl CompiledBltl {
     ///
     /// # Panics
     ///
-    /// Panics when fed non-increasing times.
+    /// Panics when `state` is shorter than the compiled state layout or
+    /// when fed non-increasing times.
     pub fn feed(&self, s: &mut MonitorScratch, t: f64, state: &[f64]) -> Verdict {
         let [v] = self.feed_lanes::<1>(s, &[true], &[t], state.as_chunks().0);
         v
@@ -357,8 +358,8 @@ impl CompiledBltl {
     /// # Panics
     ///
     /// Panics when the scratch was begun for another lane count, when a
-    /// masked lane was never begun, or when a lane is fed non-increasing
-    /// times.
+    /// masked lane was never begun, when `y` has fewer rows than the
+    /// compiled state layout, or when a lane is fed non-increasing times.
     pub fn feed_lanes<const K: usize>(
         &self,
         s: &mut MonitorScratch,
@@ -367,6 +368,7 @@ impl CompiledBltl {
         y: &[[f64; K]],
     ) -> [Verdict; K] {
         assert_eq!(s.lanes, K, "the scratch was begun for {} lanes", s.lanes);
+        assert!(y.len() >= self.states.len(), "a state per compiled state");
         let env = s.env.as_chunks_mut::<K>().0;
         for (&v, row) in self.states.iter().zip(y) {
             env[v.index()] = *row;
@@ -766,6 +768,21 @@ mod tests {
         }
         assert_eq!(first, Some((2, Verdict::False)), "violation at t = 2");
         assert!(!plan.finish_bool(&mut s));
+    }
+
+    /// A state shorter than the compiled layout is refused: the missing
+    /// states would silently keep the previous sample's values.
+    #[test]
+    #[should_panic(expected = "a state per compiled state")]
+    fn feed_refuses_a_short_state() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let y = cx.intern_var("y");
+        let f = Bltl::eventually(1.0, prop(&mut cx, "x + y", RelOp::Ge));
+        let plan = CompiledBltl::compile(&cx, &[x, y], &f);
+        let mut s = MonitorScratch::new();
+        plan.begin(&mut s, &[0.0, 0.0]);
+        plan.feed(&mut s, 0.0, &[1.0]);
     }
 
     /// A bound reaching past the horizon stays undecided until `finish`.

@@ -805,39 +805,34 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
 }
 
 /// Rejects distributions no sample can draw from before any sample
-/// tries: a non-finite parameter, an empty uniform range (`lo > hi`) or
-/// a negative spread. Drawing from one would give every sample a
-/// non-finite start, and each would count as a violation.
+/// tries: a non-finite parameter, an empty uniform range (`lo > hi`), a
+/// uniform width that overflows, or a negative spread. Drawing from one
+/// would give samples a non-finite start, and each would count as a
+/// violation.
 fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
     let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));
     for d in dists {
-        let bad = match *d {
-            Dist::Point(v) => {
-                (!v.is_finite()).then(|| ("point value", format!("need a finite value, got {v}")))
-            }
-            Dist::Uniform(lo, hi) => (!(lo.is_finite() && hi.is_finite() && lo <= hi)).then(|| {
-                (
-                    "uniform bounds",
-                    format!("need finite lo <= hi, got [{lo}, {hi}]"),
-                )
-            }),
-            Dist::Normal { mean, sd } => {
-                (!(mean.is_finite() && sd.is_finite() && sd >= 0.0)).then(|| {
-                    let detail =
-                        format!("need a finite mean and a finite sd >= 0, got {mean}, {sd}");
-                    ("normal parameters", detail)
-                })
-            }
-            Dist::LogNormal { mu, sigma } => {
-                (!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0)).then(|| {
-                    let detail =
-                        format!("need a finite mu and a finite sigma >= 0, got {mu}, {sigma}");
-                    ("lognormal parameters", detail)
-                })
-            }
+        let (what, ok) = match *d {
+            Dist::Point(v) => ("point value", v.is_finite()),
+            // A finite width keeps every draw `lo + (hi - lo)·u` finite.
+            Dist::Uniform(lo, hi) => ("uniform bounds", lo <= hi && (hi - lo).is_finite()),
+            Dist::Normal { mean, sd } => (
+                "normal parameters",
+                mean.is_finite() && sd.is_finite() && sd >= 0.0,
+            ),
+            Dist::LogNormal { mu, sigma } => (
+                "lognormal parameters",
+                mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
+            ),
         };
-        if let Some((what, detail)) = bad {
-            return Err(Error::InvalidParameter { what, detail });
+        if !ok {
+            return Err(Error::InvalidParameter {
+                what,
+                detail: format!(
+                    "need finite parameters, lo <= hi with a finite width, \
+                     and no negative spread; got {d:?}"
+                ),
+            });
         }
     }
     Ok(())

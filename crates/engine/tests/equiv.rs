@@ -279,8 +279,9 @@ fn wrong_model_and_invalid_parameters_are_typed_errors() {
 
 /// x' = −x from x₀ ~ U(0.5, 1.5) satisfies F≤5 (x ≤ 0.2) on every
 /// sample. A distribution no sample can draw from — a non-finite
-/// parameter or a negative spread — used to run and count every sample
-/// as a violation (p̂ = 0); it is a typed error instead.
+/// parameter, a uniform width that overflows, or a negative spread —
+/// used to run and count its samples as violations (p̂ = 0); it is a
+/// typed error instead.
 #[test]
 fn unsampleable_distributions_are_invalid_parameters() {
     use biocheck_engine::Error;
@@ -312,6 +313,7 @@ fn unsampleable_distributions_are_invalid_parameters() {
     for (dist, what) in [
         (Dist::Uniform(0.5, f64::INFINITY), "uniform bounds"),
         (Dist::Uniform(f64::NEG_INFINITY, 1.5), "uniform bounds"),
+        (Dist::Uniform(-f64::MAX, f64::MAX), "uniform bounds"),
         (Dist::Point(f64::NAN), "point value"),
         (Dist::Point(f64::INFINITY), "point value"),
         (
