@@ -804,10 +804,10 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
     Ok(())
 }
 
-/// Rejects distributions no sample can draw from before any sample
-/// tries: a non-finite parameter, an empty uniform range (`lo > hi`), a
-/// uniform width that overflows, or a negative spread. Drawing from one
-/// would give samples a non-finite start, and each would count as a
+/// Rejects ill-defined distributions before any sample draws from them:
+/// a non-finite parameter, an empty uniform range (`lo > hi`), a uniform
+/// width that overflows, or a negative spread. A non-finite parameter or
+/// width would give samples non-finite starts, each counted as a
 /// violation.
 fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
     let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));

@@ -278,10 +278,10 @@ fn wrong_model_and_invalid_parameters_are_typed_errors() {
 }
 
 /// x' = −x from x₀ ~ U(0.5, 1.5) satisfies F≤5 (x ≤ 0.2) on every
-/// sample. A distribution no sample can draw from — a non-finite
-/// parameter, a uniform width that overflows, or a negative spread —
-/// used to run and count its samples as violations (p̂ = 0); it is a
-/// typed error instead.
+/// sample. A distribution with a non-finite parameter or a uniform
+/// width that overflows used to run and count every sample as a
+/// violation (p̂ = 0), and a negative spread ran as its mirror image;
+/// each is a typed error instead.
 #[test]
 fn unsampleable_distributions_are_invalid_parameters() {
     use biocheck_engine::Error;

@@ -28,10 +28,10 @@
 //! lane-wide call ([`CompiledBltl::feed_lanes`]); the one-sample entry
 //! points are its one-lane instances, so both produce the same bits. A
 //! Boolean outcome ([`SampleStats`]) monitors without the robustness
-//! arenas it never reads. Lanes claim their
-//! indices one at a time from a source, refilling a lane at the step
-//! boundary after its sample ends: a range's slice, or a query's
-//! [`LaneStream`](crate::LaneStream), which several samplers share.
+//! arenas it never reads. Lanes claim their indices one at a time from
+//! a source, refilling a lane at the step boundary after its sample
+//! ends: a range's slice, or a query's [`LaneStream`](crate::LaneStream),
+//! which several samplers share.
 
 use crate::parallel::fork_rng;
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
@@ -453,12 +453,11 @@ pub(crate) fn range_draw(
 /// robustness)` (the whole horizon). Sealed: these two are the only
 /// outcomes.
 pub trait SampleOutcome: Copy + Send + sealed::Sealed {
-    /// Whether a decided Boolean verdict ends the trajectory.
+    /// Whether the outcome is the Boolean verdict alone: a decided
+    /// verdict then ends the trajectory, and the monitor keeps no
+    /// robustness.
     #[doc(hidden)]
-    const STOP_WHEN_DECIDED: bool;
-    /// Whether the outcome reads robustness, so the monitor keeps it.
-    #[doc(hidden)]
-    const ROBUSTNESS: bool;
+    const BOOLEAN: bool;
     /// The outcome of the trajectory in `lane` of `mon`, which ended
     /// with `end`.
     #[doc(hidden)]
@@ -477,8 +476,7 @@ mod sealed {
 }
 
 impl SampleOutcome for SampleStats {
-    const STOP_WHEN_DECIDED: bool = true;
-    const ROBUSTNESS: bool = false;
+    const BOOLEAN: bool = true;
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
@@ -503,8 +501,7 @@ impl SampleOutcome for SampleStats {
 }
 
 impl SampleOutcome for (bool, f64) {
-    const STOP_WHEN_DECIDED: bool = false;
-    const ROBUSTNESS: bool = true;
+    const BOOLEAN: bool = false;
     fn finish(
         plan: &CompiledBltl,
         mon: &mut MonitorScratch,
@@ -600,8 +597,10 @@ where
             Claim::Done => return Load::Done,
         };
         (self.draw)(j, self.sampler, self.env, self.y0);
-        let plan = &self.sampler.plan;
-        plan.begin_lane::<K>(self.mon, lane, self.env, O::ROBUSTNESS);
+        let robustness = !O::BOOLEAN;
+        self.sampler
+            .plan
+            .begin_lane::<K>(self.mon, lane, self.env, robustness);
         self.held[lane] = j;
         Load::Start(self.env, self.y0)
     }
@@ -618,7 +617,7 @@ where
         }
         let verdicts = self.sampler.plan.feed_lanes(self.mon, accepted, t, y);
         verdicts.map(|v| {
-            if O::STOP_WHEN_DECIDED && v.decided() {
+            if O::BOOLEAN && v.decided() {
                 StepControl::Stop
             } else {
                 StepControl::Continue
