@@ -113,7 +113,7 @@ fn run_lanes<const K: usize>(
                 held[l] = Some((next, 0));
                 next += 1;
             }
-            if let (Some((i, j)), true) = (held[l], pause < 2) {
+            if let Some((i, j)) = held[l].filter(|_| pause < 2) {
                 mask[l] = true;
                 t[l] = traces[i].0.times()[j];
                 y[0][l] = traces[i].0.state(j)[0];
