@@ -15,7 +15,7 @@ use biocheck_expr::Context;
 use biocheck_hybrid::HybridAutomaton;
 use biocheck_models::OdeModel;
 use biocheck_ode::{CompiledOde, OdeSystem, Trace};
-use biocheck_smc::{fork_seed, Dist, TraceSampler};
+use biocheck_smc::{fork_seed, TraceSampler};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -804,36 +804,13 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
     Ok(())
 }
 
-/// Rejects ill-defined distributions before any sample draws from them:
-/// a non-finite parameter, an empty uniform range (`lo > hi`), a uniform
-/// width that overflows, or a negative spread. A non-finite parameter or
-/// width would give samples non-finite starts, each counted as a
-/// violation.
+/// Rejects ill-defined distributions before any sample draws from them
+/// (see [`biocheck_smc::Dist::check`]).
 fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
     let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));
     for d in dists {
-        let (what, ok) = match *d {
-            Dist::Point(v) => ("point value", v.is_finite()),
-            // A finite width keeps every draw `lo + (hi - lo)·u` finite.
-            Dist::Uniform(lo, hi) => ("uniform bounds", lo <= hi && (hi - lo).is_finite()),
-            Dist::Normal { mean, sd } => (
-                "normal parameters",
-                mean.is_finite() && sd.is_finite() && sd >= 0.0,
-            ),
-            Dist::LogNormal { mu, sigma } => (
-                "lognormal parameters",
-                mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            ),
-        };
-        if !ok {
-            return Err(Error::InvalidParameter {
-                what,
-                detail: format!(
-                    "need finite parameters, lo <= hi with a finite width, \
-                     and no negative spread; got {d:?}"
-                ),
-            });
-        }
+        d.check()
+            .map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
     }
     Ok(())
 }

@@ -477,7 +477,7 @@ pub(crate) fn unary_lanes<const K: usize>(op: UnaryOp, x: &[f64; K]) -> [f64; K]
         UnaryOp::Atan => x.map(f64::atan),
         UnaryOp::Sinh => x.map(f64::sinh),
         UnaryOp::Cosh => x.map(f64::cosh),
-        UnaryOp::Tanh => x.map(f64::tanh),
+        UnaryOp::Tanh => crate::tanh::tanh_lanes(x),
     }
 }
 

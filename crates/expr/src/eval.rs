@@ -687,7 +687,10 @@ impl Program {
     /// every lane's results are bit-identical to a scalar evaluation.
     /// Reuses `scratch` (allocation-free after warm-up). Always inlined,
     /// so a caller compiled with a target feature (the integrator's AVX2
-    /// instance) compiles the sweep with it.
+    /// instance) compiles the sweep with it. A `tanh` instruction is one
+    /// call to [`crate::tanh_lanes`] for all `K` lanes, which picks its
+    /// own instance; `exp`, `powf` and the other elementary functions
+    /// are one libm call per lane.
     ///
     /// # Panics
     ///

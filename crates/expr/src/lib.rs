@@ -40,6 +40,7 @@ mod display;
 mod eval;
 mod parser;
 mod subst;
+mod tanh;
 
 pub use atom::{Atom, RelOp};
 pub use context::eval_unary_f64;
@@ -48,3 +49,4 @@ pub use eval::{
     eval_binary_f64, eval_binary_interval, eval_unary_interval, AuxBuffers, EvalScratch, Program,
 };
 pub use parser::ParseError;
+pub use tanh::{tanh, tanh_lanes, tanh_lanes_portable};

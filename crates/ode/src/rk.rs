@@ -16,9 +16,10 @@
 //! change a bit of the result: Rust never contracts a multiply and an
 //! add into a fused multiply-add (and `fma` is not enabled anyway); add,
 //! sub, mul, div, sqrt, abs, min and max are exactly rounded IEEE
-//! operations at any vector width; and `exp`, `tanh`, `powf`, `powi` and
-//! the other elementary functions make the same library calls, one per
-//! lane.
+//! operations at any vector width; `tanh` is one call per sweep to
+//! [`biocheck_expr::tanh_lanes`], whose instances all compute the same
+//! bits; and `exp`, `powf`, `powi` and the other elementary functions
+//! make the same libm calls, one per lane.
 
 use crate::system::CompiledOde;
 use crate::trace::Trace;

@@ -440,25 +440,19 @@ pub enum DistSpec {
 }
 
 impl DistSpec {
+    /// The distribution, refused by the same [`Dist::check`] a `Session`
+    /// applies, so an ill-defined one is an `invalid_request` here
+    /// rather than a `query_error` later.
     fn build(&self) -> Result<Dist, String> {
-        Ok(match *self {
-            DistSpec::Point(v) => Dist::Point(finite(v, "point value")?),
-            DistSpec::Uniform(lo, hi) => {
-                let (lo, hi) = (finite(lo, "uniform lo")?, finite(hi, "uniform hi")?);
-                if lo > hi {
-                    return Err(format!("uniform lo {lo} exceeds hi {hi}"));
-                }
-                Dist::Uniform(lo, hi)
-            }
-            DistSpec::Normal { mean, sd } => Dist::Normal {
-                mean: finite(mean, "normal mean")?,
-                sd: finite(sd, "normal sd")?,
-            },
-            DistSpec::LogNormal { mu, sigma } => Dist::LogNormal {
-                mu: finite(mu, "lognormal mu")?,
-                sigma: finite(sigma, "lognormal sigma")?,
-            },
-        })
+        let d = match *self {
+            DistSpec::Point(v) => Dist::Point(v),
+            DistSpec::Uniform(lo, hi) => Dist::Uniform(lo, hi),
+            DistSpec::Normal { mean, sd } => Dist::Normal { mean, sd },
+            DistSpec::LogNormal { mu, sigma } => Dist::LogNormal { mu, sigma },
+        };
+        d.check()
+            .map_err(|(what, detail)| format!("{what}: {detail}"))?;
+        Ok(d)
     }
 
     fn to_json(self) -> Json {

@@ -411,6 +411,36 @@ fn inverted_uniform_bounds_are_rejected_without_a_panic() {
     assert_eq!(core.panic_count(), 0);
 }
 
+/// The wire refuses every distribution a `Session` refuses, with the
+/// same rule: a negative spread and a uniform range whose width
+/// overflows are `invalid_request`s too (they used to pass the wire and
+/// come back as `query_error`s).
+#[test]
+fn distributions_a_session_refuses_are_invalid_requests() {
+    let core = ServeCore::new(ServeConfig::default());
+    core.register("decay", &decay_source()).unwrap();
+    for init in [
+        DistSpec::Normal {
+            mean: 1.0,
+            sd: -0.1,
+        },
+        DistSpec::LogNormal {
+            mu: 0.0,
+            sigma: -0.1,
+        },
+        DistSpec::Uniform(-1e308, 1e308),
+    ] {
+        let mut qr = estimate("x - 1", 3, 20);
+        let QuerySpec::Estimate { smc, .. } = &mut qr.query else {
+            unreachable!()
+        };
+        smc.init = vec![init];
+        let err = core.run_query(&qr).unwrap_err();
+        assert_eq!(err.kind(), "invalid_request", "{init:?}: {err}");
+    }
+    assert_eq!(core.panic_count(), 0);
+}
+
 /// SPRT error levels outside (0, 1) and a zero sample cap are refused
 /// over the wire as `invalid_request` (α = 2 used to accept H₁ on the
 /// first sample; a zero cap answered `Inconclusive` from no evidence).

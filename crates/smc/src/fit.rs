@@ -4,7 +4,7 @@
 
 use crate::sampler::Dist;
 use biocheck_bltl::{Bltl, Monitor};
-use biocheck_expr::{Context, VarId};
+use biocheck_expr::{tanh, Context, VarId};
 use biocheck_interval::Interval;
 use biocheck_ode::{DormandPrince, OdeSystem};
 use rand::Rng;
@@ -93,7 +93,7 @@ impl SmcFit {
                     }
                     let rob = mon.robustness(&self.property, &trace);
                     if rob.is_finite() {
-                        rob_sum += rob.tanh();
+                        rob_sum += tanh(rob);
                     }
                 }
                 Err(_) => rob_sum -= 1.0,

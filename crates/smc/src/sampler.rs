@@ -81,6 +81,39 @@ impl Dist {
         }
     }
 
+    /// Refuses an ill-defined distribution before anything draws from
+    /// it: a non-finite parameter, an empty uniform range (`lo > hi`), a
+    /// uniform width that overflows, or a negative spread. Any of these
+    /// would give samples non-finite starts (each counted as a
+    /// violation) or panic the draw. The error names the parameters at
+    /// fault (`"uniform bounds"`, ...) and says what is wrong.
+    pub fn check(&self) -> Result<(), (&'static str, String)> {
+        let (what, ok) = match *self {
+            Dist::Point(v) => ("point value", v.is_finite()),
+            // A finite width keeps every draw `lo + (hi - lo)·u` finite.
+            Dist::Uniform(lo, hi) => ("uniform bounds", lo <= hi && (hi - lo).is_finite()),
+            Dist::Normal { mean, sd } => (
+                "normal parameters",
+                mean.is_finite() && sd.is_finite() && sd >= 0.0,
+            ),
+            Dist::LogNormal { mu, sigma } => (
+                "lognormal parameters",
+                mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
+            ),
+        };
+        if ok {
+            return Ok(());
+        }
+        let detail = match *self {
+            Dist::Uniform(lo, hi) if lo > hi => format!("uniform lo {lo} exceeds hi {hi}"),
+            _ => format!(
+                "need finite parameters, lo <= hi with a finite width, \
+                 and no negative spread; got {self:?}"
+            ),
+        };
+        Err((what, detail))
+    }
+
     /// The distribution mean (exact).
     pub fn mean(&self) -> f64 {
         match *self {
