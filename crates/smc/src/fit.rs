@@ -154,8 +154,7 @@ mod tests {
     /// Fit the decay rate k in x' = -k·x so that x(1) ≈ e⁻¹ (i.e. k ≈ 1):
     /// property G≤1 after t=1 band — encoded as F≤1 (x ≤ 0.38) ∧ G≤1 (x ≥ 0.30
     /// at the end)… simplest: F≤1(x ≤ 0.38) ∧ ¬F≤1(x ≤ 0.30).
-    #[test]
-    fn recovers_decay_rate() {
+    fn decay_rate_fit() -> SmcFit {
         let mut cx = Context::new();
         let x = cx.intern_var("x");
         let k = cx.intern_var("k");
@@ -170,7 +169,7 @@ mod tests {
                 Bltl::Prop(Atom::new(lower, RelOp::Ge)),
             ))),
         ]);
-        let fit = SmcFit::new(
+        SmcFit::new(
             cx,
             sys,
             vec![Dist::Point(1.0)],
@@ -178,9 +177,12 @@ mod tests {
             vec![Interval::new(0.2, 3.0)],
             prop,
             1.0,
-        );
-        let mut rng = StdRng::seed_from_u64(11);
-        let r = fit.run(&mut rng);
+        )
+    }
+
+    #[test]
+    fn recovers_decay_rate() {
+        let r = decay_rate_fit().run(&mut StdRng::seed_from_u64(11));
         // e^{-k} ∈ [0.33, 0.38] ⇒ k ∈ [0.967, 1.109].
         assert!(
             r.params[0] > 0.9 && r.params[0] < 1.2,
@@ -190,6 +192,68 @@ mod tests {
         );
         assert!(r.score > 0.9, "good fits satisfy almost surely");
         assert!(r.simulations > 0);
+    }
+
+    /// `(x' = −k·x, x₀ ~ U(0.5, 1.5), F≤1 (0.38 − x ≥ 0), k ∈ [0.2, 3])`.
+    fn decay_to_threshold() -> SmcFit {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let k = cx.intern_var("k");
+        let rhs = cx.parse("-k * x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let e = cx.parse("0.38 - x").unwrap();
+        let prop = Bltl::eventually(1.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+        SmcFit::new(
+            cx,
+            sys,
+            vec![Dist::Uniform(0.5, 1.5)],
+            vec![k],
+            vec![Interval::new(0.2, 3.0)],
+            prop,
+            1.0,
+        )
+    }
+
+    /// `x' = k·x·x` from `x₀ ~ U(0.5, 1.5)` blows up before `t = 2` when
+    /// `k·x₀ > ½`, so about one sample in five fails and scores −1.
+    fn blowup() -> SmcFit {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let k = cx.intern_var("k");
+        let rhs = cx.parse("k * x * x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let e = cx.parse("x - 3").unwrap();
+        let prop = Bltl::eventually(2.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+        SmcFit::new(
+            cx,
+            sys,
+            vec![Dist::Uniform(0.5, 1.5)],
+            vec![k],
+            vec![Interval::new(0.1, 3.0)],
+            prop,
+            2.0,
+        )
+    }
+
+    /// Pins `(params[0], score, simulations)` of four fits bit for bit.
+    #[test]
+    fn fit_results_are_pinned() {
+        let cases = [
+            (decay_rate_fit(), 11, 0x3ff0960a8f5b2b85u64, 0x3ff00a17f4b216ebu64),
+            (decay_rate_fit(), 2020, 0x3ff08729c2ff6fe4, 0x3ff009da9724684c),
+            (decay_to_threshold(), 5, 0x4008000000000000, 0x3ff083d2a03fa24d),
+            (blowup(), 3, 0x3fd2613621e80956, 0x3fe613030bc2faf9),
+        ];
+        for (fit, seed, k, score) in cases {
+            let r = fit.run(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(
+                (r.params[0].to_bits(), r.score.to_bits(), r.simulations),
+                (k, score, 2904),
+                "seed {seed}: k = {}, score = {}",
+                r.params[0],
+                r.score
+            );
+        }
     }
 
     #[test]
