@@ -14,9 +14,15 @@
 //! gap-free prefix of the sample indices.
 //!
 //! Because each sample is a pure function of `(seed, index)` and the
-//! rules consume samples strictly in index order, every result here is
-//! bit-for-bit identical to the corresponding `biocheck_smc` free
-//! function (and independent of thread count and lane width).
+//! rules consume samples strictly in index order, every result here
+//! that no budget cut short is bit-for-bit the corresponding sequential
+//! reference's (`biocheck_smc::seq_estimate`, `seq_chernoff_estimate`,
+//! `seq_sprt`, `seq_bayes_estimate`; `tests/equiv.rs` holds them equal),
+//! except that an undecided Bayes run zeroes its unearned half-width and
+//! confidence. Results are independent of thread count and lane width.
+//! The session refuses parameters a rule cannot run
+//! ([`Query::check_smc`](crate::Query::check_smc)) before any of these
+//! runs.
 
 use crate::budget::Budget;
 use crate::query::EstimateMethod;
@@ -44,7 +50,8 @@ fn rate(part: usize, whole: usize) -> f64 {
     }
 }
 
-/// The instrumentation of the samples a Boolean rule consumed.
+/// The samples a query's rule consumed, with the instrumentation of
+/// Boolean samples (a robustness sample records no steps).
 #[derive(Default)]
 struct Tally {
     drawn: usize,
@@ -54,12 +61,20 @@ struct Tally {
 }
 
 impl Tally {
-    fn early_stop_rate(&self) -> f64 {
-        rate(self.early, self.drawn)
-    }
-
-    fn avg_steps(&self) -> f64 {
-        rate(self.steps, self.drawn)
+    /// The query's answer `value` over the samples tallied; `exhausted`
+    /// when the budget cut the run short.
+    fn outcome(&self, value: Value, exhausted: bool) -> SmcOutcome {
+        SmcOutcome {
+            value,
+            outcome: if exhausted {
+                Outcome::Exhausted
+            } else {
+                Outcome::Complete
+            },
+            samples: self.drawn,
+            early_stop_rate: rate(self.early, self.drawn),
+            avg_steps: rate(self.steps, self.drawn),
+        }
     }
 }
 
@@ -140,22 +155,32 @@ impl Sampling<'_> {
         // carries zeroed guarantee fields so no consumer can mistake it
         // for a full-strength Chernoff bound.
         let complete = drawn >= target;
-        SmcOutcome {
-            value: Value::Estimate(Estimate {
-                p_hat: rate(tally.hits, drawn),
-                samples: drawn,
-                half_width: if complete { half_width } else { 0.0 },
-                confidence: if complete { confidence } else { 0.0 },
-            }),
-            outcome: if complete {
-                Outcome::Complete
-            } else {
-                Outcome::Exhausted
-            },
+        let estimate = Estimate {
+            p_hat: rate(tally.hits, drawn),
             samples: drawn,
-            early_stop_rate: tally.early_stop_rate(),
-            avg_steps: tally.avg_steps(),
-        }
+            half_width: if complete { half_width } else { 0.0 },
+            confidence: if complete { confidence } else { 0.0 },
+        };
+        tally.outcome(Value::Estimate(estimate), !complete)
+    }
+
+    /// Feeds an adaptive rule (`push` returns its decision once made)
+    /// at most `max_samples` samples. Returns the decision, the tally,
+    /// and whether the budget cut the run short: an undecided run that
+    /// did not reach the *query's* cap. Reaching that cap undecided is
+    /// the rule's own answer.
+    fn adaptive<D: Send>(
+        &self,
+        max_samples: usize,
+        mut push: impl FnMut(bool) -> Option<D> + Send,
+    ) -> (Option<D>, Tally, bool) {
+        let mut decision = None;
+        let tally = self.stats(self.goal(max_samples), true, |sat| {
+            decision = push(sat);
+            decision.is_some()
+        });
+        let exhausted = decision.is_none() && tally.drawn < max_samples;
+        (decision, tally, exhausted)
     }
 
     /// `Query::Sprt`.
@@ -168,61 +193,27 @@ impl Sampling<'_> {
         max_samples: usize,
     ) -> SmcOutcome {
         let mut state = SprtState::new(theta, indiff, alpha, beta);
-        let mut decision = None;
-        let tally = self.stats(self.goal(max_samples), true, |sat| {
-            decision = state.push(sat);
-            decision.is_some()
-        });
-        let drawn = state.samples();
-        // An undecided test that did not reach the *query's* cap was cut
-        // by the budget; reaching the query cap undecided is the test's
-        // own `Inconclusive` answer.
-        let exhausted = decision.is_none() && drawn < max_samples;
-        SmcOutcome {
-            value: Value::Sprt(state.result(decision.unwrap_or(SprtOutcome::Inconclusive))),
-            outcome: if exhausted {
-                Outcome::Exhausted
-            } else {
-                Outcome::Complete
-            },
-            samples: drawn,
-            early_stop_rate: tally.early_stop_rate(),
-            avg_steps: tally.avg_steps(),
-        }
+        let (decision, tally, exhausted) = self.adaptive(max_samples, |sat| state.push(sat));
+        let result = state.result(decision.unwrap_or(SprtOutcome::Inconclusive));
+        tally.outcome(Value::Sprt(result), exhausted)
     }
 
     /// `EstimateMethod::Bayes` (adaptive stopping).
     fn bayes(&self, half_width: f64, confidence: f64, max_samples: usize) -> SmcOutcome {
         let mut state = BayesState::new(half_width, confidence);
-        let mut decision = None;
-        let tally = self.stats(self.goal(max_samples), true, |sat| {
-            decision = state.push(sat);
-            decision.is_some()
+        let (decision, tally, exhausted) = self.adaptive(max_samples, |sat| state.push(sat));
+        // The credible interval never closed — whether the budget cut the
+        // run short (`Exhausted`) or the method's own sample cap ended it
+        // (`Complete`, the adaptive rule's own "give up" answer), the
+        // requested half-width/confidence guarantee was not earned, so
+        // the fields are zeroed either way (same convention as the
+        // truncated fixed-sample methods).
+        let estimate = decision.unwrap_or_else(|| Estimate {
+            half_width: 0.0,
+            confidence: 0.0,
+            ..state.finish()
         });
-        let drawn = state.samples();
-        let exhausted = decision.is_none() && drawn < max_samples;
-        let mut estimate = decision.unwrap_or_else(|| state.finish());
-        if decision.is_none() {
-            // The credible interval never closed — whether the budget
-            // cut the run short (`Exhausted`) or the method's own sample
-            // cap ended it (`Complete`, the adaptive rule's own "give
-            // up" answer), the requested half-width/confidence guarantee
-            // was not earned, so the fields are zeroed either way (same
-            // convention as the truncated fixed-sample methods).
-            estimate.half_width = 0.0;
-            estimate.confidence = 0.0;
-        }
-        SmcOutcome {
-            value: Value::Estimate(estimate),
-            outcome: if exhausted {
-                Outcome::Exhausted
-            } else {
-                Outcome::Complete
-            },
-            samples: drawn,
-            early_stop_rate: tally.early_stop_rate(),
-            avg_steps: tally.avg_steps(),
-        }
+        tally.outcome(Value::Estimate(estimate), exhausted)
     }
 
     /// `Query::Robustness`: single-pass `(satisfied, robustness)`
@@ -232,36 +223,28 @@ impl Sampling<'_> {
     pub(crate) fn robustness(&self, samples: usize) -> SmcOutcome {
         let progress = self.budget.trace.as_ref().map(|t| &t.progress);
         let poll = || self.interrupted();
-        let (mut hits, mut drawn) = (0usize, 0usize);
+        let mut tally = Tally::default();
         let mut sum = 0.0f64;
         let mut min = f64::INFINITY;
         self.sampler
             .robustness_stream(self.seed, self.goal(samples), |(sat, rob)| {
-                drawn += 1;
-                hits += sat as usize;
+                tally.drawn += 1;
+                tally.hits += sat as usize;
                 sum += rob;
                 min = min.min(rob);
                 if let Some(p) = progress {
-                    p.samples.store(drawn as u64, Ordering::Relaxed);
+                    p.samples.store(tally.drawn as u64, Ordering::Relaxed);
                 }
                 false
             })
             .until(&poll)
             .run(self.parallel);
-        SmcOutcome {
-            value: Value::Robustness(RobustnessSummary {
-                p_hat: rate(hits, drawn),
-                mean: if drawn == 0 { 0.0 } else { sum / drawn as f64 },
-                min: if drawn == 0 { 0.0 } else { min },
-            }),
-            outcome: if drawn < samples {
-                Outcome::Exhausted
-            } else {
-                Outcome::Complete
-            },
-            samples: drawn,
-            early_stop_rate: 0.0,
-            avg_steps: 0.0,
-        }
+        let drawn = tally.drawn;
+        let summary = RobustnessSummary {
+            p_hat: rate(tally.hits, drawn),
+            mean: if drawn == 0 { 0.0 } else { sum / drawn as f64 },
+            min: if drawn == 0 { 0.0 } else { min },
+        };
+        tally.outcome(Value::Robustness(summary), drawn < samples)
     }
 }

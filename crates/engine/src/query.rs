@@ -6,7 +6,7 @@ use biocheck_bltl::Bltl;
 use biocheck_bmc::{ReachOptions, ReachSpec};
 use biocheck_expr::{Atom, Context, VarId};
 use biocheck_interval::Interval;
-use biocheck_smc::Dist;
+use biocheck_smc::{check_bayes, check_chernoff, check_samples, check_sprt, Dist};
 use std::fmt::Write as _;
 
 /// The probabilistic setup shared by the SMC-backed queries: how the
@@ -287,6 +287,47 @@ impl Query {
             }
         }
         s
+    }
+
+    /// Refuses SMC parameters the query cannot run: an ill-defined
+    /// distribution ([`Dist::check`]) or a parameter outside its
+    /// method's rule ([`check_samples`], [`check_sprt`],
+    /// [`check_chernoff`], [`check_bayes`]). The error names the
+    /// parameters at fault and says what is wrong. Queries that do not
+    /// sample pass: their parameters are checked when they run.
+    pub fn check_smc(&self) -> Result<(), (&'static str, String)> {
+        let (smc, rule) = match *self {
+            Query::Estimate { ref smc, method } => (
+                smc,
+                match method {
+                    EstimateMethod::Fixed { n } => check_samples("n", n),
+                    EstimateMethod::Chernoff { eps, delta } => check_chernoff(eps, delta),
+                    EstimateMethod::Bayes {
+                        half_width,
+                        confidence,
+                        max_samples,
+                    } => check_bayes(half_width, confidence)
+                        .and(check_samples("max_samples", max_samples)),
+                },
+            ),
+            Query::Sprt {
+                ref smc,
+                theta,
+                indiff,
+                alpha,
+                beta,
+                max_samples,
+            } => (
+                smc,
+                check_sprt(theta, indiff, alpha, beta)
+                    .and(check_samples("max_samples", max_samples)),
+            ),
+            Query::Robustness { ref smc, samples } => (smc, check_samples("samples", samples)),
+            _ => return Ok(()),
+        };
+        rule?;
+        let params = smc.params.iter().map(|(_, d)| d);
+        smc.init.iter().chain(params).try_for_each(Dist::check)
     }
 
     /// The discriminant, carried on every [`Report`](crate::Report).

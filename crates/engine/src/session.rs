@@ -5,7 +5,7 @@ use crate::calibrate::{self, CalibrationProblem};
 use crate::error::Error;
 use crate::exec_smc::{Sampling, SmcOutcome};
 use crate::falsify::{self, FalsificationOutcome};
-use crate::query::{push_bltl, push_smc, EstimateMethod, Query, QueryKind, SmcSpec};
+use crate::query::{push_bltl, push_smc, Query, QueryKind, SmcSpec};
 use crate::report::{Outcome, Provenance, Report, Value};
 use crate::stability;
 use crate::therapy;
@@ -436,7 +436,6 @@ impl Session {
                 detail: format!("must be finite and positive, got {}", smc.t_end),
             });
         }
-        validate_dists(smc)?;
         let mut key = String::new();
         push_smc(&mut key, cx, smc);
         let mut plan_key = String::new();
@@ -611,9 +610,11 @@ impl Session {
             deadline,
             parallel,
         };
+        query
+            .check_smc()
+            .map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
         match query {
             Query::Estimate { smc, method } => {
-                validate_method(method)?;
                 let sampler = self.timed_sampler(smc, budget, compile)?;
                 let out = sampling(&sampler).estimate(*method);
                 Ok(self.smc_report(query.kind(), seed, out))
@@ -626,37 +627,11 @@ impl Session {
                 beta,
                 max_samples,
             } => {
-                if !(theta - indiff > 0.0 && theta + indiff < 1.0) {
-                    return Err(Error::InvalidParameter {
-                        what: "theta/indiff",
-                        detail: format!(
-                            "theta ± indiff must stay inside (0, 1), got {theta} ± {indiff}"
-                        ),
-                    });
-                }
-                if !(*alpha > 0.0 && *alpha < 1.0 && *beta > 0.0 && *beta < 1.0) {
-                    return Err(Error::InvalidParameter {
-                        what: "alpha/beta",
-                        detail: format!("need alpha, beta in (0, 1), got {alpha}, {beta}"),
-                    });
-                }
-                if *max_samples == 0 {
-                    return Err(Error::InvalidParameter {
-                        what: "max_samples",
-                        detail: "a sequential test needs a positive cap".into(),
-                    });
-                }
                 let sampler = self.timed_sampler(smc, budget, compile)?;
                 let out = sampling(&sampler).sprt(*theta, *indiff, *alpha, *beta, *max_samples);
                 Ok(self.smc_report(query.kind(), seed, out))
             }
             Query::Robustness { smc, samples } => {
-                if *samples == 0 {
-                    return Err(Error::InvalidParameter {
-                        what: "samples",
-                        detail: "robustness needs at least one sample".into(),
-                    });
-                }
                 let sampler = self.timed_sampler(smc, budget, compile)?;
                 let out = sampling(&sampler).robustness(*samples);
                 Ok(self.smc_report(query.kind(), seed, out))
@@ -800,63 +775,6 @@ fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
             expected: dim,
             got: opts.state_bounds.len(),
         });
-    }
-    Ok(())
-}
-
-/// Rejects ill-defined distributions before any sample draws from them
-/// (see [`biocheck_smc::Dist::check`]).
-fn validate_dists(smc: &SmcSpec) -> Result<(), Error> {
-    let dists = smc.init.iter().chain(smc.params.iter().map(|(_, d)| d));
-    for d in dists {
-        d.check()
-            .map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
-    }
-    Ok(())
-}
-
-fn validate_method(method: &EstimateMethod) -> Result<(), Error> {
-    match *method {
-        EstimateMethod::Fixed { n } => {
-            if n == 0 {
-                return Err(Error::InvalidParameter {
-                    what: "n",
-                    detail: "estimate needs at least one sample".into(),
-                });
-            }
-        }
-        EstimateMethod::Chernoff { eps, delta } => {
-            if !(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) {
-                return Err(Error::InvalidParameter {
-                    what: "eps/delta",
-                    detail: format!("need eps, delta in (0, 1), got {eps}, {delta}"),
-                });
-            }
-        }
-        EstimateMethod::Bayes {
-            half_width,
-            confidence,
-            max_samples,
-        } => {
-            if !(half_width > 0.0 && half_width < 0.5) {
-                return Err(Error::InvalidParameter {
-                    what: "half_width",
-                    detail: format!("need half_width in (0, 0.5), got {half_width}"),
-                });
-            }
-            if !(confidence > 0.5 && confidence < 1.0) {
-                return Err(Error::InvalidParameter {
-                    what: "confidence",
-                    detail: format!("need confidence in (0.5, 1), got {confidence}"),
-                });
-            }
-            if max_samples == 0 {
-                return Err(Error::InvalidParameter {
-                    what: "max_samples",
-                    detail: "adaptive estimation needs a positive cap".into(),
-                });
-            }
-        }
     }
     Ok(())
 }

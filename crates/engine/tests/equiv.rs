@@ -1,17 +1,20 @@
-//! The engine's budgeted lane streams must reproduce the
-//! `biocheck_smc` free functions bit-for-bit on every method — the
-//! proof that the API redesign changed no numbers.
+//! The engine's budgeted lane streams must reproduce the sequential
+//! `biocheck_smc` references (`seq_*`: one scalar sample at a time)
+//! bit-for-bit on every method, at any seed and sample count — the
+//! proof that lanes, threads and budgets change no numbers. CI runs
+//! this suite at 1, 2 and 8 pool threads.
 
 mod cases;
 
 use biocheck_bltl::Bltl;
-use biocheck_engine::{EstimateMethod, Outcome, Query, Session, SmcSpec, Value};
+use biocheck_engine::{EstimateMethod, Outcome, Query, Report, Session, SmcSpec, Value};
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_ode::OdeSystem;
 use biocheck_smc::{
-    par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt, Dist, TraceSampler,
+    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, Dist, Estimate, TraceSampler,
 };
 use cases::{cardiac_case, prostate_case, radiation_case};
+use proptest::prelude::*;
 
 fn decay() -> (Context, OdeSystem, Bltl) {
     let mut cx = Context::new();
@@ -42,101 +45,84 @@ fn setup() -> (Session, TraceSampler, SmcSpec) {
     (Session::from_parts(cx, sys), sampler, spec)
 }
 
-#[test]
-fn estimate_matches_par_estimate() {
-    let (session, sampler, spec) = setup();
-    for seed in [1u64, 42, 2020] {
-        let report = session
-            .query(Query::Estimate {
-                smc: spec.clone(),
-                method: EstimateMethod::Fixed { n: 300 },
-            })
-            .seed(seed)
-            .run()
-            .unwrap();
-        assert_eq!(report.outcome, Outcome::Complete);
-        let Value::Estimate(e) = &report.value else {
-            panic!("estimate expected")
-        };
-        let reference = par_estimate(&sampler, seed, 300);
-        assert_eq!(e.p_hat.to_bits(), reference.to_bits(), "seed {seed}");
-        assert_eq!(e.samples, 300);
-    }
+/// Runs one query of the decay setup at `seed`.
+fn run(session: &Session, query: Query, seed: u64) -> Report {
+    session.query(query).seed(seed).run().unwrap()
 }
 
-#[test]
-fn chernoff_matches_par_chernoff() {
-    let (session, sampler, spec) = setup();
-    let report = session
-        .query(Query::Estimate {
-            smc: spec,
-            method: EstimateMethod::Chernoff {
-                eps: 0.15,
-                delta: 0.2,
-            },
-        })
-        .seed(9)
-        .run()
-        .unwrap();
-    let Value::Estimate(e) = &report.value else {
+fn estimate_of(report: &Report) -> Estimate {
+    let Value::Estimate(e) = report.value else {
         panic!("estimate expected")
     };
-    let reference = par_chernoff_estimate(&sampler, 9, 0.15, 0.2);
-    assert_eq!(e.p_hat.to_bits(), reference.p_hat.to_bits());
-    assert_eq!(e.samples, reference.samples);
-    assert_eq!(e.half_width, reference.half_width);
-    assert_eq!(e.confidence, reference.confidence);
+    e
 }
 
-#[test]
-fn sprt_matches_par_sprt() {
-    let (session, sampler, spec) = setup();
-    for seed in [3u64, 11] {
-        let report = session
-            .query(Query::Sprt {
-                smc: spec.clone(),
-                theta: 0.8,
-                indiff: 0.05,
-                alpha: 0.05,
-                beta: 0.05,
-                max_samples: 10_000,
-            })
-            .seed(seed)
-            .run()
-            .unwrap();
-        let Value::Sprt(r) = &report.value else {
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn fixed_estimate_equals_seq_estimate(seed in 0..u64::MAX / 2, n in 1..300usize) {
+        let (session, sampler, spec) = setup();
+        let method = EstimateMethod::Fixed { n };
+        let report = run(&session, Query::Estimate { smc: spec, method }, seed);
+        prop_assert_eq!(report.outcome, Outcome::Complete);
+        let e = estimate_of(&report);
+        let want = seq_estimate(&sampler, seed, n);
+        prop_assert_eq!(e.p_hat.to_bits(), want.to_bits(), "seed {} n {}", seed, n);
+        prop_assert_eq!(e.samples, n);
+    }
+
+    #[test]
+    fn chernoff_estimate_equals_seq_chernoff_estimate(seed in 0..u64::MAX / 2) {
+        let (session, sampler, spec) = setup();
+        let method = EstimateMethod::Chernoff { eps: 0.15, delta: 0.2 };
+        let e = estimate_of(&run(&session, Query::Estimate { smc: spec, method }, seed));
+        let want = seq_chernoff_estimate(&sampler, seed, 0.15, 0.2);
+        prop_assert_eq!(e.p_hat.to_bits(), want.p_hat.to_bits(), "seed {}", seed);
+        prop_assert_eq!(e.samples, want.samples);
+        prop_assert_eq!(e.half_width.to_bits(), want.half_width.to_bits());
+        prop_assert_eq!(e.confidence.to_bits(), want.confidence.to_bits());
+    }
+
+    /// Caps from 16 up leave some runs undecided. An undecided run
+    /// zeroes its half-width and confidence at the session, so those
+    /// are compared only for decided runs.
+    #[test]
+    fn bayes_estimate_equals_seq_bayes_estimate(seed in 0..u64::MAX / 2, cap in 16..200usize) {
+        let (session, sampler, spec) = setup();
+        let method = EstimateMethod::Bayes { half_width: 0.09, confidence: 0.9, max_samples: cap };
+        let e = estimate_of(&run(&session, Query::Estimate { smc: spec, method }, seed));
+        let want = seq_bayes_estimate(&sampler, seed, 0.09, 0.9, cap);
+        prop_assert_eq!(e.p_hat.to_bits(), want.p_hat.to_bits(), "seed {} cap {}", seed, cap);
+        prop_assert_eq!(e.samples, want.samples, "seed {} cap {}", seed, cap);
+        if want.samples < cap {
+            prop_assert_eq!(e.half_width.to_bits(), want.half_width.to_bits());
+            prop_assert_eq!(e.confidence.to_bits(), want.confidence.to_bits());
+        }
+    }
+
+    /// p ≈ 0.5 against θ = 0.8: most runs accept H₁ within the cap, the
+    /// shortest caps leave some inconclusive.
+    #[test]
+    fn sprt_equals_seq_sprt(seed in 0..u64::MAX / 2, cap in 1..60usize) {
+        let (session, sampler, spec) = setup();
+        let query = Query::Sprt {
+            smc: spec,
+            theta: 0.8,
+            indiff: 0.05,
+            alpha: 0.05,
+            beta: 0.05,
+            max_samples: cap,
+        };
+        let report = run(&session, query, seed);
+        let Value::Sprt(r) = report.value else {
             panic!("sprt expected")
         };
-        let reference = par_sprt(&sampler, seed, 0.8, 0.05, 0.05, 0.05, 10_000);
-        assert_eq!(r.outcome, reference.outcome, "seed {seed}");
-        assert_eq!(r.samples, reference.samples, "seed {seed}");
-        assert_eq!(r.p_hat.to_bits(), reference.p_hat.to_bits(), "seed {seed}");
-        assert_eq!(report.provenance.samples, reference.samples);
-    }
-}
-
-#[test]
-fn bayes_matches_par_bayes() {
-    let (session, sampler, spec) = setup();
-    for seed in [4u64, 19] {
-        let report = session
-            .query(Query::Estimate {
-                smc: spec.clone(),
-                method: EstimateMethod::Bayes {
-                    half_width: 0.08,
-                    confidence: 0.9,
-                    max_samples: 5_000,
-                },
-            })
-            .seed(seed)
-            .run()
-            .unwrap();
-        let Value::Estimate(e) = &report.value else {
-            panic!("estimate expected")
-        };
-        let reference = par_bayes_estimate(&sampler, seed, 0.08, 0.9, 5_000);
-        assert_eq!(e.p_hat.to_bits(), reference.p_hat.to_bits(), "seed {seed}");
-        assert_eq!(e.samples, reference.samples, "seed {seed}");
+        let want = seq_sprt(&sampler, seed, 0.8, 0.05, 0.05, 0.05, cap);
+        prop_assert_eq!(r.outcome, want.outcome, "seed {} cap {}", seed, cap);
+        prop_assert_eq!(r.samples, want.samples, "seed {} cap {}", seed, cap);
+        prop_assert_eq!(r.p_hat.to_bits(), want.p_hat.to_bits());
+        prop_assert_eq!(report.provenance.samples, want.samples);
     }
 }
 

@@ -244,15 +244,6 @@ fn finite(v: f64, what: &str) -> Result<f64, String> {
     }
 }
 
-/// An error level: strictly between 0 and 1.
-fn error_level(v: f64, what: &str) -> Result<f64, String> {
-    if v > 0.0 && v < 1.0 {
-        Ok(v)
-    } else {
-        Err(format!("{what} must lie in (0, 1), got {v}"))
-    }
-}
-
 fn rel_name(rel: RelOp) -> &'static str {
     match rel {
         RelOp::Gt => "gt",
@@ -440,19 +431,14 @@ pub enum DistSpec {
 }
 
 impl DistSpec {
-    /// The distribution, refused by the same [`Dist::check`] a `Session`
-    /// applies, so an ill-defined one is an `invalid_request` here
-    /// rather than a `query_error` later.
-    fn build(&self) -> Result<Dist, String> {
-        let d = match *self {
+    /// The distribution ([`QuerySpec::build`] checks it).
+    fn build(&self) -> Dist {
+        match *self {
             DistSpec::Point(v) => Dist::Point(v),
             DistSpec::Uniform(lo, hi) => Dist::Uniform(lo, hi),
             DistSpec::Normal { mean, sd } => Dist::Normal { mean, sd },
             DistSpec::LogNormal { mu, sigma } => Dist::LogNormal { mu, sigma },
-        };
-        d.check()
-            .map_err(|(what, detail)| format!("{what}: {detail}"))?;
-        Ok(d)
+        }
     }
 
     fn to_json(self) -> Json {
@@ -520,15 +506,11 @@ impl SmcSpecWire {
                 let vid = cx
                     .var_id(name)
                     .ok_or_else(|| format!("unknown parameter {name:?}"))?;
-                Ok((vid, d.build()?))
+                Ok((vid, d.build()))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(SmcSpec {
-            init: self
-                .init
-                .iter()
-                .map(DistSpec::build)
-                .collect::<Result<Vec<_>, _>>()?,
+            init: self.init.iter().map(DistSpec::build).collect(),
             params,
             property: self.property.build(cx)?,
             t_end: finite(self.t_end, "t_end")?,
@@ -769,9 +751,12 @@ impl QuerySpec {
     }
 
     /// Lowers the wire form into an engine [`Query`], parsing every
-    /// expression into `cx` (the target model's context).
+    /// expression into `cx` (the target model's context). Distributions
+    /// and SMC parameters are refused by the same [`Query::check_smc`] a
+    /// `Session` applies, so an ill-defined or out-of-range one is an
+    /// `invalid_request` here rather than a `query_error` later.
     pub fn build(&self, cx: &mut Context) -> Result<Query, String> {
-        Ok(match self {
+        let query = match self {
             QuerySpec::Estimate { smc, method } => Query::Estimate {
                 smc: smc.build(cx)?,
                 method: method.build(),
@@ -787,12 +772,9 @@ impl QuerySpec {
                 smc: smc.build(cx)?,
                 theta: finite(*theta, "theta")?,
                 indiff: finite(*indiff, "indiff")?,
-                alpha: error_level(*alpha, "alpha")?,
-                beta: error_level(*beta, "beta")?,
-                max_samples: match *max_samples {
-                    0 => return Err("sprt max_samples must be positive".into()),
-                    n => n,
-                },
+                alpha: *alpha,
+                beta: *beta,
+                max_samples: *max_samples,
             },
             QuerySpec::Robustness { smc, samples } => Query::Robustness {
                 smc: smc.build(cx)?,
@@ -843,7 +825,11 @@ impl QuerySpec {
                     property: None,
                 }
             }
-        })
+        };
+        query
+            .check_smc()
+            .map_err(|(what, detail)| format!("{what}: {detail}"))?;
+        Ok(query)
     }
 
     fn to_json(&self) -> Json {

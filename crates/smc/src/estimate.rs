@@ -1,4 +1,79 @@
-//! Sequential and fixed-sample statistical tests.
+//! Sequential and fixed-sample statistical tests, and the parameter
+//! rule of each.
+
+/// Refuses a sample count or cap of zero: every method needs at least
+/// one sample. `what` names the count (`"n"`, `"samples"`,
+/// `"max_samples"`).
+pub fn check_samples(what: &'static str, n: usize) -> Result<(), (&'static str, String)> {
+    if n > 0 {
+        Ok(())
+    } else {
+        Err((what, "need at least one sample, got 0".into()))
+    }
+}
+
+/// The SPRT's rule: `θ ± δ` inside (0, 1), so both hypotheses are
+/// proper Bernoulli parameters, and both error levels in (0, 1) (with
+/// α = 2 the `H₁` threshold is negative and the first sample decides).
+pub fn check_sprt(
+    theta: f64,
+    indiff: f64,
+    alpha: f64,
+    beta: f64,
+) -> Result<(), (&'static str, String)> {
+    if !(theta - indiff > 0.0 && theta + indiff < 1.0) {
+        return Err((
+            "theta/indiff",
+            format!("theta ± indiff must stay inside (0, 1), got {theta} ± {indiff}"),
+        ));
+    }
+    if !(alpha > 0.0 && alpha < 1.0 && beta > 0.0 && beta < 1.0) {
+        return Err((
+            "alpha/beta",
+            format!("error levels must lie in (0, 1), got {alpha}, {beta}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The Chernoff–Hoeffding rule: the error bound ε and the failure
+/// probability δ both in (0, 1).
+pub fn check_chernoff(eps: f64, delta: f64) -> Result<(), (&'static str, String)> {
+    if eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0 {
+        Ok(())
+    } else {
+        Err((
+            "eps/delta",
+            format!("need eps, delta in (0, 1), got {eps}, {delta}"),
+        ))
+    }
+}
+
+/// The Bayesian estimator's rule: a half-width in (0, 0.5) and a
+/// confidence in (0.5, 1).
+pub fn check_bayes(half_width: f64, confidence: f64) -> Result<(), (&'static str, String)> {
+    if !(half_width > 0.0 && half_width < 0.5) {
+        return Err((
+            "half_width",
+            format!("need half_width in (0, 0.5), got {half_width}"),
+        ));
+    }
+    if !(confidence > 0.5 && confidence < 1.0) {
+        return Err((
+            "confidence",
+            format!("need confidence in (0.5, 1), got {confidence}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Panics with the message of a refused parameter.
+#[track_caller]
+pub(crate) fn require(check: Result<(), (&'static str, String)>) {
+    if let Err((what, detail)) = check {
+        panic!("{what}: {detail}");
+    }
+}
 
 /// Outcome of the SPRT.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -44,19 +119,11 @@ impl SprtState {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate arguments (`θ ± δ` or an error level
-    /// outside `(0,1)`).
+    /// Panics on arguments [`check_sprt`] refuses.
     pub fn new(theta: f64, indiff: f64, alpha: f64, beta: f64) -> SprtState {
+        require(check_sprt(theta, indiff, alpha, beta));
         let p0 = theta + indiff; // boundary of H0
         let p1 = theta - indiff; // boundary of H1
-        assert!(
-            p1 > 0.0 && p0 < 1.0,
-            "theta ± indiff must stay inside (0, 1)"
-        );
-        assert!(
-            alpha > 0.0 && alpha < 1.0 && beta > 0.0 && beta < 1.0,
-            "error levels must lie in (0, 1)"
-        );
         SprtState {
             llr: 0.0,
             hits: 0,
@@ -114,8 +181,7 @@ impl SprtState {
 ///
 /// # Panics
 ///
-/// Panics on degenerate arguments (`θ ± δ` or an error level outside
-/// `(0,1)`).
+/// Panics on arguments [`check_sprt`] refuses.
 pub fn sprt<F: FnMut() -> bool>(
     mut sample: F,
     theta: f64,
@@ -152,10 +218,9 @@ pub struct Estimate {
 ///
 /// # Panics
 ///
-/// Panics unless `0 < eps < 1` and `0 < delta < 1`.
+/// Panics on arguments [`check_chernoff`] refuses.
 pub fn chernoff_sample_size(eps: f64, delta: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps in (0,1)");
-    assert!(delta > 0.0 && delta < 1.0, "delta in (0,1)");
+    require(check_chernoff(eps, delta));
     ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize
 }
 
@@ -163,7 +228,7 @@ pub fn chernoff_sample_size(eps: f64, delta: f64) -> usize {
 ///
 /// # Panics
 ///
-/// Panics unless `0 < eps < 1` and `0 < delta < 1`.
+/// Panics on arguments [`check_chernoff`] refuses.
 pub fn chernoff_estimate<F: FnMut() -> bool>(mut sample: F, eps: f64, delta: f64) -> Estimate {
     let n = chernoff_sample_size(eps, delta);
     let mut hits = 0usize;
@@ -201,16 +266,9 @@ impl BayesState {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range arguments.
+    /// Panics on arguments [`check_bayes`] refuses.
     pub fn new(half_width: f64, confidence: f64) -> BayesState {
-        assert!(
-            half_width > 0.0 && half_width < 0.5,
-            "half_width in (0, 0.5)"
-        );
-        assert!(
-            confidence > 0.5 && confidence < 1.0,
-            "confidence in (0.5, 1)"
-        );
+        require(check_bayes(half_width, confidence));
         BayesState {
             a: 1.0,
             b: 1.0,
@@ -270,7 +328,7 @@ impl BayesState {
 ///
 /// # Panics
 ///
-/// Panics on out-of-range arguments.
+/// Panics on arguments [`check_bayes`] refuses.
 pub fn bayes_estimate<F: FnMut() -> bool>(
     mut sample: F,
     half_width: f64,

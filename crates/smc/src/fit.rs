@@ -2,12 +2,14 @@
 //! property satisfaction (the paper's SMC calibration strategy — equip a
 //! parameter-search loop with an SMC-based evaluation method).
 
-use crate::sampler::Dist;
-use biocheck_bltl::{Bltl, Monitor};
+use crate::estimate::{check_samples, require};
+use crate::sampler::{Dist, SampleScratch, TraceSampler};
+use biocheck_bltl::{Bltl, CompiledBltl};
 use biocheck_expr::{tanh, Context, VarId};
 use biocheck_interval::Interval;
-use biocheck_ode::{DormandPrince, OdeSystem};
+use biocheck_ode::{CompiledOde, OdeSystem};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Result of a parameter fit.
 #[derive(Clone, Debug)]
@@ -23,15 +25,21 @@ pub struct FitResult {
 /// Simulated-annealing parameter search where a candidate's objective is
 /// the SMC-estimated satisfaction probability (optionally smoothed by
 /// average robustness) of a BLTL property over random initial states.
+///
+/// The right-hand side and the property's streaming monitor compile
+/// once, in [`SmcFit::new`]; each candidate is a [`TraceSampler`] over
+/// them with every parameter a [`Dist::Point`], and its samples run
+/// through the fused sample body.
 pub struct SmcFit {
     cx: Context,
-    sys: OdeSystem,
+    ode: Arc<CompiledOde>,
+    plan: CompiledBltl,
     init: Vec<Dist>,
     param_vars: Vec<VarId>,
     param_ranges: Vec<Interval>,
     property: Bltl,
     t_end: f64,
-    /// Samples per objective evaluation.
+    /// Samples per objective evaluation (at least one).
     pub samples_per_eval: usize,
     /// Annealing iterations.
     pub iterations: usize,
@@ -46,7 +54,7 @@ impl SmcFit {
     ///
     /// # Panics
     ///
-    /// Panics when lengths disagree.
+    /// Panics when lengths disagree or there is no parameter to fit.
     pub fn new(
         cx: Context,
         sys: OdeSystem,
@@ -58,9 +66,11 @@ impl SmcFit {
     ) -> SmcFit {
         assert_eq!(init.len(), sys.dim(), "one init distribution per state");
         assert_eq!(param_vars.len(), param_ranges.len(), "ranges per param");
+        assert!(!param_vars.is_empty(), "SmcFit needs a parameter to fit");
         SmcFit {
+            ode: Arc::new(sys.compile(&cx)),
+            plan: CompiledBltl::compile(&cx, &sys.states, &property),
             cx,
-            sys,
             init,
             param_vars,
             param_ranges,
@@ -74,29 +84,31 @@ impl SmcFit {
     }
 
     /// Objective at a parameter point.
-    fn score<R: Rng + ?Sized>(&self, rng: &mut R, params: &[f64]) -> f64 {
-        let ode = self.sys.compile(&self.cx);
-        let integrator = DormandPrince::with_tolerances(1e-6, 1e-8);
-        let mut env = vec![0.0; self.cx.num_vars()];
-        for (&v, &p) in self.param_vars.iter().zip(params) {
-            env[v.index()] = p;
-        }
+    fn score<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut SampleScratch,
+        params: &[f64],
+    ) -> f64 {
+        let points = self.param_vars.iter().zip(params);
+        let sampler = TraceSampler::from_artifacts(
+            self.cx.clone(),
+            Arc::clone(&self.ode),
+            self.plan.clone(),
+            self.init.clone(),
+            points.map(|(&v, &p)| (v, Dist::Point(p))).collect(),
+            self.property.clone(),
+            self.t_end,
+        );
         let mut hits = 0usize;
         let mut rob_sum = 0.0;
         for _ in 0..self.samples_per_eval {
-            let y0: Vec<f64> = self.init.iter().map(|d| d.sample(rng)).collect();
-            match integrator.integrate(&ode, &env, &y0, (0.0, self.t_end)) {
-                Ok(trace) => {
-                    let mut mon = Monitor::new(&self.cx, &self.sys.states).with_env(env.clone());
-                    if mon.check(&self.property, &trace) {
-                        hits += 1;
-                    }
-                    let rob = mon.robustness(&self.property, &trace);
-                    if rob.is_finite() {
-                        rob_sum += tanh(rob);
-                    }
-                }
-                Err(_) => rob_sum -= 1.0,
+            let (sat, rob) = sampler.sample_robustness_with(rng, scratch);
+            hits += sat as usize;
+            // A failed simulation reads −∞ and scores tanh(−∞) = −1;
+            // any other non-finite robustness is skipped.
+            if rob.is_finite() || rob == f64::NEG_INFINITY {
+                rob_sum += tanh(rob);
             }
         }
         let n = self.samples_per_eval as f64;
@@ -104,14 +116,20 @@ impl SmcFit {
     }
 
     /// Runs the annealing search.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples_per_eval` is 0.
     pub fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> FitResult {
+        require(check_samples("samples_per_eval", self.samples_per_eval));
+        let mut scratch = SampleScratch::new();
         let dims = self.param_ranges.len();
         let mut cur: Vec<f64> = self
             .param_ranges
             .iter()
             .map(|r| rng.gen_range(r.lo()..=r.hi()))
             .collect();
-        let mut cur_score = self.score(rng, &cur);
+        let mut cur_score = self.score(rng, &mut scratch, &cur);
         let mut best = cur.clone();
         let mut best_score = cur_score;
         let mut sims = self.samples_per_eval;
@@ -123,7 +141,7 @@ impl SmcFit {
             let w = self.param_ranges[d].width();
             let step = w * temp * (rng.gen::<f64>() - 0.5);
             cand[d] = (cand[d] + step).clamp(self.param_ranges[d].lo(), self.param_ranges[d].hi());
-            let cand_score = self.score(rng, &cand);
+            let cand_score = self.score(rng, &mut scratch, &cand);
             sims += self.samples_per_eval;
             let accept = cand_score >= cur_score
                 || rng.gen::<f64>() < ((cand_score - cur_score) / temp).exp();
@@ -238,22 +256,49 @@ mod tests {
     /// Pins `(params[0], score, simulations)` of four fits bit for bit.
     #[test]
     fn fit_results_are_pinned() {
-        let cases = [
-            (decay_rate_fit(), 11, 0x3ff0960a8f5b2b85u64, 0x3ff00a17f4b216ebu64),
-            (decay_rate_fit(), 2020, 0x3ff08729c2ff6fe4, 0x3ff009da9724684c),
-            (decay_to_threshold(), 5, 0x4008000000000000, 0x3ff083d2a03fa24d),
-            (blowup(), 3, 0x3fd2613621e80956, 0x3fe613030bc2faf9),
+        let fits = [
+            (decay_rate_fit(), 11),
+            (decay_rate_fit(), 2020),
+            (decay_to_threshold(), 5),
+            (blowup(), 3),
         ];
-        for (fit, seed, k, score) in cases {
+        let pins = [
+            "3ff0960a8f5b2b85 3ff00a17f4b216eb 2904",
+            "3ff08729c2ff6fe4 3ff009da9724684c 2904",
+            "4008000000000000 3ff083d2a03fa24d 2904",
+            "3fd2613621e80956 3fe613030bc2faf9 2904",
+        ];
+        for ((fit, seed), want) in fits.into_iter().zip(pins) {
             let r = fit.run(&mut StdRng::seed_from_u64(seed));
-            assert_eq!(
-                (r.params[0].to_bits(), r.score.to_bits(), r.simulations),
-                (k, score, 2904),
-                "seed {seed}: k = {}, score = {}",
-                r.params[0],
-                r.score
+            let (k, score) = (r.params[0], r.score);
+            let got = format!(
+                "{:016x} {:016x} {}",
+                k.to_bits(),
+                score.to_bits(),
+                r.simulations
             );
+            assert_eq!(got, want, "seed {seed}: k = {k}, score = {score}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "samples_per_eval: need at least one sample")]
+    fn zero_samples_per_eval_is_refused() {
+        let mut fit = decay_rate_fit();
+        fit.samples_per_eval = 0;
+        fit.run(&mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "SmcFit needs a parameter to fit")]
+    fn a_fit_without_parameters_is_refused() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let rhs = cx.parse("-x").unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        let e = cx.parse("x - 1").unwrap();
+        let prop = Bltl::eventually(1.0, Bltl::Prop(Atom::new(e, RelOp::Ge)));
+        SmcFit::new(cx, sys, vec![Dist::Point(1.0)], vec![], vec![], prop, 1.0);
     }
 
     #[test]

@@ -26,19 +26,23 @@
 //!   decision: up to one sampler per pool thread, each claiming the next
 //!   index as a lane frees up, with finished samples reordered so the
 //!   query's rule consumes them in index order.
-//! * [`par_estimate`] / [`par_chernoff_estimate`] / [`par_sprt`] /
-//!   [`par_bayes_estimate`] — deterministic parallel forms: per-sample
-//!   RNGs forked from a master seed, every rule fed one stream in index
-//!   order, so every parallel result is bit-for-bit the sequential one.
+//! * [`seq_estimate`] / [`seq_chernoff_estimate`] / [`seq_sprt`] /
+//!   [`seq_bayes_estimate`] — the sequential references: one scalar
+//!   sample at a time from the per-sample RNGs [`fork_rng`] forks off a
+//!   master seed, so a lane stream on any number of threads must give
+//!   the same bits.
+//! * [`check_samples`] / [`check_sprt`] / [`check_chernoff`] /
+//!   [`check_bayes`] — each method's parameter rule, written once: the
+//!   estimators assert it and front-ends refuse a request with it.
 //! * [`SmcFit`] — SMC-driven parameter estimation: simulated-annealing
 //!   search scored by satisfaction probability (or mean robustness), the
-//!   strategy of the paper's SMC calibration line of work.
+//!   strategy of the paper's SMC calibration line of work. Each
+//!   candidate samples through the fused sample body.
 //!
-//! The free functions here are the low-level deterministic primitives.
-//! Application code should prefer the `biocheck_engine` crate's
-//! `Session`/`Query` front-end, which caches compiled artifacts across
-//! queries and adds budgets and cooperative cancellation on top of the
-//! same primitives.
+//! The `biocheck_engine` crate's `Session`/`Query` front-end is the one
+//! parallel driver: it caches compiled artifacts across queries and runs
+//! each query's rule over one [`LaneStream`] with a budget and
+//! cooperative cancellation. Application code should use it.
 
 mod estimate;
 mod fit;
@@ -47,13 +51,12 @@ mod sampler;
 mod stream;
 
 pub use estimate::{
-    bayes_estimate, chernoff_estimate, chernoff_sample_size, sprt, BayesState, Estimate,
-    SprtOutcome, SprtResult, SprtState,
+    bayes_estimate, check_bayes, check_chernoff, check_samples, check_sprt, chernoff_estimate,
+    chernoff_sample_size, sprt, BayesState, Estimate, SprtOutcome, SprtResult, SprtState,
 };
 pub use fit::{FitResult, SmcFit};
 pub use parallel::{
-    fork_rng, fork_seed, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
-    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
+    fork_rng, fork_seed, seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt,
 };
 pub use sampler::{Dist, SampleOutcome, SampleScratch, SampleStats, TraceSampler, LANES};
 pub use stream::LaneStream;

@@ -282,19 +282,12 @@ impl TraceSampler {
         }
     }
 
-    /// Draws one Bernoulli sample: simulate a random instantiation and
-    /// return whether the property holds (failed simulations count as
-    /// violations — the conservative reading).
-    ///
-    /// Allocates a fresh [`SampleScratch`] per call; hot loops should
-    /// hold one and use [`TraceSampler::sample_with`].
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.sample_with(rng, &mut self.scratch())
-    }
-
-    /// Fused simulate-and-monitor Bernoulli sample through a reused
-    /// scratch: integration stops the moment the streaming verdict
-    /// decides, and the steady-state loop is allocation-free.
+    /// Draws one Bernoulli sample: simulates a random instantiation and
+    /// returns whether the property holds (failed simulations count as
+    /// violations — the conservative reading). Fused simulate-and-monitor
+    /// through a reused scratch: integration stops the moment the
+    /// streaming verdict decides, and the steady-state loop is
+    /// allocation-free.
     pub fn sample_with<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut SampleScratch) -> bool {
         self.sample_stats_with(rng, scratch).sat
     }
@@ -329,15 +322,8 @@ impl TraceSampler {
         self.fuse_any(scratch, range_draw(seed, first), &mut Range::new(out), len);
     }
 
-    /// Draws one sample, returning `(satisfied, robustness)`.
-    ///
-    /// Allocates a fresh scratch; hot loops should use
-    /// [`TraceSampler::sample_robustness_with`].
-    pub fn sample_robustness<R: Rng + ?Sized>(&self, rng: &mut R) -> (bool, f64) {
-        self.sample_robustness_with(rng, &mut self.scratch())
-    }
-
-    /// Fused single-pass `(satisfied, robustness)` sample. Robustness
+    /// Fused single-pass `(satisfied, robustness)` sample; a failed
+    /// simulation is `(false, −∞)`. Robustness
     /// needs the whole horizon, so there is no early termination, but
     /// simulation and both semantics still run in one pass with no trace
     /// materialization and no steady-state allocation. The `K = 1`
@@ -444,24 +430,6 @@ impl TraceSampler {
             }
             Err(_) => (false, f64::NEG_INFINITY),
         }
-    }
-
-    /// Estimates the satisfaction probability with `n` simple samples
-    /// (one scratch reused across all of them).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`, like the other estimators.
-    pub fn estimate<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> f64 {
-        assert!(n > 0, "estimate needs at least one sample");
-        let mut scratch = self.scratch();
-        let mut hits = 0usize;
-        for _ in 0..n {
-            if self.sample_with(rng, &mut scratch) {
-                hits += 1;
-            }
-        }
-        hits as f64 / n as f64
     }
 }
 
@@ -670,6 +638,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq_estimate;
     use biocheck_expr::{Atom, RelOp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -727,16 +696,16 @@ mod tests {
     #[test]
     fn certain_property_samples_true() {
         let s = decay_sampler("0.2 - x", RelOp::Ge);
-        let mut rng = StdRng::seed_from_u64(42);
-        assert!((0..50).all(|_| s.sample(&mut rng)));
-        assert_eq!(s.estimate(&mut rng, 20), 1.0);
+        let (mut rng, mut scratch) = (StdRng::seed_from_u64(42), s.scratch());
+        assert!((0..50).all(|_| s.sample_with(&mut rng, &mut scratch)));
+        assert_eq!(seq_estimate(&s, 42, 20), 1.0);
     }
 
     #[test]
     fn impossible_property_samples_false() {
         let s = decay_sampler("x - 2", RelOp::Ge);
-        let mut rng = StdRng::seed_from_u64(42);
-        assert!((0..50).all(|_| !s.sample(&mut rng)));
+        let (mut rng, mut scratch) = (StdRng::seed_from_u64(42), s.scratch());
+        assert!((0..50).all(|_| !s.sample_with(&mut rng, &mut scratch)));
     }
 
     #[test]
@@ -750,23 +719,22 @@ mod tests {
         let e = cx.parse("x - 1").unwrap();
         let prop = Bltl::eventually(0.01, Bltl::Prop(Atom::new(e, RelOp::Ge)));
         let s = TraceSampler::new(cx, &sys, vec![Dist::Uniform(0.5, 1.5)], vec![], prop, 0.01);
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = s.estimate(&mut rng, 600);
+        let p = seq_estimate(&s, 3, 600);
         assert!((p - 0.5).abs() < 0.1, "p = {p}");
     }
 
     #[test]
-    #[should_panic(expected = "estimate needs at least one sample")]
+    #[should_panic(expected = "n: need at least one sample")]
     fn estimate_refuses_zero_samples() {
         let s = decay_sampler("0.2 - x", RelOp::Ge);
-        s.estimate(&mut StdRng::seed_from_u64(1), 0);
+        seq_estimate(&s, 1, 0);
     }
 
     #[test]
     fn robustness_reported() {
         let s = decay_sampler("0.2 - x", RelOp::Ge);
         let mut rng = StdRng::seed_from_u64(9);
-        let (sat, rob) = s.sample_robustness(&mut rng);
+        let (sat, rob) = s.sample_robustness_with(&mut rng, &mut s.scratch());
         assert!(sat && rob > 0.0);
     }
 }

@@ -1,22 +1,19 @@
-//! Property tests: parallel SMC with a fixed seed reproduces the
-//! sequential estimate bit-for-bit — sample count, verdict, and
-//! confidence interval — for arbitrary seeds and sample counts; and the
-//! fused simulate-and-monitor sample body (streaming monitor, early
-//! termination, scratch reuse) reproduces the offline
-//! integrate-then-monitor reference exactly; and the lockstep range
-//! entry points reproduce the scalar per-index samples bit-for-bit,
-//! also when several workers sample one query's lane stream together,
-//! and an adaptive stream runs at most `samplers × LANES` samples past
-//! its decision.
+//! Property tests: the fused simulate-and-monitor sample body
+//! (streaming monitor, early termination, scratch reuse) reproduces the
+//! offline integrate-then-monitor reference exactly; the lockstep range
+//! entry points reproduce the scalar per-index samples bit-for-bit, also
+//! when several workers sample one query's lane stream together; and an
+//! adaptive stream runs at most `samplers × LANES` samples past its
+//! decision. (`biocheck_engine`'s `tests/equiv.rs` holds every query
+//! method run through lane streams to the `seq_*` references.)
 
 use biocheck_bltl::Bltl;
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_models::{cardiac, prostate, radiation};
 use biocheck_ode::OdeSystem;
 use biocheck_smc::{
-    fork_rng, par_bayes_estimate, par_chernoff_estimate, par_estimate, par_sprt,
-    seq_bayes_estimate, seq_chernoff_estimate, seq_estimate, seq_sprt, BayesState, Dist,
-    SampleStats, SprtOutcome, SprtState, TraceSampler, LANES,
+    fork_rng, seq_bayes_estimate, seq_sprt, BayesState, Dist, SampleStats, SprtOutcome, SprtState,
+    TraceSampler, LANES,
 };
 use proptest::prelude::*;
 
@@ -310,47 +307,6 @@ fn a_panicking_sampler_halts_its_stream() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn estimate_parallel_equals_sequential(seed in 0..u64::MAX / 2, n in 1..200usize) {
-        let s = threshold_sampler();
-        let p_par = par_estimate(&s, seed, n);
-        let p_seq = seq_estimate(&s, seed, n);
-        prop_assert!(p_par.to_bits() == p_seq.to_bits(),
-            "seed {seed}, n {n}: {p_par} != {p_seq}");
-    }
-
-    #[test]
-    fn chernoff_parallel_equals_sequential(seed in 0..u64::MAX / 2) {
-        let s = threshold_sampler();
-        let a = par_chernoff_estimate(&s, seed, 0.15, 0.2);
-        let b = seq_chernoff_estimate(&s, seed, 0.15, 0.2);
-        prop_assert!(a.p_hat.to_bits() == b.p_hat.to_bits());
-        prop_assert!(a.samples == b.samples);
-        prop_assert!(a.half_width == b.half_width && a.confidence == b.confidence);
-    }
-
-    #[test]
-    fn bayes_parallel_equals_sequential(seed in 0..u64::MAX / 2) {
-        let s = threshold_sampler();
-        let a = par_bayes_estimate(&s, seed, 0.09, 0.9, 2_000);
-        let b = seq_bayes_estimate(&s, seed, 0.09, 0.9, 2_000);
-        prop_assert!(a.p_hat.to_bits() == b.p_hat.to_bits(),
-            "seed {seed}: {} != {}", a.p_hat, b.p_hat);
-        prop_assert!(a.samples == b.samples,
-            "seed {seed}: {} vs {} samples", a.samples, b.samples);
-    }
-
-    #[test]
-    fn sprt_parallel_equals_sequential(seed in 0..u64::MAX / 2) {
-        let s = threshold_sampler();
-        // p ≈ 0.5 against θ = 0.8: H1 accepted after a short run.
-        let a = par_sprt(&s, seed, 0.8, 0.05, 0.05, 0.05, 5_000);
-        let b = seq_sprt(&s, seed, 0.8, 0.05, 0.05, 0.05, 5_000);
-        prop_assert!(a.outcome == b.outcome, "seed {seed}");
-        prop_assert!(a.samples == b.samples, "seed {seed}: {} vs {}", a.samples, b.samples);
-        prop_assert!(a.p_hat.to_bits() == b.p_hat.to_bits());
-    }
 
     #[test]
     fn fused_sampling_equals_offline_reference(seed in 0..u64::MAX / 2, n in 1..40u64) {

@@ -77,8 +77,9 @@ fn calibrate_then_validate() {
         phi,
         5.0,
     );
-    let mut rng = StdRng::seed_from_u64(5);
-    let r = sprt(|| sampler.sample(&mut rng), 0.9, 0.05, 0.01, 0.01, 100_000);
+    let (mut rng, mut scratch) = (StdRng::seed_from_u64(5), sampler.scratch());
+    let sample = || sampler.sample_with(&mut rng, &mut scratch);
+    let r = sprt(sample, 0.9, 0.05, 0.01, 0.01, 100_000);
     assert_eq!(r.outcome, SprtOutcome::AcceptH0);
 }
 
