@@ -289,12 +289,13 @@ impl Query {
         s
     }
 
-    /// Refuses SMC parameters the query cannot run: an ill-defined
-    /// distribution ([`Dist::check`]) or a parameter outside its
-    /// method's rule ([`check_samples`], [`check_sprt`],
-    /// [`check_chernoff`], [`check_bayes`]). The error names the
-    /// parameters at fault and says what is wrong. Queries that do not
-    /// sample pass: their parameters are checked when they run.
+    /// Refuses SMC parameters the query cannot run: a parameter outside
+    /// its method's rule ([`check_samples`], [`check_sprt`],
+    /// [`check_chernoff`], [`check_bayes`]), a horizon that is not
+    /// finite and positive, or an ill-defined distribution
+    /// ([`Dist::check`]). The error names the parameters at fault and
+    /// says what is wrong. Queries that do not sample pass: their
+    /// parameters are checked when they run.
     pub fn check_smc(&self) -> Result<(), (&'static str, String)> {
         let (smc, rule) = match *self {
             Query::Estimate { ref smc, method } => (
@@ -326,6 +327,10 @@ impl Query {
             _ => return Ok(()),
         };
         rule?;
+        if !(smc.t_end.is_finite() && smc.t_end > 0.0) {
+            let detail = format!("must be finite and positive, got {}", smc.t_end);
+            return Err(("t_end", detail));
+        }
         let params = smc.params.iter().map(|(_, d)| d);
         smc.init.iter().chain(params).try_for_each(Dist::check)
     }

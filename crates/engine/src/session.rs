@@ -430,12 +430,6 @@ impl Session {
                 got: smc.init.len(),
             });
         }
-        if !(smc.t_end.is_finite() && smc.t_end > 0.0) {
-            return Err(Error::InvalidParameter {
-                what: "t_end",
-                detail: format!("must be finite and positive, got {}", smc.t_end),
-            });
-        }
         let mut key = String::new();
         push_smc(&mut key, cx, smc);
         let mut plan_key = String::new();

@@ -473,29 +473,46 @@ fn degenerate_sprt_requests_are_invalid() {
 }
 
 /// Every out-of-range SMC parameter is refused at the wire by the rule a
-/// `Session` applies: an `invalid_request`, not a `query_error` (all six
-/// used to pass the wire and come back from the engine).
+/// `Session` applies: an `invalid_request`. A negative indifference width
+/// used to run with its hypotheses swapped; each other case used to pass
+/// the wire and come back from the engine as a `query_error`.
 #[test]
 fn out_of_range_smc_parameters_are_invalid_requests() {
     let core = ServeCore::new(ServeConfig::default());
     core.register("decay", &decay_source()).unwrap();
     let smc = r#""smc":{"init":[{"dist":"uniform","lo":0.5,"hi":1.5}],"params":[],"property":{"type":"eventually","bound":0.01,"inner":{"type":"prop","expr":"x - 1","rel":"ge"}},"t_end":0.01}"#;
+    let zero_horizon = smc.replace(r#""t_end":0.01"#, r#""t_end":0"#);
     let estimate = |method: &str| format!(r#""type":"estimate","method":{method}"#);
-    for query in [
-        r#""type":"sprt","theta":0.99,"indiff":0.05,"alpha":0.05,"beta":0.05,"max_samples":1000"#
-            .to_string(),
-        estimate(r#"{"type":"chernoff","eps":0,"delta":0.05}"#),
-        estimate(r#"{"type":"bayes","half_width":0.05,"confidence":0.3,"max_samples":1000}"#),
-        estimate(r#"{"type":"bayes","half_width":0.05,"confidence":0.9,"max_samples":0}"#),
-        estimate(r#"{"type":"fixed","n":0}"#),
-        r#""type":"robustness","samples":0"#.to_string(),
+    for (query, smc) in [
+        (
+            r#""type":"sprt","theta":0.99,"indiff":0.05,"alpha":0.05,"beta":0.05,"max_samples":1000"#
+                .to_string(),
+            smc,
+        ),
+        (
+            r#""type":"sprt","theta":0.5,"indiff":-0.05,"alpha":0.05,"beta":0.05,"max_samples":1000"#
+                .to_string(),
+            smc,
+        ),
+        (estimate(r#"{"type":"chernoff","eps":0,"delta":0.05}"#), smc),
+        (
+            estimate(r#"{"type":"bayes","half_width":0.05,"confidence":0.3,"max_samples":1000}"#),
+            smc,
+        ),
+        (
+            estimate(r#"{"type":"bayes","half_width":0.05,"confidence":0.9,"max_samples":0}"#),
+            smc,
+        ),
+        (estimate(r#"{"type":"fixed","n":0}"#), smc),
+        (r#""type":"robustness","samples":0"#.to_string(), smc),
+        (estimate(r#"{"type":"fixed","n":8}"#), &zero_horizon),
     ] {
         let line =
             format!(r#"{{"op":"query","model":"decay","seed":1,"query":{{{query},{smc}}}}}"#);
         let (reply, _) = core.handle_line(&line);
         assert!(
             reply.contains(r#""kind":"invalid_request""#),
-            "{query}: {reply}"
+            "{query} {smc}: {reply}"
         );
     }
     assert_eq!(core.panic_count(), 0);

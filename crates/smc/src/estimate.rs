@@ -12,19 +12,21 @@ pub fn check_samples(what: &'static str, n: usize) -> Result<(), (&'static str, 
     }
 }
 
-/// The SPRT's rule: `θ ± δ` inside (0, 1), so both hypotheses are
-/// proper Bernoulli parameters, and both error levels in (0, 1) (with
-/// α = 2 the `H₁` threshold is negative and the first sample decides).
+/// The SPRT's rule: a positive indifference width δ with `θ ± δ` inside
+/// (0, 1), so both hypotheses are proper, disjoint Bernoulli parameters
+/// (with δ < 0 they swap and the test accepts the wrong one; with δ = 0
+/// it never decides), and both error levels in (0, 1) (with α = 2 the
+/// `H₁` threshold is negative and the first sample decides).
 pub fn check_sprt(
     theta: f64,
     indiff: f64,
     alpha: f64,
     beta: f64,
 ) -> Result<(), (&'static str, String)> {
-    if !(theta - indiff > 0.0 && theta + indiff < 1.0) {
+    if !(indiff > 0.0 && theta - indiff > 0.0 && theta + indiff < 1.0) {
         return Err((
             "theta/indiff",
-            format!("theta ± indiff must stay inside (0, 1), got {theta} ± {indiff}"),
+            format!("need indiff > 0 and theta ± indiff inside (0, 1), got {theta} ± {indiff}"),
         ));
     }
     if !(alpha > 0.0 && alpha < 1.0 && beta > 0.0 && beta < 1.0) {
@@ -502,6 +504,14 @@ mod tests {
     #[should_panic(expected = "inside (0, 1)")]
     fn sprt_rejects_degenerate_theta() {
         let _ = sprt(|| true, 0.99, 0.05, 0.01, 0.01, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "need indiff > 0")]
+    fn sprt_rejects_a_non_positive_indifference_width() {
+        // θ = 0.5, δ = −0.05 swaps the hypotheses: on p = 0.9 the test
+        // would accept H₁ (p ≤ 0.55).
+        let _ = SprtState::new(0.5, -0.05, 0.05, 0.05);
     }
 
     #[test]

@@ -323,11 +323,11 @@ impl TraceSampler {
     }
 
     /// Fused single-pass `(satisfied, robustness)` sample; a failed
-    /// simulation is `(false, −∞)`. Robustness
-    /// needs the whole horizon, so there is no early termination, but
-    /// simulation and both semantics still run in one pass with no trace
-    /// materialization and no steady-state allocation. The `K = 1`
-    /// instance of [`TraceSampler::sample_robustness_range`].
+    /// simulation is `(false, −∞)`. Robustness needs the whole horizon,
+    /// so there is no early termination, but simulation and both
+    /// semantics still run in one pass with no trace materialization and
+    /// no steady-state allocation. The `K = 1` instance of
+    /// [`TraceSampler::sample_robustness_range`].
     pub fn sample_robustness_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
