@@ -32,9 +32,9 @@
 //! * [`Report`] — verdict/estimate plus structured provenance (seed,
 //!   samples drawn, early-stop rate, caller-attached wall time) and the
 //!   budget outcome.
-//! * [`Session::run_batch`] — many queries concurrently over the
-//!   work-stealing pool with per-query forked seeds, bit-for-bit equal
-//!   to running them sequentially.
+//! * [`Session::run_batch`] — many queries concurrently, the caller and
+//!   pool helpers claiming one query index at a time, with per-query
+//!   forked seeds, bit-for-bit equal to running them sequentially.
 //!
 //! # Example
 //!

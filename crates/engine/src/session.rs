@@ -309,10 +309,11 @@ impl Session {
         }
     }
 
-    /// Executes many queries concurrently over the work-stealing pool.
-    /// Query `i` runs with seed `fork_seed(seed, i)`, so the result
-    /// vector is bit-for-bit identical to running each query alone with
-    /// its forked seed — at any thread count.
+    /// Executes many queries concurrently: the calling thread and pool
+    /// helpers each claim the next query index and write its report into
+    /// that index's slot. Query `i` runs with seed `fork_seed(seed, i)`,
+    /// so the result vector is bit-for-bit identical to running each
+    /// query alone with its forked seed — at any thread count.
     pub fn run_batch(&self, queries: &[Query], seed: u64) -> Vec<Result<Report, Error>> {
         self.run_batch_budgeted(queries, seed, &Budget::default())
     }

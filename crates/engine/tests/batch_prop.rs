@@ -1,5 +1,5 @@
 //! Property test: `run_batch` executes queries concurrently over the
-//! work-stealing pool with per-query forked seeds, and its report
+//! thread pool with per-query forked seeds, and its report
 //! vector is bit-for-bit identical to running every query sequentially
 //! (one at a time, same forked seed) — for arbitrary master seeds and
 //! query mixes, at any pool width (the CI matrix re-runs this suite

@@ -229,21 +229,21 @@ impl BranchAndPrune {
     /// Boxes processed per parallel round. Deliberately a constant, NOT a
     /// function of the worker count: the set of boxes explored before the
     /// first answer must be identical on every machine (thread count may
-    /// only change wall time, never the witness or the verdict). With the
-    /// work-stealing pool a round costs one pool submission, so the batch
-    /// only needs to be large enough to give thieves split points when
-    /// per-box fixpoint costs are skewed.
+    /// only change wall time, never the witness or the verdict). Claimers
+    /// take one box at a time from the batch, so skewed per-box fixpoint
+    /// costs balance at any batch size; the batch only needs enough boxes
+    /// to keep the caller and every pool helper busy for a round.
     const BATCH: usize = 64;
 
     /// Runs `step` over the top of the stack: one box below
     /// `parallel_threshold`, a fixed-size batch otherwise. The batch goes
-    /// through `map_init`, which on the work-stealing pool splits it
-    /// recursively over nested `join` — a leaf stuck on expensive boxes
-    /// (deep fixpoints) sheds its siblings to thieves instead of
-    /// serializing them — while writing results into position-indexed
-    /// slots, so the merged result is in batch order no matter which
-    /// workers ran which leaves. Each sequential leaf builds one
-    /// [`EvalScratch`] and reuses it across its boxes. Both branch
+    /// through `map_init`: the calling thread and up to one helper per
+    /// further pool thread each claim the next box from one cursor and
+    /// write its step into that box's slot, so a claimer stuck on an
+    /// expensive box (a deep fixpoint) holds up none of the others, and
+    /// the merged result is in batch order no matter which thread
+    /// stepped which box. Each claimer builds one [`EvalScratch`] and
+    /// reuses it across its boxes. Both branch
     /// choices depend only on the stack size, so the search is
     /// thread-count-independent.
     fn run_batch<C: Contractor + ?Sized + Sync>(

@@ -27,7 +27,7 @@
 //!   both durable logs share: versioned header, checksummed records,
 //!   torn-tail-tolerant load, compaction by atomic rename.
 //! * [`scheduler::Scheduler`] — **fair FIFO admission** of concurrent
-//!   requests over the existing work-stealing pool, bounded concurrency,
+//!   requests over the existing thread pool, bounded concurrency,
 //!   per-request [`Budget`](biocheck_engine::Budget) and
 //!   [`CancelToken`](biocheck_engine::CancelToken).
 //! * [`wire`] — a **line-delimited JSON protocol** (typed requests in,

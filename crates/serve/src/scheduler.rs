@@ -1,7 +1,7 @@
 //! Fair FIFO admission control with load shedding.
 //!
 //! The engine parallelizes *inside* a query over the global
-//! work-stealing pool, so running every incoming request concurrently
+//! thread pool, so running every incoming request concurrently
 //! would oversubscribe the pool and let late arrivals race ahead of
 //! early ones. The [`Scheduler`] multiplexes instead: callers wait in
 //! [`Scheduler::admit`] and are admitted strictly in arrival order

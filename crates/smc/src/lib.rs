@@ -12,10 +12,9 @@
 //!   streaming monitor, each integration step feeds it directly (no
 //!   trace materialized, no monitor built per sample), integration stops
 //!   the moment the verdict decides, and a reused [`SampleScratch`]
-//!   makes the steady-state loop allocation-free. The range entry
-//!   points ([`TraceSampler::sample_stats_range`],
-//!   [`TraceSampler::sample_robustness_range`]) run [`LANES`]
-//!   trajectories in lockstep, bit-identical to the one-sample forms.
+//!   makes the steady-state loop allocation-free. A query's
+//!   [`LaneStream`] runs [`LANES`] trajectories in lockstep,
+//!   bit-identical to the one-sample forms.
 //! * [`sprt`] — Wald's sequential probability ratio test for
 //!   `H₀: p ≥ θ+δᵢ` vs `H₁: p ≤ θ−δᵢ` at error levels (α, β).
 //! * [`chernoff_estimate`] — fixed-sample estimation with a

@@ -22,16 +22,17 @@
 //! violation. Simulation failures *before* the verdict decides count as
 //! violations on both paths.
 //!
-//! The range entry points run the same fused body over [`LANES`]
-//! stage-synchronous lanes ([`DormandPrince::integrate_lanes`]), with
-//! each sweep's accepted samples fed to every lane's monitor in one
-//! lane-wide call ([`CompiledBltl::feed_lanes`]); the one-sample entry
-//! points are its one-lane instances, so both produce the same bits. A
-//! Boolean outcome ([`SampleStats`]) monitors without the robustness
-//! arenas it never reads. Lanes claim their indices one at a time from
-//! a source, refilling a lane at the step boundary after its sample
-//! ends: a range's slice, or a query's [`LaneStream`](crate::LaneStream),
-//! which several samplers share.
+//! A query's [`LaneStream`](crate::LaneStream) runs the same fused body
+//! over [`LANES`] stage-synchronous lanes
+//! ([`DormandPrince::integrate_lanes`]), with each sweep's accepted
+//! samples fed to every lane's monitor in one lane-wide call
+//! ([`CompiledBltl::feed_lanes`]); the one-sample entry points are its
+//! one-lane instances, so both produce the same bits. A Boolean outcome
+//! ([`SampleStats`]) monitors without the robustness arenas it never
+//! reads. Lanes claim their indices one at a time from a source,
+//! refilling a lane at the step boundary after its sample ends: the one
+//! slot of a one-sample call, or the stream, which several samplers
+//! share.
 
 use crate::parallel::fork_rng;
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch};
@@ -293,8 +294,8 @@ impl TraceSampler {
     }
 
     /// [`TraceSampler::sample_with`] plus instrumentation: integration
-    /// step count and whether the verdict decided early. The `K = 1`
-    /// instance of [`TraceSampler::sample_stats_range`].
+    /// step count and whether the verdict decided early. The one-lane
+    /// instance of [`TraceSampler::stats_stream`]'s sample body.
     pub fn sample_stats_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -305,29 +306,12 @@ impl TraceSampler {
         out[0]
     }
 
-    /// Samples `first..first + out.len()` of the seeded per-index
-    /// streams (sample `i` draws from [`fork_rng`]`(seed, i)`), fused and
-    /// instrumented, into `out` in index order. Trajectories advance
-    /// [`LANES`] at a time in lockstep, each lane refilled from the next
-    /// index as its verdict decides; every entry is bit-identical to
-    /// [`TraceSampler::sample_stats_with`] on its own stream.
-    pub fn sample_stats_range(
-        &self,
-        seed: u64,
-        first: u64,
-        scratch: &mut SampleScratch,
-        out: &mut [SampleStats],
-    ) {
-        let len = out.len();
-        self.fuse_any(scratch, range_draw(seed, first), &mut Range::new(out), len);
-    }
-
     /// Fused single-pass `(satisfied, robustness)` sample; a failed
     /// simulation is `(false, −∞)`. Robustness needs the whole horizon,
     /// so there is no early termination, but simulation and both
     /// semantics still run in one pass with no trace materialization and
-    /// no steady-state allocation. The `K = 1` instance of
-    /// [`TraceSampler::sample_robustness_range`].
+    /// no steady-state allocation. The one-lane instance of
+    /// [`TraceSampler::robustness_stream`]'s sample body.
     pub fn sample_robustness_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -336,21 +320,6 @@ impl TraceSampler {
         let mut out = [(false, 0.0)];
         self.fuse::<1, _, _>(scratch, one_draw(rng), &mut Range::new(&mut out));
         out[0]
-    }
-
-    /// The `(satisfied, robustness)` twin of
-    /// [`TraceSampler::sample_stats_range`]: samples `first..first +
-    /// out.len()` in lockstep lanes, each entry bit-identical to
-    /// [`TraceSampler::sample_robustness_with`] on its own stream.
-    pub fn sample_robustness_range(
-        &self,
-        seed: u64,
-        first: u64,
-        scratch: &mut SampleScratch,
-        out: &mut [(bool, f64)],
-    ) {
-        let len = out.len();
-        self.fuse_any(scratch, range_draw(seed, first), &mut Range::new(out), len);
     }
 
     /// Samples what `source` hands out, at most `len` samples, in
@@ -368,8 +337,8 @@ impl TraceSampler {
         // 1.9–2.1, cardiac 4.3–4.4; x86-64 with AVX2, release build).
         // Seven or more trajectories run faster on 16 lanes for all
         // three; radiation wins from three and prostate from four,
-        // cardiac not below seven. So a range of fewer than seven runs
-        // through a single lane, refilled index by index.
+        // cardiac not below seven. So a stream of fewer than seven
+        // samples runs through a single lane, refilled index by index.
         if len < 7 {
             self.fuse::<1, _, _>(scratch, draw, source);
         } else {
@@ -440,13 +409,11 @@ fn one_draw<R: Rng + ?Sized>(
     move |_, s, env, y0| s.draw(rng, env, y0)
 }
 
-/// The per-sample draw of a range call: slot `j` from
-/// `fork_rng(seed, first + j)`.
+/// The per-sample draw of a stream: index `j` from `fork_rng(seed, j)`.
 pub(crate) fn range_draw(
     seed: u64,
-    first: u64,
 ) -> impl FnMut(usize, &TraceSampler, &mut Vec<f64>, &mut Vec<f64>) {
-    move |j, s, env, y0| s.draw(&mut fork_rng(seed, first + j as u64), env, y0)
+    move |j, s, env, y0| s.draw(&mut fork_rng(seed, j as u64), env, y0)
 }
 
 /// What a fused sample reports: the Boolean [`SampleStats`] (the monitor
@@ -543,7 +510,7 @@ pub(crate) trait Source<O> {
     fn put(&mut self, index: usize, outcome: O);
 }
 
-/// The source of a range call: slot `j` of a slice is sample `j`,
+/// The source of a one-sample call: slot `j` of a slice is sample `j`,
 /// claimed in order.
 struct Range<'o, O> {
     out: &'o mut [O],

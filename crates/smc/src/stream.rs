@@ -251,7 +251,7 @@ where
         self.lock().samplers += 1;
         let mut source = self;
         with_scratch(|scratch| loop {
-            let draw = range_draw(self.seed, 0);
+            let draw = range_draw(self.seed);
             self.sampler
                 .fuse_any(scratch, draw, &mut source, self.limit);
             if !self.wait_for_window() {

@@ -3,12 +3,12 @@
 //! integration, streaming monitoring, verdict — through a reused
 //! [`SampleScratch`] performs zero heap allocations and builds zero
 //! monitors or traces (the sibling of `crates/expr/tests/alloc.rs`,
-//! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`). The
-//! lockstep range entry points, which refill lanes from the next index
-//! and park idle ones, are held to the same bar — with the lane-wide
-//! monitor feed, and with Boolean-only monitoring on a scratch that never
-//! kept robustness — and a query's lane stream allocates only its
-//! reorder buffer, once.
+//! `crates/icp/tests/alloc.rs`, and `crates/bltl/tests/alloc.rs`). A
+//! query's lockstep lane stream, which refills lanes from the next index
+//! and parks idle ones, allocates only its reorder buffer, once — at 16
+//! lanes with the lane-wide monitor feed and at the one-lane fallback,
+//! for both outcome kinds, and with Boolean-only monitoring on a scratch
+//! that never kept robustness.
 //!
 //! This binary holds exactly one test so the global allocation counter
 //! is not disturbed by concurrently running tests.
@@ -16,7 +16,7 @@
 use biocheck_bltl::Bltl;
 use biocheck_expr::{Atom, Context, RelOp};
 use biocheck_ode::OdeSystem;
-use biocheck_smc::{fork_rng, Dist, SampleStats, TraceSampler, LANES};
+use biocheck_smc::{fork_rng, Dist, TraceSampler, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,61 +120,49 @@ fn fused_smc_sampling_does_not_allocate() {
     assert_eq!(hits, 20, "Point-distribution samples are identical");
     assert!((rob - 20.0 * first_rob).abs() < 1e-12);
 
-    // Lockstep ranges through a reused lane scratch: a length that is
-    // not a multiple of the lane count, so refills and parked lanes both
-    // occur, and a start that is not zero.
-    let mut stats = vec![SampleStats::default(); 2 * LANES + 3];
-    let mut robust = vec![(false, 0.0); 2 * LANES + 3];
-    sampler.sample_stats_range(7, 5, &mut scratch, &mut stats);
-    sampler.sample_robustness_range(7, 5, &mut scratch, &mut robust);
-    assert_allocation_free("lockstep SMC ranges", || {
-        for first in [5u64, 40, 1000] {
-            sampler.sample_stats_range(7, first, &mut scratch, &mut stats);
-            sampler.sample_robustness_range(7, first, &mut scratch, &mut robust);
-        }
-    });
-    assert!(stats
-        .iter()
-        .all(|st| st.sat && st.steps > 1 && !st.early_stop));
-    assert!(robust
-        .iter()
-        .all(|r| r.0 && r.1.to_bits() == first_rob.to_bits()));
-
-    // Boolean-only monitoring on its own: a fresh scratch warmed by
-    // one Boolean range (lane feed at 16 lanes) and one short range
-    // (the one-lane fallback) stays allocation-free on both.
-    let mut boolean = sampler.scratch();
-    let mut short = vec![SampleStats::default(); 3];
-    sampler.sample_stats_range(7, 5, &mut boolean, &mut stats);
-    sampler.sample_stats_range(7, 5, &mut boolean, &mut short);
-    assert_allocation_free("Boolean-only lane monitoring", || {
-        for first in [5u64, 40, 1000] {
-            sampler.sample_stats_range(7, first, &mut boolean, &mut stats);
-            sampler.sample_stats_range(7, first, &mut boolean, &mut short);
-        }
-    });
-    assert!(stats.iter().chain(&short).all(|st| st.sat && st.steps > 1));
-
-    // A query's lane stream on the calling thread: after the warm-up
-    // stream, a stream allocates its reorder buffer once, however many
-    // samples pass through it.
-    let stream = |n: usize| {
-        let mut hits = 0usize;
+    // A query's lane stream on the calling thread, through the pooled
+    // scratch: after a warm-up stream, a stream allocates its reorder
+    // ring once, however many samples pass through it. Lengths cover
+    // the one-lane fallback (3), one lane fill, refills with parked
+    // lanes (2 × LANES + 3), and a long stream. The Boolean streams run
+    // first, so their scratch has never kept robustness.
+    let stats_stream = |n: usize| {
+        let mut held = 0usize;
         sampler
             .stats_stream(7, n, |st| {
-                hits += st.sat as usize;
+                held += (st.sat && st.steps > 1 && !st.early_stop) as usize;
                 false
             })
             .join();
-        hits
+        held
     };
-    assert_eq!(stream(10 * LANES), 10 * LANES);
-    for n in [LANES, 40 * LANES] {
-        let fewest = (0..5).map(|_| allocations(|| stream(n)).0).min();
-        assert_eq!(
-            fewest,
-            Some(1),
-            "a {n}-sample stream allocates its ring once"
-        );
+    let robustness_stream = |n: usize| {
+        let mut held = 0usize;
+        sampler
+            .robustness_stream(7, n, |r| {
+                held += (r.0 && r.1.to_bits() == first_rob.to_bits()) as usize;
+                false
+            })
+            .join();
+        held
+    };
+    let streams: [(&str, &dyn Fn(usize) -> usize); 2] = [
+        ("Boolean", &stats_stream),
+        ("robustness", &robustness_stream),
+    ];
+    for (kind, stream) in streams {
+        assert_eq!(stream(10 * LANES), 10 * LANES);
+        for n in [3, LANES, 2 * LANES + 3, 40 * LANES] {
+            let runs: Vec<(usize, usize)> = (0..5).map(|_| allocations(|| stream(n))).collect();
+            assert!(
+                runs.iter().all(|&(_, held)| held == n),
+                "every sample of a {n}-sample {kind} stream holds"
+            );
+            assert_eq!(
+                runs.iter().map(|&(allocs, _)| allocs).min(),
+                Some(1),
+                "a {n}-sample {kind} stream allocates its ring once"
+            );
+        }
     }
 }

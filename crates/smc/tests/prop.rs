@@ -1,10 +1,9 @@
 //! Property tests: the fused simulate-and-monitor sample body
 //! (streaming monitor, early termination, scratch reuse) reproduces the
-//! offline integrate-then-monitor reference exactly; the lockstep range
-//! entry points reproduce the scalar per-index samples bit-for-bit, also
-//! when several workers sample one query's lane stream together; and an
-//! adaptive stream runs at most `samplers × LANES` samples past its
-//! decision. (`biocheck_engine`'s `tests/equiv.rs` holds every query
+//! offline integrate-then-monitor reference exactly; a query's lockstep
+//! lane stream reproduces the scalar per-index samples bit-for-bit, also
+//! when several workers sample it together; and an adaptive stream runs
+//! at most `samplers × LANES` samples past its decision. (`biocheck_engine`'s `tests/equiv.rs` holds every query
 //! method run through lane streams to the `seq_*` references.)
 
 use biocheck_bltl::Bltl;
@@ -127,26 +126,63 @@ fn case_study_samplers() -> Vec<TraceSampler> {
     vec![prostate, cardiac, radiation]
 }
 
-/// Range lengths that exercise the lane bookkeeping: empty, one sample,
+/// Stream lengths that exercise the lane bookkeeping: empty, one
+/// sample, five (below seven, so one lane refilled index by index),
 /// fewer samples than lanes, exactly one fill, and not a multiple of it.
-const RANGE_LENS: [usize; 5] = [0, 1, LANES - 3, LANES, 2 * LANES + 5];
+const RANGE_LENS: [usize; 6] = [0, 1, 5, LANES - 3, LANES, 2 * LANES + 5];
 
-/// Asserts that the range entry points equal the scalar per-index
-/// samples bit-for-bit over `first..first + len`, through one reused
-/// scratch on each side.
-fn assert_range_equals_scalar(
+/// What the rules of a stats and a robustness stream received.
+type Samples = (Vec<SampleStats>, Vec<(bool, f64)>);
+
+/// Samples `0..len` of both outcome kinds, in the order the rules of a
+/// stats and a robustness stream received them, with `workers` threads
+/// joining each stream (`0`: the calling thread alone).
+fn stream_samples(
     s: &TraceSampler,
     seed: u64,
-    first: u64,
+    len: usize,
+    workers: usize,
+) -> Result<Samples, TestCaseError> {
+    let (mut got, mut got_rob) = (Vec::new(), Vec::new());
+    let stats = s.stats_stream(seed, len, |st| {
+        got.push(st);
+        false
+    });
+    let robust = s.robustness_stream(seed, len, |r| {
+        got_rob.push(r);
+        false
+    });
+    if workers == 0 {
+        stats.join();
+        robust.join();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    stats.join();
+                    robust.join();
+                });
+            }
+        });
+    }
+    prop_assert_eq!((stats.claimed(), stats.consumed()), (len, len));
+    prop_assert_eq!((robust.claimed(), robust.consumed()), (len, len));
+    drop((stats, robust));
+    Ok((got, got_rob))
+}
+
+/// Asserts that a lane stream on the calling thread hands its rule the
+/// scalar per-index samples over `0..len` bit-for-bit, for both outcome
+/// kinds.
+fn assert_stream_equals_scalar(
+    s: &TraceSampler,
+    seed: u64,
     len: usize,
 ) -> Result<(), TestCaseError> {
-    let (mut lanes, mut scalar) = (s.scratch(), s.scratch());
-    let mut stats = vec![SampleStats::default(); len];
-    s.sample_stats_range(seed, first, &mut lanes, &mut stats);
-    let mut robust = vec![(false, 0.0); len];
-    s.sample_robustness_range(seed, first, &mut lanes, &mut robust);
-    for (j, (st, &(sat, rob))) in stats.iter().zip(&robust).enumerate() {
-        let i = first + j as u64;
+    let (stats, robust) = stream_samples(s, seed, len, 0)?;
+    let mut scalar = s.scratch();
+    for (i, (st, &(sat, rob))) in stats.iter().zip(&robust).enumerate() {
+        let i = i as u64;
         let want = s.sample_stats_with(&mut fork_rng(seed, i), &mut scalar);
         prop_assert_eq!(*st, want, "seed {} sample {}", seed, i);
         let (want_sat, want_rob) = s.sample_robustness_with(&mut fork_rng(seed, i), &mut scalar);
@@ -160,44 +196,22 @@ fn assert_range_equals_scalar(
 }
 
 /// Asserts that `workers` threads joining one lane stream hand its rule
-/// exactly the one-worker range call over `0..len`, in index order,
+/// exactly what one sampler over `0..len` does, in index order,
 /// whichever thread claims which index.
-fn assert_stream_equals_range(
+fn assert_shared_stream_equals_one_sampler(
     s: &TraceSampler,
     seed: u64,
     len: usize,
     workers: usize,
 ) -> Result<(), TestCaseError> {
-    let mut want = vec![SampleStats::default(); len];
-    s.sample_stats_range(seed, 0, &mut s.scratch(), &mut want);
-    let mut want_rob = vec![(false, 0.0); len];
-    s.sample_robustness_range(seed, 0, &mut s.scratch(), &mut want_rob);
-
-    let (mut got, mut got_rob) = (Vec::new(), Vec::new());
-    let stats = s.stats_stream(seed, len, |st| {
-        got.push(st);
-        false
-    });
-    let robust = s.robustness_stream(seed, len, |r| {
-        got_rob.push(r);
-        false
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                stats.join();
-                robust.join();
-            });
-        }
-    });
-    prop_assert_eq!((stats.claimed(), stats.consumed()), (len, len));
-    drop((stats, robust));
+    let (want, want_rob) = stream_samples(s, seed, len, 0)?;
+    let (got, got_rob) = stream_samples(s, seed, len, workers)?;
     prop_assert_eq!(&got, &want, "seed {} len {}", seed, len);
     prop_assert_eq!(got_rob.len(), len);
     for (j, (g, w)) in got_rob.iter().zip(&want_rob).enumerate() {
         prop_assert!(
             g.0 == w.0 && g.1.to_bits() == w.1.to_bits(),
-            "seed {seed} sample {j}: stream {g:?} vs range {w:?}"
+            "seed {seed} sample {j}: shared {g:?} vs one sampler {w:?}"
         );
     }
     Ok(())
@@ -359,7 +373,6 @@ proptest! {
     #[test]
     fn lockstep_ranges_equal_scalar_samples(
         seed in 0..u64::MAX / 2,
-        first in 0..1_000u64,
         len in 0..3 * LANES,
     ) {
         // Decided at the first sample, decided mid-horizon, blow-ups
@@ -367,11 +380,11 @@ proptest! {
         let toy = [threshold_sampler(), globally_sampler(), blowup_sampler(), forced_sampler()];
         for s in &toy {
             for l in RANGE_LENS.into_iter().chain([len]) {
-                assert_range_equals_scalar(s, seed, first, l)?;
+                assert_stream_equals_scalar(s, seed, l)?;
             }
         }
         for s in &case_study_samplers() {
-            assert_range_equals_scalar(s, seed, first, len)?;
+            assert_stream_equals_scalar(s, seed, len)?;
         }
     }
 
@@ -383,7 +396,7 @@ proptest! {
     ) {
         let toy = [threshold_sampler(), globally_sampler(), blowup_sampler(), forced_sampler()];
         for s in toy.iter().chain(&case_study_samplers()) {
-            assert_stream_equals_range(s, seed, len, workers)?;
+            assert_shared_stream_equals_one_sampler(s, seed, len, workers)?;
         }
     }
 
@@ -407,8 +420,13 @@ proptest! {
         // The mixed-lane case above must really occur: some lanes fail
         // (robustness −∞) while others in the same fill finish.
         let s = blowup_sampler();
-        let mut robust = vec![(false, 0.0); 2 * LANES];
-        s.sample_robustness_range(seed, 0, &mut s.scratch(), &mut robust);
+        let mut robust = Vec::new();
+        s.robustness_stream(seed, 2 * LANES, |r| {
+            robust.push(r);
+            false
+        })
+        .join();
+        prop_assert_eq!(robust.len(), 2 * LANES);
         prop_assert!(robust.iter().any(|r| r.1 == f64::NEG_INFINITY));
         prop_assert!(robust.iter().any(|r| r.1.is_finite()));
     }

@@ -5,7 +5,7 @@
 //!
 //! Everything compiles once: the model RHS at session construction,
 //! each distinct property once on first use. The batch runs the queries
-//! concurrently over the work-stealing pool with per-query forked
+//! concurrently over the thread pool with per-query forked
 //! seeds, so the reports are bit-for-bit identical to running each
 //! query alone (try `BIOCHECK_THREADS=1` — same numbers).
 //!

@@ -24,7 +24,7 @@
 //!   a well-formed partial report (`Outcome::Exhausted`), never a
 //!   panic.
 //! * [`engine::Session::run_batch`] executes many queries concurrently
-//!   over the work-stealing pool with per-query forked seeds,
+//!   over the thread pool with per-query forked seeds,
 //!   bit-for-bit equal to running them sequentially.
 //!
 //! ```
