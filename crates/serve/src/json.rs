@@ -156,19 +156,28 @@ impl Json {
 
 fn render_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy each stretch that needs no escaping with one `push_str`.
+    // Every byte that does is ASCII, so each stretch ends on a
+    // character boundary.
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -180,7 +189,7 @@ fn render_string(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -198,9 +207,13 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -209,7 +222,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -236,7 +249,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -252,9 +265,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or_else(|| self.err("bad number"))
     }
@@ -262,9 +275,8 @@ impl<'a> Parser<'a> {
     /// Reads four hex digits (the payload of a `\u` escape).
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
-            .bytes
+            .text
             .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .and_then(|h| u32::from_str_radix(h, 16).ok())
             .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
@@ -275,6 +287,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one go. Both
+            // delimiters are ASCII, so the run ends on a character
+            // boundary, and each byte is looked at once.
+            let rest = &self.bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -302,7 +324,7 @@ impl<'a> Parser<'a> {
                             // silently mangling the string.
                             let ch = match hex {
                                 0xD800..=0xDBFF => {
-                                    if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                                    if self.bytes().get(self.pos..self.pos + 2) != Some(b"\\u") {
                                         return Err(self.err("unpaired high surrogate"));
                                     }
                                     self.pos += 2;
@@ -322,15 +344,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("eof"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
+                _ => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -394,13 +408,13 @@ impl<'a> Parser<'a> {
 /// Parses a JSON document.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
         depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing garbage"));
     }
     Ok(v)
@@ -483,6 +497,42 @@ mod tests {
         // Non-BMP characters render raw (UTF-8) and round-trip.
         let v = Json::str("x\u{1D6FC}y");
         assert_eq!(parse_json(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn megabyte_strings_decode_in_linear_time() {
+        // One 1 MiB string per document. A decoder that rescans the
+        // rest of the document per character needs tens of seconds
+        // for the first two even in release; a linear one needs
+        // milliseconds in a debug build.
+        const MIB: usize = 1 << 20;
+        let fill = |unit: &str| unit.repeat(MIB / unit.len());
+        // Plain runs next to every kind of escape: `\n`, `\"`, a BMP
+        // `\u` escape and a surrogate pair, with raw multi-byte
+        // characters on both sides of each.
+        let mixed_wire = r#"ab\n𝛼\"é\u00e9x\ud835\udefcé"#;
+        let mixed_text = "ab\n𝛼\"ééx\u{1D6FC}é";
+        let cases = [
+            (fill("a"), fill("a")),
+            (fill("é"), fill("é")),
+            (fill("𝛼"), fill("𝛼")),
+            (
+                mixed_wire.repeat(MIB / mixed_wire.len()),
+                mixed_text.repeat(MIB / mixed_wire.len()),
+            ),
+        ];
+        for (wire, text) in cases {
+            let doc = format!("\"{wire}\"");
+            let t0 = std::time::Instant::now();
+            let v = parse_json(&doc).unwrap();
+            let took = t0.elapsed();
+            assert!(v == Json::Str(text), "{} bytes decoded wrong", doc.len());
+            assert!(
+                took < std::time::Duration::from_secs(2),
+                "{} bytes took {took:?}",
+                doc.len()
+            );
+        }
     }
 
     #[test]

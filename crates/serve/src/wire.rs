@@ -64,7 +64,12 @@ impl ModelSource {
                 return Err(format!("duplicate state {name:?}"));
             }
         }
-        for (name, _) in &self.consts {
+        for (name, v) in &self.consts {
+            // A const of `1e999` parses to infinity, which the canonical
+            // source (the fingerprint's input) cannot render.
+            if !v.is_finite() {
+                return Err(format!("const {name:?} must be finite, got {v}"));
+            }
             if self.states.iter().any(|(s, _)| s == name) {
                 return Err(format!(
                     "const {name:?} collides with a state of the same name"

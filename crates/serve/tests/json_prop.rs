@@ -42,18 +42,70 @@ fn random_num(rng: &mut StdRng) -> f64 {
     }
 }
 
+/// A character of random UTF-8 width: ASCII, 2-byte, 3-byte (the rest
+/// of the BMP) or 4-byte (beyond it).
+fn random_char(rng: &mut StdRng) -> char {
+    match rng.gen_range(0..4u32) {
+        0 => char::from(rng.gen_range(b' '..b'~')),
+        1 => char::from_u32(rng.gen_range(0x80..0x800)).unwrap(),
+        2 => char::from_u32(rng.gen_range(0x800..0x10000)).unwrap_or('ß'),
+        _ => char::from_u32(rng.gen_range(0x10000..0x110000)).unwrap(),
+    }
+}
+
+/// A random string: characters that need escaping (`"`, `\`, `\n`,
+/// other controls) next to single characters and to runs of up to a
+/// few hundred characters of every UTF-8 width, so the decoder's and
+/// the renderer's run copies start and end at every kind of boundary.
 fn random_string(rng: &mut StdRng) -> String {
-    let n = rng.gen_range(0..12usize);
-    (0..n)
-        .map(|_| match rng.gen_range(0..6u32) {
-            0 => '"',
-            1 => '\\',
-            2 => '\n',
-            3 => char::from_u32(rng.gen_range(1..0x20)).unwrap(),
-            4 => char::from_u32(rng.gen_range(0x80..0x2500)).unwrap_or('ß'),
-            _ => char::from(rng.gen_range(b' '..b'~')),
-        })
-        .collect()
+    let mut s = String::new();
+    for _ in 0..rng.gen_range(0..12usize) {
+        match rng.gen_range(0..7u32) {
+            0 => s.push('"'),
+            1 => s.push('\\'),
+            2 => s.push('\n'),
+            3 => s.push(char::from_u32(rng.gen_range(1..0x20)).unwrap()),
+            4 => {
+                let run = rng.gen_range(1..300usize);
+                s.extend((0..run).map(|_| random_char(rng)));
+            }
+            _ => s.push(random_char(rng)),
+        }
+    }
+    s
+}
+
+/// `s` as a JSON string literal in which every character is, at
+/// random, written raw (where JSON allows it) or as a `\u` escape
+/// (a surrogate pair beyond the BMP), and the short escapes are
+/// used where they exist: the forms other encoders emit.
+fn encode_loosely(rng: &mut StdRng, s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            '/' => Some("\\/"),
+            _ => None,
+        };
+        match short {
+            Some(esc) if rng.gen_bool(0.5) => out.push_str(esc),
+            _ if (c as u32) >= 0x20 && c != '"' && c != '\\' && rng.gen_bool(0.5) => out.push(c),
+            _ => {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn random_json(rng: &mut StdRng, depth: usize) -> Json {
@@ -109,6 +161,15 @@ proptest! {
         prop_assert!(bit_eq(&back, &v), "{} reparsed as {:?}", text, back);
         // Rendering is canonical: a second round-trip is a fixpoint.
         prop_assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn escaped_and_raw_characters_decode_alike(seed in 0..u64::MAX) {
+        let mut rng = proptest::new_rng(seed);
+        let s = random_string(&mut rng);
+        let text = encode_loosely(&mut rng, &s);
+        let back = parse_json(&text).map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(back, Json::Str(s), "{}", text);
     }
 }
 

@@ -221,6 +221,47 @@ fn cached_hits_over_loopback_are_not_held_by_nagle() {
     daemon.join();
 }
 
+/// A line just under the daemon's 4 MiB cap, holding one string of
+/// 2-byte characters, is decoded in bounded time: it gets its
+/// `invalid_request` reply (the query has no seed) within seconds, and
+/// the same connection then answers `ping`. A decoder that rescans the
+/// rest of the line per character would hold the connection for about
+/// an hour.
+#[test]
+fn near_cap_line_with_one_long_string_is_answered_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    let core = Arc::new(ServeCore::new(ServeConfig::default()));
+    let daemon = serve(Arc::clone(&core), "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(daemon.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let frame = r#"{"op":"query","model":""}"#;
+    let chars = ((4 << 20) - 64 - frame.len()) / 'é'.len_utf8();
+    let line = format!(r#"{{"op":"query","model":"{}"}}"#, "é".repeat(chars));
+    assert!(line.len() + 1 < 4 << 20 && line.len() > (4 << 20) - 128);
+
+    let t0 = Instant::now();
+    writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let took = t0.elapsed();
+    assert!(reply.contains(r#""kind":"invalid_request""#), "{reply}");
+    assert!(reply.contains("missing seed"), "{reply}");
+    assert!(took < Duration::from_secs(10), "reply took {took:?}");
+
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim(), r#"{"ok":true}"#);
+
+    Client::connect(daemon.addr).unwrap().shutdown().unwrap();
+    daemon.join();
+}
+
 /// N concurrent clients hammering the daemon with a shared query mix:
 /// every response must be bit-identical to the single-threaded
 /// reference — at any pool width (CI re-runs this suite under
@@ -408,6 +449,23 @@ fn inverted_uniform_bounds_are_rejected_without_a_panic() {
     };
     smc.init = vec![DistSpec::Uniform(1.5, 1.5)];
     core.run_query(&qr).unwrap();
+    assert_eq!(core.panic_count(), 0);
+}
+
+/// A registration whose const reads `1e999` (infinity once parsed) is
+/// an `invalid_request`. It used to reach the canonical source, whose
+/// renderer cannot write infinity, and come back as `internal_error`.
+#[test]
+fn non_finite_const_registration_is_an_invalid_request() {
+    let core = ServeCore::new(ServeConfig::default());
+    for v in ["1e999", "-1e999"] {
+        let line = format!(
+            r#"{{"op":"register","model":"decay","source":{{"states":[["x","-k*x"]],"consts":[["k",{v}]]}}}}"#
+        );
+        let (reply, _) = core.handle_line(&line);
+        assert!(reply.contains(r#""kind":"invalid_request""#), "{reply}");
+        assert!(reply.contains("must be finite"), "{reply}");
+    }
     assert_eq!(core.panic_count(), 0);
 }
 
