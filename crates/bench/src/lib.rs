@@ -252,14 +252,7 @@ pub fn e3_prostate() -> Vec<Row> {
     let mut env = ha.default_env();
     env[ha.cx.var_id("r0").unwrap().index()] = 6.0;
     env[ha.cx.var_id("r1").unwrap().index()] = 20.0;
-    let traj = ha
-        .simulate(
-            &env,
-            &[15.0, 0.1, 12.0],
-            700.0,
-            &biocheck_hybrid::SimOptions::default(),
-        )
-        .unwrap();
+    let traj = ha.simulate(&env, &[15.0, 0.1, 12.0], 700.0).unwrap();
     rows.push(Row::new(
         "E3",
         "IAS (r0=6, r1=20), 700 days",
@@ -305,14 +298,7 @@ pub fn e4_radiation() -> Vec<Row> {
     let mut env = ha.default_env();
     env[ha.cx.var_id("theta1").unwrap().index()] = 1e6;
     env[ha.cx.var_id("theta2").unwrap().index()] = 1e6;
-    let untreated = ha
-        .simulate(
-            &env,
-            &radiation::tbi_init(),
-            40.0,
-            &biocheck_hybrid::SimOptions::default(),
-        )
-        .unwrap();
+    let untreated = ha.simulate(&env, &radiation::tbi_init(), 40.0).unwrap();
     let dies = untreated.final_state()[5] >= radiation::THETA_DEATH - 1e-6
         || untreated
             .mode_path()

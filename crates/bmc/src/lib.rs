@@ -51,7 +51,5 @@ mod reach;
 mod whole;
 
 pub use encode::{PathEncoding, StepVars};
-pub use reach::{
-    check_reach, synthesize_params, ReachOptions, ReachResult, ReachSpec, ReachWitness,
-};
+pub use reach::{check_reach, ReachOptions, ReachResult, ReachSpec, ReachWitness};
 pub use whole::check_reach_whole;

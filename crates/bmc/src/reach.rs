@@ -10,6 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Bound on enumerated paths per check (safety valve for dense jump
+/// graphs); past it the answer is `Unknown`.
+const MAX_PATHS: usize = 10_000;
+
 /// A bounded reachability question: can the automaton reach states
 /// satisfying `goal` (optionally in a specific mode) within `k_max`
 /// discrete jumps, each dwell lasting at most `time_bound` (the `M` of
@@ -37,8 +41,6 @@ pub struct ReachOptions {
     pub max_splits: usize,
     /// Validated-integrator base step.
     pub flow_step: f64,
-    /// Bound on enumerated paths (safety valve for dense jump graphs).
-    pub max_paths: usize,
     /// Cooperative cancellation flag: polled during path enumeration,
     /// between enumerated paths, and between per-path solver rounds. A
     /// raised flag makes [`check_reach`] return
@@ -71,7 +73,6 @@ impl ReachOptions {
             state_bounds: Vec::new(),
             max_splits: 20_000,
             flow_step: 0.05,
-            max_paths: 10_000,
             cancel: None,
             deadline: None,
             progress_depth: None,
@@ -187,7 +188,7 @@ pub fn check_reach(ha: &HybridAutomaton, spec: &ReachSpec, opts: &ReachOptions) 
                 return ReachResult::Unknown;
             }
             paths_tried += 1;
-            if paths_tried > opts.max_paths {
+            if paths_tried > MAX_PATHS {
                 // Path budget exhausted: the search is incomplete either
                 // way, so the verdict is Unknown regardless of any_unknown.
                 let _ = any_unknown;
@@ -206,19 +207,6 @@ pub fn check_reach(ha: &HybridAutomaton, spec: &ReachSpec, opts: &ReachOptions) 
         ReachResult::Unknown
     } else {
         ReachResult::Unsat
-    }
-}
-
-/// Parameter synthesis for reachability (Definition 13): a thin wrapper
-/// returning the parameter box of the first witness.
-pub fn synthesize_params(
-    ha: &HybridAutomaton,
-    spec: &ReachSpec,
-    opts: &ReachOptions,
-) -> Option<Vec<(String, Interval)>> {
-    match check_reach(ha, spec, opts) {
-        ReachResult::DeltaSat(w) => Some(w.param_box),
-        _ => None,
     }
 }
 

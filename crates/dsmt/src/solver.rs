@@ -10,6 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Budget on Boolean models checked against the theory per
+/// [`DeltaSmt::check`]; past it the answer is `Unknown`.
+const MAX_THEORY_CHECKS: usize = 10_000;
+
 /// Handle of a guarded contractor inside a [`DeltaSmt`] instance; embed it
 /// in formulas as [`Fol::Flag`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -28,8 +32,6 @@ pub struct DeltaSmt {
     asserted: Vec<Fol>,
     contractors: Vec<Box<dyn Contractor>>,
     exclusions: Vec<Vec<FlagId>>,
-    /// Budget on Boolean models checked against the theory.
-    pub max_theory_checks: usize,
     /// Split budget per theory check (forwarded to branch-and-prune).
     pub max_splits: usize,
     /// Cooperative cancellation flag: polled between theory checks and
@@ -63,7 +65,6 @@ impl DeltaSmt {
             asserted: Vec::new(),
             contractors: Vec::new(),
             exclusions: Vec::new(),
-            max_theory_checks: 10_000,
             max_splits: 200_000,
             cancel: None,
             deadline: None,
@@ -186,7 +187,7 @@ impl DeltaSmt {
             enc.sat.set_progress(Arc::clone(c), Arc::clone(r));
         }
 
-        for _ in 0..self.max_theory_checks {
+        for _ in 0..MAX_THEORY_CHECKS {
             if biocheck_icp::interrupted(self.cancel.as_deref(), self.deadline) {
                 // `remaining` is a placeholder here (as in the
                 // theory-check budget exhaustion below): the number of

@@ -292,7 +292,8 @@ impl Query {
     /// Refuses SMC parameters the query cannot run: a parameter outside
     /// its method's rule ([`check_samples`], [`check_sprt`],
     /// [`check_chernoff`], [`check_bayes`]), a horizon that is not
-    /// finite and positive, or an ill-defined distribution
+    /// finite and positive, a temporal bound of the property that is
+    /// negative or not finite, or an ill-defined distribution
     /// ([`Dist::check`]). The error names the parameters at fault and
     /// says what is wrong. Queries that do not sample pass: their
     /// parameters are checked when they run.
@@ -331,6 +332,10 @@ impl Query {
             let detail = format!("must be finite and positive, got {}", smc.t_end);
             return Err(("t_end", detail));
         }
+        if let Some(bound) = bad_until_bound(&smc.property) {
+            let detail = format!("temporal bounds must be finite and non-negative, got {bound}");
+            return Err(("bound", detail));
+        }
         let params = smc.params.iter().map(|(_, d)| d);
         smc.init.iter().chain(params).try_for_each(Dist::check)
     }
@@ -346,6 +351,24 @@ impl Query {
             Query::Calibrate { .. } => QueryKind::Calibrate,
             Query::Stability { .. } => QueryKind::Stability,
             Query::Lint { .. } => QueryKind::Lint,
+        }
+    }
+}
+
+/// The first `Until` bound in `f` that is negative or not finite. No
+/// trace satisfies `F≤b φ` for b < 0, so such a property would run and
+/// report p̂ = 0 instead of being refused.
+fn bad_until_bound(f: &Bltl) -> Option<f64> {
+    match f {
+        Bltl::Prop(_) => None,
+        Bltl::Not(g) => bad_until_bound(g),
+        Bltl::And(gs) | Bltl::Or(gs) => gs.iter().find_map(bad_until_bound),
+        Bltl::Until { lhs, rhs, bound } => {
+            if bound.is_finite() && *bound >= 0.0 {
+                bad_until_bound(lhs).or_else(|| bad_until_bound(rhs))
+            } else {
+                Some(*bound)
+            }
         }
     }
 }
@@ -447,7 +470,7 @@ fn push_reach(s: &mut String, cx: &Context, spec: &ReachSpec, opts: &ReachOption
     }
     let _ = write!(
         s,
-        "];k={};T={:?};delta={:?};bounds={:?};splits={};step={:?};paths={}",
+        "];k={};T={:?};delta={:?};bounds={:?};splits={};step={:?}",
         spec.k_max,
         spec.time_bound,
         opts.delta,
@@ -456,8 +479,7 @@ fn push_reach(s: &mut String, cx: &Context, spec: &ReachSpec, opts: &ReachOption
             .map(|i| i.to_string())
             .collect::<Vec<_>>(),
         opts.max_splits,
-        opts.flow_step,
-        opts.max_paths
+        opts.flow_step
     );
 }
 

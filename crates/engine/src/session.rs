@@ -315,43 +315,22 @@ impl Session {
     /// so the result vector is bit-for-bit identical to running each
     /// query alone with its forked seed — at any thread count.
     pub fn run_batch(&self, queries: &[Query], seed: u64) -> Vec<Result<Report, Error>> {
-        self.run_batch_budgeted(queries, seed, &Budget::default())
+        let entries: Vec<(Query, Option<Budget>)> =
+            queries.iter().map(|q| (q.clone(), None)).collect();
+        self.run_batch_entries(&entries, seed, &Budget::default())
     }
 
-    /// [`Session::run_batch`] with a shared budget. The budget is
-    /// polled independently inside every query; a cancellation stops
-    /// them all at their next poll points, and the deadline is resolved
-    /// **once, here** — it bounds the whole batch, not each query.
-    pub fn run_batch_budgeted(
-        &self,
-        queries: &[Query],
-        seed: u64,
-        budget: &Budget,
-    ) -> Vec<Result<Report, Error>> {
-        let deadline = budget.deadline_from(Instant::now());
-        (0..queries.len())
-            .into_par_iter()
-            .map(|i| {
-                self.execute(
-                    &queries[i],
-                    fork_seed(seed, i as u64),
-                    budget,
-                    deadline,
-                    true,
-                )
-            })
-            .collect()
-    }
-
-    /// Per-entry budgets: each batch entry may carry its own [`Budget`];
-    /// entries with `None` fall back to `shared` (so
-    /// `run_batch_budgeted` is the all-`None` special case). Every
-    /// deadline — shared or per-entry — is resolved against the **batch
-    /// start instant**, and query `i` still runs with seed
-    /// `fork_seed(seed, i)`, so the result vector is bit-for-bit
-    /// identical to running each entry alone with its forked seed and
-    /// its own budget — at any thread count (count-based caps only;
-    /// deadline cut points are wall-clock-dependent as always).
+    /// [`Session::run_batch`] with budgets: each entry may carry its own
+    /// [`Budget`], and entries with `None` fall back to `shared`. Every
+    /// budget is polled independently inside its query, so raising a
+    /// shared cancellation token stops every entry that uses it at its
+    /// next poll point. Every deadline — shared or per-entry — is
+    /// resolved **once**, against the batch start instant, so the shared
+    /// one bounds the whole batch, not each query. Query `i` still runs
+    /// with seed `fork_seed(seed, i)`, so the result vector is
+    /// bit-for-bit identical to running each entry alone with its forked
+    /// seed and its own budget — at any thread count (count-based caps
+    /// only; deadline cut points are wall-clock-dependent as always).
     pub fn run_batch_entries(
         &self,
         entries: &[(Query, Option<Budget>)],

@@ -161,21 +161,6 @@ proptest! {
                 i
             );
         }
-        // All-None entries reproduce the shared-budget path exactly.
-        let queries: Vec<Query> = entries
-            .iter()
-            .map(|&(s, _)| make_query(s, &p1, &p2))
-            .collect();
-        let none_entries: Vec<(Query, Option<Budget>)> =
-            queries.iter().map(|q| (q.clone(), None)).collect();
-        let via_entries = session.run_batch_entries(&none_entries, seed, &shared);
-        let via_shared = session.run_batch_budgeted(&queries, seed, &shared);
-        for (a, b) in via_entries.iter().zip(&via_shared) {
-            prop_assert_eq!(
-                a.as_ref().unwrap().fingerprint(),
-                b.as_ref().unwrap().fingerprint()
-            );
-        }
     }
 
     #[test]

@@ -263,6 +263,63 @@ fn wrong_model_and_invalid_parameters_are_typed_errors() {
     assert!(err.to_string().contains("hybrid automaton"));
 }
 
+/// A temporal bound that is negative or not finite, anywhere in the
+/// property, is an `InvalidParameter` for every sampling query. No trace
+/// satisfies F≤−1 φ, so such a property used to run and report p̂ = 0.
+#[test]
+fn negative_or_non_finite_temporal_bounds_are_invalid_parameters() {
+    use biocheck_engine::Error;
+    let (session, _, spec) = setup();
+    let Bltl::Until { rhs: atom, .. } = &spec.property else {
+        panic!("the decay property is an eventually");
+    };
+    for bound in [-1.0, -f64::MIN_POSITIVE, f64::INFINITY, f64::NAN] {
+        let nested = Bltl::And(vec![
+            Bltl::eventually(0.01, (**atom).clone()),
+            Bltl::Not(Box::new(Bltl::globally(bound, (**atom).clone()))),
+        ]);
+        for property in [Bltl::eventually(bound, (**atom).clone()), nested] {
+            let smc = SmcSpec {
+                property,
+                ..spec.clone()
+            };
+            for query in [
+                Query::Estimate {
+                    smc: smc.clone(),
+                    method: EstimateMethod::Fixed { n: 8 },
+                },
+                Query::Sprt {
+                    smc: smc.clone(),
+                    theta: 0.5,
+                    indiff: 0.1,
+                    alpha: 0.05,
+                    beta: 0.05,
+                    max_samples: 8,
+                },
+                Query::Robustness { smc, samples: 8 },
+            ] {
+                let err = session.query(query).run().unwrap_err();
+                assert!(
+                    matches!(err, Error::InvalidParameter { what: "bound", .. }),
+                    "{bound}: {err}"
+                );
+            }
+        }
+    }
+    // A zero bound ("now") is a legitimate property.
+    let smc = SmcSpec {
+        property: Bltl::eventually(0.0, (**atom).clone()),
+        ..spec
+    };
+    session
+        .query(Query::Estimate {
+            smc,
+            method: EstimateMethod::Fixed { n: 8 },
+        })
+        .run()
+        .unwrap();
+}
+
 /// x' = −x from x₀ ~ U(0.5, 1.5) satisfies F≤5 (x ≤ 0.2) on every
 /// sample. A distribution with a non-finite parameter or a uniform
 /// width that overflows used to run and count every sample as a

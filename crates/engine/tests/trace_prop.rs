@@ -145,7 +145,9 @@ proptest! {
             .collect();
         let ctx = TraceCtx::new(TraceCtx::DEFAULT_CAPACITY);
         let traced = Budget::unlimited().with_trace(ctx);
-        let batch = session.run_batch_budgeted(&queries, seed, &traced);
+        let entries: Vec<(Query, Option<Budget>)> =
+            queries.iter().map(|q| (q.clone(), None)).collect();
+        let batch = session.run_batch_entries(&entries, seed, &traced);
         let (fresh, q1, q2) = decay_session();
         for (i, &s) in selectors.iter().enumerate() {
             let reference = fresh

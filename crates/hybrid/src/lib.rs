@@ -9,9 +9,14 @@
 //! * [`HybridAutomaton`] — the automaton itself, owning the expression
 //!   [`biocheck_expr::Context`] all its formulas live in. Parameters are
 //!   ordinary context variables with declared ranges (Definition 12).
-//! * Simulation ([`HybridAutomaton::simulate`]) under urgent-jump
-//!   semantics with event detection, producing a [`HybridTrajectory`]
-//!   over the hybrid time domain (Definitions 8–10).
+//! * Simulation under urgent-jump semantics with event detection,
+//!   producing a [`HybridTrajectory`] over the hybrid time domain
+//!   (Definitions 8–10): [`HybridAutomaton::simulate`]`(env, init, t_end)`
+//!   takes explicit parameter values, and
+//!   [`HybridAutomaton::simulate_default`] uses each parameter's range
+//!   midpoint. Guard crossings are located to 10⁻⁹ time units, and a run
+//!   that takes more than 256 jumps fails as possibly Zeno
+//!   ([`SimError::TooManyJumps`]).
 //! * A `.bha` text format ([`HybridAutomaton::parse_bha`]) mirroring
 //!   dReach's `.drh` input language, and Graphviz export
 //!   ([`HybridAutomaton::to_dot`]) which regenerates the paper's Fig. 3
@@ -39,6 +44,9 @@
 //! let ha = HybridAutomaton::parse_bha(src).unwrap();
 //! let traj = ha.simulate_default(&[4.0], 30.0).unwrap();
 //! assert!(traj.mode_path().len() > 2, "must keep switching");
+//! // The same run with the environment spelled out.
+//! let same = ha.simulate(&ha.default_env(), &[4.0], 30.0).unwrap();
+//! assert_eq!(same.mode_path(), traj.mode_path());
 //! ```
 
 mod automaton;
@@ -47,4 +55,4 @@ mod simulate;
 
 pub use automaton::{HybridAutomaton, Jump, Mode, ModeId};
 pub use format::BhaError;
-pub use simulate::{HybridTrajectory, Segment, SimError, SimOptions};
+pub use simulate::{HybridTrajectory, Segment, SimError};

@@ -7,23 +7,10 @@ use biocheck_ode::{OdeError, Trace};
 use std::error::Error;
 use std::fmt;
 
-/// Simulation options.
-#[derive(Clone, Debug)]
-pub struct SimOptions {
-    /// Maximum number of discrete jumps (Zeno guard).
-    pub max_jumps: usize,
-    /// Absolute tolerance for locating guard crossings.
-    pub t_tol: f64,
-}
-
-impl Default for SimOptions {
-    fn default() -> SimOptions {
-        SimOptions {
-            max_jumps: 256,
-            t_tol: 1e-9,
-        }
-    }
-}
+/// Maximum number of discrete jumps per simulation (Zeno guard).
+const MAX_JUMPS: usize = 256;
+/// Absolute tolerance for locating guard crossings.
+const T_TOL: f64 = 1e-9;
 
 /// Simulation failure.
 #[derive(Debug)]
@@ -149,16 +136,17 @@ impl HybridAutomaton {
         t_end: f64,
     ) -> Result<HybridTrajectory, SimError> {
         let env = self.default_env();
-        self.simulate(&env, init_state, t_end, &SimOptions::default())
+        self.simulate(&env, init_state, t_end)
     }
 
     /// Simulates with an explicit environment (parameter values live at
     /// their variables' indices).
     ///
     /// Urgent semantics: the earliest enabled guard fires; its resets are
-    /// applied and the target mode continues. Invariants are not enforced
-    /// here (simulation follows the flow; use BMC for invariant-aware
-    /// analysis).
+    /// applied and the target mode continues. Crossings are located to
+    /// within `T_TOL` (10⁻⁹) and the run fails after `MAX_JUMPS` (256)
+    /// jumps. Invariants are not enforced here (simulation follows the
+    /// flow; use BMC for invariant-aware analysis).
     ///
     /// # Errors
     ///
@@ -168,7 +156,6 @@ impl HybridAutomaton {
         env: &[f64],
         init_state: &[f64],
         t_end: f64,
-        opts: &SimOptions,
     ) -> Result<HybridTrajectory, SimError> {
         assert_eq!(init_state.len(), self.dim(), "initial state arity");
         // Pre-compute guard margins per mode (requires a context clone
@@ -207,7 +194,7 @@ impl HybridAutomaton {
             let ode = sys.compile(&cx);
             let guard_exprs: Vec<NodeId> = mode_guards[mode].iter().map(|&(_, e)| e).collect();
             let (trace, hit) =
-                ode.integrate_with_events(&cx, &env, &state, (t, t_end), &guard_exprs, opts.t_tol)?;
+                ode.integrate_with_events(&cx, &env, &state, (t, t_end), &guard_exprs, T_TOL)?;
             match hit {
                 None => {
                     segments.push(Segment {
@@ -241,12 +228,12 @@ impl HybridAutomaton {
                     mode = jump.to;
                     state = new_state;
                     jumps_taken += 1;
-                    if jumps_taken > opts.max_jumps {
+                    if jumps_taken > MAX_JUMPS {
                         return Err(SimError::TooManyJumps { t });
                     }
                     // Nudge time forward to escape re-triggering the same
                     // guard at the identical instant.
-                    t += opts.t_tol;
+                    t += T_TOL;
                 }
             }
         }

@@ -4,33 +4,24 @@ use crate::contract::{Contractor, Outcome};
 use biocheck_expr::EvalScratch;
 use biocheck_interval::IBox;
 
+/// Minimum relative total-width reduction to schedule another round.
+const TOL: f64 = 1e-3;
+/// Hard cap on propagation rounds per call.
+const MAX_ROUNDS: usize = 64;
+
 /// Runs a round-robin schedule of contractors until the box stops shrinking
 /// meaningfully.
 ///
 /// A round is "meaningful" when the total box width drops by more than
-/// `tol` (relative). `max_rounds` bounds the work per call; both knobs only
+/// 0.1% (relative), and at most 64 rounds run per call. Both limits only
 /// affect tightness, never soundness.
-#[derive(Clone, Debug)]
-pub struct Propagator {
-    /// Minimum relative total-width reduction to schedule another round.
-    pub tol: f64,
-    /// Hard cap on propagation rounds.
-    pub max_rounds: usize,
-}
-
-impl Default for Propagator {
-    fn default() -> Propagator {
-        Propagator {
-            tol: 1e-3,
-            max_rounds: 64,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Propagator;
 
 impl Propagator {
-    /// Creates a propagator with the default schedule.
+    /// Creates a propagator.
     pub fn new() -> Propagator {
-        Propagator::default()
+        Propagator
     }
 
     /// Applies all contractors to a fixpoint (allocates a fresh scratch;
@@ -48,7 +39,7 @@ impl Propagator {
         scratch: &mut EvalScratch,
     ) -> Outcome {
         let mut overall = Outcome::Unchanged;
-        for _ in 0..self.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let before = bx.total_width();
             let mut round = Outcome::Unchanged;
             for c in contractors {
@@ -67,7 +58,7 @@ impl Propagator {
                 // only while contractors report reductions.
                 continue;
             }
-            if after > before * (1.0 - self.tol) {
+            if after > before * (1.0 - TOL) {
                 break; // diminishing returns
             }
         }
@@ -131,20 +122,21 @@ mod tests {
 
     #[test]
     fn max_rounds_bounds_work() {
-        // A pathological pair that keeps shaving slivers: the round cap
-        // must end the loop.
+        // x ≤ y/2 ∧ y ≤ x/2 on [0, 1]²: every round quarters both upper
+        // bounds, a reduction far above the 0.1% cut-off, so only the
+        // round cap ends the loop: after 64 rounds the upper bounds are
+        // still near 4⁻⁶⁴, far from the subnormal floor where contraction
+        // would stall by itself.
         let mut cx = Context::new();
-        let e1 = cx.parse("x - y*0.99999").unwrap();
-        let e2 = cx.parse("y - x*0.99999").unwrap();
+        let e1 = cx.parse("x - y*0.5").unwrap();
+        let e2 = cx.parse("y - x*0.5").unwrap();
         let c1 = Hc4::new(&cx, Atom::new(e1, RelOp::Le));
         let c2 = Hc4::new(&cx, Atom::new(e2, RelOp::Le));
         let refs: Vec<&Hc4> = vec![&c1, &c2];
-        let prop = Propagator {
-            tol: 0.0,
-            max_rounds: 5,
-        };
         let mut bx = IBox::uniform(2, Interval::new(0.0, 1.0));
-        let _ = prop.fixpoint(&refs, &mut bx);
-        // No assertion on the value: the point is termination.
+        assert_eq!(Propagator::new().fixpoint(&refs, &mut bx), Outcome::Reduced);
+        let hi = bx[0].hi().max(bx[1].hi());
+        assert!(hi < 1e-30, "{bx:?}");
+        assert!(hi > 0.25f64.powi(MAX_ROUNDS as i32 + 2), "{bx:?}");
     }
 }

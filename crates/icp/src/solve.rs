@@ -108,8 +108,6 @@ pub struct BranchAndPrune {
     pub eps: f64,
     /// Budget on the number of box splits.
     pub max_splits: usize,
-    /// Propagation schedule.
-    pub propagator: Propagator,
     /// Work-queue size at which box processing moves to worker threads
     /// (`usize::MAX` forces the sequential path). Batches are taken from
     /// the top of the queue and results are merged in queue order, so the
@@ -161,7 +159,6 @@ impl BranchAndPrune {
             delta,
             eps: (delta / 4.0).max(1e-12),
             max_splits: 200_000,
-            propagator: Propagator::default(),
             parallel_threshold: 64,
             cancel: None,
             deadline: None,
@@ -206,7 +203,7 @@ impl BranchAndPrune {
         inner_delta: Option<f64>,
         scratch: &mut EvalScratch,
     ) -> BoxStep {
-        if self.propagator.fixpoint_with(contractors, &mut bx, scratch) == Outcome::Empty {
+        if Propagator.fixpoint_with(contractors, &mut bx, scratch) == Outcome::Empty {
             return BoxStep::Pruned;
         }
         let all_hold = inner_delta.is_some_and(|d| {

@@ -48,6 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// δ of the synthesis step's search over the coefficient box.
+const SYNTH_DELTA: f64 = 1e-3;
+/// δ of the verification step's search over the annulus.
+const VERIFY_DELTA: f64 = 1e-4;
+/// Margin ε enforced at counterexamples, scaled by ‖x‖².
+const MARGIN: f64 = 0.05;
+
 /// A synthesized Lyapunov certificate.
 #[derive(Clone, Debug)]
 pub struct LyapunovResult {
@@ -84,12 +91,6 @@ pub struct LyapunovSynthesizer {
     vdot_expr: NodeId,
     r_min: f64,
     r_max: f64,
-    /// δ for the synthesis step.
-    pub synth_delta: f64,
-    /// δ for the verification step.
-    pub verify_delta: f64,
-    /// Margin ε enforced at counterexamples.
-    pub margin: f64,
     /// Cooperative cancellation flag, forwarded into the synthesis and
     /// verification δ-searches and polled between CEGIS phases. An
     /// interrupted run returns `None` — never a certificate whose
@@ -166,9 +167,6 @@ impl LyapunovSynthesizer {
             vdot_expr,
             r_min,
             r_max,
-            synth_delta: 1e-3,
-            verify_delta: 1e-4,
-            margin: 0.05,
             cancel: None,
             deadline: None,
             progress_boxes: None,
@@ -225,7 +223,7 @@ impl LyapunovSynthesizer {
             // Margin scaled by ‖x‖² keeps the requirement meaningful near
             // the inner radius and well above the verifier's δ.
             let norm2: f64 = ce.iter().map(|v| v * v).sum();
-            let s = self.margin * norm2;
+            let s = MARGIN * norm2;
             let eps = self.cx.constant(s);
             let neg_eps = self.cx.constant(-s);
             atoms.push(Atom::ge(&mut self.cx, v_at, eps));
@@ -235,7 +233,7 @@ impl LyapunovSynthesizer {
         for &c in &self.coeff_vars {
             init[c.index()] = Interval::new(-1.0, 1.0);
         }
-        let mut bp = BranchAndPrune::new(self.synth_delta);
+        let mut bp = BranchAndPrune::new(SYNTH_DELTA);
         bp.max_splits = 50_000;
         bp.cancel = self.cancel.clone();
         bp.deadline = self.deadline;
@@ -288,7 +286,7 @@ impl LyapunovSynthesizer {
                         return Verification::Inconclusive;
                     }
                     let atom = Atom::new(expr, op);
-                    let mut bp = BranchAndPrune::new(self.verify_delta);
+                    let mut bp = BranchAndPrune::new(VERIFY_DELTA);
                     bp.max_splits = 50_000;
                     bp.cancel = self.cancel.clone();
                     bp.deadline = self.deadline;

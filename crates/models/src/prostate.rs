@@ -130,7 +130,6 @@ pub fn cas_model(p: &PatientParams) -> OdeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use biocheck_hybrid::SimOptions;
 
     #[test]
     fn ias_cycles_between_modes() {
@@ -144,9 +143,7 @@ mod tests {
         env[r1] = 20.0;
         // Two full cycles: on ≈ day 29, off ≈ day 392, on ≈ day 567
         // (the long-run relapse of AI cells is tested separately).
-        let traj = ha
-            .simulate(&env, &[15.0, 0.1, 12.0], 700.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &[15.0, 0.1, 12.0], 700.0).unwrap();
         assert!(
             traj.mode_path().len() >= 3,
             "IAS should cycle: {:?}",
@@ -164,9 +161,7 @@ mod tests {
         let mut env = ha.default_env();
         env[ha.cx.var_id("r0").unwrap().index()] = 6.0;
         env[ha.cx.var_id("r1").unwrap().index()] = 20.0;
-        let traj = ha
-            .simulate(&env, &[15.0, 0.1, 12.0], 700.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &[15.0, 0.1, 12.0], 700.0).unwrap();
         // In 'on' segments androgen decays, in 'off' it recovers.
         for seg in &traj.segments {
             let z_first = seg.trace.state(0)[2];

@@ -135,7 +135,6 @@ pub fn tbi_init() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use biocheck_hybrid::SimOptions;
 
     fn env_with(ha: &HybridAutomaton, th1: f64, th2: f64) -> Vec<f64> {
         let mut env = ha.default_env();
@@ -149,9 +148,7 @@ mod tests {
         let ha = tbi_automaton();
         // Thresholds too high to ever trigger treatment.
         let env = env_with(&ha, 1e6, 1e6);
-        let traj = ha
-            .simulate(&env, &tbi_init(), 40.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &tbi_init(), 40.0).unwrap();
         let dmg_end = traj.final_state()[5];
         let died = traj.mode_path().contains(&ha.mode_by_name("1").unwrap());
         assert!(
@@ -165,9 +162,7 @@ mod tests {
         let ha = tbi_automaton();
         // Early triggers: drug A at low CLox, drug B at low RIP3.
         let env = env_with(&ha, 0.8, 1.0);
-        let traj = ha
-            .simulate(&env, &tbi_init(), 40.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &tbi_init(), 40.0).unwrap();
         let path: Vec<String> = traj
             .mode_path()
             .iter()
@@ -188,9 +183,7 @@ mod tests {
         let ha = tbi_automaton();
         // Drug A on time, drug B far too late: necroptosis kills the cell.
         let env = env_with(&ha, 0.8, 1e6);
-        let traj = ha
-            .simulate(&env, &tbi_init(), 40.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &tbi_init(), 40.0).unwrap();
         let died = traj.mode_path().contains(&ha.mode_by_name("1").unwrap())
             || traj.final_state()[5] >= THETA_DEATH;
         assert!(died, "single drug is not enough in this regime");
@@ -214,9 +207,7 @@ mod tests {
     fn gpx4_depletes_without_ferroptosis_protection() {
         let ha = tbi_automaton();
         let env = env_with(&ha, 1e6, 1e6);
-        let traj = ha
-            .simulate(&env, &tbi_init(), 20.0, &SimOptions::default())
-            .unwrap();
+        let traj = ha.simulate(&env, &tbi_init(), 20.0).unwrap();
         // GPX4 reserve decays under oxidized-lipid load.
         assert!(traj.final_state()[4] < 1.0);
     }

@@ -4,8 +4,9 @@
 //! Each step finds an a-priori enclosure `B ⊇ {y(s) : s ∈ [t, t+h]}` by
 //! Picard–Lindelöf iteration (`B' = Y + [0,h]·F(B)`, accepted when
 //! `B' ⊆ B`), then tightens the step endpoint with both the first-order
-//! mean-value form `Y + h·F(B)` and, when a Jacobian is available, the
-//! Taylor-2 form `Y + h·F(Y) + h²/2·J(B)·F(B)`, intersecting the two.
+//! form `Y + h·F(B)` and the Lohner-style mean-value form built on the
+//! Jacobian (a Taylor-2 midpoint flow plus a variational enclosure),
+//! intersecting the two.
 
 use biocheck_expr::{Context, Program, VarId};
 use biocheck_interval::{IBox, Interval};
@@ -14,14 +15,16 @@ use std::fmt;
 
 use crate::system::OdeSystem;
 
+/// Minimum step before a validated step gives up.
+const H_MIN: f64 = 1e-9;
+/// A tube stops (truncated) once any state enclosure is wider than this.
+const MAX_WIDTH: f64 = 1e3;
+/// Hard cap on accepted steps per flow.
+const MAX_STEPS: usize = 100_000;
+
 /// Failure of validated integration.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ValidationError {
-    /// The enclosure grew past the configured width bound at time `t`.
-    WidthExplosion {
-        /// Time at which the tube became too wide.
-        t: f64,
-    },
     /// No a-priori enclosure could be certified even at the minimum step.
     StepUnderflow {
         /// Time at which progress stalled.
@@ -32,9 +35,6 @@ pub enum ValidationError {
 impl fmt::Display for ValidationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ValidationError::WidthExplosion { t } => {
-                write!(f, "enclosure width exploded at t = {t}")
-            }
             ValidationError::StepUnderflow { t } => {
                 write!(f, "validated step underflow at t = {t}")
             }
@@ -122,23 +122,15 @@ impl FlowTube {
 #[derive(Clone, Debug)]
 pub struct ValidatedOde {
     prog: Program,
-    jac: Option<Program>,
+    jac: Program,
     states: Vec<VarId>,
-    /// Number of context variables at compile time (environment arity).
-    pub env_len: usize,
     /// Base step size.
     pub h0: f64,
-    /// Minimum step before giving up.
-    pub h_min: f64,
-    /// Abort when any state enclosure exceeds this width.
-    pub max_width: f64,
-    /// Hard cap on accepted steps per flow.
-    pub max_steps: usize,
 }
 
 impl ValidatedOde {
-    /// Compiles a validated integrator *with* Jacobian-based Taylor-2
-    /// tightening (requires differentiable right-hand sides).
+    /// Compiles a validated integrator with Jacobian-based mean-value
+    /// tightening (the right-hand sides are differentiated symbolically).
     pub fn new(cx: &mut Context, sys: &OdeSystem) -> ValidatedOde {
         let vars = sys.states.clone();
         let mut entries = Vec::with_capacity(vars.len() * vars.len());
@@ -147,31 +139,11 @@ impl ValidatedOde {
                 entries.push(cx.diff(e, v));
             }
         }
-        let jac = Program::compile(cx, &entries);
         ValidatedOde {
+            jac: Program::compile(cx, &entries),
             prog: Program::compile(cx, &sys.rhs),
-            jac: Some(jac),
             states: vars,
-            env_len: cx.num_vars(),
             h0: 0.05,
-            h_min: 1e-9,
-            max_width: 1e3,
-            max_steps: 100_000,
-        }
-    }
-
-    /// Compiles a first-order-only validated integrator (no Jacobian);
-    /// works for non-smooth right-hand sides (`min`/`max`/`abs`).
-    pub fn first_order(cx: &Context, sys: &OdeSystem) -> ValidatedOde {
-        ValidatedOde {
-            prog: Program::compile(cx, &sys.rhs),
-            jac: None,
-            states: sys.states.clone(),
-            env_len: cx.num_vars(),
-            h0: 0.05,
-            h_min: 1e-9,
-            max_width: 1e3,
-            max_steps: 100_000,
         }
     }
 
@@ -197,10 +169,7 @@ impl ValidatedOde {
         for (&v, i) in self.states.iter().zip(0..) {
             env[v.index()] = y[i];
         }
-        self.jac
-            .as_ref()
-            .expect("jacobian program present")
-            .eval_interval_into(env, out);
+        self.jac.eval_interval_into(env, out);
     }
 
     /// One validated step of size ≤ `h` from `y`. Returns
@@ -219,7 +188,7 @@ impl ValidatedOde {
         if f_y.iter().any(Interval::is_empty) {
             return None;
         }
-        'outer: while h >= self.h_min {
+        'outer: while h >= H_MIN {
             let h_iv = Interval::new(0.0, h);
             // Candidate a-priori enclosure, inflated.
             let mut cand = IBox::new(
@@ -256,12 +225,10 @@ impl ValidatedOde {
                 let hh = Interval::point(h);
                 // Baseline first-order end (sound but non-contractive).
                 let mut end = IBox::new((0..n).map(|i| y[i] + hh * f_b[i]).collect());
-                if self.jac.is_some() {
-                    if let Some(mv) = self.mean_value_end(env, y, &range, &f_b, h) {
-                        let tightened = end.intersect(&mv);
-                        if !tightened.is_empty() {
-                            end = tightened;
-                        }
+                if let Some(mv) = self.mean_value_end(env, y, &range, &f_b, h) {
+                    let tightened = end.intersect(&mv);
+                    if !tightened.is_empty() {
+                        end = tightened;
                     }
                 }
                 let end = end.intersect(&range);
@@ -385,11 +352,14 @@ impl ValidatedOde {
     /// Flows the box `y0` for `duration`, producing a tube. Parameters are
     /// read from `env` (a full-context box; state dims are overwritten).
     ///
+    /// A tube stops early, marked `truncated` but keeping its certified
+    /// prefix, when a later step cannot be certified, when a state
+    /// enclosure grows wider than 10³, or after 10⁵ steps.
+    ///
     /// # Errors
     ///
-    /// [`ValidationError::StepUnderflow`] when no step can be certified,
-    /// [`ValidationError::WidthExplosion`] when the tube outgrows
-    /// `max_width`.
+    /// [`ValidationError::StepUnderflow`] when not even the first step can
+    /// be certified.
     pub fn flow(&self, env: &IBox, y0: &IBox, duration: f64) -> Result<FlowTube, ValidationError> {
         assert_eq!(y0.len(), self.dim(), "initial box dimension mismatch");
         let mut env = env.clone();
@@ -403,7 +373,7 @@ impl ValidatedOde {
         let mut steps = 0;
         while t < duration {
             steps += 1;
-            if steps > self.max_steps {
+            if steps > MAX_STEPS {
                 tube.truncated = true;
                 return Ok(tube);
             }
@@ -425,7 +395,7 @@ impl ValidatedOde {
                     });
                     t = t1;
                     y = end;
-                    if y.max_width() > self.max_width {
+                    if y.max_width() > MAX_WIDTH {
                         // Stop here but keep the certified prefix: callers
                         // (the flow contractor) can still prune with it,
                         // e.g. when an invariant caps the dwell earlier.
@@ -488,24 +458,6 @@ mod tests {
         let end = tube.end();
         assert!(end.contains_point(&[0.8 * (-1.0f64).exp()]));
         assert!(end.contains_point(&[1.2 * (-1.0f64).exp()]));
-    }
-
-    #[test]
-    fn taylor2_tightens_versus_first_order() {
-        let mut cx = Context::new();
-        let sys = decay(&mut cx);
-        let v2 = ValidatedOde::new(&mut cx, &sys);
-        let v1 = ValidatedOde::first_order(&cx, &sys);
-        let env = IBox::uniform(cx.num_vars(), Interval::ZERO);
-        let y0 = IBox::new(vec![Interval::new(1.0, 1.0)]);
-        let t2 = v2.flow(&env, &y0, 1.0).unwrap();
-        let t1 = v1.flow(&env, &y0, 1.0).unwrap();
-        assert!(
-            t2.end()[0].width() <= t1.end()[0].width() + 1e-12,
-            "Taylor-2 {:?} vs first-order {:?}",
-            t2.end()[0],
-            t1.end()[0]
-        );
     }
 
     #[test]
@@ -614,9 +566,6 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(ValidationError::WidthExplosion { t: 1.0 }
-            .to_string()
-            .contains("exploded"));
         assert!(ValidationError::StepUnderflow { t: 1.0 }
             .to_string()
             .contains("underflow"));

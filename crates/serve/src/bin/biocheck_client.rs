@@ -1,7 +1,7 @@
 //! `biocheck_client` — blocking client for a running `biocheckd`.
 //!
 //! ```text
-//! biocheck_client --connect HOST:PORT            # JSONL from stdin, responses to stdout
+//! biocheck_client --connect HOST:PORT            # stdin lines sent as they are, replies to stdout
 //! biocheck_client --connect HOST:PORT --selftest # scripted batch + fingerprint check
 //! biocheck_client --connect HOST:PORT --selftest --expect-warm # cache must already be hot
 //! biocheck_client --connect HOST:PORT --selftest --expect-warm --no-register # registry log must serve too
@@ -58,7 +58,7 @@ use biocheck_engine::Session;
 use biocheck_serve::wire::{
     BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
 };
-use biocheck_serve::Client;
+use biocheck_serve::{Client, Json};
 use std::io::BufRead;
 
 fn selftest_model() -> ModelSource {
@@ -163,11 +163,7 @@ fn lint_model(addr: &str, name: &str) -> Result<(), String> {
         query: QuerySpec::Lint { ranges: vec![] },
         trace: false,
     })?;
-    let value = reply
-        .report
-        .get("value")
-        .cloned()
-        .unwrap_or(biocheck_serve::Json::Null);
+    let value = reply.report.get("value").cloned().unwrap_or(Json::Null);
     let pinned = biocheck_serve::pinned_lint_json(name, value, reply.fingerprint);
     println!("{}", pinned.render());
     Ok(())
@@ -257,7 +253,7 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
     let hits = stats
         .get("cache")
         .and_then(|c| c.get("hits"))
-        .and_then(biocheck_serve::Json::as_usize)
+        .and_then(Json::as_usize)
         .unwrap_or(0);
     if hits < requests.len() {
         return Err(format!(
@@ -314,7 +310,6 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
 /// `trace_export` must hold at least one complete Chrome trace event
 /// for it.
 fn trace_smoke(client: &mut Client) -> Result<(), String> {
-    use biocheck_serve::Json;
     let requests = selftest_requests();
     // A seed no earlier selftest used, so the traced run misses the
     // cache and actually exercises the engine span instrumentation —
@@ -415,7 +410,7 @@ struct WatchSample {
     wait_p99_ms: f64,
 }
 
-fn watch_sample(stats: &biocheck_serve::Json) -> WatchSample {
+fn watch_sample(stats: &Json) -> WatchSample {
     let f = |path: &[&str]| {
         let mut v = Some(stats);
         for k in path {
@@ -440,8 +435,7 @@ fn watch_sample(stats: &biocheck_serve::Json) -> WatchSample {
 /// Renders the `inflight` rows of a stats reply, one indented line per
 /// currently executing request: model, query kind, elapsed, and — for
 /// traced requests — the non-zero live solver progress counters.
-fn inflight_lines(stats: &biocheck_serve::Json) -> Vec<String> {
-    use biocheck_serve::Json;
+fn inflight_lines(stats: &Json) -> Vec<String> {
     let Some(Json::Arr(rows)) = stats.get("inflight") else {
         return vec![];
     };
@@ -585,7 +579,8 @@ fn main() {
         }
         return;
     }
-    // Raw mode: forward JSONL from stdin, print responses.
+    // Raw mode: forward each stdin line verbatim, print each reply line
+    // as the daemon wrote it. Only a failed exchange is reported here.
     let mut client = match Client::connect(addr.as_str()) {
         Ok(c) => c,
         Err(e) => {
@@ -599,12 +594,12 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        match biocheck_serve::wire::Request::from_line(&line) {
-            Ok(request) => match client.request(&request) {
-                Ok(reply) => println!("{}", reply.render()),
-                Err(e) => println!("{{\"ok\":false,\"error\":{:?}}}", e),
-            },
-            Err(e) => println!("{{\"ok\":false,\"error\":{:?}}}", e),
+        match client.request_line(&line) {
+            Ok(reply) => println!("{reply}"),
+            Err(e) => {
+                let error = Json::obj([("ok", Json::Bool(false)), ("error", Json::str(e))]);
+                println!("{}", error.render());
+            }
         }
     }
 }

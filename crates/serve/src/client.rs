@@ -207,14 +207,13 @@ impl Client {
         )))
     }
 
-    /// One request/response exchange on the current connection.
-    fn attempt(&mut self, request: &Request) -> Result<Json, Failure> {
+    /// One exchange on the current connection: writes `line` (which ends
+    /// in `\n`) with one write and reads one reply line.
+    fn exchange(&mut self, line: &str) -> Result<String, Failure> {
         if self.conn.is_none() {
             self.reconnect()?;
         }
         let conn = self.conn.as_mut().expect("just connected"); // lint: infallible
-        let mut line = request.to_json().render();
-        line.push('\n');
         if let Err(e) = conn.writer.write_all(line.as_bytes()) {
             self.conn = None;
             return Err(Failure::Transport(format!("send: {e}")));
@@ -228,6 +227,14 @@ impl Client {
             self.conn = None;
             return Err(Failure::Transport("connection closed".into()));
         }
+        Ok(reply)
+    }
+
+    /// One request/response exchange, with the reply decoded.
+    fn attempt(&mut self, request: &Request) -> Result<Json, Failure> {
+        let mut line = request.to_json().render();
+        line.push('\n');
+        let reply = self.exchange(&line)?;
         let json = match parse_json(reply.trim()) {
             Ok(v) => v,
             Err(e) => {
@@ -263,6 +270,19 @@ impl Client {
     /// with the server's message.
     pub fn request(&mut self, request: &Request) -> Result<Json, String> {
         self.attempt(request).map_err(Failure::into_message)
+    }
+
+    /// Sends one line exactly as given (plus the terminating newline)
+    /// and returns the daemon's reply line, without retrying. The line
+    /// is not decoded here, so the daemon alone judges it: a malformed
+    /// or refused request comes back as the daemon's own `ok: false`
+    /// reply. `Err` means the exchange itself failed (send, receive,
+    /// connection closed).
+    pub fn request_line(&mut self, line: &str) -> Result<String, String> {
+        let reply = self
+            .exchange(&format!("{line}\n"))
+            .map_err(Failure::into_message)?;
+        Ok(reply.trim_end().to_string())
     }
 
     /// Sends one request, retrying transport failures and `overloaded`

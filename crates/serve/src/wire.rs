@@ -239,8 +239,9 @@ pub(crate) fn u64_from_json(v: &Json) -> Option<u64> {
 }
 
 /// Wire-boundary numeric validation: JSON happily parses `1e999` into
-/// `f64::INFINITY`, and a non-finite horizon/bound/parameter must be a
-/// clean protocol error, never a value handed to the solvers.
+/// `f64::INFINITY`, and a non-finite parameter must be a clean protocol
+/// error, never a value handed to the solvers. Horizons and temporal
+/// bounds are left to [`Query::check_smc`], the rule a `Session` applies.
 fn finite(v: f64, what: &str) -> Result<f64, String> {
     if v.is_finite() {
         Ok(v)
@@ -299,14 +300,10 @@ impl PropSpec {
             PropSpec::Until { lhs, rhs, bound } => Bltl::Until {
                 lhs: Box::new(lhs.build(cx)?),
                 rhs: Box::new(rhs.build(cx)?),
-                bound: finite(*bound, "until bound")?,
+                bound: *bound,
             },
-            PropSpec::Eventually { bound, inner } => {
-                Bltl::eventually(finite(*bound, "eventually bound")?, inner.build(cx)?)
-            }
-            PropSpec::Globally { bound, inner } => {
-                Bltl::globally(finite(*bound, "globally bound")?, inner.build(cx)?)
-            }
+            PropSpec::Eventually { bound, inner } => Bltl::eventually(*bound, inner.build(cx)?),
+            PropSpec::Globally { bound, inner } => Bltl::globally(*bound, inner.build(cx)?),
         })
     }
 
@@ -518,7 +515,7 @@ impl SmcSpecWire {
             init: self.init.iter().map(DistSpec::build).collect(),
             params,
             property: self.property.build(cx)?,
-            t_end: finite(self.t_end, "t_end")?,
+            t_end: self.t_end,
         })
     }
 

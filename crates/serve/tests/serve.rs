@@ -532,14 +532,23 @@ fn degenerate_sprt_requests_are_invalid() {
 
 /// Every out-of-range SMC parameter is refused at the wire by the rule a
 /// `Session` applies: an `invalid_request`. A negative indifference width
-/// used to run with its hypotheses swapped; each other case used to pass
-/// the wire and come back from the engine as a `query_error`.
+/// used to run with its hypotheses swapped, and a temporal bound of −1
+/// used to run and answer p̂ = 0; each other case used to pass the wire
+/// and come back from the engine as a `query_error`.
 #[test]
 fn out_of_range_smc_parameters_are_invalid_requests() {
     let core = ServeCore::new(ServeConfig::default());
     core.register("decay", &decay_source()).unwrap();
     let smc = r#""smc":{"init":[{"dist":"uniform","lo":0.5,"hi":1.5}],"params":[],"property":{"type":"eventually","bound":0.01,"inner":{"type":"prop","expr":"x - 1","rel":"ge"}},"t_end":0.01}"#;
     let zero_horizon = smc.replace(r#""t_end":0.01"#, r#""t_end":0"#);
+    let bad_bounds: Vec<String> = ["-1", "1e999", "-1e999"]
+        .iter()
+        .flat_map(|b| {
+            let eventually = smc.replace(r#""bound":0.01"#, &format!(r#""bound":{b}"#));
+            let globally = eventually.replace(r#""type":"eventually""#, r#""type":"globally""#);
+            [eventually, globally]
+        })
+        .collect();
     let estimate = |method: &str| format!(r#""type":"estimate","method":{method}"#);
     for (query, smc) in [
         (
@@ -564,7 +573,13 @@ fn out_of_range_smc_parameters_are_invalid_requests() {
         (estimate(r#"{"type":"fixed","n":0}"#), smc),
         (r#""type":"robustness","samples":0"#.to_string(), smc),
         (estimate(r#"{"type":"fixed","n":8}"#), &zero_horizon),
-    ] {
+    ]
+    .into_iter()
+    .chain(
+        bad_bounds
+            .iter()
+            .map(|smc| (estimate(r#"{"type":"fixed","n":8}"#), smc.as_str())),
+    ) {
         let line =
             format!(r#"{{"op":"query","model":"decay","seed":1,"query":{{{query},{smc}}}}}"#);
         let (reply, _) = core.handle_line(&line);

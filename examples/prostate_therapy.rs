@@ -10,7 +10,6 @@
 use biocheck::bmc::{ReachOptions, ReachSpec};
 use biocheck::engine::{FalsificationOutcome, Query, Session, Value};
 use biocheck::expr::{Atom, RelOp};
-use biocheck::hybrid::SimOptions;
 use biocheck::interval::Interval;
 use biocheck::models::prostate::{cas_model, ias_automaton, PatientParams};
 
@@ -32,9 +31,7 @@ fn main() {
     let mut env = ha.default_env();
     env[ha.cx.var_id("r0").unwrap().index()] = 6.0;
     env[ha.cx.var_id("r1").unwrap().index()] = 20.0;
-    let traj = ha
-        .simulate(&env, &[15.0, 0.1, 12.0], 700.0, &SimOptions::default())
-        .unwrap();
+    let traj = ha.simulate(&env, &[15.0, 0.1, 12.0], 700.0).unwrap();
     let mode_names: Vec<&str> = traj
         .mode_path()
         .iter()

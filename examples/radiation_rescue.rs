@@ -8,7 +8,6 @@
 use biocheck::bmc::{ReachOptions, ReachSpec};
 use biocheck::engine::{Budget, Query, Session, Value};
 use biocheck::expr::{Atom, RelOp};
-use biocheck::hybrid::SimOptions;
 use biocheck::interval::Interval;
 use biocheck::models::radiation::{tbi_automaton, tbi_init, THETA_DEATH};
 
@@ -26,9 +25,7 @@ fn main() {
     let th2 = ha.cx.var_id("theta2").unwrap().index();
     env[th1] = 1e6; // never treat
     env[th2] = 1e6;
-    let untreated = ha
-        .simulate(&env, &tbi_init(), 40.0, &SimOptions::default())
-        .unwrap();
+    let untreated = ha.simulate(&env, &tbi_init(), 40.0).unwrap();
     println!(
         "untreated: final damage = {:.2} (death at {THETA_DEATH}), path {:?}",
         untreated.final_state()[5],
@@ -36,9 +33,7 @@ fn main() {
     );
     env[th1] = 0.8;
     env[th2] = 1.0;
-    let treated = ha
-        .simulate(&env, &tbi_init(), 40.0, &SimOptions::default())
-        .unwrap();
+    let treated = ha.simulate(&env, &tbi_init(), 40.0).unwrap();
     println!(
         "treated (θ1=0.8, θ2=1.0): final damage = {:.2}, path {:?}",
         treated.final_state()[5],

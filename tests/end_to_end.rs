@@ -122,15 +122,11 @@ fn radiation_simulation_outcomes() {
     let th2 = ha.cx.var_id("theta2").unwrap().index();
     env[th1] = 0.8;
     env[th2] = 1.0;
-    let treated = ha
-        .simulate(&env, &radiation::tbi_init(), 40.0, &Default::default())
-        .unwrap();
+    let treated = ha.simulate(&env, &radiation::tbi_init(), 40.0).unwrap();
     assert!(treated.final_state()[5] < radiation::THETA_DEATH);
     env[th1] = 1e6;
     env[th2] = 1e6;
-    let untreated = ha
-        .simulate(&env, &radiation::tbi_init(), 40.0, &Default::default())
-        .unwrap();
+    let untreated = ha.simulate(&env, &radiation::tbi_init(), 40.0).unwrap();
     assert!(
         untreated.final_state()[5] >= radiation::THETA_DEATH - 1e-6
             || untreated
