@@ -58,7 +58,7 @@ use biocheck_engine::Session;
 use biocheck_serve::wire::{
     BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
 };
-use biocheck_serve::{Client, Json};
+use biocheck_serve::Client;
 use std::io::BufRead;
 
 fn selftest_model() -> ModelSource {
@@ -163,7 +163,11 @@ fn lint_model(addr: &str, name: &str) -> Result<(), String> {
         query: QuerySpec::Lint { ranges: vec![] },
         trace: false,
     })?;
-    let value = reply.report.get("value").cloned().unwrap_or(Json::Null);
+    let value = reply
+        .report
+        .get("value")
+        .cloned()
+        .unwrap_or(biocheck_serve::Json::Null);
     let pinned = biocheck_serve::pinned_lint_json(name, value, reply.fingerprint);
     println!("{}", pinned.render());
     Ok(())
@@ -253,7 +257,7 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
     let hits = stats
         .get("cache")
         .and_then(|c| c.get("hits"))
-        .and_then(Json::as_usize)
+        .and_then(biocheck_serve::Json::as_usize)
         .unwrap_or(0);
     if hits < requests.len() {
         return Err(format!(
@@ -310,6 +314,7 @@ fn selftest(addr: &str, expect_warm: bool, no_register: bool) -> Result<(), Stri
 /// `trace_export` must hold at least one complete Chrome trace event
 /// for it.
 fn trace_smoke(client: &mut Client) -> Result<(), String> {
+    use biocheck_serve::Json;
     let requests = selftest_requests();
     // A seed no earlier selftest used, so the traced run misses the
     // cache and actually exercises the engine span instrumentation —
@@ -410,7 +415,7 @@ struct WatchSample {
     wait_p99_ms: f64,
 }
 
-fn watch_sample(stats: &Json) -> WatchSample {
+fn watch_sample(stats: &biocheck_serve::Json) -> WatchSample {
     let f = |path: &[&str]| {
         let mut v = Some(stats);
         for k in path {
@@ -435,7 +440,8 @@ fn watch_sample(stats: &Json) -> WatchSample {
 /// Renders the `inflight` rows of a stats reply, one indented line per
 /// currently executing request: model, query kind, elapsed, and — for
 /// traced requests — the non-zero live solver progress counters.
-fn inflight_lines(stats: &Json) -> Vec<String> {
+fn inflight_lines(stats: &biocheck_serve::Json) -> Vec<String> {
+    use biocheck_serve::Json;
     let Some(Json::Arr(rows)) = stats.get("inflight") else {
         return vec![];
     };
@@ -597,6 +603,7 @@ fn main() {
         match client.request_line(&line) {
             Ok(reply) => println!("{reply}"),
             Err(e) => {
+                use biocheck_serve::Json;
                 let error = Json::obj([("ok", Json::Bool(false)), ("error", Json::str(e))]);
                 println!("{}", error.render());
             }
