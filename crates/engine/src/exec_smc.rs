@@ -21,7 +21,7 @@
 //! except that an undecided Bayes run zeroes its unearned half-width and
 //! confidence. Results are independent of thread count and lane width.
 //! The session refuses parameters a rule cannot run
-//! ([`Query::check_smc`](crate::Query::check_smc)) before any of these
+//! ([`Session::check`](crate::Session::check)) before any of these
 //! runs.
 
 use crate::budget::Budget;

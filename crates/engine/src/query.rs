@@ -6,7 +6,7 @@ use biocheck_bltl::Bltl;
 use biocheck_bmc::{ReachOptions, ReachSpec};
 use biocheck_expr::{Atom, Context, VarId};
 use biocheck_interval::Interval;
-use biocheck_smc::{check_bayes, check_chernoff, check_samples, check_sprt, Dist};
+use biocheck_smc::Dist;
 use std::fmt::Write as _;
 
 /// The probabilistic setup shared by the SMC-backed queries: how the
@@ -59,8 +59,10 @@ pub enum EstimateMethod {
 /// SMC-backed variants (`Estimate`, `Sprt`, `Robustness`) and the
 /// δ-decision variants `Calibrate`/`Stability` need a session over an
 /// ODE model; `Falsify`/`Therapy` need one over a hybrid automaton.
-/// Mixing them up is an [`Error::WrongModel`](crate::Error::WrongModel),
-/// not a panic.
+/// Every query passes [`Session::check`](crate::Session::check) before
+/// it runs: a parameter out of its kind's range, the wrong model kind or
+/// a length that differs from the model dimension is a typed
+/// [`Error`](crate::Error), never a panic or a report.
 #[derive(Clone, Debug)]
 pub enum Query {
     /// Estimate the satisfaction probability of a BLTL property.
@@ -209,16 +211,8 @@ impl Query {
                 push_smc(&mut s, cx, smc);
                 let _ = write!(s, ";n={samples}}}");
             }
-            Query::Falsify { spec, opts } => {
-                s.push_str("falsify{");
-                push_reach(&mut s, cx, spec, opts);
-                s.push('}');
-            }
-            Query::Therapy { spec, opts } => {
-                s.push_str("therapy{");
-                push_reach(&mut s, cx, spec, opts);
-                s.push('}');
-            }
+            Query::Falsify { spec, opts } => push_reach(&mut s, cx, "falsify", spec, opts),
+            Query::Therapy { spec, opts } => push_reach(&mut s, cx, "therapy", spec, opts),
             Query::Calibrate {
                 data,
                 init,
@@ -233,19 +227,13 @@ impl Query {
                     data.times, data.values, data.observed, data.tolerance, init
                 );
                 s.push_str(";params=[");
-                for (i, (v, range)) in params.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}:{}", cx.var_name(*v), range);
-                }
+                push_joined(&mut s, params, |s, (v, range)| {
+                    let _ = write!(s, "{}:{range}", cx.var_name(*v));
+                });
+                let bounds = rendered(state_bounds);
                 let _ = write!(
                     s,
-                    "];bounds={:?};delta={delta:?};step={flow_step:?}}}",
-                    state_bounds
-                        .iter()
-                        .map(|i| i.to_string())
-                        .collect::<Vec<_>>()
+                    "];bounds={bounds:?};delta={delta:?};step={flow_step:?}}}"
                 );
             }
             Query::Stability {
@@ -253,10 +241,10 @@ impl Query {
                 r_min,
                 r_max,
             } => {
+                let region = rendered(region);
                 let _ = write!(
                     s,
-                    "stability{{region={:?};r_min={r_min:?};r_max={r_max:?}}}",
-                    region.iter().map(|i| i.to_string()).collect::<Vec<_>>()
+                    "stability{{region={region:?};r_min={r_min:?};r_max={r_max:?}}}"
                 );
             }
             Query::Lint {
@@ -265,19 +253,11 @@ impl Query {
                 property,
             } => {
                 s.push_str("lint{ranges=[");
-                for (i, (v, range)) in ranges.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}:{}", cx.var_name(*v), range);
-                }
+                push_joined(&mut s, ranges, |s, (v, range)| {
+                    let _ = write!(s, "{}:{range}", cx.var_name(*v));
+                });
                 s.push_str("];declared=[");
-                for (i, v) in declared.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(cx.var_name(*v));
-                }
+                push_joined(&mut s, declared, |s, v| s.push_str(cx.var_name(*v)));
                 s.push_str("];prop=");
                 match property {
                     Some(p) => push_bltl(&mut s, cx, p),
@@ -287,57 +267,6 @@ impl Query {
             }
         }
         s
-    }
-
-    /// Refuses SMC parameters the query cannot run: a parameter outside
-    /// its method's rule ([`check_samples`], [`check_sprt`],
-    /// [`check_chernoff`], [`check_bayes`]), a horizon that is not
-    /// finite and positive, a temporal bound of the property that is
-    /// negative or not finite, or an ill-defined distribution
-    /// ([`Dist::check`]). The error names the parameters at fault and
-    /// says what is wrong. Queries that do not sample pass: their
-    /// parameters are checked when they run.
-    pub fn check_smc(&self) -> Result<(), (&'static str, String)> {
-        let (smc, rule) = match *self {
-            Query::Estimate { ref smc, method } => (
-                smc,
-                match method {
-                    EstimateMethod::Fixed { n } => check_samples("n", n),
-                    EstimateMethod::Chernoff { eps, delta } => check_chernoff(eps, delta),
-                    EstimateMethod::Bayes {
-                        half_width,
-                        confidence,
-                        max_samples,
-                    } => check_bayes(half_width, confidence)
-                        .and(check_samples("max_samples", max_samples)),
-                },
-            ),
-            Query::Sprt {
-                ref smc,
-                theta,
-                indiff,
-                alpha,
-                beta,
-                max_samples,
-            } => (
-                smc,
-                check_sprt(theta, indiff, alpha, beta)
-                    .and(check_samples("max_samples", max_samples)),
-            ),
-            Query::Robustness { ref smc, samples } => (smc, check_samples("samples", samples)),
-            _ => return Ok(()),
-        };
-        rule?;
-        if !(smc.t_end.is_finite() && smc.t_end > 0.0) {
-            let detail = format!("must be finite and positive, got {}", smc.t_end);
-            return Err(("t_end", detail));
-        }
-        if let Some(bound) = bad_until_bound(&smc.property) {
-            let detail = format!("temporal bounds must be finite and non-negative, got {bound}");
-            return Err(("bound", detail));
-        }
-        let params = smc.params.iter().map(|(_, d)| d);
-        smc.init.iter().chain(params).try_for_each(Dist::check)
     }
 
     /// The discriminant, carried on every [`Report`](crate::Report).
@@ -355,21 +284,17 @@ impl Query {
     }
 }
 
-/// The first `Until` bound in `f` that is negative or not finite. No
-/// trace satisfies `F≤b φ` for b < 0, so such a property would run and
-/// report p̂ = 0 instead of being refused.
-fn bad_until_bound(f: &Bltl) -> Option<f64> {
-    match f {
-        Bltl::Prop(_) => None,
-        Bltl::Not(g) => bad_until_bound(g),
-        Bltl::And(gs) | Bltl::Or(gs) => gs.iter().find_map(bad_until_bound),
-        Bltl::Until { lhs, rhs, bound } => {
-            if bound.is_finite() && *bound >= 0.0 {
-                bad_until_bound(lhs).or_else(|| bad_until_bound(rhs))
-            } else {
-                Some(*bound)
-            }
+/// Pushes each of `items` through `push`, separated by commas.
+fn push_joined<'a, T: 'a>(
+    s: &mut String,
+    items: impl IntoIterator<Item = &'a T>,
+    mut push: impl FnMut(&mut String, &'a T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            s.push(',');
         }
+        push(s, item);
     }
 }
 
@@ -394,22 +319,12 @@ pub(crate) fn push_bltl(s: &mut String, cx: &Context, f: &Bltl) {
         }
         Bltl::And(fs) => {
             s.push_str("and(");
-            for (i, g) in fs.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_bltl(s, cx, g);
-            }
+            push_joined(s, fs, |s, g| push_bltl(s, cx, g));
             s.push(')');
         }
         Bltl::Or(fs) => {
             s.push_str("or(");
-            for (i, g) in fs.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_bltl(s, cx, g);
-            }
+            push_joined(s, fs, |s, g| push_bltl(s, cx, g));
             s.push(')');
         }
         Bltl::Until { lhs, rhs, bound } => {
@@ -441,46 +356,35 @@ fn push_dist(s: &mut String, d: &Dist) {
 
 pub(crate) fn push_smc(s: &mut String, cx: &Context, smc: &SmcSpec) {
     s.push_str("init=[");
-    for (i, d) in smc.init.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_dist(s, d);
-    }
+    push_joined(s, &smc.init, push_dist);
     s.push_str("];params=[");
-    for (i, (v, d)) in smc.params.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    push_joined(s, &smc.params, |s, (v, d)| {
         let _ = write!(s, "{}:", cx.var_name(*v));
         push_dist(s, d);
-    }
+    });
     s.push_str("];prop=");
     push_bltl(s, cx, &smc.property);
     let _ = write!(s, ";t_end={:?}", smc.t_end);
 }
 
-fn push_reach(s: &mut String, cx: &Context, spec: &ReachSpec, opts: &ReachOptions) {
-    let _ = write!(s, "goal_mode={:?};goal=[", spec.goal_mode);
-    for (i, a) in spec.goal.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_atom(s, cx, a);
-    }
+fn push_reach(s: &mut String, cx: &Context, kind: &str, spec: &ReachSpec, opts: &ReachOptions) {
+    let _ = write!(s, "{kind}{{goal_mode={:?};goal=[", spec.goal_mode);
+    push_joined(s, &spec.goal, |s, a| push_atom(s, cx, a));
     let _ = write!(
         s,
-        "];k={};T={:?};delta={:?};bounds={:?};splits={};step={:?}",
+        "];k={};T={:?};delta={:?};bounds={:?};splits={};step={:?}}}",
         spec.k_max,
         spec.time_bound,
         opts.delta,
-        opts.state_bounds
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>(),
+        rendered(&opts.state_bounds),
         opts.max_splits,
         opts.flow_step
     );
+}
+
+/// Each interval in its `Display` form.
+fn rendered(intervals: &[Interval]) -> Vec<String> {
+    intervals.iter().map(Interval::to_string).collect()
 }
 
 /// Discriminant of a [`Query`].

@@ -5,17 +5,19 @@ use crate::calibrate::{self, CalibrationProblem};
 use crate::error::Error;
 use crate::exec_smc::{Sampling, SmcOutcome};
 use crate::falsify::{self, FalsificationOutcome};
-use crate::query::{push_bltl, push_smc, Query, QueryKind, SmcSpec};
+use crate::query::{push_bltl, push_smc, EstimateMethod, Query, QueryKind, SmcSpec};
 use crate::report::{Outcome, Provenance, Report, Value};
 use crate::stability;
 use crate::therapy;
-use biocheck_bltl::CompiledBltl;
+use biocheck_bltl::{Bltl, CompiledBltl};
 use biocheck_bmc::ReachOptions;
 use biocheck_expr::Context;
 use biocheck_hybrid::HybridAutomaton;
 use biocheck_models::OdeModel;
 use biocheck_ode::{CompiledOde, OdeSystem, Trace};
-use biocheck_smc::{fork_seed, TraceSampler};
+use biocheck_smc::{
+    check_bayes, check_chernoff, check_samples, check_sprt, fork_seed, Dist, TraceSampler,
+};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -282,18 +284,8 @@ impl Session {
     /// [`Error::WrongModel`] on hybrid sessions; [`Error::Ode`] when
     /// integration fails.
     pub fn simulate(&self, t_end: f64) -> Result<Trace, Error> {
-        match &self.model {
-            Model::Ode(parts) => {
-                Ok(parts
-                    .ode
-                    .integrate(&self.nominal_env, &self.nominal_init, (0.0, t_end))?)
-            }
-            Model::Hybrid(_) => Err(Error::WrongModel {
-                query: "simulate",
-                expected: "ODE model",
-                got: self.model.name(),
-            }),
-        }
+        let ode = &self.ode_parts("simulate")?.ode;
+        Ok(ode.integrate(&self.nominal_env, &self.nominal_init, (0.0, t_end))?)
     }
 
     /// Starts building a query run; finish with
@@ -361,6 +353,60 @@ impl Session {
             .collect()
     }
 
+    /// The one gate every query passes before it runs: [`QueryRun::run`]
+    /// and [`Session::run_batch`] call it first, and a server can call it
+    /// before its cache probe. It checks, in this order, the parameter
+    /// rule of the query's kind, the model kind, and every per-component
+    /// length against the model dimension. Past it, only a failure during
+    /// execution is an error.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] naming the parameter at fault, then
+    /// [`Error::WrongModel`], then [`Error::Shape`].
+    pub fn check(&self, query: &Query) -> Result<(), Error> {
+        check_params(query).map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
+        let ode_dim = |kind| self.ode_parts(kind).map(|parts| parts.sys.dim());
+        match query {
+            Query::Estimate { smc, .. }
+            | Query::Sprt { smc, .. }
+            | Query::Robustness { smc, .. } => shape(
+                "init distributions",
+                ode_dim("SMC sampling")?,
+                smc.init.len(),
+            ),
+            Query::Falsify { opts, .. } => shape(
+                "state bounds",
+                self.automaton("Falsify")?.dim(),
+                opts.state_bounds.len(),
+            ),
+            Query::Therapy { opts, .. } => shape(
+                "state bounds",
+                self.automaton("Therapy")?.dim(),
+                opts.state_bounds.len(),
+            ),
+            Query::Calibrate {
+                data,
+                init,
+                state_bounds,
+                ..
+            } => {
+                let dim = ode_dim("Calibrate")?;
+                shape("initial state", dim, init.len())?;
+                shape("state bounds", dim, state_bounds.len())?;
+                match data.observed.iter().find(|&&c| c >= dim) {
+                    Some(bad) => Err(Error::InvalidParameter {
+                        what: "data.observed",
+                        detail: format!("component {bad} out of range for dimension {dim}"),
+                    }),
+                    None => Ok(()),
+                }
+            }
+            Query::Stability { region, .. } => shape("region", ode_dim("Stability")?, region.len()),
+            Query::Lint { .. } => Ok(()),
+        }
+    }
+
     fn ode_parts(&self, query: &'static str) -> Result<&OdeParts, Error> {
         match &self.model {
             Model::Ode(parts) => Ok(parts),
@@ -403,13 +449,6 @@ impl Session {
     /// a pure lookup.
     fn sampler(&self, smc: &SmcSpec) -> Result<Arc<TraceSampler>, Error> {
         let OdeParts { cx, sys, ode } = self.ode_parts("SMC sampling")?;
-        if smc.init.len() != sys.dim() {
-            return Err(Error::Shape {
-                what: "init distributions",
-                expected: sys.dim(),
-                got: smc.init.len(),
-            });
-        }
         let mut key = String::new();
         push_smc(&mut key, cx, smc);
         let mut plan_key = String::new();
@@ -556,6 +595,7 @@ impl Session {
         deadline: Option<Instant>,
         parallel: bool,
     ) -> Result<Report, Error> {
+        self.check(query)?;
         let _tspan = budget.trace.as_ref().map(|t| t.span("engine.query"));
         let started = Instant::now();
         let mut compile = Duration::ZERO;
@@ -584,9 +624,6 @@ impl Session {
             deadline,
             parallel,
         };
-        query
-            .check_smc()
-            .map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
         match query {
             Query::Estimate { smc, method } => {
                 let sampler = self.timed_sampler(smc, budget, compile)?;
@@ -612,7 +649,6 @@ impl Session {
             }
             Query::Falsify { spec, opts } => {
                 let ha = self.automaton("Falsify")?;
-                check_state_bounds(opts, ha.dim())?;
                 let opts = Session::apply_budget(opts, budget, deadline);
                 let verdict = falsify::falsify_reachability(ha, spec, &opts);
                 let exhausted = matches!(verdict, FalsificationOutcome::Undecided);
@@ -620,7 +656,6 @@ impl Session {
             }
             Query::Therapy { spec, opts } => {
                 let ha = self.automaton("Therapy")?;
-                check_state_bounds(opts, ha.dim())?;
                 let opts = Session::apply_budget(opts, budget, deadline);
                 let (plan, exhausted) = therapy::synthesize_therapy_checked(ha, spec, &opts);
                 Ok(self.delta_report(query.kind(), seed, exhausted, Value::Therapy(plan)))
@@ -634,38 +669,6 @@ impl Session {
                 flow_step,
             } => {
                 let OdeParts { cx, sys, .. } = self.ode_parts("Calibrate")?;
-                if init.len() != sys.dim() {
-                    return Err(Error::Shape {
-                        what: "initial state",
-                        expected: sys.dim(),
-                        got: init.len(),
-                    });
-                }
-                if state_bounds.len() != sys.dim() {
-                    return Err(Error::Shape {
-                        what: "state bounds",
-                        expected: sys.dim(),
-                        got: state_bounds.len(),
-                    });
-                }
-                if !(delta.is_finite() && *delta > 0.0) {
-                    return Err(Error::InvalidParameter {
-                        what: "delta",
-                        detail: format!("must be positive, got {delta}"),
-                    });
-                }
-                if !(flow_step.is_finite() && *flow_step > 0.0) {
-                    return Err(Error::InvalidParameter {
-                        what: "flow_step",
-                        detail: format!("must be positive, got {flow_step}"),
-                    });
-                }
-                if let Some(&bad) = data.observed.iter().find(|&&c| c >= sys.dim()) {
-                    return Err(Error::InvalidParameter {
-                        what: "data.observed",
-                        detail: format!("component {bad} out of range for dimension {}", sys.dim()),
-                    });
-                }
                 let problem = CalibrationProblem {
                     cx: cx.clone(),
                     sys: sys.clone(),
@@ -684,19 +687,6 @@ impl Session {
                 r_max,
             } => {
                 let OdeParts { cx, sys, .. } = self.ode_parts("Stability")?;
-                if region.len() != sys.dim() {
-                    return Err(Error::Shape {
-                        what: "region",
-                        expected: sys.dim(),
-                        got: region.len(),
-                    });
-                }
-                if !(*r_min > 0.0 && r_max > r_min && r_max.is_finite()) {
-                    return Err(Error::InvalidParameter {
-                        what: "r_min/r_max",
-                        detail: format!("need 0 < r_min < r_max < inf, got {r_min}, {r_max}"),
-                    });
-                }
                 let (report, exhausted) =
                     stability::run_stability(cx, sys, region, *r_min, *r_max, budget, deadline);
                 Ok(self.delta_report(query.kind(), seed, exhausted, Value::Stability(report)))
@@ -742,15 +732,124 @@ fn kind_span_name(query: &Query) -> &'static str {
     }
 }
 
-fn check_state_bounds(opts: &ReachOptions, dim: usize) -> Result<(), Error> {
-    if opts.state_bounds.len() != dim {
-        return Err(Error::Shape {
-            what: "state bounds",
-            expected: dim,
-            got: opts.state_bounds.len(),
-        });
+/// A refused parameter: its name and what is wrong with it.
+type Refusal = (&'static str, String);
+
+/// The parameter rule of each query kind. SMC kinds apply their
+/// method's rule ([`check_samples`], [`check_sprt`], [`check_chernoff`],
+/// [`check_bayes`]), a finite positive horizon, finite non-negative
+/// temporal bounds ([`check_bounds`]) and [`Dist::check`]. δ-decision
+/// kinds need a finite positive δ and `flow_step`, and their own ranges.
+fn check_params(query: &Query) -> Result<(), Refusal> {
+    let smc = match *query {
+        Query::Estimate { ref smc, method } => {
+            match method {
+                EstimateMethod::Fixed { n } => check_samples("n", n),
+                EstimateMethod::Chernoff { eps, delta } => check_chernoff(eps, delta),
+                EstimateMethod::Bayes {
+                    half_width,
+                    confidence,
+                    max_samples,
+                } => check_bayes(half_width, confidence)
+                    .and(check_samples("max_samples", max_samples)),
+            }?;
+            smc
+        }
+        Query::Sprt {
+            ref smc,
+            theta,
+            indiff,
+            alpha,
+            beta,
+            max_samples,
+        } => {
+            check_sprt(theta, indiff, alpha, beta)?;
+            check_samples("max_samples", max_samples)?;
+            smc
+        }
+        Query::Robustness { ref smc, samples } => {
+            check_samples("samples", samples)?;
+            smc
+        }
+        Query::Falsify { ref spec, ref opts } | Query::Therapy { ref spec, ref opts } => {
+            finite_positive("delta", opts.delta, false)?;
+            finite_positive("flow_step", opts.flow_step, false)?;
+            return finite_positive("time_bound", spec.time_bound, true);
+        }
+        Query::Calibrate {
+            ref data,
+            delta,
+            flow_step,
+            ..
+        } => {
+            finite_positive("delta", delta, false)?;
+            finite_positive("flow_step", flow_step, false)?;
+            let (times, width) = (&data.times, data.observed.len());
+            times
+                .iter()
+                .try_for_each(|&t| finite_positive("data.times", t, false))?;
+            if let Some(w) = times.windows(2).find(|w| w[0] >= w[1]) {
+                let detail = format!("must increase strictly, got {} then {}", w[0], w[1]);
+                return Err(("data.times", detail));
+            }
+            let row_ok = |row: &Vec<f64>| row.len() == width && row.iter().all(|v| v.is_finite());
+            if data.values.len() != times.len() || !data.values.iter().all(row_ok) {
+                let detail = format!("need one row of {width} finite values per time");
+                return Err(("data.values", format!("{detail}, got {:?}", data.values)));
+            }
+            return finite_positive("data.tolerance", data.tolerance, true);
+        }
+        Query::Stability { r_min, r_max, .. }
+            if !(r_min > 0.0 && r_max > r_min && r_max.is_finite()) =>
+        {
+            let detail = format!("need 0 < r_min < r_max < inf, got {r_min}, {r_max}");
+            return Err(("r_min/r_max", detail));
+        }
+        Query::Stability { .. } | Query::Lint { .. } => return Ok(()),
+    };
+    finite_positive("t_end", smc.t_end, false)?;
+    check_bounds(&smc.property)?;
+    let params = smc.params.iter().map(|(_, d)| d);
+    smc.init.iter().chain(params).try_for_each(Dist::check)
+}
+
+/// Refuses `v` unless it is finite and positive, or zero when
+/// `zero_ok`.
+fn finite_positive(what: &'static str, v: f64, zero_ok: bool) -> Result<(), Refusal> {
+    if v.is_finite() && (v > 0.0 || zero_ok && v == 0.0) {
+        return Ok(());
     }
-    Ok(())
+    let need = if zero_ok { "non-negative" } else { "positive" };
+    Err((what, format!("must be finite and {need}, got {v}")))
+}
+
+/// Every `Until` bound in `f` must be finite and non-negative. No trace
+/// satisfies `F≤b φ` for b < 0, so such a property would run and report
+/// p̂ = 0 instead of being refused.
+fn check_bounds(f: &Bltl) -> Result<(), Refusal> {
+    match f {
+        Bltl::Prop(_) => Ok(()),
+        Bltl::Not(g) => check_bounds(g),
+        Bltl::And(gs) | Bltl::Or(gs) => gs.iter().try_for_each(check_bounds),
+        Bltl::Until { lhs, rhs, bound } => {
+            finite_positive("bound", *bound, true)?;
+            check_bounds(lhs)?;
+            check_bounds(rhs)
+        }
+    }
+}
+
+/// A per-component argument of `got` entries against the model
+/// dimension `expected`.
+fn shape(what: &'static str, expected: usize, got: usize) -> Result<(), Error> {
+    if got == expected {
+        return Ok(());
+    }
+    Err(Error::Shape {
+        what,
+        expected,
+        got,
+    })
 }
 
 /// Builder for one query run; construct with [`Session::query`].

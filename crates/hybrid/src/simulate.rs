@@ -2,8 +2,8 @@
 //! producing trajectories over the hybrid time domain (Definitions 8–10).
 
 use crate::automaton::{HybridAutomaton, ModeId};
-use biocheck_expr::{Atom, NodeId, RelOp};
-use biocheck_ode::{OdeError, Trace};
+use biocheck_expr::{Atom, NodeId, Program, RelOp};
+use biocheck_ode::{CompiledOde, OdeError, Trace};
 use std::error::Error;
 use std::fmt;
 
@@ -184,71 +184,65 @@ impl HybridAutomaton {
 
         let mut env = env.to_vec();
         env.resize(cx.num_vars().max(env.len()), 0.0);
+        // Each mode's flow and guard programs, compiled on its first visit.
+        let mut compiled: Vec<Option<(CompiledOde, Program)>> =
+            self.modes.iter().map(|_| None).collect();
         let mut segments = Vec::new();
         let mut mode = self.init_mode;
         let mut state = init_state.to_vec();
         let mut t = 0.0;
         let mut jumps_taken = 0;
-        while t < t_end {
-            let sys = self.flow_system(mode);
-            let ode = sys.compile(&cx);
-            let guard_exprs: Vec<NodeId> = mode_guards[mode].iter().map(|&(_, e)| e).collect();
-            let (trace, hit) =
-                ode.integrate_with_events(&cx, &env, &state, (t, t_end), &guard_exprs, T_TOL)?;
-            match hit {
-                None => {
-                    segments.push(Segment {
-                        mode,
-                        trace,
-                        exit_jump: None,
-                    });
-                    break;
-                }
-                Some(hit) => {
-                    let (jump_idx, _) = mode_guards[mode][hit.event];
-                    let jump = &self.jumps[jump_idx];
-                    // Apply resets on the exit state.
-                    let mut scratch = env.clone();
-                    for (&v, &xi) in self.states.iter().zip(&hit.state) {
-                        scratch[v.index()] = xi;
-                    }
-                    let mut new_state = hit.state.clone();
-                    for &(v, expr) in &jump.resets {
-                        let val = cx.eval(expr, &scratch);
-                        if let Some(pos) = self.states.iter().position(|&s| s == v) {
-                            new_state[pos] = val;
-                        }
-                    }
-                    t = hit.t;
-                    segments.push(Segment {
-                        mode,
-                        trace,
-                        exit_jump: Some(jump_idx),
-                    });
-                    mode = jump.to;
-                    state = new_state;
-                    jumps_taken += 1;
-                    if jumps_taken > MAX_JUMPS {
-                        return Err(SimError::TooManyJumps { t });
-                    }
-                    // Nudge time forward to escape re-triggering the same
-                    // guard at the identical instant.
-                    t += T_TOL;
+        loop {
+            let (ode, guards) = compiled[mode].get_or_insert_with(|| {
+                let guard_exprs: Vec<NodeId> = mode_guards[mode].iter().map(|&(_, e)| e).collect();
+                (
+                    self.flow_system(mode).compile(&cx),
+                    Program::compile(&cx, &guard_exprs),
+                )
+            });
+            // A span that starts at or past `t_end` is the one point `t`.
+            let span = (t, t_end.max(t));
+            let (trace, hit) = ode.integrate_with_events(&env, &state, span, guards, T_TOL)?;
+            let Some(hit) = hit else {
+                segments.push(Segment {
+                    mode,
+                    trace,
+                    exit_jump: None,
+                });
+                break;
+            };
+            let (jump_idx, _) = mode_guards[mode][hit.event];
+            let jump = &self.jumps[jump_idx];
+            // Apply resets on the exit state.
+            let mut scratch = env.clone();
+            for (&v, &xi) in self.states.iter().zip(&hit.state) {
+                scratch[v.index()] = xi;
+            }
+            let mut new_state = hit.state.clone();
+            for &(v, expr) in &jump.resets {
+                let val = cx.eval(expr, &scratch);
+                if let Some(pos) = self.states.iter().position(|&s| s == v) {
+                    new_state[pos] = val;
                 }
             }
-        }
-        if segments.is_empty() {
-            // Degenerate zero-length simulation: materialize a point.
-            let sys = self.flow_system(mode);
-            let ode = sys.compile(&cx);
-            let trace = ode
-                .integrate(&env, &state, (t, t))
-                .map_err(SimError::from)?;
+            t = hit.t;
             segments.push(Segment {
                 mode,
                 trace,
-                exit_jump: None,
+                exit_jump: Some(jump_idx),
             });
+            mode = jump.to;
+            state = new_state;
+            jumps_taken += 1;
+            if jumps_taken > MAX_JUMPS {
+                return Err(SimError::TooManyJumps { t });
+            }
+            // Nudge time forward to escape re-triggering the same
+            // guard at the identical instant.
+            t += T_TOL;
+            if t >= t_end {
+                break;
+            }
         }
         Ok(HybridTrajectory { segments })
     }
@@ -291,6 +285,19 @@ mod tests {
             assert!(s[0] > 0.9 && s[0] < 5.1, "x = {}", s[0]);
         }
         assert!((traj.duration() - 20.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_zero_length_run_is_the_initial_point() {
+        let ha = sawtooth();
+        for t_end in [0.0, -1.0] {
+            let traj = ha.simulate_default(&[1.0], t_end).unwrap();
+            assert_eq!(traj.mode_path(), vec![0]);
+            assert_eq!(traj.segments[0].trace.len(), 1);
+            assert_eq!(traj.segments[0].exit_jump, None);
+            assert_eq!(traj.final_state(), &[1.0]);
+            assert_eq!(traj.duration(), 0.0);
+        }
     }
 
     #[test]

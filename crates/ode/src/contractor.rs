@@ -87,8 +87,18 @@ impl FlowContractor {
     }
 
     /// Tunes the validated integrator step size for both directions.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `h0` is finite and positive: a step of 0 or less
+    /// never advances the flow, and the contractor would then certify
+    /// boxes it never integrated.
     #[must_use]
     pub fn with_step(mut self, h0: f64) -> FlowContractor {
+        assert!(
+            h0.is_finite() && h0 > 0.0,
+            "flow step must be finite and positive, got {h0}"
+        );
         self.fwd.h0 = h0;
         self.bwd.h0 = h0;
         self
@@ -269,6 +279,13 @@ mod tests {
 
     fn full_box(cx: &Context) -> IBox {
         IBox::uniform(cx.num_vars(), Interval::ZERO)
+    }
+
+    #[test]
+    #[should_panic(expected = "flow step must be finite and positive, got 0")]
+    fn a_step_that_never_advances_is_refused() {
+        let (_, fc, _) = decay_setting();
+        let _ = fc.with_step(0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! ODE system description and its compiled form.
 
-use crate::rk::{DormandPrince, OdeError};
+use crate::rk::{DormandPrince, OdeError, OdeScratch, StepControl};
 use crate::trace::Trace;
 use biocheck_expr::{Context, EvalScratch, NodeId, Program, VarId};
 
@@ -191,26 +191,27 @@ impl CompiledOde {
     }
 
     /// Adaptive integration that stops at the earliest rising zero-crossing
-    /// of any `events` expression (compiled against the same context).
+    /// of any output of `guards` (a program over the same environment
+    /// layout, compiled against the same context).
     ///
     /// A guard "fires" when its value passes from negative to ≥ 0 between
-    /// two accepted steps; the crossing is refined by bisection on the
-    /// Hermite interpolant to absolute time tolerance `t_tol`.
+    /// two accepted steps. The integration streams and stops at the first
+    /// sample where one did, so nothing past the event is integrated; the
+    /// crossing is then refined by bisection on the Hermite interpolant
+    /// of the samples kept, to absolute time tolerance `t_tol`.
     ///
     /// # Errors
     ///
-    /// Propagates integration failures; event search itself cannot fail.
+    /// Propagates integration failures up to the event; event search
+    /// itself cannot fail.
     pub fn integrate_with_events(
         &self,
-        cx: &Context,
         base_env: &[f64],
         y0: &[f64],
         tspan: (f64, f64),
-        events: &[NodeId],
+        guards: &Program,
         t_tol: f64,
     ) -> Result<(Trace, Option<EventHit>), OdeError> {
-        let guard_prog = Program::compile(cx, events);
-        let trace = DormandPrince::default().integrate(self, base_env, y0, tspan)?;
         let mut env = base_env.to_vec();
         let mut scratch = EvalScratch::new();
         let mut eval_guards = |t: f64, y: &[f64], out: &mut [f64]| {
@@ -220,54 +221,62 @@ impl CompiledOde {
             if let Some(tv) = self.time {
                 env[tv.index()] = t;
             }
-            guard_prog.eval_with(&env, &mut scratch, out);
+            guards.eval_with(&env, &mut scratch, out);
         };
-        if events.is_empty() {
-            return Ok((trace, None));
-        }
-        let m = events.len();
+        let m = guards.num_roots();
         let mut prev = vec![0.0; m];
         let mut cur = vec![0.0; m];
-        eval_guards(trace.times()[0], trace.state(0), &mut prev);
-        for i in 1..trace.len() {
-            eval_guards(trace.times()[i], trace.state(i), &mut cur);
-            // Earliest guard that crossed in this step window.
-            let mut best: Option<(usize, f64)> = None;
-            for g in 0..m {
-                if prev[g] < 0.0 && cur[g] >= 0.0 {
-                    // Bisection on the interpolant.
-                    let (mut lo, mut hi) = (trace.times()[i - 1], trace.times()[i]);
-                    let mut buf = vec![0.0; m];
-                    while hi - lo > t_tol {
-                        let mid = 0.5 * (lo + hi);
-                        let y = trace.value_at(mid);
-                        eval_guards(mid, &y, &mut buf);
-                        if buf[g] >= 0.0 {
-                            hi = mid;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                    if best.is_none_or(|(_, t)| hi < t) {
-                        best = Some((g, hi));
+        let (mut times, mut states, mut derivs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut crossed = false;
+        let sink = |t, y: &[f64], dy: &[f64]| {
+            times.push(t);
+            states.push(y.to_vec());
+            derivs.push(dy.to_vec());
+            std::mem::swap(&mut prev, &mut cur);
+            eval_guards(t, y, &mut cur);
+            crossed = times.len() > 1 && prev.iter().zip(&cur).any(|(&p, &c)| p < 0.0 && c >= 0.0);
+            if crossed {
+                StepControl::Stop
+            } else {
+                StepControl::Continue
+            }
+        };
+        let mut ws = OdeScratch::new();
+        DormandPrince::default().integrate_streaming(self, base_env, y0, tspan, &mut ws, sink)?;
+        let trace = Trace::new(times, states, derivs);
+        if !crossed {
+            return Ok((trace, None));
+        }
+        // Earliest guard that crossed in the last step window.
+        let i = trace.len() - 1;
+        let mut best: Option<(usize, f64)> = None;
+        for g in 0..m {
+            if prev[g] < 0.0 && cur[g] >= 0.0 {
+                // Bisection on the interpolant.
+                let (mut lo, mut hi) = (trace.times()[i - 1], trace.times()[i]);
+                let mut buf = vec![0.0; m];
+                while hi - lo > t_tol {
+                    let mid = 0.5 * (lo + hi);
+                    let y = trace.value_at(mid);
+                    eval_guards(mid, &y, &mut buf);
+                    if buf[g] >= 0.0 {
+                        hi = mid;
+                    } else {
+                        lo = mid;
                     }
                 }
+                if best.is_none_or(|(_, t)| hi < t) {
+                    best = Some((g, hi));
+                }
             }
-            if let Some((g, t_hit)) = best {
-                let state = trace.value_at(t_hit);
-                let truncated = trace.truncated_at(t_hit);
-                return Ok((
-                    truncated,
-                    Some(EventHit {
-                        event: g,
-                        t: t_hit,
-                        state,
-                    }),
-                ));
-            }
-            std::mem::swap(&mut prev, &mut cur);
         }
-        Ok((trace, None))
+        let (event, t) = best.expect("a guard crossed in the last window");
+        let hit = EventHit {
+            event,
+            t,
+            state: trace.value_at(t),
+        };
+        Ok((trace.truncated_at(t), Some(hit)))
     }
 }
 
@@ -338,8 +347,9 @@ mod tests {
         let rhs = vec![one];
         let ode = OdeSystem::new(vec![x], rhs).compile(&cx);
         let guard = cx.parse("x - 1").unwrap();
+        let guards = Program::compile(&cx, &[guard]);
         let (trace, hit) = ode
-            .integrate_with_events(&cx, &[0.0], &[0.0], (0.0, 5.0), &[guard], 1e-9)
+            .integrate_with_events(&[0.0], &[0.0], (0.0, 5.0), &guards, 1e-9)
             .unwrap();
         let hit = hit.expect("guard must fire");
         assert_eq!(hit.event, 0);
@@ -356,12 +366,36 @@ mod tests {
         let ode = OdeSystem::new(vec![x], vec![one]).compile(&cx);
         let late = cx.parse("x - 2").unwrap();
         let early = cx.parse("x - 0.5").unwrap();
+        let guards = Program::compile(&cx, &[late, early]);
         let (_, hit) = ode
-            .integrate_with_events(&cx, &[0.0], &[0.0], (0.0, 5.0), &[late, early], 1e-9)
+            .integrate_with_events(&[0.0], &[0.0], (0.0, 5.0), &guards, 1e-9)
             .unwrap();
         let hit = hit.unwrap();
         assert_eq!(hit.event, 1);
         assert!((hit.t - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn integration_stops_at_the_event() {
+        // dx/dt = 1/(3 − t) blows up at t = 3, long after x − 0.1 crosses
+        // at t = 3(1 − e^−0.1) ≈ 0.2855: nothing past the event runs.
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let t = cx.intern_var("t");
+        let rhs = cx.parse("1 / (3 - t)").unwrap();
+        let ode = OdeSystem::with_time(vec![x], vec![rhs], t).compile(&cx);
+        let guard = cx.parse("x - 0.1").unwrap();
+        let guards = Program::compile(&cx, &[guard]);
+        let (trace, hit) = ode
+            .integrate_with_events(&[0.0, 0.0], &[0.0], (0.0, 5.0), &guards, 1e-9)
+            .unwrap();
+        let hit = hit.expect("guard must fire");
+        let exact = 3.0 * (1.0 - (-0.1f64).exp());
+        // The crossing is located on the Hermite interpolant of the
+        // accepted steps, hence the looser tolerance in time.
+        assert!((hit.t - exact).abs() < 1e-5, "t = {}", hit.t);
+        assert!((hit.state[0] - 0.1).abs() < 1e-9);
+        assert_eq!(trace.t_end(), hit.t);
     }
 
     #[test]
@@ -371,8 +405,9 @@ mod tests {
         let one = cx.constant(1.0);
         let ode = OdeSystem::new(vec![x], vec![one]).compile(&cx);
         let guard = cx.parse("x - 100").unwrap();
+        let guards = Program::compile(&cx, &[guard]);
         let (trace, hit) = ode
-            .integrate_with_events(&cx, &[0.0], &[0.0], (0.0, 2.0), &[guard], 1e-9)
+            .integrate_with_events(&[0.0], &[0.0], (0.0, 2.0), &guards, 1e-9)
             .unwrap();
         assert!(hit.is_none());
         assert!((trace.t_end() - 2.0).abs() < 1e-12);

@@ -3,7 +3,7 @@
 //! and lockstep lanes and the streaming entry point both reproduce an
 //! independent scalar Dormand–Prince loop bit-for-bit.
 
-use biocheck_expr::{Context, EvalScratch};
+use biocheck_expr::{Context, EvalScratch, Program};
 use biocheck_interval::{IBox, Interval};
 use biocheck_ode::{
     CompiledOde, DormandPrince, LaneDriver, Load, OdeError, OdeScratch, OdeSystem, StepControl,
@@ -485,9 +485,10 @@ proptest! {
         let rhs = cx.constant(c);
         let ode = OdeSystem::new(vec![x], vec![rhs]).compile(&cx);
         let guard = cx.parse(&format!("x - {theta}")).unwrap();
+        let guards = Program::compile(&cx, &[guard]);
         let horizon = theta / c + 1.0;
         let (_, hit) = ode
-            .integrate_with_events(&cx, &[0.0], &[0.0], (0.0, horizon), &[guard], 1e-10)
+            .integrate_with_events(&[0.0], &[0.0], (0.0, horizon), &guards, 1e-10)
             .unwrap();
         let hit = hit.expect("must cross");
         prop_assert!((hit.t - theta / c).abs() < 1e-6);

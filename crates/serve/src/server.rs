@@ -490,6 +490,10 @@ impl ServeCore {
         let (session, query, base_key) = entry
             .prepare(|cx| qr.query.build(cx))
             .map_err(ServeError::Invalid)?;
+        // Past the engine's gate, a `query_error` is an execution failure.
+        session
+            .check(&query)
+            .map_err(|e| ServeError::Invalid(e.to_string()))?;
         let mut budget = qr.budget.build();
         if let Some(ctx) = trace {
             budget = budget.with_trace(Arc::clone(ctx));

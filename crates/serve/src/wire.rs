@@ -238,15 +238,18 @@ pub(crate) fn u64_from_json(v: &Json) -> Option<u64> {
     }
 }
 
-/// Wire-boundary numeric validation: JSON happily parses `1e999` into
-/// `f64::INFINITY`, and a non-finite parameter must be a clean protocol
-/// error, never a value handed to the solvers. Horizons and temporal
-/// bounds are left to [`Query::check_smc`], the rule a `Session` applies.
-fn finite(v: f64, what: &str) -> Result<f64, String> {
-    if v.is_finite() {
-        Ok(v)
+/// `[lo, hi]` from the wire, named `what` in the error. JSON parses
+/// `1e999` into `f64::INFINITY`, which `Interval::new` must never see.
+/// Every other number is left to [`Session::check`].
+///
+/// [`Session::check`]: biocheck_engine::Session::check
+fn interval(lo: f64, hi: f64, what: &str) -> Result<Interval, String> {
+    if !(lo.is_finite() && hi.is_finite()) {
+        Err(format!("{what} [{lo}, {hi}] must be finite"))
+    } else if lo > hi {
+        Err(format!("{what} [{lo}, {hi}] is empty"))
     } else {
-        Err(format!("{what} must be finite, got {v}"))
+        Ok(Interval::new(lo, hi))
     }
 }
 
@@ -433,7 +436,7 @@ pub enum DistSpec {
 }
 
 impl DistSpec {
-    /// The distribution ([`QuerySpec::build`] checks it).
+    /// The distribution (`Session::check` checks it).
     fn build(&self) -> Dist {
         match *self {
             DistSpec::Point(v) => Dist::Point(v),
@@ -753,12 +756,14 @@ impl QuerySpec {
     }
 
     /// Lowers the wire form into an engine [`Query`], parsing every
-    /// expression into `cx` (the target model's context). Distributions
-    /// and SMC parameters are refused by the same [`Query::check_smc`] a
-    /// `Session` applies, so an ill-defined or out-of-range one is an
-    /// `invalid_request` here rather than a `query_error` later.
+    /// expression into `cx` (the target model's context). It refuses
+    /// only what cannot be lowered (an unknown name, an unparsable
+    /// expression, an empty or non-finite interval); the server runs
+    /// [`Session::check`] on the result before its cache probe.
+    ///
+    /// [`Session::check`]: biocheck_engine::Session::check
     pub fn build(&self, cx: &mut Context) -> Result<Query, String> {
-        let query = match self {
+        Ok(match self {
             QuerySpec::Estimate { smc, method } => Query::Estimate {
                 smc: smc.build(cx)?,
                 method: method.build(),
@@ -772,8 +777,8 @@ impl QuerySpec {
                 max_samples,
             } => Query::Sprt {
                 smc: smc.build(cx)?,
-                theta: finite(*theta, "theta")?,
-                indiff: finite(*indiff, "indiff")?,
+                theta: *theta,
+                indiff: *indiff,
                 alpha: *alpha,
                 beta: *beta,
                 max_samples: *max_samples,
@@ -789,16 +794,10 @@ impl QuerySpec {
             } => Query::Stability {
                 region: region
                     .iter()
-                    .map(|&(lo, hi)| {
-                        if finite(lo, "region lo")? <= finite(hi, "region hi")? {
-                            Ok(Interval::new(lo, hi))
-                        } else {
-                            Err(format!("region entry [{lo}, {hi}] is empty"))
-                        }
-                    })
+                    .map(|&(lo, hi)| interval(lo, hi, "region entry"))
                     .collect::<Result<Vec<_>, String>>()?,
-                r_min: finite(*r_min, "r_min")?,
-                r_max: finite(*r_max, "r_max")?,
+                r_min: *r_min,
+                r_max: *r_max,
             },
             QuerySpec::Lint { ranges } => {
                 let ranges = ranges
@@ -807,12 +806,7 @@ impl QuerySpec {
                         let vid = cx
                             .var_id(name)
                             .ok_or_else(|| format!("unknown variable {name:?}"))?;
-                        let lo = finite(*lo, "range lo")?;
-                        let hi = finite(*hi, "range hi")?;
-                        if lo > hi {
-                            return Err(format!("range [{lo}, {hi}] for {name:?} is empty"));
-                        }
-                        Ok((vid, Interval::new(lo, hi)))
+                        Ok((vid, interval(*lo, *hi, &format!("range for {name:?}"))?))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
                 // Every variable the model interned is "declared" from
@@ -827,11 +821,7 @@ impl QuerySpec {
                     property: None,
                 }
             }
-        };
-        query
-            .check_smc()
-            .map_err(|(what, detail)| format!("{what}: {detail}"))?;
-        Ok(query)
+        })
     }
 
     fn to_json(&self) -> Json {
@@ -1862,9 +1852,19 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_wire_numerics_are_rejected_at_build() {
-        let mut cx = Context::new();
-        cx.intern_var("x");
+    fn non_finite_wire_numerics_are_refused_before_they_run() {
+        let source = ModelSource {
+            states: vec![("x".into(), "-x".into())],
+            consts: vec![],
+        };
+        let (cx, sys) = source.build().unwrap();
+        let session = biocheck_engine::Session::from_parts(cx.clone(), sys);
+        // `build` refuses what it cannot lower; the session's gate,
+        // which the server runs next, refuses the rest.
+        let refusal = |q: QuerySpec| match q.build(&mut cx.clone()) {
+            Ok(query) => session.check(&query).unwrap_err().to_string(),
+            Err(e) => e,
+        };
         // Infinite horizon (what "1e999" parses to).
         let q = QuerySpec::Estimate {
             smc: SmcSpecWire {
@@ -1875,7 +1875,7 @@ mod tests {
             },
             method: MethodSpec::Fixed { n: 1 },
         };
-        assert!(q.build(&mut cx).unwrap_err().contains("t_end"));
+        assert!(refusal(q).contains("t_end"));
         // Infinite property bound.
         let q = QuerySpec::Estimate {
             smc: SmcSpecWire {
@@ -1889,7 +1889,7 @@ mod tests {
             },
             method: MethodSpec::Fixed { n: 1 },
         };
-        assert!(q.build(&mut cx).is_err());
+        assert!(refusal(q).contains("bound"));
         // NaN distribution parameter.
         let q = QuerySpec::Robustness {
             smc: SmcSpecWire {
@@ -1900,20 +1900,20 @@ mod tests {
             },
             samples: 1,
         };
-        assert!(q.build(&mut cx).is_err());
+        assert!(refusal(q).contains("uniform"));
         // Infinite stability radius and inverted region.
         let q = QuerySpec::Stability {
             region: vec![(-1.0, 1.0)],
             r_min: 0.1,
             r_max: f64::INFINITY,
         };
-        assert!(q.build(&mut cx).is_err());
+        assert!(refusal(q).contains("r_max"));
         let q = QuerySpec::Stability {
             region: vec![(1.0, -1.0)],
             r_min: 0.1,
             r_max: 0.5,
         };
-        assert!(q.build(&mut cx).unwrap_err().contains("empty"));
+        assert!(q.build(&mut cx.clone()).unwrap_err().contains("empty"));
     }
 
     #[test]

@@ -530,13 +530,15 @@ fn degenerate_sprt_requests_are_invalid() {
     assert_eq!(core.panic_count(), 0);
 }
 
-/// Every out-of-range SMC parameter is refused at the wire by the rule a
-/// `Session` applies: an `invalid_request`. A negative indifference width
-/// used to run with its hypotheses swapped, and a temporal bound of −1
-/// used to run and answer p̂ = 0; each other case used to pass the wire
-/// and come back from the engine as a `query_error`.
+/// Every out-of-range query parameter or shape is refused at the wire
+/// by the gate a `Session` applies (`Session::check`): an
+/// `invalid_request`. A negative indifference width used to run with its
+/// hypotheses swapped, and a temporal bound of −1 used to run and answer
+/// p̂ = 0; inverted or non-positive stability radii and an `init` of the
+/// wrong length used to wait for a slot and come back from the engine as
+/// a `query_error`.
 #[test]
-fn out_of_range_smc_parameters_are_invalid_requests() {
+fn out_of_range_query_parameters_are_invalid_requests() {
     let core = ServeCore::new(ServeConfig::default());
     core.register("decay", &decay_source()).unwrap();
     let smc = r#""smc":{"init":[{"dist":"uniform","lo":0.5,"hi":1.5}],"params":[],"property":{"type":"eventually","bound":0.01,"inner":{"type":"prop","expr":"x - 1","rel":"ge"}},"t_end":0.01}"#;
@@ -549,8 +551,13 @@ fn out_of_range_smc_parameters_are_invalid_requests() {
             [eventually, globally]
         })
         .collect();
+    let two_dims = smc.replace(
+        r#""init":[{"dist":"uniform","lo":0.5,"hi":1.5}]"#,
+        r#""init":[{"dist":"uniform","lo":0.5,"hi":1.5},{"dist":"point","v":0}]"#,
+    );
     let estimate = |method: &str| format!(r#""type":"estimate","method":{method}"#);
-    for (query, smc) in [
+    let stability = |radii: &str| format!(r#""type":"stability","region":[[-1,1]],{radii}"#);
+    let smc_queries = [
         (
             r#""type":"sprt","theta":0.99,"indiff":0.05,"alpha":0.05,"beta":0.05,"max_samples":1000"#
                 .to_string(),
@@ -573,19 +580,28 @@ fn out_of_range_smc_parameters_are_invalid_requests() {
         (estimate(r#"{"type":"fixed","n":0}"#), smc),
         (r#""type":"robustness","samples":0"#.to_string(), smc),
         (estimate(r#"{"type":"fixed","n":8}"#), &zero_horizon),
-    ]
-    .into_iter()
-    .chain(
-        bad_bounds
-            .iter()
-            .map(|smc| (estimate(r#"{"type":"fixed","n":8}"#), smc.as_str())),
-    ) {
-        let line =
-            format!(r#"{{"op":"query","model":"decay","seed":1,"query":{{{query},{smc}}}}}"#);
+        (estimate(r#"{"type":"fixed","n":8}"#), &two_dims),
+    ];
+    let bodies = smc_queries
+        .into_iter()
+        .chain(
+            bad_bounds
+                .iter()
+                .map(|smc| (estimate(r#"{"type":"fixed","n":8}"#), smc.as_str())),
+        )
+        .map(|(query, smc)| format!("{query},{smc}"))
+        .chain([
+            stability(r#""r_min":0.5,"r_max":0.1"#),
+            stability(r#""r_min":0.2,"r_max":0.2"#),
+            stability(r#""r_min":0,"r_max":0.4"#),
+            stability(r#""r_min":-0.1,"r_max":0.4"#),
+        ]);
+    for body in bodies {
+        let line = format!(r#"{{"op":"query","model":"decay","seed":1,"query":{{{body}}}}}"#);
         let (reply, _) = core.handle_line(&line);
         assert!(
             reply.contains(r#""kind":"invalid_request""#),
-            "{query} {smc}: {reply}"
+            "{body}: {reply}"
         );
     }
     assert_eq!(core.panic_count(), 0);
