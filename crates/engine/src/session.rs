@@ -10,7 +10,7 @@ use crate::report::{Outcome, Provenance, Report, Value};
 use crate::stability;
 use crate::therapy;
 use biocheck_bltl::{Bltl, CompiledBltl};
-use biocheck_bmc::ReachOptions;
+use biocheck_bmc::{ReachOptions, ReachSpec};
 use biocheck_expr::Context;
 use biocheck_hybrid::HybridAutomaton;
 use biocheck_models::OdeModel;
@@ -356,14 +356,17 @@ impl Session {
     /// The one gate every query passes before it runs: [`QueryRun::run`]
     /// and [`Session::run_batch`] call it first, and a server can call it
     /// before its cache probe. It checks, in this order, the parameter
-    /// rule of the query's kind, the model kind, and every per-component
-    /// length against the model dimension. Past it, only a failure during
-    /// execution is an error.
+    /// rule of the query's kind, the model kind, every per-component
+    /// length against the model dimension, and last the references into
+    /// the model: a goal mode the automaton has, observed components and
+    /// calibration parameters the model has. Past it, only a failure
+    /// during execution is an error.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] naming the parameter at fault, then
-    /// [`Error::WrongModel`], then [`Error::Shape`].
+    /// [`Error::WrongModel`], then [`Error::Shape`], then
+    /// [`Error::InvalidParameter`] for a reference outside the model.
     pub fn check(&self, query: &Query) -> Result<(), Error> {
         check_params(query).map_err(|(what, detail)| Error::InvalidParameter { what, detail })?;
         let ode_dim = |kind| self.ode_parts(kind).map(|parts| parts.sys.dim());
@@ -375,29 +378,33 @@ impl Session {
                 ode_dim("SMC sampling")?,
                 smc.init.len(),
             ),
-            Query::Falsify { opts, .. } => shape(
-                "state bounds",
-                self.automaton("Falsify")?.dim(),
-                opts.state_bounds.len(),
-            ),
-            Query::Therapy { opts, .. } => shape(
-                "state bounds",
-                self.automaton("Therapy")?.dim(),
-                opts.state_bounds.len(),
-            ),
+            Query::Falsify { spec, opts } => check_reach(self.automaton("Falsify")?, spec, opts),
+            Query::Therapy { spec, opts } => check_reach(self.automaton("Therapy")?, spec, opts),
             Query::Calibrate {
                 data,
                 init,
+                params,
                 state_bounds,
                 ..
             } => {
-                let dim = ode_dim("Calibrate")?;
+                let parts = self.ode_parts("Calibrate")?;
+                let dim = parts.sys.dim();
                 shape("initial state", dim, init.len())?;
                 shape("state bounds", dim, state_bounds.len())?;
-                match data.observed.iter().find(|&&c| c >= dim) {
-                    Some(bad) => Err(Error::InvalidParameter {
+                if let Some(bad) = data.observed.iter().find(|&&c| c >= dim) {
+                    return Err(Error::InvalidParameter {
                         what: "data.observed",
                         detail: format!("component {bad} out of range for dimension {dim}"),
+                    });
+                }
+                let vars = parts.cx.num_vars();
+                match params.iter().find(|(v, _)| v.index() >= vars) {
+                    Some((bad, _)) => Err(Error::InvalidParameter {
+                        what: "params",
+                        detail: format!(
+                            "variable #{} is not one of the model's {vars} variables",
+                            bad.index()
+                        ),
                     }),
                     None => Ok(()),
                 }
@@ -841,6 +848,20 @@ fn check_bounds(f: &Bltl) -> Result<(), Refusal> {
 
 /// A per-component argument of `got` entries against the model
 /// dimension `expected`.
+/// The model-dependent rules of a `Falsify` or `Therapy` query: one
+/// state bound per component, and a goal mode the automaton has.
+fn check_reach(ha: &HybridAutomaton, spec: &ReachSpec, opts: &ReachOptions) -> Result<(), Error> {
+    shape("state bounds", ha.dim(), opts.state_bounds.len())?;
+    let modes = ha.modes.len();
+    match spec.goal_mode {
+        Some(q) if q >= modes => Err(Error::InvalidParameter {
+            what: "goal_mode",
+            detail: format!("mode {q} out of range for an automaton of {modes} modes"),
+        }),
+        _ => Ok(()),
+    }
+}
+
 fn shape(what: &'static str, expected: usize, got: usize) -> Result<(), Error> {
     if got == expected {
         return Ok(());

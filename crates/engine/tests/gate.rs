@@ -8,7 +8,7 @@
 
 use biocheck_bmc::{ReachOptions, ReachSpec};
 use biocheck_engine::{Budget, Dataset, Error, Query, Session};
-use biocheck_expr::{Atom, Context, RelOp};
+use biocheck_expr::{Atom, Context, RelOp, VarId};
 use biocheck_hybrid::HybridAutomaton;
 use biocheck_interval::Interval;
 use biocheck_ode::OdeSystem;
@@ -170,6 +170,54 @@ fn parameters_are_checked_before_model_kind_and_shape() {
             got: 2
         })
     ));
+}
+
+/// A reference outside the model is refused. A goal mode the automaton
+/// does not have used to answer `Falsified` with outcome `Complete` (a
+/// claim that an absent mode is unreachable), and a calibration
+/// parameter outside the session's context panicked indexing the
+/// solver box.
+#[test]
+fn references_outside_the_model_are_invalid_parameters() {
+    let (session, spec, opts) = decay_reach();
+    let absent = ReachSpec {
+        goal_mode: Some(7),
+        ..spec.clone()
+    };
+    let reach = [
+        Query::Falsify {
+            spec: absent.clone(),
+            opts: opts.clone(),
+        },
+        Query::Therapy {
+            spec: absent,
+            opts: opts.clone(),
+        },
+    ];
+    for query in reach {
+        assert_refused(&session, query, "goal_mode");
+    }
+    // The one mode the automaton has is still a goal.
+    let present = ReachSpec {
+        goal_mode: Some(0),
+        time_bound: 0.0,
+        ..spec
+    };
+    run(
+        &session,
+        Query::Falsify {
+            spec: present,
+            opts,
+        },
+    )
+    .unwrap();
+
+    let (session, mut query) = decay_calibration(vec![0.5, 1.0], 0.02);
+    let Query::Calibrate { params, .. } = &mut query else {
+        unreachable!()
+    };
+    params[0].0 = VarId::from_index(99);
+    assert_refused(&session, query, "params");
 }
 
 #[test]

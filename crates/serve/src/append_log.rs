@@ -38,9 +38,9 @@ pub trait Codec {
     /// The first line of the file: names the format and its version. A
     /// file with any other first line is not trusted.
     const HEADER: &'static str;
-    /// The record's payload; `None` when this record cannot be
-    /// persisted (counted in [`LogStats::unsupported`]).
-    fn encode(record: &Self::Record) -> Option<Json>;
+    /// The record's payload, rendered JSON; `None` when this record
+    /// cannot be persisted (counted in [`LogStats::unsupported`]).
+    fn encode(record: &Self::Record) -> Option<String>;
     /// The inverse of [`Codec::encode`]; `None` when the payload does
     /// not describe a valid record.
     fn decode(payload: &Json) -> Option<Self::Record>;
@@ -193,7 +193,7 @@ impl<C: Codec> AppendLog<C> {
     /// One framed record line, `<checksum> <payload>`; `None` when the
     /// codec refuses the record.
     pub fn encode_line(record: &C::Record) -> Option<String> {
-        let payload = C::encode(record)?.render();
+        let payload = C::encode(record)?;
         Some(format!("{} {payload}", fingerprint64(&payload)))
     }
 
@@ -279,8 +279,8 @@ mod tests {
     impl Codec for Pairs {
         type Record = (String, String);
         const HEADER: &'static str = "pairs v1";
-        fn encode((k, v): &(String, String)) -> Option<Json> {
-            (v != "-").then(|| Json::Arr(vec![Json::str(k.clone()), Json::str(v.clone())]))
+        fn encode((k, v): &(String, String)) -> Option<String> {
+            (v != "-").then(|| Json::Arr(vec![Json::str(k.clone()), Json::str(v.clone())]).render())
         }
         fn decode(payload: &Json) -> Option<(String, String)> {
             let [k, v] = payload.as_arr()? else {

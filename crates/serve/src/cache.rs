@@ -107,7 +107,8 @@ struct Inner<V> {
 }
 
 /// A byte-budgeted LRU cache from pre-joined key strings to cloneable
-/// values (the serving layer stores `Arc<Report>`), plus an index of
+/// values (the serving layer stores a [`persist::Memo`]: the report
+/// and its rendered wire payload), plus an index of
 /// values held elsewhere. All methods take `&self`; the cache is
 /// internally locked and shared freely across threads.
 pub struct ResultCache<V> {

@@ -7,11 +7,14 @@
 //!
 //! Each record is `{"key", "cost", "report"}`, where `report` is
 //! exactly the wire form [`report_to_json`] emits — bit-exact floats,
-//! non-finite values included, plus the report's `fingerprint`. On load
-//! a record is accepted only if [`report_from_json`] reproduces that
-//! stored fingerprint, so a record that does not decode to exactly what
-//! was stored is skipped, never served. Phase timings are not restored:
-//! they are excluded from fingerprints and meaningless across restarts.
+//! non-finite values included, plus the report's `fingerprint`. It is
+//! the memo's [`Memo::payload`], the bytes the reply carries, written
+//! as they are. On load a record is accepted only if
+//! [`report_from_json`] reproduces that stored fingerprint, so a record
+//! that does not decode to exactly what was stored is skipped, never
+//! served. Phase timings are not restored: they are excluded from
+//! fingerprints and meaningless across restarts, so a loaded record's
+//! payload is rendered again from the decoded report.
 //!
 //! Only wire-producible reports (`Estimate`, `Sprt`, `Robustness`,
 //! `Stability`, `Lint`) are persisted; in-process-only kinds are
@@ -24,7 +27,7 @@
 //! lookup misses RAM, accepting it only for the exact key asked.
 
 use crate::append_log::{AppendLog, Codec, Extent};
-use crate::json::Json;
+use crate::json::{Json, ObjWriter};
 use crate::wire::{report_from_json, report_to_json, u64_from_json, u64_to_json};
 use biocheck_engine::{Report, Value};
 use std::sync::Arc;
@@ -45,16 +48,37 @@ pub fn locator(at: Extent) -> Option<u64> {
 }
 
 impl CacheLog {
-    /// Reads back the record at `locator` and returns its report and
+    /// Reads back the record at `locator` and returns its memo and
     /// cost — only if it passes its checksum, decodes to its stored
     /// fingerprint, and is stored under exactly `key` (a locator is
     /// found by key hash, so it may belong to a colliding key).
-    pub fn load(&mut self, key: &str, locator: u64) -> Option<(Arc<Report>, usize)> {
+    pub fn load(&mut self, key: &str, locator: u64) -> Option<(Memo, usize)> {
         let rec = self.read(Extent {
             offset: locator >> LEN_BITS,
             len: (locator & ((1 << LEN_BITS) - 1)) as usize,
         })?;
-        (rec.key == key).then_some((rec.report, rec.cost))
+        (rec.key == key).then_some((rec.memo, rec.cost))
+    }
+}
+
+/// A memoized report and its wire payload, rendered once: a cache hit
+/// sends these bytes as they are.
+#[derive(Clone)]
+pub struct Memo {
+    /// The report.
+    pub report: Arc<Report>,
+    /// `report_to_json(&report).render()`: the reply's `"report"`
+    /// member and the log record's.
+    pub payload: Arc<str>,
+}
+
+impl Memo {
+    /// Renders `report`'s payload.
+    pub fn new(report: Report) -> Memo {
+        Memo {
+            payload: report_to_json(&report).render().into(),
+            report: Arc::new(report),
+        }
     }
 }
 
@@ -64,8 +88,8 @@ pub struct CacheRecord {
     pub key: String,
     /// The byte cost the entry is charged in the cache.
     pub cost: usize,
-    /// The memoized report.
-    pub report: Arc<Report>,
+    /// The memoized report and its payload.
+    pub memo: Memo,
 }
 
 /// The `biocheck-cache v2` record format.
@@ -76,27 +100,28 @@ impl Codec for CacheCodec {
     // v1 stored floats as hex bit patterns; v1 files are skipped.
     const HEADER: &'static str = "biocheck-cache v2";
 
-    fn encode(rec: &CacheRecord) -> Option<Json> {
+    fn encode(rec: &CacheRecord) -> Option<String> {
         // Falsify / Therapy / Calibrate never travel the wire, so the
         // serving cache only memoizes them in-process.
         if matches!(
-            rec.report.value,
+            rec.memo.report.value,
             Value::Falsify(_) | Value::Therapy(_) | Value::Calibration(_)
         ) {
             return None;
         }
-        Some(Json::obj([
-            ("key", Json::str(rec.key.clone())),
-            ("cost", u64_to_json(rec.cost as u64)),
-            ("report", report_to_json(&rec.report)),
-        ]))
+        let payload = &rec.memo.payload;
+        let record = ObjWriter::with_capacity(payload.len() + rec.key.len() + 32)
+            .member("cost", &u64_to_json(rec.cost as u64))
+            .string("key", &rec.key)
+            .raw("report", payload);
+        Some(record.finish())
     }
 
     fn decode(v: &Json) -> Option<CacheRecord> {
         Some(CacheRecord {
             key: v.get("key")?.as_str()?.to_string(),
             cost: usize::try_from(u64_from_json(v.get("cost")?)?).ok()?,
-            report: Arc::new(report_from_json(v.get("report")?)?),
+            memo: Memo::new(report_from_json(v.get("report")?)?),
         })
     }
 
@@ -137,7 +162,7 @@ mod tests {
         CacheRecord {
             key: "m|q|seed=1|caps".into(),
             cost: 512,
-            report: Arc::new(report),
+            memo: Memo::new(report),
         }
     }
 
@@ -156,8 +181,11 @@ mod tests {
         let line = CacheLog::encode_line(rec).expect("encodable");
         let back = CacheLog::decode_line(&line).expect("decodable");
         assert_eq!((back.key.as_str(), back.cost), (rec.key.as_str(), rec.cost));
-        assert_eq!(back.report.fingerprint(), rec.report.fingerprint());
-        back.report
+        assert_eq!(
+            back.memo.report.fingerprint(),
+            rec.memo.report.fingerprint()
+        );
+        back.memo.report
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -232,12 +260,13 @@ mod tests {
         let (mut log, recs) = CacheLog::open(&path).unwrap();
         assert_eq!((log.stats().loaded, log.stats().skipped), (1, 0));
         let (at, rec) = &recs[0];
-        let want = estimate(0.25).report.fingerprint();
-        assert_eq!(rec.report.fingerprint(), want);
+        let want = estimate(0.25).memo.report.fingerprint();
+        assert_eq!(rec.memo.report.fingerprint(), want);
         // The reported extent reads back, for its own key only.
         let locator = locator(*at).unwrap();
-        let (report, cost) = log.load(&rec.key, locator).unwrap();
-        assert_eq!((report.fingerprint(), cost), (want, rec.cost));
+        let (memo, cost) = log.load(&rec.key, locator).unwrap();
+        assert_eq!((memo.report.fingerprint(), cost), (want, rec.cost));
+        assert_eq!(memo.payload, rec.memo.payload);
         assert!(log.load("m|q|seed=2|caps", locator).is_none());
         let _ = std::fs::remove_file(&path);
     }

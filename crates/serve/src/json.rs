@@ -154,6 +154,57 @@ impl Json {
     }
 }
 
+/// Renders one object member by member, for a caller that holds some
+/// member values already rendered. Keys must come in sorted order, the
+/// order [`Json::render`] emits, so the output is canonical.
+pub struct ObjWriter {
+    out: String,
+}
+
+impl ObjWriter {
+    /// An empty object with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> ObjWriter {
+        let mut out = String::with_capacity(capacity);
+        out.push('{');
+        ObjWriter { out }
+    }
+
+    /// Appends a member whose value is already rendered JSON.
+    pub fn raw(mut self, key: &str, rendered: &str) -> ObjWriter {
+        self.key(key);
+        self.out.push_str(rendered);
+        self
+    }
+
+    /// Appends a member, rendering its value.
+    pub fn member(mut self, key: &str, value: &Json) -> ObjWriter {
+        self.key(key);
+        value.render_into(&mut self.out);
+        self
+    }
+
+    /// Appends a string member.
+    pub fn string(mut self, key: &str, value: &str) -> ObjWriter {
+        self.key(key);
+        render_string(&mut self.out, value);
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        render_string(&mut self.out, key);
+        self.out.push(':');
+    }
+}
+
 fn render_string(out: &mut String, s: &str) {
     out.push('"');
     // Copy each stretch that needs no escaping with one `push_str`.
@@ -451,6 +502,22 @@ mod tests {
             "{\"alpha\":[null,true],\"s\":\"a\\\"b\\\\c\\nd\\u0001\",\"zeta\":2}"
         );
         assert_eq!(parse_json(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn obj_writer_renders_what_render_does() {
+        let v = Json::obj([
+            ("a", Json::Bool(true)),
+            ("b\"", Json::Arr(vec![Json::num(1.5), Json::Null])),
+            ("c", Json::str("x\ny")),
+        ]);
+        let written = ObjWriter::with_capacity(0)
+            .raw("a", "true")
+            .member("b\"", &Json::Arr(vec![Json::num(1.5), Json::Null]))
+            .string("c", "x\ny")
+            .finish();
+        assert_eq!(written, v.render());
+        assert_eq!(ObjWriter::with_capacity(2).finish(), "{}");
     }
 
     #[test]

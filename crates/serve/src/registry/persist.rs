@@ -33,11 +33,12 @@ impl Codec for RegistryCodec {
     type Record = ModelRecord;
     const HEADER: &'static str = "biocheck-registry v1";
 
-    fn encode(rec: &ModelRecord) -> Option<Json> {
-        Some(Json::obj([
+    fn encode(rec: &ModelRecord) -> Option<String> {
+        let record = Json::obj([
             ("model", Json::str(rec.name.clone())),
             ("source", rec.source.to_json()),
-        ]))
+        ]);
+        Some(record.render())
     }
 
     fn decode(v: &Json) -> Option<ModelRecord> {

@@ -55,16 +55,16 @@
 //! `metrics`.
 
 use crate::append_log::{AppendLog, Codec, Extent, LogStats};
-use crate::cache::persist::{locator, CacheLog, CacheRecord};
+use crate::cache::persist::{locator, CacheLog, CacheRecord, Memo};
 use crate::cache::{CacheStats, ResultCache};
-use crate::json::Json;
+use crate::json::{parse_json, Json, ObjWriter};
 use crate::metrics::{Phase, ServeMetrics};
 use crate::registry::persist::{ModelRecord, RegistryLog};
 use crate::registry::Registry;
 use crate::scheduler::{AdmitError, AdmitWait, Scheduler};
 use crate::trace::{trace_reply_json, TraceHub};
-use crate::wire::{report_to_json, ModelSource, QueryRequest, Request};
-use biocheck_engine::{CancelToken, Report};
+use crate::wire::{u64_to_json, ModelSource, QueryRequest, Request};
+use biocheck_engine::{Budget, CancelToken, Report};
 use biocheck_obs::TraceCtx;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -76,7 +76,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Rough fixed per-entry overhead charged on top of the key and
-/// fingerprint lengths (report payload, map/list bookkeeping).
+/// fingerprint lengths (the rendered report payload, map/list
+/// bookkeeping).
 const ENTRY_OVERHEAD_BYTES: usize = 256;
 
 /// Configuration for a [`ServeCore`].
@@ -263,7 +264,7 @@ impl From<AdmitError> for ServeError {
 /// across connection threads; all methods take `&self`.
 pub struct ServeCore {
     registry: Registry,
-    cache: ResultCache<Arc<Report>>,
+    cache: ResultCache<Memo>,
     scheduler: Scheduler,
     persist: Option<Mutex<CacheLog>>,
     registry_log: Option<Mutex<RegistryLog>>,
@@ -299,7 +300,7 @@ impl ServeCore {
             |at, rec: CacheRecord| {
                 match locator(at) {
                     Some(locator) => cache.index(&rec.key, locator),
-                    None => cache.insert(rec.key, rec.report, rec.cost),
+                    None => cache.insert(rec.key, rec.memo, rec.cost),
                 };
             },
         );
@@ -449,6 +450,13 @@ impl ServeCore {
         &self,
         qr: &QueryRequest,
     ) -> Result<(Arc<Report>, bool, Option<Json>), ServeError> {
+        self.answer(qr)
+            .map(|(memo, cached, trace)| (memo.report, cached, trace))
+    }
+
+    /// [`ServeCore::run_query_traced`] with the report's rendered
+    /// payload: the memo a hit recalls, or the one a miss made.
+    fn answer(&self, qr: &QueryRequest) -> Result<(Memo, bool, Option<Json>), ServeError> {
         let ctx =
             (qr.trace || self.trace_hub.armed()).then(|| TraceCtx::new(TraceCtx::DEFAULT_CAPACITY));
         let result = self.run_query_inner(qr, ctx.as_ref());
@@ -458,14 +466,14 @@ impl ServeCore {
             Some(ctx) if qr.trace => Some(trace_reply_json(ctx)),
             _ => None,
         };
-        result.map(|(report, cached)| (report, cached, trace))
+        result.map(|(memo, cached)| (memo, cached, trace))
     }
 
     fn run_query_inner(
         &self,
         qr: &QueryRequest,
         trace: Option<&Arc<TraceCtx>>,
-    ) -> Result<(Arc<Report>, bool), ServeError> {
+    ) -> Result<(Memo, bool), ServeError> {
         // The hub-guard slot is declared *before* the request timer,
         // which holds the root span, on purpose: locals drop in reverse
         // order, so the root span closes (landing its record in the
@@ -501,7 +509,7 @@ impl ServeCore {
         // `canonical_caps` renders only the deterministic count caps —
         // the attached trace context never reaches the key, so a traced
         // request and its untraced twin share one cache entry.
-        let key = format!("{base_key}|seed={}|{}", qr.seed, budget.canonical_caps());
+        let key = memo_key(&base_key, qr.seed, &budget);
         if let Some(hit) = self.lookup(&key) {
             request.finish(Phase::RequestHit);
             return Ok((hit, true));
@@ -585,18 +593,20 @@ impl ServeCore {
             }
             outcome
         };
-        let report = Arc::new(result.map_err(|e| ServeError::Query(e.to_string()))?);
-        if let Some(compile) = report.provenance.compile_time {
+        // The payload is rendered here, once: the reply, the log record
+        // and every later hit send these bytes.
+        let memo = Memo::new(result.map_err(|e| ServeError::Query(e.to_string()))?);
+        if let Some(compile) = memo.report.provenance.compile_time {
             self.metrics.record(Phase::Compile, compile);
         }
         // Pure-function check: no wall clock involved, token never
         // raised → memoize.
         if budget.is_count_only() && !token.is_cancelled() {
-            let cost = key.len() + report.fingerprint().len() + ENTRY_OVERHEAD_BYTES;
+            let cost = key.len() + memo.report.fingerprint().len() + ENTRY_OVERHEAD_BYTES;
             let record = CacheRecord {
                 key,
                 cost,
-                report: Arc::clone(&report),
+                memo: memo.clone(),
             };
             // With a spill file the record is appended and only indexed
             // once written. Append errors are counted inside the log
@@ -613,17 +623,18 @@ impl ServeCore {
             });
             match written {
                 Some(locator) => self.cache.index(&record.key, locator),
-                None => self.cache.insert(record.key, record.report, cost),
+                None => self.cache.insert(record.key, record.memo, cost),
             };
         }
         request.finish(Phase::RequestMiss);
         guard.set_ok();
-        Ok((report, false))
+        Ok((memo, false))
     }
 
     /// A memoized result: the resident LRU, then the index and a spill
-    /// log read-back (promoted on success; any failure is a miss).
-    fn lookup(&self, key: &str) -> Option<Arc<Report>> {
+    /// log read-back (promoted on success, with its payload rendered
+    /// from the decoded report; any failure is a miss).
+    fn lookup(&self, key: &str) -> Option<Memo> {
         self.cache.get_or_load(key, |locator| {
             with_log(&self.persist, |log| log.load(key, locator)).flatten()
         })
@@ -779,6 +790,9 @@ impl ServeCore {
 
     /// Answers one request. The bool is `true` when the request was a
     /// shutdown (the transport should stop accepting after responding).
+    /// A query's reply is made as its wire line, around the memo's
+    /// stored payload, so here it is that line parsed back;
+    /// [`ServeCore::handle_line`] sends the line as it is.
     pub fn handle(&self, request: &Request) -> (Json, bool) {
         match request {
             Request::Register { model, source } => match self.register(model, source) {
@@ -792,27 +806,12 @@ impl ServeCore {
                 ),
                 Err(e) => (error_json("invalid_request", &e, None), false),
             },
-            Request::Query(qr) => match self.run_query_traced(qr) {
-                Ok((report, cached, trace)) => {
-                    let mut pairs = vec![
-                        ("ok", Json::Bool(true)),
-                        ("model", Json::str(qr.model.clone())),
-                        ("cached", Json::Bool(cached)),
-                        ("report", report_to_json(&report)),
-                    ];
-                    if let Some(id) = qr.id {
-                        pairs.push(("id", crate::wire::u64_to_json(id)));
-                    }
-                    if let Some(trace) = trace {
-                        pairs.push(("trace", trace));
-                    }
-                    (Json::obj(pairs), false)
-                }
-                Err(e) => (
-                    error_json(e.kind(), &e.to_string(), e.retry_after_ms()),
-                    false,
-                ),
-            },
+            Request::Query(qr) => {
+                let line = self.query_reply(qr);
+                let reply =
+                    parse_json(&line).unwrap_or_else(|e| error_json("internal_error", &e, None));
+                (reply, false)
+            }
             Request::Cancel { id } => (
                 Json::obj([
                     ("ok", Json::Bool(true)),
@@ -852,6 +851,29 @@ impl ServeCore {
         }
     }
 
+    /// A query's reply line. Its members are written in the canonical
+    /// sorted order around the memo's payload, so a hit renders no
+    /// report: it copies the bytes its miss rendered.
+    fn query_reply(&self, qr: &QueryRequest) -> String {
+        let (memo, cached, trace) = match self.answer(qr) {
+            Ok(answer) => answer,
+            Err(e) => return error_json(e.kind(), &e.to_string(), e.retry_after_ms()).render(),
+        };
+        let mut reply = ObjWriter::with_capacity(memo.payload.len() + qr.model.len() + 64)
+            .raw("cached", if cached { "true" } else { "false" });
+        if let Some(id) = qr.id {
+            reply = reply.member("id", &u64_to_json(id));
+        }
+        reply = reply
+            .string("model", &qr.model)
+            .raw("ok", "true")
+            .raw("report", &memo.payload);
+        if let Some(trace) = &trace {
+            reply = reply.member("trace", trace);
+        }
+        reply.finish()
+    }
+
     /// Answers one raw request line (transport entry point). The outer
     /// `catch_unwind` is the last line of defense — request bodies are
     /// already caught in [`ServeCore::run_query`] — so that even a bug
@@ -859,6 +881,7 @@ impl ServeCore {
     /// of a silently dropped connection.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         let outcome = catch_unwind(AssertUnwindSafe(|| match Request::from_line(line) {
+            Ok(Request::Query(qr)) => (self.query_reply(&qr), false),
             Ok(request) => {
                 let (json, stop) = self.handle(&request);
                 (json.render(), stop)
@@ -966,6 +989,12 @@ impl Drop for ServeCore {
             let _ = handle.join();
         }
     }
+}
+
+/// A prepared query's memo key: its model-and-query key, the seed and
+/// the count caps.
+fn memo_key(base_key: &str, seed: u64, budget: &Budget) -> String {
+    format!("{base_key}|seed={seed}|{}", budget.canonical_caps())
 }
 
 fn error_json(kind: &str, message: &str, retry_after_ms: Option<u64>) -> Json {
@@ -1195,4 +1224,46 @@ fn write_reply(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
     }
     writer.write_all(&bytes)?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::QuerySpec;
+
+    /// A RAM hit sends the memo's stored payload and renders nothing:
+    /// with the payload swapped for a sentinel, the hit's reply
+    /// carries the sentinel.
+    #[test]
+    fn a_ram_hit_sends_the_stored_payload() {
+        let core = ServeCore::new(ServeConfig::default());
+        let source = ModelSource {
+            states: vec![("x".into(), "-k*x".into())],
+            consts: vec![("k".into(), 1.0)],
+        };
+        core.register("decay", &source).unwrap();
+        let qr = QueryRequest {
+            model: "decay".into(),
+            id: None,
+            seed: 1,
+            budget: Default::default(),
+            query: QuerySpec::Lint { ranges: vec![] },
+            trace: false,
+        };
+        let line = Request::Query(qr.clone()).to_json().render();
+        let (miss, _) = core.handle_line(&line);
+        assert!(miss.starts_with("{\"cached\":false,"), "{miss}");
+        let (report, cached) = core.run_query(&qr).unwrap();
+        assert!(cached);
+        let entry = core.registry().get("decay").unwrap();
+        let (_, _, base_key) = entry.prepare(|cx| qr.query.build(cx)).unwrap();
+        let key = memo_key(&base_key, qr.seed, &qr.budget.build());
+        let payload = "\"stored\"".into();
+        assert!(core.cache.insert(key, Memo { report, payload }, 1));
+        let (hit, _) = core.handle_line(&line);
+        assert_eq!(
+            hit,
+            "{\"cached\":true,\"model\":\"decay\",\"ok\":true,\"report\":\"stored\"}"
+        );
+    }
 }

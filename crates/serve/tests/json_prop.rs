@@ -9,7 +9,7 @@ use biocheck_engine::{
     StabilityReport, Value,
 };
 use biocheck_interval::Interval;
-use biocheck_serve::cache::persist::{CacheLog, CacheRecord};
+use biocheck_serve::cache::persist::{CacheLog, CacheRecord, Memo};
 use biocheck_serve::fingerprint64;
 use biocheck_serve::json::{parse_json, Json};
 use biocheck_serve::wire::{report_from_json, report_to_json};
@@ -18,7 +18,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A random finite f64 with a wide dynamic range (uniform bits would be
 /// mostly huge exponents; mix integers, small reals, and extremes).
@@ -320,12 +319,12 @@ proptest! {
         let rec = CacheRecord {
             key: random_string(&mut rng),
             cost: rng.gen_range(0..1usize << 40),
-            report: Arc::new(report),
+            memo: Memo::new(report),
         };
         let line = CacheLog::encode_line(&rec).unwrap();
         let back = CacheLog::decode_line(&line).ok_or("record did not decode")?;
         prop_assert_eq!((&back.key, back.cost), (&rec.key, rec.cost));
-        prop_assert_eq!(back.report.fingerprint(), fingerprint.clone());
+        prop_assert_eq!(back.memo.report.fingerprint(), fingerprint.clone());
 
         // Mutations: each is refused, or decodes to the stored report.
         let (checksum, payload) = line.split_once(' ').unwrap();
@@ -342,14 +341,14 @@ proptest! {
         if let Ok(flipped) = String::from_utf8(bytes) {
             prop_assert!(CacheLog::decode_line(&format!("{checksum} {flipped}")).is_none());
             if let Some(r) = CacheLog::decode_line(&reframe(&flipped)) {
-                prop_assert_eq!(r.report.fingerprint(), fingerprint.clone(), "{}", flipped);
+                prop_assert_eq!(r.memo.report.fingerprint(), fingerprint.clone(), "{}", flipped);
             }
         }
         let mut tree = parse_json(payload)?;
         let mut n = rng.gen_range(0..fields(&tree));
         prop_assert!(mutate(&mut tree, &mut n, rng.gen()));
         if let Some(r) = CacheLog::decode_line(&reframe(&tree.render())) {
-            prop_assert_eq!(r.report.fingerprint(), fingerprint.clone(), "{}", tree.render());
+            prop_assert_eq!(r.memo.report.fingerprint(), fingerprint.clone(), "{}", tree.render());
         }
         let forged = payload.replacen("\"fingerprint\":\"", "\"fingerprint\":\"~", 1);
         prop_assert!(CacheLog::decode_line(&reframe(&forged)).is_none(), "forged fingerprint");
