@@ -1,35 +1,9 @@
-//! The BioCheck framework workflow (Fig. 2) — **compatibility
-//! front-end** over the unified analysis engine.
+//! An empty package. The δ analyses it used to wrap (calibration,
+//! falsification, therapy synthesis and Lyapunov stability) run only
+//! through `biocheck_engine::Session::query` and `Session::run_batch`,
+//! which take budgets and cancellation and report exhaustion.
 //!
-//! ```text
-//!  ODE / hybrid model ──► δ-decision parameter synthesis ──► δ-sat ──► calibrated model
-//!         ▲                        │ unsat                          │
-//!         │                        ▼                                ▼
-//!   model refinement ◄── falsification (hypothesis rejected)   validation
-//!         ▲                                                        │
-//!         │ new hypotheses (SMC-based analysis)                    ▼
-//!         └──────────────────────────────────────── stability & therapy synthesis
-//! ```
-//!
-//! The workflow implementations now live in `biocheck_engine`, behind a
-//! typed `Session`/`Query`/`Report` surface with compiled-artifact
-//! caching, budgets, and cancellation; this crate keeps the original
-//! free functions as thin wrappers so existing code compiles unchanged:
-//!
-//! * [`calibrate`] — BioPSy-style guaranteed parameter synthesis
-//!   (engine: `Query::Calibrate`).
-//! * [`falsify`] — model falsification (engine: `Query::Falsify`).
-//! * [`therapy`] — therapeutic strategy identification (engine:
-//!   `Query::Therapy`).
-//! * [`stability`] — Lyapunov stability analysis (engine:
-//!   `Query::Stability`).
-
-pub mod calibrate;
-pub mod falsify;
-pub mod stability;
-pub mod therapy;
-
-pub use calibrate::{synthesize_parameters, CalibrationProblem, Dataset};
-pub use falsify::{falsify_reachability, FalsificationOutcome};
-pub use stability::{verify_stability, StabilityReport};
-pub use therapy::{synthesize_therapy, TherapyPlan};
+//! The package stays only because `crates/bench/Cargo.toml` still
+//! depends on it: dropping that edge rewrites the benchmark's lockfile,
+//! so removing the package waits for the next benchmark change
+//! (ROADMAP, open item 4).

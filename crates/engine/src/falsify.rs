@@ -1,8 +1,6 @@
 //! Model falsification: reject a model hypothesis by proving a desired
-//! behavior unreachable for *every* admissible parameter value.
-//!
-//! Moved here from `biocheck_core` (which keeps a thin compatibility
-//! wrapper). Prefer [`Query::Falsify`](crate::Query::Falsify) on a
+//! behavior unreachable for *every* admissible parameter value. Reached
+//! through [`Query::Falsify`](crate::Query::Falsify) on a
 //! [`Session`](crate::Session), which threads budgets and cancellation
 //! into the reachability search.
 
@@ -32,7 +30,7 @@ impl FalsificationOutcome {
 /// `spec` for any parameter valuation. `unsat` rejects the model — the
 /// argument used against Fenton–Karma's ability to produce the
 /// epicardial spike-and-dome morphology (Sec. IV-A).
-pub fn falsify_reachability(
+pub(crate) fn falsify_reachability(
     ha: &HybridAutomaton,
     spec: &ReachSpec,
     opts: &ReachOptions,
@@ -41,5 +39,65 @@ pub fn falsify_reachability(
         ReachResult::Unsat => FalsificationOutcome::Falsified,
         ReachResult::DeltaSat(w) => FalsificationOutcome::Consistent(Box::new(w)),
         ReachResult::Unknown => FalsificationOutcome::Undecided,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Outcome, Query, Report, Session, Value};
+    use biocheck_expr::{Atom, RelOp};
+    use biocheck_interval::Interval;
+
+    /// Asks whether x' = −k·x, k ∈ [0.1, 2], x(0) = 1 can reach
+    /// `goal` ≥ 0 within `time_bound`.
+    fn falsify_decay(goal: &str, time_bound: f64) -> Report {
+        let mut ha = HybridAutomaton::parse_bha(
+            r#"
+            state x;
+            param k = [0.1, 2.0];
+            mode decay { flow: x' = -k*x; }
+            init decay: x = 1;
+            "#,
+        )
+        .unwrap();
+        let e = ha.cx.parse(goal).unwrap();
+        let spec = ReachSpec {
+            goal_mode: None,
+            goal: vec![Atom::new(e, RelOp::Ge)],
+            k_max: 0,
+            time_bound,
+        };
+        let opts = ReachOptions {
+            state_bounds: vec![Interval::new(0.0, 2.0)],
+            ..ReachOptions::new(0.05)
+        };
+        Session::from_automaton(&ha)
+            .query(Query::Falsify { spec, opts })
+            .run()
+            .unwrap()
+    }
+
+    #[test]
+    fn falsifies_impossible_behavior() {
+        // Pure decay can never exceed its initial value.
+        let report = falsify_decay("x - 1.5", 2.0);
+        assert_eq!(report.outcome, Outcome::Complete);
+        assert!(matches!(
+            report.value,
+            Value::Falsify(FalsificationOutcome::Falsified)
+        ));
+    }
+
+    #[test]
+    fn consistent_behavior_retains_model() {
+        // x ≤ 0.5 is reachable.
+        let report = falsify_decay("0.5 - x", 5.0);
+        match report.value {
+            Value::Falsify(FalsificationOutcome::Consistent(w)) => {
+                assert!(!w.params.is_empty());
+            }
+            other => panic!("expected consistency, got {other:?}"),
+        }
     }
 }

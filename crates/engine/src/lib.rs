@@ -72,19 +72,19 @@
 //! ```
 
 pub mod budget;
-pub mod calibrate;
+mod calibrate;
 pub mod error;
 mod exec_smc;
-pub mod falsify;
+mod falsify;
 pub mod query;
 pub mod report;
 pub mod session;
-pub mod stability;
-pub mod therapy;
+mod stability;
+mod therapy;
 
 pub use biocheck_lint::{Diagnostic, Severity};
 pub use budget::{Budget, CancelToken};
-pub use calibrate::{Calibration, CalibrationProblem, Dataset};
+pub use calibrate::{Calibration, Dataset};
 pub use error::Error;
 pub use falsify::FalsificationOutcome;
 pub use query::{EstimateMethod, Query, QueryKind, SmcSpec};

@@ -1,7 +1,7 @@
 //! Per-model analysis sessions with compiled-artifact caching.
 
 use crate::budget::Budget;
-use crate::calibrate::{self, CalibrationProblem};
+use crate::calibrate;
 use crate::error::Error;
 use crate::exec_smc::{Sampling, SmcOutcome};
 use crate::falsify::{self, FalsificationOutcome};
@@ -664,7 +664,7 @@ impl Session {
             Query::Therapy { spec, opts } => {
                 let ha = self.automaton("Therapy")?;
                 let opts = Session::apply_budget(opts, budget, deadline);
-                let (plan, exhausted) = therapy::synthesize_therapy_checked(ha, spec, &opts);
+                let (plan, exhausted) = therapy::run_therapy(ha, spec, &opts);
                 Ok(self.delta_report(query.kind(), seed, exhausted, Value::Therapy(plan)))
             }
             Query::Calibrate {
@@ -676,16 +676,18 @@ impl Session {
                 flow_step,
             } => {
                 let OdeParts { cx, sys, .. } = self.ode_parts("Calibrate")?;
-                let problem = CalibrationProblem {
-                    cx: cx.clone(),
-                    sys: sys.clone(),
-                    init: init.clone(),
-                    params: params.clone(),
-                    state_bounds: state_bounds.clone(),
-                    delta: *delta,
-                    flow_step: *flow_step,
-                };
-                let (fit, exhausted) = calibrate::run_calibrate(&problem, data, budget, deadline);
+                let (fit, exhausted) = calibrate::run_calibrate(
+                    cx,
+                    sys,
+                    data,
+                    init,
+                    params,
+                    state_bounds,
+                    *delta,
+                    *flow_step,
+                    budget,
+                    deadline,
+                );
                 Ok(self.delta_report(query.kind(), seed, exhausted, Value::Calibration(fit)))
             }
             Query::Stability {

@@ -1,8 +1,6 @@
 //! Stability analysis (Sec. IV-C): equilibrium localization by interval
-//! Newton plus CEGIS Lyapunov certification.
-//!
-//! Moved here from `biocheck_core` (which keeps a thin compatibility
-//! wrapper). Prefer [`Query::Stability`](crate::Query::Stability) on a
+//! Newton plus CEGIS Lyapunov certification. Reached through
+//! [`Query::Stability`](crate::Query::Stability) on a
 //! [`Session`](crate::Session).
 
 use crate::budget::Budget;
@@ -29,21 +27,7 @@ pub struct StabilityReport {
 /// Locates an equilibrium inside `region` with the interval-Newton
 /// contractor and certifies local asymptotic stability with a quadratic
 /// Lyapunov function on the annulus `r_min ≤ ‖x − x*‖∞ ≤ r_max`.
-///
-/// Returns `None` when no equilibrium is localized or no quadratic
-/// certificate is found.
-pub fn verify_stability(
-    cx: &Context,
-    sys: &OdeSystem,
-    region: &[Interval],
-    r_min: f64,
-    r_max: f64,
-) -> Option<StabilityReport> {
-    run_stability(cx, sys, region, r_min, r_max, &Budget::default(), None).0
-}
-
-/// The budget-aware implementation: cancellation and deadlines are
-/// polled between Newton contraction rounds, between CEGIS phases, and
+/// Cancellation and deadlines are polled between Newton contraction rounds, between CEGIS phases, and
 /// inside the CEGIS δ-searches (the synthesizer forwards the flag into
 /// its branch-and-prune runs and never certifies from an interrupted
 /// verification). Returns the report (if certified) and whether the
@@ -105,5 +89,64 @@ pub(crate) fn run_stability(
         // stopped the search": a failed run with the interrupt raised is
         // exhaustion, not a negative answer.
         None => (None, budget.interrupted(deadline)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Outcome, Query, Report, Session, Value};
+    use biocheck_expr::Context;
+    use biocheck_interval::Interval;
+    use biocheck_ode::OdeSystem;
+
+    /// Runs a stability query on x' = `rhs` over `region`.
+    fn stability(rhs: &str, region: Interval, r_min: f64, r_max: f64) -> Report {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let rhs = cx.parse(rhs).unwrap();
+        let sys = OdeSystem::new(vec![x], vec![rhs]);
+        Session::from_parts(cx, sys)
+            .query(Query::Stability {
+                region: vec![region],
+                r_min,
+                r_max,
+            })
+            .run()
+            .unwrap()
+    }
+
+    #[test]
+    fn certifies_shifted_linear_system() {
+        // x' = 2 - x has equilibrium x* = 2.
+        let report = stability("2 - x", Interval::new(0.0, 5.0), 0.1, 1.0);
+        let Value::Stability(Some(s)) = report.value else {
+            panic!("expected a certificate, got {:?}", report.value);
+        };
+        assert!((s.equilibrium[0] - 2.0).abs() < 1e-6);
+        assert!(s.certified);
+    }
+
+    #[test]
+    fn certifies_nonlinear_system() {
+        // x' = -x - x³, equilibrium at 0.
+        let report = stability("-x - x^3", Interval::new(-0.5, 0.5), 0.1, 0.8);
+        let Value::Stability(Some(s)) = report.value else {
+            panic!("expected a certificate, got {:?}", report.value);
+        };
+        assert!(s.equilibrium[0].abs() < 1e-6);
+        assert!(s.certified);
+        assert!(s.iterations >= 1);
+    }
+
+    #[test]
+    fn unstable_equilibrium_rejected() {
+        // x' = x(1 - x): the origin is unstable (x = 1 is the stable one).
+        // Region around the unstable origin.
+        let report = stability("x*(1 - x)", Interval::new(-0.4, 0.4), 0.05, 0.3);
+        assert_eq!(report.outcome, Outcome::Complete);
+        assert!(
+            matches!(report.value, Value::Stability(None)),
+            "origin of the logistic map is unstable"
+        );
     }
 }

@@ -175,7 +175,7 @@ pub enum ServeError {
 
 /// Every [`ServeError::kind`] discriminant a reply can carry, in
 /// declaration order. This is the source of truth the docs-drift check
-/// (CI and `tests/docs_drift.rs`) extracts quoted names
+/// (CI and `crates/serve/tests/docs_drift.rs`) extracts quoted names
 /// from (matched up to the closing `];`) and greps against
 /// `docs/OPERATIONS.md`.
 pub const ERROR_KINDS: &[&str] = &[

@@ -1098,7 +1098,7 @@ pub enum Request {
 
 /// Every `"op"` discriminant the protocol accepts, in match order.
 /// This is the source of truth the docs-drift check (CI and
-/// `tests/docs_drift.rs`) extracts quoted
+/// `crates/serve/tests/docs_drift.rs`) extracts quoted
 /// names from (matched up to the closing `];`) and greps against
 /// `docs/OPERATIONS.md`.
 pub const OP_NAMES: &[&str] = &[
