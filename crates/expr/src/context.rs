@@ -1,6 +1,7 @@
 //! The expression arena: nodes, hash-consing, and smart constructors.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of an expression node inside a [`Context`].
 ///
@@ -145,12 +146,21 @@ impl Key {
 ///
 /// All BioCheck components that exchange expressions (models, constraints,
 /// solvers) share one `Context`.
+///
+/// Clones share the variable table until one of them declares a new
+/// variable (copy on write), so a clone costs the node arena only.
 #[derive(Clone, Default, Debug)]
 pub struct Context {
     nodes: Vec<Node>,
     interner: HashMap<Key, NodeId>,
-    vars: Vec<String>,
-    var_index: HashMap<String, VarId>,
+    vars: Arc<Vars>,
+}
+
+/// The variable table: names indexed by [`VarId`], and the reverse map.
+#[derive(Clone, Default, Debug)]
+struct Vars {
+    names: Vec<String>,
+    index: HashMap<String, VarId>,
 }
 
 impl Context {
@@ -166,7 +176,7 @@ impl Context {
 
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.vars.names.len()
     }
 
     /// The node stored at `id`.
@@ -188,34 +198,38 @@ impl Context {
 
     /// Declares (or retrieves) the variable `name`, returning its [`VarId`].
     pub fn intern_var(&mut self, name: &str) -> VarId {
-        if let Some(&vid) = self.var_index.get(name) {
+        if let Some(&vid) = self.vars.index.get(name) {
             return vid;
         }
-        let vid = VarId(self.vars.len() as u32);
-        self.vars.push(name.to_string());
-        self.var_index.insert(name.to_string(), vid);
+        let vars = Arc::make_mut(&mut self.vars);
+        let vid = VarId(vars.names.len() as u32);
+        vars.names.push(name.to_string());
+        vars.index.insert(name.to_string(), vid);
         vid
     }
 
     /// Looks up an already-declared variable.
     pub fn var_id(&self, name: &str) -> Option<VarId> {
-        self.var_index.get(name).copied()
+        self.vars.index.get(name).copied()
     }
 
     /// The node for an already-declared variable id.
     pub fn var_node(&mut self, vid: VarId) -> NodeId {
-        assert!(vid.index() < self.vars.len(), "unknown variable id {vid:?}");
+        assert!(
+            vid.index() < self.vars.names.len(),
+            "unknown variable id {vid:?}"
+        );
         self.push(Node::Var(vid))
     }
 
     /// The name of a variable.
     pub fn var_name(&self, vid: VarId) -> &str {
-        &self.vars[vid.index()]
+        &self.vars.names[vid.index()]
     }
 
     /// All variable names, indexed by [`VarId`].
     pub fn var_names(&self) -> &[String] {
-        &self.vars
+        &self.vars.names
     }
 
     /// Interns a constant.

@@ -166,6 +166,22 @@ impl<V: Clone> ResultCache<V> {
         key: &str,
         load: impl FnOnce(u64) -> Option<(V, usize)>,
     ) -> Option<V> {
+        self.probe(key, load, true)
+    }
+
+    /// [`ResultCache::get_or_load`] ahead of a counted lookup of the
+    /// same key: a hit counts, a miss does not, since the caller's
+    /// fallback counts it.
+    pub fn recall(&self, key: &str, load: impl FnOnce(u64) -> Option<(V, usize)>) -> Option<V> {
+        self.probe(key, load, false)
+    }
+
+    fn probe(
+        &self,
+        key: &str,
+        load: impl FnOnce(u64) -> Option<(V, usize)>,
+        count_miss: bool,
+    ) -> Option<V> {
         let (hash, locator) = {
             let mut inner = self.lock();
             if let Some(hit) = inner.touch(key) {
@@ -176,14 +192,18 @@ impl<V: Clone> ResultCache<V> {
             match inner.index.get(&hash).copied() {
                 Some(locator) => (hash, locator),
                 None => {
-                    inner.count(false);
+                    if count_miss {
+                        inner.count(false);
+                    }
                     return None;
                 }
             }
         };
         let loaded = load(locator);
         let mut inner = self.lock();
-        inner.count(loaded.is_some());
+        if loaded.is_some() || count_miss {
+            inner.count(loaded.is_some());
+        }
         match loaded {
             Some((value, cost)) => {
                 inner.admit(key.into(), value.clone(), cost, self.capacity_bytes);
@@ -477,6 +497,20 @@ mod tests {
         assert_eq!(cache.get("m1|q2"), None);
         assert_eq!(cache.get("m2|q1"), Some(3));
         assert_eq!(cache.stats().purged, 2);
+    }
+
+    #[test]
+    fn recall_counts_hits_but_leaves_misses_to_the_fallback() {
+        let cache = ResultCache::new(100);
+        cache.insert("r", 1, 10);
+        cache.index("i", 1 << 24);
+        assert_eq!(cache.recall("r", |_| unreachable!()), Some(1));
+        assert_eq!(cache.recall("i", |_| Some((2, 10))), Some(2));
+        assert_eq!(cache.recall("x", |_| unreachable!()), None);
+        cache.index("j", 2 << 24);
+        assert_eq!(cache.recall("j", |_| None), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.indexed), (2, 0, 1));
     }
 
     #[test]

@@ -24,6 +24,19 @@
 //! are excluded from keys and from the purity check: shedding happens
 //! strictly before any computation runs.
 //!
+//! # Line index
+//!
+//! A query line that the normal path answered as a cache hit (no `id`,
+//! untraced, trace hub unarmed) is remembered by its exact trimmed text:
+//! the model it names, that model's fingerprint and the memo key it
+//! lowered to. When the same line comes again, [`ServeCore::handle_line`]
+//! answers it from that entry without decoding or lowering it, provided
+//! the model is still registered under the same fingerprint and the memo
+//! is still cached; otherwise the line takes the normal path. The
+//! fingerprint check is what keeps a re-registered model from being
+//! answered by its previous definition: a purge clears resident memos
+//! only, and the spill log can still load an old fingerprint's key.
+//!
 //! # Fault containment
 //!
 //! Every request body runs under `catch_unwind`, so a panicking solver
@@ -79,6 +92,14 @@ use std::time::{Duration, Instant};
 /// fingerprint lengths (the rendered report payload, map/list
 /// bookkeeping).
 const ENTRY_OVERHEAD_BYTES: usize = 256;
+
+/// The line index's share of the cache byte budget: `--cache-bytes`
+/// divided by this.
+const LINE_INDEX_SHARE: usize = 16;
+
+/// Fixed per-entry overhead of a line-index entry on top of its string
+/// lengths (map and list bookkeeping, three `Arc` headers).
+const LINE_ENTRY_OVERHEAD_BYTES: usize = 128;
 
 /// Configuration for a [`ServeCore`].
 #[derive(Clone, Debug)]
@@ -265,6 +286,10 @@ impl From<AdmitError> for ServeError {
 pub struct ServeCore {
     registry: Registry,
     cache: ResultCache<Memo>,
+    /// Query line → what the normal path lowered it to; see the module
+    /// docs' line index.
+    lines: ResultCache<IndexedLine>,
+    line_hits: AtomicU64,
     scheduler: Scheduler,
     persist: Option<Mutex<CacheLog>>,
     registry_log: Option<Mutex<RegistryLog>>,
@@ -336,6 +361,8 @@ impl ServeCore {
         ServeCore {
             registry,
             cache,
+            lines: ResultCache::new(config.cache_bytes / LINE_INDEX_SHARE),
+            line_hits: AtomicU64::new(0),
             scheduler: Scheduler::with_queue(config.concurrency, config.max_queue),
             persist,
             registry_log,
@@ -450,16 +477,22 @@ impl ServeCore {
         &self,
         qr: &QueryRequest,
     ) -> Result<(Arc<Report>, bool, Option<Json>), ServeError> {
-        self.answer(qr)
+        self.answer(qr, None)
             .map(|(memo, cached, trace)| (memo.report, cached, trace))
     }
 
     /// [`ServeCore::run_query_traced`] with the report's rendered
-    /// payload: the memo a hit recalls, or the one a miss made.
-    fn answer(&self, qr: &QueryRequest) -> Result<(Memo, bool, Option<Json>), ServeError> {
+    /// payload: the memo a hit recalls, or the one a miss made. `line`
+    /// is the request's wire line, when it came as one: a hit may enter
+    /// it into the line index.
+    fn answer(
+        &self,
+        qr: &QueryRequest,
+        line: Option<&str>,
+    ) -> Result<(Memo, bool, Option<Json>), ServeError> {
         let ctx =
             (qr.trace || self.trace_hub.armed()).then(|| TraceCtx::new(TraceCtx::DEFAULT_CAPACITY));
-        let result = self.run_query_inner(qr, ctx.as_ref());
+        let result = self.run_query_inner(qr, line, ctx.as_ref());
         // Built after `run_query_inner` returned, so the root span is
         // closed and the tree in the reply is complete.
         let trace = match &ctx {
@@ -472,6 +505,7 @@ impl ServeCore {
     fn run_query_inner(
         &self,
         qr: &QueryRequest,
+        line: Option<&str>,
         trace: Option<&Arc<TraceCtx>>,
     ) -> Result<(Memo, bool), ServeError> {
         // The hub-guard slot is declared *before* the request timer,
@@ -512,6 +546,11 @@ impl ServeCore {
         let key = memo_key(&base_key, qr.seed, &budget);
         if let Some(hit) = self.lookup(&key) {
             request.finish(Phase::RequestHit);
+            // Only a line whose reply is the bare hit reply is indexed:
+            // an `id` or a trace would be missing from the index's.
+            if let (Some(line), None, None) = (line, qr.id, trace) {
+                self.index_line(line, &qr.model, entry.fingerprint(), &key);
+            }
             return Ok((hit, true));
         }
         // Registration in the one in-flight table: from here until the
@@ -635,9 +674,47 @@ impl ServeCore {
     /// log read-back (promoted on success, with its payload rendered
     /// from the decoded report; any failure is a miss).
     fn lookup(&self, key: &str) -> Option<Memo> {
-        self.cache.get_or_load(key, |locator| {
-            with_log(&self.persist, |log| log.load(key, locator)).flatten()
-        })
+        self.cache
+            .get_or_load(key, |locator| self.load(key, locator))
+    }
+
+    /// The spill log's record for `key` at `locator`.
+    fn load(&self, key: &str, locator: u64) -> Option<(Memo, usize)> {
+        with_log(&self.persist, |log| log.load(key, locator)).flatten()
+    }
+
+    /// Remembers that `line` lowered to the memo `key` of `model` under
+    /// `fingerprint`.
+    fn index_line(&self, line: &str, model: &str, fingerprint: &str, key: &str) {
+        let cost =
+            line.len() + model.len() + fingerprint.len() + key.len() + LINE_ENTRY_OVERHEAD_BYTES;
+        let indexed = IndexedLine {
+            model: model.into(),
+            fingerprint: fingerprint.into(),
+            key: key.into(),
+        };
+        self.lines.insert(line, indexed, cost);
+    }
+
+    /// The reply to a query line the line index holds, written around
+    /// the stored payload without decoding or lowering the line; `None`
+    /// when the line is not indexed, its model is gone or re-registered
+    /// under another fingerprint, or its memo is no longer cached. The
+    /// normal path then answers it.
+    fn indexed_reply(&self, line: &str) -> Option<String> {
+        let request = self.metrics.open("serve.request", None);
+        let indexed = self.lines.get(line)?;
+        let entry = self.registry.get(&indexed.model)?;
+        if entry.fingerprint() != &*indexed.fingerprint {
+            return None;
+        }
+        // A miss here is counted by the normal path's own lookup.
+        let memo = self
+            .cache
+            .recall(&indexed.key, |locator| self.load(&indexed.key, locator))?;
+        request.finish(Phase::RequestHit);
+        self.line_hits.fetch_add(1, Ordering::Relaxed);
+        Some(reply_line(&indexed.model, None, true, &memo, None))
     }
 
     /// Raises the cancellation token of the in-flight query registered
@@ -659,6 +736,8 @@ impl ServeCore {
         let mut table = vec![
             Section("cache", "cache_", vec![
                 counter("hits", c.hits as f64, "Result-cache hits."),
+                counter("line_hits", self.line_hits.load(Ordering::Relaxed) as f64,
+                    "Hits answered from the line index, without decoding the line (within hits)."),
                 counter("misses", c.misses as f64, "Result-cache misses."),
                 counter("inserts", c.inserts as f64, "Result-cache inserts."),
                 counter("evictions", c.evictions as f64, "Entries evicted to fit the byte budget."),
@@ -807,7 +886,7 @@ impl ServeCore {
                 Err(e) => (error_json("invalid_request", &e, None), false),
             },
             Request::Query(qr) => {
-                let line = self.query_reply(qr);
+                let line = self.query_reply(qr, None);
                 let reply =
                     parse_json(&line).unwrap_or_else(|e| error_json("internal_error", &e, None));
                 (reply, false)
@@ -851,42 +930,38 @@ impl ServeCore {
         }
     }
 
-    /// A query's reply line. Its members are written in the canonical
-    /// sorted order around the memo's payload, so a hit renders no
-    /// report: it copies the bytes its miss rendered.
-    fn query_reply(&self, qr: &QueryRequest) -> String {
-        let (memo, cached, trace) = match self.answer(qr) {
-            Ok(answer) => answer,
-            Err(e) => return error_json(e.kind(), &e.to_string(), e.retry_after_ms()).render(),
-        };
-        let mut reply = ObjWriter::with_capacity(memo.payload.len() + qr.model.len() + 64)
-            .raw("cached", if cached { "true" } else { "false" });
-        if let Some(id) = qr.id {
-            reply = reply.member("id", &u64_to_json(id));
+    /// A query's reply line; `line` is the request's wire line, when it
+    /// came as one.
+    fn query_reply(&self, qr: &QueryRequest, line: Option<&str>) -> String {
+        match self.answer(qr, line) {
+            Ok((memo, cached, trace)) => {
+                reply_line(&qr.model, qr.id, cached, &memo, trace.as_ref())
+            }
+            Err(e) => error_json(e.kind(), &e.to_string(), e.retry_after_ms()).render(),
         }
-        reply = reply
-            .string("model", &qr.model)
-            .raw("ok", "true")
-            .raw("report", &memo.payload);
-        if let Some(trace) = &trace {
-            reply = reply.member("trace", trace);
-        }
-        reply.finish()
     }
 
-    /// Answers one raw request line (transport entry point). The outer
-    /// `catch_unwind` is the last line of defense — request bodies are
-    /// already caught in [`ServeCore::run_query`] — so that even a bug
-    /// in reply serialization yields a well-formed error line instead
-    /// of a silently dropped connection.
+    /// Answers one raw request line (transport entry point). A query
+    /// line in the line index is answered from it; every other line is
+    /// decoded and handled. The outer `catch_unwind` is the last line
+    /// of defense — request bodies are already caught in
+    /// [`ServeCore::run_query`] — so that even a bug in reply
+    /// serialization yields a well-formed error line instead of a
+    /// silently dropped connection.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| match Request::from_line(line) {
-            Ok(Request::Query(qr)) => (self.query_reply(&qr), false),
-            Ok(request) => {
-                let (json, stop) = self.handle(&request);
-                (json.render(), stop)
+        let line = line.trim();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(reply) = self.indexed_reply(line) {
+                return (reply, false);
             }
-            Err(e) => (error_json("invalid_request", &e, None).render(), false),
+            match Request::from_line(line) {
+                Ok(Request::Query(qr)) => (self.query_reply(&qr, Some(line)), false),
+                Ok(request) => {
+                    let (json, stop) = self.handle(&request);
+                    (json.render(), stop)
+                }
+                Err(e) => (error_json("invalid_request", &e, None).render(), false),
+            }
         }));
         match outcome {
             Ok(reply) => reply,
@@ -989,6 +1064,43 @@ impl Drop for ServeCore {
             let _ = handle.join();
         }
     }
+}
+
+/// What the normal path lowered an indexed query line to.
+#[derive(Clone)]
+struct IndexedLine {
+    /// The model the line names.
+    model: Arc<str>,
+    /// The model's fingerprint when the line was indexed.
+    fingerprint: Arc<str>,
+    /// The memo key the line lowered to.
+    key: Arc<str>,
+}
+
+/// A query's reply line. Its members are written in the canonical
+/// sorted order around the memo's payload, so a hit renders no report:
+/// it copies the bytes its miss rendered. The room left past the
+/// closing brace holds the newline the transport appends.
+fn reply_line(
+    model: &str,
+    id: Option<u64>,
+    cached: bool,
+    memo: &Memo,
+    trace: Option<&Json>,
+) -> String {
+    let mut reply = ObjWriter::with_capacity(memo.payload.len() + model.len() + 64)
+        .raw("cached", if cached { "true" } else { "false" });
+    if let Some(id) = id {
+        reply = reply.member("id", &u64_to_json(id));
+    }
+    reply = reply
+        .string("model", model)
+        .raw("ok", "true")
+        .raw("report", &memo.payload);
+    if let Some(trace) = trace {
+        reply = reply.member("trace", trace);
+    }
+    reply.finish()
 }
 
 /// A prepared query's memo key: its model-and-query key, the seed and
@@ -1129,7 +1241,7 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
                     if t0.elapsed() > core.line_timeout {
                         let _ = write_reply(
                             &mut writer,
-                            &error_json(
+                            error_json(
                                 "invalid_request",
                                 &format!(
                                     "request line not completed within {} ms",
@@ -1152,7 +1264,7 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
             // Cannot resynchronize mid-line: report and drop the peer.
             let _ = write_reply(
                 &mut writer,
-                &error_json(
+                error_json(
                     "invalid_request",
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                     None,
@@ -1164,7 +1276,7 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
         let Ok(line) = std::str::from_utf8(&buf) else {
             let _ = write_reply(
                 &mut writer,
-                &error_json("invalid_request", "request line is not UTF-8", None).render(),
+                error_json("invalid_request", "request line is not UTF-8", None).render(),
             );
             break;
         };
@@ -1180,7 +1292,7 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
         if trimmed_empty {
             continue;
         }
-        if write_reply(&mut writer, &response).is_err() {
+        if write_reply(&mut writer, response).is_err() {
             break;
         }
         if stop {
@@ -1200,14 +1312,13 @@ fn handle_connection(core: Arc<ServeCore>, stream: TcpStream, daemon_addr: Socke
     }
 }
 
-/// Writes one reply line (payload + `\n`) and flushes. Write timeouts
-/// surface as errors and drop the connection. Under the
-/// `fault-injection` feature this is the transport fault point: replies
-/// can be delayed or torn mid-line.
-fn write_reply(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(response.len() + 1);
-    bytes.extend_from_slice(response.as_bytes());
-    bytes.push(b'\n');
+/// Writes one reply line (payload + `\n`, appended in place) and
+/// flushes. Write timeouts surface as errors and drop the connection.
+/// Under the `fault-injection` feature this is the transport fault
+/// point: replies can be delayed or torn mid-line.
+fn write_reply(writer: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    let bytes = response.as_bytes();
     #[cfg(feature = "fault-injection")]
     {
         if let Some(delay) = crate::faults::reply_delay() {
@@ -1222,7 +1333,7 @@ fn write_reply(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
             ));
         }
     }
-    writer.write_all(&bytes)?;
+    writer.write_all(bytes)?;
     writer.flush()
 }
 

@@ -1,13 +1,15 @@
 //! Eviction edge cases for the result cache — and the end-to-end
 //! guarantee that a model re-registered with a different fingerprint
-//! can never be served a stale report.
+//! can never be served a stale report, not even through the line
+//! index.
 
 use biocheck_serve::server::{ServeConfig, ServeCore};
 use biocheck_serve::wire::{
-    BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, SmcSpecWire,
+    BudgetSpec, DistSpec, MethodSpec, ModelSource, PropSpec, QueryRequest, QuerySpec, Request,
+    SmcSpecWire,
 };
-use biocheck_serve::Json;
 use biocheck_serve::ResultCache;
+use biocheck_serve::{parse_json, Json};
 
 #[test]
 fn capacity_zero_is_a_correct_noop() {
@@ -144,6 +146,76 @@ fn reregistration_never_serves_stale_reports() {
     core.register("m", &v2).unwrap();
     let (_r2_hit, cached) = core.run_query(&request).unwrap();
     assert!(cached, "identical re-registration keeps the cache");
+}
+
+/// `(cached, report fingerprint, line_hits)` after sending `line`.
+fn send(core: &ServeCore, line: &str) -> (bool, String, f64) {
+    let reply = parse_json(&core.handle_line(line).0).unwrap();
+    let cached = reply.get("cached").and_then(Json::as_bool).unwrap();
+    let report = reply.get("report").and_then(|r| r.get("fingerprint"));
+    let stats = core.stats_json();
+    let line_hits = stats.get("cache").and_then(|c| c.get("line_hits"));
+    (
+        cached,
+        report.and_then(Json::as_str).unwrap().to_string(),
+        line_hits.and_then(Json::as_f64).unwrap(),
+    )
+}
+
+/// With a spill log, purging a re-registered model's results leaves
+/// their log locators, which still load under the old fingerprint's
+/// keys, and the line index maps a line to such a key. So after a
+/// changed definition is registered under the same name, the indexed
+/// line must answer the new model; once the old definition is back, it
+/// answers the old memo again.
+#[test]
+fn an_indexed_line_answers_the_definition_registered_now() {
+    let path = std::env::temp_dir().join(format!("biocheck-line-index-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let core = ServeCore::new(ServeConfig {
+        persist: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let v1 = ModelSource {
+        states: vec![("x".into(), "-x".into())],
+        consts: vec![],
+    };
+    let v2 = ModelSource {
+        states: vec![("x".into(), "-100*x".into())],
+        consts: vec![],
+    };
+    let fresh = |source: &ModelSource| {
+        let core = ServeCore::new(ServeConfig::default());
+        core.register("m", source).unwrap();
+        core.run_query(&decay_request(1.0)).unwrap().0.fingerprint()
+    };
+    let (fp1, fp2) = (fresh(&v1), fresh(&v2));
+    assert_ne!(fp1, fp2);
+    let line = Request::Query(decay_request(1.0)).to_json().render();
+
+    core.register("m", &v1).unwrap();
+    assert_eq!(send(&core, &line), (false, fp1.clone(), 0.0));
+    assert_eq!(
+        send(&core, &line),
+        (true, fp1.clone(), 0.0),
+        "log read-back"
+    );
+    assert_eq!(send(&core, &line), (true, fp1.clone(), 1.0), "line index");
+
+    core.register("m", &v2).unwrap();
+    assert_eq!(send(&core, &line), (false, fp2.clone(), 1.0), "new model");
+    assert_eq!(send(&core, &line), (true, fp2.clone(), 1.0));
+    assert_eq!(send(&core, &line), (true, fp2.clone(), 2.0));
+
+    core.register("m", &v1).unwrap();
+    assert_eq!(
+        send(&core, &line),
+        (true, fp1.clone(), 2.0),
+        "old memo, from the log"
+    );
+    assert_eq!(send(&core, &line), (true, fp1, 3.0));
+    drop(core);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A tiny cache byte budget turns memoization off gracefully: queries

@@ -4,8 +4,10 @@
 //! reference. Checked for misses, RAM hits, hits promoted from the spill
 //! log after a warm restart, replies with an `id`, every
 //! wire-producible report kind, and traced replies (every member but
-//! the trace spans). The spill log's lines are the reference codec's,
-//! and a log in that format warms a new core.
+//! the trace spans). A line answered from the line index gets the
+//! normal path's hit line, and a traced, id-bearing or refused line is
+//! never answered from it. The spill log's lines are the reference
+//! codec's, and a log in that format warms a new core.
 
 use biocheck_engine::Report;
 use biocheck_serve::cache::persist::CacheLog;
@@ -143,6 +145,23 @@ fn log_lines(path: &Path) -> Vec<String> {
     text.lines().skip(1).map(str::to_string).collect()
 }
 
+/// Hits answered from the line index so far.
+fn line_hits(core: &ServeCore) -> f64 {
+    let stats = core.stats_json();
+    let hits = stats.get("cache").and_then(|c| c.get("line_hits"));
+    hits.and_then(Json::as_f64).unwrap()
+}
+
+/// Sends `line` again, expecting the line index to answer it with
+/// `hit`, the normal path's hit line.
+fn assert_indexed_hit(core: &ServeCore, line: &str, hit: &str) {
+    let before = line_hits(core);
+    let (indexed, stop) = core.handle_line(line);
+    assert!(!stop);
+    assert_eq!(indexed, hit);
+    assert_eq!(line_hits(core), before + 1.0, "{line}");
+}
+
 /// The reply with its phase timings, the one part of a report that
 /// differs between two runs, set to null.
 fn without_timings(reply: &str) -> String {
@@ -175,10 +194,68 @@ fn misses_and_ram_hits_match_the_reference_for_every_kind() {
         assert_eq!(miss, reference(&qr, &report, false, None));
         let (hit, _) = core.handle_line(&line(&qr));
         assert_eq!(hit, reference(&qr, &report, true, None));
+        // The hit entered the line into the index, which answers it
+        // with the same bytes, surrounding whitespace or not.
+        assert_indexed_hit(&core, &line(&qr), &hit);
+        assert_indexed_hit(&core, &format!(" {}\r\n", line(&qr)), &hit);
         // In process, `handle` answers the same line, parsed.
         let (json, _) = core.handle(&Request::Query(qr.clone()));
         assert_eq!(json.render(), hit);
     }
+    assert_eq!(line_hits(&core), 10.0);
+}
+
+/// Only a bare hit reply comes from the line index: a traced or
+/// id-bearing request, a refused line, and any line answered while the
+/// trace hub is armed take the normal path every time.
+#[test]
+fn traced_id_bearing_and_refused_lines_are_never_answered_from_the_index() {
+    let core = new_core(None);
+    let mut lines: Vec<String> = queries(30)
+        .into_iter()
+        .flat_map(|qr| {
+            let traced = QueryRequest {
+                trace: true,
+                ..qr.clone()
+            };
+            let with_id = QueryRequest { id: Some(5), ..qr };
+            [line(&traced), line(&with_id)]
+        })
+        .collect();
+    let unknown = QueryRequest {
+        model: "nope".into(),
+        ..queries(30).swap_remove(4)
+    };
+    let mut pinned = queries(30).swap_remove(0);
+    if let QuerySpec::Estimate { smc, .. } = &mut pinned.query {
+        smc.params = vec![("k".into(), DistSpec::Uniform(0.5, 1.5))];
+    }
+    lines.extend([line(&unknown), line(&pinned), "{\"op\":\"query\"}".into()]);
+    for line in &lines {
+        let replies: Vec<String> = (0..3).map(|_| core.handle_line(line).0).collect();
+        if replies[0].contains("\"kind\":\"invalid_request\"") {
+            assert!(replies.iter().all(|r| r == &replies[0]), "{replies:?}");
+        } else {
+            assert!(
+                replies[2].starts_with("{\"cached\":true,"),
+                "{}",
+                replies[2]
+            );
+        }
+    }
+    assert_eq!(line_hits(&core), 0.0);
+
+    // While the trace hub is armed, no line enters the index.
+    let armed = new_core(None);
+    armed.trace_hub().arm();
+    let plain = line(&queries(30).swap_remove(0));
+    let replies: Vec<String> = (0..3).map(|_| armed.handle_line(&plain).0).collect();
+    assert!(
+        replies[2].starts_with("{\"cached\":true,"),
+        "{}",
+        replies[2]
+    );
+    assert_eq!(line_hits(&armed), 0.0);
 }
 
 #[test]
@@ -240,7 +317,8 @@ fn log_promoted_hits_and_log_lines_match_the_reference() {
             );
             let appended = format!("{} {payload}", fingerprint64(&payload));
             assert_eq!(lines.last().unwrap(), &appended);
-            // The log read-back hit, then a RAM hit.
+            // The log read-back hit, then a RAM hit, then the line
+            // index's.
             let (promoted, _) = core.handle_line(&line(qr));
             let (report, cached) = core.run_query(qr).unwrap();
             assert!(cached && report.provenance.run_time.is_none());
@@ -248,16 +326,38 @@ fn log_promoted_hits_and_log_lines_match_the_reference() {
             assert_eq!(without_timings(&miss), reference(qr, &report, false, None));
             let (hit, _) = core.handle_line(&line(qr));
             assert_eq!(hit, promoted);
+            assert_indexed_hit(&core, &line(qr), &promoted);
             misses.push(report);
         }
     }
 
-    // Warm restart: the hits are promoted from the compacted log.
+    // Warm restart: the hits are promoted from the compacted log, and
+    // each line is then answered from the index.
     let core = new_core(Some(&path));
     for (qr, report) in qrs.iter().zip(&misses) {
         let (hit, _) = core.handle_line(&line(qr));
         assert_eq!(hit, reference(qr, report, true, None));
+        assert_indexed_hit(&core, &line(qr), &hit);
     }
+    // A purge drops the resident memos but not their log locators, so
+    // with the same definition registered again the index answers each
+    // line through a log read-back.
+    let changed = ModelSource {
+        states: vec![("x".into(), "-2*k*x".into())],
+        ..decay_source()
+    };
+    core.register("decay", &changed).unwrap();
+    core.register("decay", &decay_source()).unwrap();
+    let before = core.cache_stats();
+    for (qr, report) in qrs.iter().zip(&misses) {
+        assert_indexed_hit(&core, &line(qr), &reference(qr, report, true, None));
+    }
+    let after = core.cache_stats();
+    assert_eq!(
+        after.inserts - before.inserts,
+        qrs.len(),
+        "promoted from the log"
+    );
     let lines = log_lines(&path);
     assert_eq!(lines.len(), qrs.len());
     let records: Vec<_> = lines

@@ -826,7 +826,8 @@ fn stats_report_latency_percentiles_after_mixed_batch() {
 const STATS_NUMBERS: &[(&str, &str)] = &[
     (
         "cache",
-        "hits misses inserts evictions rejected purged entries bytes capacity_bytes hit_ratio",
+        "hits line_hits misses inserts evictions rejected purged entries bytes capacity_bytes \
+         hit_ratio",
     ),
     (
         "scheduler",
@@ -849,6 +850,7 @@ const STATS_NUMBERS: &[(&str, &str)] = &[
 const METRIC_INVENTORY: &[(&str, &str)] = &[
     ("biocheckd_request_latency_seconds", "summary"),
     ("biocheckd_cache_hits_total", "counter"),
+    ("biocheckd_cache_line_hits_total", "counter"),
     ("biocheckd_cache_misses_total", "counter"),
     ("biocheckd_cache_inserts_total", "counter"),
     ("biocheckd_cache_evictions_total", "counter"),

@@ -6,11 +6,18 @@
 //! must also lower through `QuerySpec::build` on the case-study model
 //! it names without a panic, and an accepted registration must register
 //! (build the model, fingerprint its canonical source) without one.
+//!
+//! Each mutant is also sent to a core whose line index holds every
+//! unmutated query line that can be indexed: its `handle_line` reply
+//! must be byte for byte the one `ServeCore::handle` gives for the
+//! decoded request, a path that never consults the index. So a
+//! near-duplicate of an indexed line never gets that line's report.
 
 use biocheck_expr::{Context, RelOp};
 use biocheck_serve::case_studies::{case_study_source, CASE_STUDIES};
 use biocheck_serve::json::{parse_json, Json};
 use biocheck_serve::registry::Registry;
+use biocheck_serve::server::{ServeConfig, ServeCore};
 use biocheck_serve::wire::{
     BudgetSpec, DistSpec, MethodSpec, PropSpec, QueryRequest, QuerySpec, Request, SmcSpecWire,
     OP_NAMES,
@@ -342,26 +349,149 @@ fn mutate(rng: &mut StdRng, line: &str) -> String {
     }
 }
 
-/// The valid lines of every case study, and each case study's
-/// context, built once for all cases.
+/// The query requests of [`valid_requests`] as lines the line index
+/// can hold: no `id`, untraced, a budget without deadlines, so that a
+/// result is memoized, and no random parameters, which the registered
+/// case study pinned as constants. `Stability` is left out: without a
+/// deadline, the radiation model's runs for minutes in a debug build.
+fn indexable_lines(model: &str) -> Vec<String> {
+    valid_requests(model)
+        .into_iter()
+        .filter_map(|request| match request {
+            Request::Query(q) if matches!(q.query, QuerySpec::Stability { .. }) => None,
+            Request::Query(mut q) => {
+                if let QuerySpec::Estimate { smc, .. }
+                | QuerySpec::Sprt { smc, .. }
+                | QuerySpec::Robustness { smc, .. } = &mut q.query
+                {
+                    smc.params.clear();
+                }
+                Some(QueryRequest {
+                    id: None,
+                    trace: false,
+                    budget: BudgetSpec {
+                        deadline_ms: None,
+                        queue_ms: None,
+                        ..q.budget
+                    },
+                    ..q
+                })
+            }
+            _ => None,
+        })
+        .map(|q| Request::Query(q).to_json().render())
+        .collect()
+}
+
+/// The valid lines of every case study (indexable ones included), the
+/// indexable ones alone, and each case study's context, built once for
+/// all cases.
 struct Corpus {
     lines: Vec<String>,
+    indexable: Vec<String>,
     contexts: Vec<(&'static str, Context)>,
 }
 
 fn corpus() -> &'static Corpus {
     static CORPUS: OnceLock<Corpus> = OnceLock::new();
-    CORPUS.get_or_init(|| Corpus {
-        lines: CASE_STUDIES
+    CORPUS.get_or_init(|| {
+        let indexable: Vec<String> = CASE_STUDIES
             .iter()
-            .flat_map(|&name| valid_requests(name))
-            .map(|r| r.to_json().render())
-            .collect(),
-        contexts: CASE_STUDIES
-            .iter()
-            .map(|&name| (name, case_study_source(name).unwrap().build().unwrap().0))
-            .collect(),
+            .flat_map(|&name| indexable_lines(name))
+            .collect();
+        Corpus {
+            lines: CASE_STUDIES
+                .iter()
+                .flat_map(|&name| valid_requests(name))
+                .map(|r| r.to_json().render())
+                .chain(indexable.iter().cloned())
+                .collect(),
+            indexable,
+            contexts: CASE_STUDIES
+                .iter()
+                .map(|&name| (name, case_study_source(name).unwrap().build().unwrap().0))
+                .collect(),
+        }
     })
+}
+
+fn line_hits(core: &ServeCore) -> f64 {
+    let stats = core.stats_json();
+    let hits = stats.get("cache").and_then(|c| c.get("line_hits"));
+    hits.and_then(Json::as_f64).unwrap()
+}
+
+/// A core serving every case study, whose line index holds every
+/// indexable line. It is then shut down, so that a mutant that misses
+/// is refused at once (`shutting_down`) instead of computed; hits are
+/// still answered.
+fn core() -> &'static ServeCore {
+    static CORE: OnceLock<ServeCore> = OnceLock::new();
+    CORE.get_or_init(|| {
+        let core = ServeCore::new(ServeConfig::default());
+        for name in CASE_STUDIES {
+            core.register(name, &case_study_source(name).unwrap())
+                .unwrap();
+        }
+        for line in &corpus().indexable {
+            let (miss, _) = core.handle_line(line);
+            assert!(miss.starts_with("{\"cached\":false,"), "{line}: {miss}");
+            let (hit, _) = core.handle_line(line);
+            let before = line_hits(&core);
+            assert_eq!(core.handle_line(line).0, hit);
+            assert_eq!(line_hits(&core), before + 1.0, "{line}");
+        }
+        assert!(core.handle(&Request::Shutdown).1);
+        core
+    })
+}
+
+/// A reply with its `trace` member, whose span timings differ from one
+/// answer to the next, removed.
+fn without_trace(reply: &str) -> String {
+    match parse_json(reply) {
+        Ok(Json::Obj(mut members)) => {
+            members.remove("trace");
+            Json::Obj(members).render()
+        }
+        _ => reply.to_string(),
+    }
+}
+
+/// Sends `line` to the indexed core and checks its reply against the
+/// typed path's for the decoded request. Registrations, which would
+/// replace the core's models, and `stats`, `metrics` and
+/// `trace_export`, whose replies change from call to call, are left
+/// out.
+fn check_against_typed_path(line: &str) -> Result<(), String> {
+    let core = core();
+    let expected = match Request::from_line(line) {
+        Err(e) => (
+            Json::obj([
+                ("ok", Json::Bool(false)),
+                ("kind", Json::str("invalid_request")),
+                ("error", Json::str(e)),
+            ])
+            .render(),
+            false,
+        ),
+        Ok(Request::Register { .. } | Request::Stats | Request::Metrics | Request::TraceExport) => {
+            return Ok(())
+        }
+        Ok(request) => {
+            let (reply, stop) = core.handle(&request);
+            (reply.render(), stop)
+        }
+    };
+    let (reply, stop) = core.handle_line(line);
+    if (without_trace(&reply), stop) == (without_trace(&expected.0), expected.1) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{line:?}: handle_line replied {reply}, the typed path {}",
+            expected.0
+        ))
+    }
 }
 
 /// Decodes `line` and lowers what it accepts on the context of the
@@ -419,5 +549,6 @@ proptest! {
             mutant = mutate(&mut rng, &mutant);
         }
         decode_and_build(&mutant)?;
+        check_against_typed_path(&mutant)?;
     }
 }
