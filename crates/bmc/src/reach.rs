@@ -249,8 +249,7 @@ pub(crate) fn solve_path(
             enc.steps[i].tau,
             &ha.modes[q].invariants,
         )
-        .with_step(opts.flow_step)
-        .with_label(format!("flow@{i}:{}", ha.modes[q].name));
+        .with_step(opts.flow_step);
         flows.push(fc);
     }
     let extra: Vec<&dyn Contractor> = flows.iter().map(|f| f as &dyn Contractor).collect();

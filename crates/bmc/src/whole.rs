@@ -89,8 +89,7 @@ fn solve_depth(
                 enc.steps[i].tau,
                 &ha.modes[q].invariants,
             )
-            .with_step(opts.flow_step)
-            .with_label(format!("flow@{i}:{}", ha.modes[q].name));
+            .with_step(opts.flow_step);
             row.push(smt.add_contractor(Box::new(fc)));
         }
         occupancy.push(row);

@@ -64,8 +64,9 @@ pub struct Budget {
     /// the report carries the estimate over the samples actually drawn.
     pub max_samples: Option<usize>,
     /// Cap on box splits in the δ-decision searches behind `Falsify`,
-    /// `Therapy`, and `Calibrate` (overrides the per-query
-    /// `max_splits` defaults when set).
+    /// `Therapy`, `Calibrate` and `Stability` (overrides the per-query
+    /// `max_splits` defaults when set; for `Stability` it caps each
+    /// CEGIS synthesis and verification search, default 50 000).
     pub max_paver_boxes: Option<usize>,
     /// Wall-clock allowance, measured from the start of `run()`.
     pub deadline: Option<Duration>,

@@ -97,8 +97,7 @@ pub(crate) fn run_calibrate(
             .collect();
         let tau = cx.intern_var(&format!("@tau{j}"));
         let fc = FlowContractor::new(&mut cx, sys, seg_vars[j].clone(), cur.clone(), tau, &[])
-            .with_step(flow_step)
-            .with_label(format!("data-segment {j}"));
+            .with_step(flow_step);
         flows.push(fc);
         // Observation bands at this time.
         for (oi, &comp) in data.observed.iter().enumerate() {

@@ -7,7 +7,7 @@ use crate::budget::Budget;
 use biocheck_expr::Context;
 use biocheck_icp::{Contractor, Newton, Outcome};
 use biocheck_interval::{IBox, Interval};
-use biocheck_lyapunov::{shift_to_origin, LyapunovSynthesizer};
+use biocheck_lyapunov::{shift_to_origin, LyapunovSynthesizer, NoCertificate};
 use biocheck_ode::OdeSystem;
 use std::time::Instant;
 
@@ -30,8 +30,9 @@ pub struct StabilityReport {
 /// Cancellation and deadlines are polled between Newton contraction rounds, between CEGIS phases, and
 /// inside the CEGIS δ-searches (the synthesizer forwards the flag into
 /// its branch-and-prune runs and never certifies from an interrupted
-/// verification). Returns the report (if certified) and whether the
-/// budget cut the analysis short.
+/// verification); the budget's box cap bounds the splits of each
+/// δ-search. Returns the report (if certified) and whether the budget
+/// cut the analysis short.
 pub(crate) fn run_stability(
     cx: &Context,
     sys: &OdeSystem,
@@ -69,6 +70,7 @@ pub(crate) fn run_stability(
     // Shift and certify.
     let shifted = shift_to_origin(&mut cx, sys, &eq);
     let mut syn = LyapunovSynthesizer::quadratic(cx, &shifted, r_min, r_max);
+    syn.max_splits = budget.max_paver_boxes.unwrap_or(50_000);
     syn.cancel = budget.cancel_flag();
     syn.deadline = deadline;
     syn.progress_boxes = budget
@@ -76,7 +78,7 @@ pub(crate) fn run_stability(
         .as_ref()
         .map(|t| std::sync::Arc::clone(&t.progress.boxes));
     match syn.run(30) {
-        Some(result) => (
+        Ok(result) => (
             Some(StabilityReport {
                 equilibrium: eq,
                 lyapunov: result.v_text,
@@ -85,10 +87,10 @@ pub(crate) fn run_stability(
             }),
             false,
         ),
-        // Distinguish "no certificate exists/found" from "the budget
-        // stopped the search": a failed run with the interrupt raised is
-        // exhaustion, not a negative answer.
-        None => (None, budget.interrupted(deadline)),
+        Err(NoCertificate::NotFound) => (None, false),
+        // A δ-search that hit the split cap or an interrupt proved
+        // nothing: exhaustion, not a negative answer.
+        Err(NoCertificate::Inconclusive) => (None, true),
     }
 }
 

@@ -255,6 +255,38 @@ fn paver_box_budget_caps_reachability() {
     assert_eq!(r.outcome, Outcome::Complete);
 }
 
+#[test]
+fn paver_box_budget_caps_stability() {
+    // linear2 (x' = −x + y, y' = −2y) needs five CEGIS rounds, each with
+    // split-hungry δ-searches: one split per search cannot certify it,
+    // and that is exhaustion, not a "no certificate" answer.
+    let mut cx = Context::new();
+    let x = cx.intern_var("x");
+    let y = cx.intern_var("y");
+    let fx = cx.parse("-x + y").unwrap();
+    let fy = cx.parse("-2*y").unwrap();
+    let session = Session::from_parts(cx, OdeSystem::new(vec![x, y], vec![fx, fy]));
+    let query = Query::Stability {
+        region: vec![Interval::new(-0.5, 0.5), Interval::new(-0.5, 0.5)],
+        r_min: 0.1,
+        r_max: 0.4,
+    };
+    let r = session
+        .query(query.clone())
+        .budget(Budget::unlimited().with_max_paver_boxes(1))
+        .run()
+        .unwrap();
+    assert_eq!(r.outcome, Outcome::Exhausted, "{:?}", r.value);
+    assert!(matches!(r.value, Value::Stability(None)), "{:?}", r.value);
+    // Unlimited budget certifies it.
+    let r = session.query(query).run().unwrap();
+    assert_eq!(r.outcome, Outcome::Complete);
+    let Value::Stability(Some(s)) = r.value else {
+        panic!("expected a certificate, got {:?}", r.value);
+    };
+    assert!(s.certified);
+}
+
 /// Exponential growth from x₀ ~ U[0.5, 1.5] under G≤4 (x ≤ 60): the
 /// violated samples stop as soon as x crosses 60, the others run the
 /// whole horizon, so lanes finish out of index order. Returns the

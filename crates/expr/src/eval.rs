@@ -5,6 +5,8 @@ use crate::context::{eval_unary_f64, unary_lanes, BinOp, Context, Node, NodeId, 
 use biocheck_interval::{IBox, Interval};
 use std::array::from_fn;
 
+mod revise;
+
 /// Reusable evaluation workspace: buffers for node values plus the
 /// reachability plan (which arena nodes a set of roots actually uses).
 ///
@@ -384,6 +386,9 @@ enum Instr {
 ///   binary operation is fused into a single instruction computing the
 ///   identical two-rounding result (e.g. `a*b + c` in one slot).
 ///
+/// [`Program::compile_revise`] compiles one term without pair fusion, as
+/// a tape for HC4-revise ([`Program::revise_with`]).
+///
 /// # Examples
 ///
 /// ```
@@ -431,6 +436,11 @@ impl Program {
     /// the compiled program computes exactly the values of
     /// [`Context::eval_with`] on the same roots.
     pub fn compile(cx: &Context, roots: &[NodeId]) -> Program {
+        Program::compile_with(cx, roots, true)
+    }
+
+    /// [`Program::compile`], with pair fusion only when `fuse` is set.
+    fn compile_with(cx: &Context, roots: &[NodeId], fuse: bool) -> Program {
         // Mark reachable nodes.
         let n = cx.num_nodes();
         let mut reach = vec![false; n];
@@ -561,11 +571,12 @@ impl Program {
             }
         }
 
-        // Pair fusion: a binary op whose sole consumer is another binary
-        // op collapses into it. Operand order is preserved exactly, so
-        // the fused instruction performs the identical float operations.
+        // Pair fusion (when `fuse`): a binary op whose sole consumer is
+        // another binary op collapses into it. Operand order is preserved
+        // exactly, so the fused instruction performs the identical float
+        // operations.
         for i in 0..instrs.len() {
-            if dead[i] {
+            if !fuse || dead[i] {
                 continue;
             }
             let Instr::Binary(outer, l, r) = instrs[i] else {

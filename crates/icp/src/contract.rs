@@ -50,11 +50,6 @@ pub trait Contractor: Sync {
         let _ = scratch;
         self.contract(bx)
     }
-
-    /// Human-readable name for diagnostics.
-    fn name(&self) -> &str {
-        "contractor"
-    }
 }
 
 impl<T: Contractor + ?Sized> Contractor for Box<T> {
@@ -64,9 +59,6 @@ impl<T: Contractor + ?Sized> Contractor for Box<T> {
     fn contract_with(&self, bx: &mut IBox, scratch: &mut EvalScratch) -> Outcome {
         (**self).contract_with(bx, scratch)
     }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
 }
 
 impl<T: Contractor + ?Sized> Contractor for &T {
@@ -75,9 +67,6 @@ impl<T: Contractor + ?Sized> Contractor for &T {
     }
     fn contract_with(&self, bx: &mut IBox, scratch: &mut EvalScratch) -> Outcome {
         (**self).contract_with(bx, scratch)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
     }
 }
 
@@ -97,9 +86,6 @@ mod tests {
                 bx[0] = l;
                 Outcome::Reduced
             }
-        }
-        fn name(&self) -> &str {
-            "halver"
         }
     }
 
@@ -121,8 +107,8 @@ mod tests {
         assert_eq!(bx[0], Interval::new(0.0, 2.0));
         assert_eq!(boxed.contract(&mut bx), Outcome::Reduced);
         assert_eq!(bx[0], Interval::new(0.0, 1.0));
-        assert_eq!(boxed.name(), "halver");
         let r: &dyn Contractor = &h;
-        assert_eq!(r.name(), "halver");
+        assert_eq!(r.contract(&mut bx), Outcome::Reduced);
+        assert_eq!(bx[0], Interval::new(0.0, 0.5));
     }
 }

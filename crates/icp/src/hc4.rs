@@ -1,138 +1,47 @@
-//! The HC4-revise contractor: one forward interval-evaluation sweep over
-//! the expression DAG, a clamp of the root to the relation's admissible
-//! set, and one backward projection sweep narrowing the variables.
+//! The HC4-revise contractor: one forward interval sweep over the atom's
+//! compiled [`Program`] tape, a clamp of the root to the relation's
+//! admissible set, one backward projection sweep over the same tape
+//! ([`Program::revise_with`]), and the write-back of the narrowed
+//! variables to the box.
 
 use crate::contract::{Contractor, Outcome};
-use biocheck_expr::{
-    eval_binary_interval, eval_unary_interval, Atom, BinOp, Context, EvalScratch, Node, NodeId,
-    UnaryOp, VarId,
-};
+use biocheck_expr::{Atom, Context, EvalScratch, Program};
 use biocheck_interval::{IBox, Interval};
 
 /// HC4-revise for a single atomic constraint `t ⋈ 0`.
 ///
-/// The contractor is compiled once from the shared [`Context`]: the
-/// reachable sub-DAG of the atom's term is copied with dense slot indices,
-/// so contraction itself never touches the context again.
+/// The contractor compiles the atom's term once into a [`Program`]
+/// tape, so contraction itself never touches the context again. The
+/// same tape gives branch-and-prune its whole-box δ-test.
 ///
 /// Pruning uses the relation's exact admissible set (δ = 0), which is the
 /// sound choice inside branch-and-prune: the solver prunes with the
 /// original constraints and lets δ enter only its termination test.
 #[derive(Clone, Debug)]
 pub struct Hc4 {
-    nodes: Vec<Node>,
-    root: usize,
-    /// slot → variable it loads (for writeback).
-    var_slots: Vec<(usize, VarId)>,
-    projection: Interval,
-    label: String,
+    tape: Program,
+    atom: Atom,
 }
 
 impl Hc4 {
     /// Compiles a contractor for `atom` with exact pruning (δ = 0).
     pub fn new(cx: &Context, atom: Atom) -> Hc4 {
-        // Reachability over the context arena.
-        let mut reach = vec![false; atom.expr.index() + 1];
-        let mut stack = vec![atom.expr];
-        while let Some(id) = stack.pop() {
-            if reach[id.index()] {
-                continue;
-            }
-            reach[id.index()] = true;
-            match *cx.node(id) {
-                Node::Unary(_, a) | Node::PowI(a, _) => stack.push(a),
-                Node::Binary(_, a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                _ => {}
-            }
-        }
-        let mut slot = vec![usize::MAX; atom.expr.index() + 1];
-        let mut nodes = Vec::new();
-        let mut var_slots = Vec::new();
-        for i in 0..=atom.expr.index() {
-            if !reach[i] {
-                continue;
-            }
-            let remap = |c: NodeId| NodeId::from_raw(slot[c.index()] as u32);
-            let node = match *cx.node(NodeId::from_raw(i as u32)) {
-                Node::Unary(op, a) => Node::Unary(op, remap(a)),
-                Node::Binary(op, a, b) => Node::Binary(op, remap(a), remap(b)),
-                Node::PowI(a, k) => Node::PowI(remap(a), k),
-                leaf => leaf,
-            };
-            if let Node::Var(v) = node {
-                var_slots.push((nodes.len(), v));
-            }
-            slot[i] = nodes.len();
-            nodes.push(node);
-        }
         Hc4 {
-            root: slot[atom.expr.index()],
-            nodes,
-            var_slots,
-            projection: atom.projection(0.0),
-            label: atom.display(cx),
+            tape: Program::compile_revise(cx, atom.expr),
+            atom,
         }
     }
 
-    /// Forward sweep: interval-evaluate every slot.
-    fn forward(&self, bx: &IBox, vals: &mut [Interval]) {
-        for (i, node) in self.nodes.iter().enumerate() {
-            vals[i] = match *node {
-                Node::Const(c) => Interval::point(c),
-                Node::Var(v) => bx[v.index()],
-                Node::Unary(op, a) => eval_unary_interval(op, vals[a.index()]),
-                Node::Binary(op, a, b) => {
-                    eval_binary_interval(op, vals[a.index()], vals[b.index()])
-                }
-                Node::PowI(a, k) => vals[a.index()].powi(k),
-            };
-        }
+    /// The forward sweep: an enclosure of the atom's term on `bx`.
+    fn eval(&self, bx: &IBox, scratch: &mut EvalScratch) -> Interval {
+        let mut out = [Interval::ZERO];
+        self.tape.eval_interval_with(bx, scratch, &mut out);
+        out[0]
     }
 
-    /// Backward sweep: narrow children from the refined parent values.
-    /// Returns `false` when some slot becomes empty (box infeasible).
-    fn backward(&self, vals: &mut [Interval]) -> bool {
-        for i in (0..self.nodes.len()).rev() {
-            let r = vals[i];
-            if r.is_empty() {
-                return false;
-            }
-            match self.nodes[i] {
-                Node::Const(_) | Node::Var(_) => {}
-                Node::Unary(op, a) => {
-                    let ai = a.index();
-                    let na = backward_unary(op, vals[ai], r);
-                    vals[ai] = vals[ai].intersect(&na);
-                    if vals[ai].is_empty() {
-                        return false;
-                    }
-                }
-                Node::PowI(a, k) => {
-                    let ai = a.index();
-                    let na = backward_powi(vals[ai], r, k);
-                    vals[ai] = vals[ai].intersect(&na);
-                    if vals[ai].is_empty() {
-                        return false;
-                    }
-                }
-                Node::Binary(op, a, b) => {
-                    let (ai, bi) = (a.index(), b.index());
-                    let (na, nb) = backward_binary(op, vals[ai], vals[bi], r);
-                    vals[ai] = vals[ai].intersect(&na);
-                    if vals[ai].is_empty() {
-                        return false;
-                    }
-                    vals[bi] = vals[bi].intersect(&nb);
-                    if vals[bi].is_empty() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// Does every point of `bx` satisfy the δ-weakened atom?
+    pub(crate) fn holds_on(&self, bx: &IBox, delta: f64, scratch: &mut EvalScratch) -> bool {
+        self.atom.delta_holds_on(self.eval(bx, scratch), delta)
     }
 }
 
@@ -142,19 +51,13 @@ impl Contractor for Hc4 {
     }
 
     fn contract_with(&self, bx: &mut IBox, scratch: &mut EvalScratch) -> Outcome {
-        let vals = scratch.interval_buf(self.nodes.len());
-        self.forward(bx, vals);
-        let clamped = vals[self.root].intersect(&self.projection);
-        if clamped.is_empty() {
-            return Outcome::Empty;
-        }
-        vals[self.root] = clamped;
-        if !self.backward(vals) {
+        let root = self.eval(bx, scratch).intersect(&self.atom.projection(0.0));
+        if root.is_empty() || !self.tape.revise_with(root, scratch) {
             return Outcome::Empty;
         }
         let mut changed = false;
-        for &(slot, v) in &self.var_slots {
-            let narrowed = bx[v.index()].intersect(&vals[slot]);
+        for (v, iv) in self.tape.var_enclosures(scratch) {
+            let narrowed = bx[v.index()].intersect(&iv);
             if narrowed.is_empty() {
                 return Outcome::Empty;
             }
@@ -167,175 +70,6 @@ impl Contractor for Hc4 {
             Outcome::Reduced
         } else {
             Outcome::Unchanged
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Inverse image of `op` given child enclosure `a` and parent target `r`.
-fn backward_unary(op: UnaryOp, a: Interval, r: Interval) -> Interval {
-    use std::f64::consts::{FRAC_PI_2, PI};
-    match op {
-        UnaryOp::Neg => -r,
-        UnaryOp::Abs => mirror_nonneg(r),
-        UnaryOp::Sqrt => r.intersect(&Interval::new(0.0, f64::INFINITY)).sqr(),
-        UnaryOp::Exp => r.ln(),
-        UnaryOp::Ln => r.exp(),
-        // Trig inversions: only prune when the child already lies in a
-        // monotone window; otherwise return ENTIRE (no pruning, sound).
-        UnaryOp::Sin => {
-            if a.lo() >= -FRAC_PI_2 && a.hi() <= FRAC_PI_2 {
-                r.asin()
-            } else {
-                Interval::ENTIRE
-            }
-        }
-        UnaryOp::Cos => {
-            if a.lo() >= 0.0 && a.hi() <= PI {
-                r.acos()
-            } else {
-                Interval::ENTIRE
-            }
-        }
-        UnaryOp::Tan => {
-            if a.lo() > -FRAC_PI_2 && a.hi() < FRAC_PI_2 {
-                r.atan()
-            } else {
-                Interval::ENTIRE
-            }
-        }
-        UnaryOp::Asin => r.intersect(&Interval::new(-FRAC_PI_2, FRAC_PI_2)).sin(),
-        UnaryOp::Acos => r.intersect(&Interval::new(0.0, PI)).cos(),
-        UnaryOp::Atan => {
-            let rr = r.intersect(&Interval::new(-FRAC_PI_2, FRAC_PI_2));
-            rr.tan()
-        }
-        // asinh(r) = ln(r + sqrt(r² + 1)) — sound by composition.
-        UnaryOp::Sinh => (r + (r.sqr() + Interval::ONE).sqrt()).ln(),
-        // cosh(a) = r ⇒ |a| = acosh(r), r ≥ 1.
-        UnaryOp::Cosh => {
-            let rr = r.intersect(&Interval::new(1.0, f64::INFINITY));
-            if rr.is_empty() {
-                return Interval::EMPTY;
-            }
-            let acosh = (rr + (rr.sqr() - Interval::ONE).sqrt()).ln();
-            mirror_nonneg(acosh)
-        }
-        // atanh(r) = ln((1+r)/(1-r)) / 2.
-        UnaryOp::Tanh => {
-            let rr = r.intersect(&Interval::new(-1.0, 1.0));
-            if rr.is_empty() {
-                return Interval::EMPTY;
-            }
-            ((Interval::ONE + rr) / (Interval::ONE - rr)).ln() * Interval::point(0.5)
-        }
-    }
-}
-
-/// Solutions of `|x| ∈ s⁺` where `s⁺ = s ∩ [0,∞)`: the union `-s⁺ ∪ s⁺`
-/// (returned as its hull, which is sound).
-fn mirror_nonneg(s: Interval) -> Interval {
-    let sp = s.intersect(&Interval::new(0.0, f64::INFINITY));
-    if sp.is_empty() {
-        return Interval::EMPTY;
-    }
-    (-sp).hull(&sp)
-}
-
-/// Inverse image of `xᵏ = r` intersected against the child's sign info.
-fn backward_powi(a: Interval, r: Interval, k: i32) -> Interval {
-    if k == 0 {
-        // x⁰ = 1: no info about x (if r excludes 1 forward pass already failed).
-        return Interval::ENTIRE;
-    }
-    if k < 0 {
-        // x⁻ᵏ = r ⇒ xᵏ = 1/r.
-        return backward_powi(a, r.recip(), -k);
-    }
-    if k % 2 == 1 {
-        // Odd: monotone bijection, invert sign-wise.
-        let pos = nth_root(r.intersect(&Interval::new(0.0, f64::INFINITY)), k);
-        let negpart = r.intersect(&Interval::new(f64::NEG_INFINITY, 0.0));
-        let neg = -nth_root(-negpart, k);
-        neg.hull(&pos)
-    } else {
-        // Even: |x| = r^(1/k).
-        let s = nth_root(r.intersect(&Interval::new(0.0, f64::INFINITY)), k);
-        if s.is_empty() {
-            return Interval::EMPTY;
-        }
-        // Keep only the sign branch(es) compatible with the child.
-        if a.lo() >= 0.0 {
-            s
-        } else if a.hi() <= 0.0 {
-            -s
-        } else {
-            (-s).hull(&s)
-        }
-    }
-}
-
-/// `r^(1/k)` for `r ⊆ [0, ∞)`, outward rounded.
-fn nth_root(r: Interval, k: i32) -> Interval {
-    if r.is_empty() {
-        return Interval::EMPTY;
-    }
-    debug_assert!(r.lo() >= 0.0);
-    if k == 2 {
-        return r.sqrt();
-    }
-    let e = Interval::ONE / Interval::point(k as f64);
-    // powf handles 0 via ln → -inf soundly.
-    r.powf(&e)
-}
-
-/// Inverse images of the binary ops: given `a ⋄ b = r`, new enclosures for
-/// `(a, b)`.
-fn backward_binary(op: BinOp, a: Interval, b: Interval, r: Interval) -> (Interval, Interval) {
-    match op {
-        BinOp::Add => (r - b, r - a),
-        BinOp::Sub => (r + b, a - r),
-        BinOp::Mul => (r / b, r / a),
-        BinOp::Div => (r * b, a / r),
-        BinOp::Pow => {
-            // a^b = r, a > 0: a = r^(1/b), b = ln r / ln a.
-            let inv_b = Interval::ONE / b;
-            let na = if b.contains(0.0) {
-                Interval::ENTIRE
-            } else {
-                r.powf(&inv_b)
-            };
-            let nb = r.ln() / a.ln();
-            (na, nb)
-        }
-        BinOp::Min => {
-            // min(a,b) = r: both ≥ r.lo; if the other side is forced above
-            // r.hi, this side must carry the minimum.
-            let low = Interval::new(r.lo(), f64::INFINITY);
-            let mut na = low;
-            let mut nb = low;
-            if b.lo() > r.hi() {
-                na = na.intersect(&r);
-            }
-            if a.lo() > r.hi() {
-                nb = nb.intersect(&r);
-            }
-            (na, nb)
-        }
-        BinOp::Max => {
-            let high = Interval::new(f64::NEG_INFINITY, r.hi());
-            let mut na = high;
-            let mut nb = high;
-            if b.hi() < r.lo() {
-                na = na.intersect(&r);
-            }
-            if a.hi() < r.lo() {
-                nb = nb.intersect(&r);
-            }
-            (na, nb)
         }
     }
 }
@@ -490,14 +224,5 @@ mod tests {
         // Outward rounding of the backward subtraction may keep one ulp
         // more, never less.
         assert!(b2[0].lo() <= -0.5 && b2[0].lo() > -0.5 - 1e-12, "{b2:?}");
-    }
-
-    #[test]
-    fn name_mentions_constraint() {
-        let mut cx = Context::new();
-        let e = cx.parse("x - 1").unwrap();
-        let hc4 = Hc4::new(&cx, Atom::new(e, RelOp::Gt));
-        assert!(hc4.name().contains('x'));
-        assert!(hc4.name().contains('>'));
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`Contractor`] — anything that can shrink an [`biocheck_interval::IBox`]
 //!   without losing solutions. The workhorse implementation is [`Hc4`]
-//!   (forward-backward propagation over the expression DAG); validated ODE
+//!   (forward-backward propagation over the atom's compiled
+//!   [`biocheck_expr::Program`] tape); validated ODE
 //!   enclosures plug in through the same trait from `biocheck-ode`.
 //! * [`Propagator`] — runs a set of contractors to a fixpoint.
 //! * [`BranchAndPrune`] — the δ-complete existential solver: prune with the

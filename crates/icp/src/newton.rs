@@ -71,10 +71,6 @@ impl Contractor for Newton {
         scratch.restore_aux(aux);
         outcome
     }
-
-    fn name(&self) -> &str {
-        "interval-newton"
-    }
 }
 
 impl Newton {

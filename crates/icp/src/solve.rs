@@ -4,8 +4,8 @@
 use crate::contract::{Contractor, Outcome};
 use crate::hc4::Hc4;
 use crate::propagate::Propagator;
-use biocheck_expr::{Atom, Context, EvalScratch, Program};
-use biocheck_interval::{IBox, Interval};
+use biocheck_expr::{Atom, Context, EvalScratch};
+use biocheck_interval::IBox;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,16 +188,14 @@ impl BranchAndPrune {
         self
     }
 
-    /// Contract/test/bisect one box. `progs[i]` is the compiled interval
-    /// form of `atoms[i].expr`; `inner_delta` is the δ of the acceptance
-    /// test (`None` skips the whole-box test — paving uses δ = 0 via
-    /// `Some(0.0)`, solving passes `Some(self.delta)` when there are no
-    /// extra contractors).
-    #[allow(clippy::too_many_arguments)]
+    /// Contract/test/bisect one box. `hc4s` are the atoms' contractors
+    /// (the leading entries of `contractors`); `inner_delta` is the δ of
+    /// the whole-box test on their tapes (`None` skips it — paving uses
+    /// δ = 0 via `Some(0.0)`, solving passes `Some(self.delta)` when
+    /// there are no extra contractors).
     fn step<C: Contractor + ?Sized>(
         &self,
-        atoms: &[Atom],
-        progs: &[Program],
+        hc4s: &[Hc4],
         contractors: &[&C],
         mut bx: IBox,
         inner_delta: Option<f64>,
@@ -206,13 +204,8 @@ impl BranchAndPrune {
         if Propagator.fixpoint_with(contractors, &mut bx, scratch) == Outcome::Empty {
             return BoxStep::Pruned;
         }
-        let all_hold = inner_delta.is_some_and(|d| {
-            atoms.iter().zip(progs).all(|(a, p)| {
-                let mut out = [Interval::ZERO];
-                p.eval_interval_with(&bx, scratch, &mut out);
-                a.delta_holds_on(out[0], d)
-            })
-        });
+        let all_hold =
+            inner_delta.is_some_and(|d| hc4s.iter().all(|h| h.holds_on(&bx, d, scratch)));
         if all_hold {
             return BoxStep::Sat { bx, whole: true };
         }
@@ -245,8 +238,7 @@ impl BranchAndPrune {
     /// thread-count-independent.
     fn run_batch<C: Contractor + ?Sized + Sync>(
         &self,
-        atoms: &[Atom],
-        progs: &[Program],
+        hc4s: &[Hc4],
         contractors: &[&C],
         stack: &mut Vec<IBox>,
         inner_delta: Option<f64>,
@@ -254,7 +246,7 @@ impl BranchAndPrune {
     ) -> Vec<BoxStep> {
         if stack.len() < self.parallel_threshold {
             let bx = stack.pop().expect("run_batch on empty stack");
-            return vec![self.step(atoms, progs, contractors, bx, inner_delta, scratch)];
+            return vec![self.step(hc4s, contractors, bx, inner_delta, scratch)];
         }
         let take = stack.len().min(Self::BATCH);
         // The batch keeps stack order: batch.last() was the stack top.
@@ -262,7 +254,7 @@ impl BranchAndPrune {
         batch
             .into_par_iter()
             .map_init(EvalScratch::new, |scr, bx| {
-                self.step(atoms, progs, contractors, bx, inner_delta, scr)
+                self.step(hc4s, contractors, bx, inner_delta, scr)
             })
             .collect()
     }
@@ -295,10 +287,6 @@ impl BranchAndPrune {
             contractors.push(h);
         }
         contractors.extend_from_slice(extra);
-        let progs: Vec<Program> = atoms
-            .iter()
-            .map(|a| Program::compile(cx, &[a.expr]))
-            .collect();
         // Whole-box δ-satisfaction only decides when no extra contractors
         // are pending decisions; otherwise only the resolution test ends a
         // branch.
@@ -317,14 +305,7 @@ impl BranchAndPrune {
                     remaining: stack.len(),
                 };
             }
-            let steps = self.run_batch(
-                atoms,
-                &progs,
-                &contractors,
-                &mut stack,
-                inner_delta,
-                &mut scratch,
-            );
+            let steps = self.run_batch(&hc4s, &contractors, &mut stack, inner_delta, &mut scratch);
             self.note_boxes(steps.len());
             // Scan stack-top-first so the answer matches depth-first order.
             for s in steps.iter().rev() {
@@ -362,10 +343,6 @@ impl BranchAndPrune {
         );
         let hc4s: Vec<Hc4> = atoms.iter().map(|&a| Hc4::new(cx, a)).collect();
         let contractors: Vec<&dyn Contractor> = hc4s.iter().map(|h| h as &dyn Contractor).collect();
-        let progs: Vec<Program> = atoms
-            .iter()
-            .map(|a| Program::compile(cx, &[a.expr]))
-            .collect();
         let mut paving = Paving::default();
         let mut stack = vec![init.clone()];
         let mut splits = 0usize;
@@ -380,14 +357,7 @@ impl BranchAndPrune {
             }
             // Inner test with δ = 0: every point of the box satisfies the
             // original constraints.
-            let steps = self.run_batch(
-                atoms,
-                &progs,
-                &contractors,
-                &mut stack,
-                Some(0.0),
-                &mut scratch,
-            );
+            let steps = self.run_batch(&hc4s, &contractors, &mut stack, Some(0.0), &mut scratch);
             self.note_boxes(steps.len());
             for s in steps {
                 match s {

@@ -1,16 +1,20 @@
-//! Verifies the scratch port of the interval-Newton contractor: after
-//! warm-up, `Newton::contract_with` performs zero heap allocations per
-//! call (the sibling of `crates/expr/tests/alloc.rs`, which covers the
-//! raw evaluation paths).
+//! Verifies the scratch ports of the contractors: after warm-up,
+//! `Newton::contract_with` and `Hc4::contract_with` perform zero heap
+//! allocations per call (the sibling of `crates/expr/tests/alloc.rs`,
+//! which covers the raw evaluation paths).
 //!
-//! This binary holds exactly one test so the global allocation counter
-//! is not disturbed by concurrently running tests.
+//! The tests take one lock, so the global allocation counter is never
+//! disturbed by a concurrently running test.
 
-use biocheck_expr::{Context, EvalScratch};
-use biocheck_icp::{Contractor, Newton, Outcome};
+use biocheck_expr::{Atom, Context, EvalScratch, RelOp};
+use biocheck_icp::{Contractor, Hc4, Newton, Outcome};
 use biocheck_interval::{IBox, Interval};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Serializes the tests of this binary.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -60,6 +64,7 @@ fn assert_allocation_free<R>(what: &str, mut f: impl FnMut() -> R) -> R {
 
 #[test]
 fn newton_contract_with_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A 2×2 system with a root in the box: x² + y² = 1, x = y.
     let mut cx = Context::new();
     let f1 = cx.parse("x^2 + y^2 - 1").unwrap();
@@ -95,4 +100,35 @@ fn newton_contract_with_does_not_allocate() {
     assert!(bx[0].contains(c) && bx[1].contains(c));
     assert!(bx[0].width() < 1e-8, "Newton stopped converging");
     assert_ne!(last, Outcome::Empty);
+}
+
+#[test]
+fn hc4_contract_with_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Every operator family on one tape: a unary function, a shared
+    // subterm under an integer power, and a binary max.
+    let mut cx = Context::new();
+    let e = cx.parse("sqrt(x) + (x*y)^2 + max(x*y, 0) - 1").unwrap();
+    let hc4 = Hc4::new(&cx, Atom::new(e, RelOp::Eq));
+    let mut scratch = EvalScratch::new();
+    let wide = IBox::new(vec![Interval::new(0.0, 4.0), Interval::new(0.0, 1.0)]);
+
+    let mut bx = wide.clone();
+    hc4.contract_with(&mut bx, &mut scratch);
+
+    let last = assert_allocation_free("HC4 contraction", || {
+        let mut out = Outcome::Unchanged;
+        for _ in 0..50 {
+            bx.dims_mut().copy_from_slice(wide.dims());
+            for _ in 0..6 {
+                out = hc4.contract_with(&mut bx, &mut scratch);
+            }
+        }
+        out
+    });
+    // The contraction still does its job: sqrt(x) ≤ 1 cuts x to [0, 1],
+    // keeping the solution (1, 0).
+    assert_ne!(last, Outcome::Empty);
+    assert!(bx.contains_point(&[1.0, 0.0]), "{bx:?}");
+    assert!(bx[0].hi() < 1.0 + 1e-9, "{bx:?}");
 }

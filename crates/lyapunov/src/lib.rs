@@ -69,6 +69,17 @@ pub struct LyapunovResult {
     pub verified: bool,
 }
 
+/// Why a CEGIS run ended without a certificate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoCertificate {
+    /// No coefficients fit the counterexamples (the template is too
+    /// weak), or the iterations ran out with an unverified candidate.
+    NotFound,
+    /// A δ-search ran out of splits, or the run was cancelled or passed
+    /// its deadline: nothing proven, nothing refuted.
+    Inconclusive,
+}
+
 /// Outcome of one verification sweep over the annulus.
 enum Verification {
     /// Every sub-search returned `Unsat` — the exact side — so the
@@ -93,14 +104,18 @@ pub struct LyapunovSynthesizer {
     r_max: f64,
     /// Cooperative cancellation flag, forwarded into the synthesis and
     /// verification δ-searches and polled between CEGIS phases. An
-    /// interrupted run returns `None` — never a certificate whose
-    /// verification search was cut short.
+    /// interrupted run ends [`NoCertificate::Inconclusive`] — never a
+    /// certificate whose verification search was cut short.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Wall-clock deadline, polled at the same points as `cancel`.
     pub deadline: Option<Instant>,
     /// Live frontier-box counter, forwarded into every δ-search the
     /// same way as `cancel`. Purely observational.
     pub progress_boxes: Option<Arc<AtomicU64>>,
+    /// Split cap of each synthesis and verification δ-search (default
+    /// 50 000). A search that reaches it ends the run
+    /// [`NoCertificate::Inconclusive`].
+    pub max_splits: usize,
     counterexamples: Vec<Vec<f64>>,
 }
 
@@ -170,6 +185,7 @@ impl LyapunovSynthesizer {
             cancel: None,
             deadline: None,
             progress_boxes: None,
+            max_splits: 50_000,
             counterexamples: Vec::new(),
         }
     }
@@ -206,9 +222,9 @@ impl LyapunovSynthesizer {
 
     /// Synthesis step: coefficients satisfying the margin constraints at
     /// every stored counterexample.
-    fn synthesize(&mut self) -> Option<Vec<f64>> {
+    fn synthesize(&mut self) -> Result<Vec<f64>, NoCertificate> {
         if self.interrupted() {
-            return None;
+            return Err(NoCertificate::Inconclusive);
         }
         let mut atoms = Vec::new();
         for ce in self.counterexamples.clone() {
@@ -234,15 +250,16 @@ impl LyapunovSynthesizer {
             init[c.index()] = Interval::new(-1.0, 1.0);
         }
         let mut bp = BranchAndPrune::new(SYNTH_DELTA);
-        bp.max_splits = 50_000;
+        bp.max_splits = self.max_splits;
         bp.cancel = self.cancel.clone();
         bp.deadline = self.deadline;
         bp.progress_boxes = self.progress_boxes.clone();
         match bp.solve(&self.cx, &atoms, &[], &init) {
             DeltaResult::DeltaSat(w) => {
-                Some(self.coeff_vars.iter().map(|c| w.point[c.index()]).collect())
+                Ok(self.coeff_vars.iter().map(|c| w.point[c.index()]).collect())
             }
-            _ => None,
+            DeltaResult::Unsat => Err(NoCertificate::NotFound),
+            DeltaResult::Unknown { .. } => Err(NoCertificate::Inconclusive),
         }
     }
 
@@ -287,7 +304,7 @@ impl LyapunovSynthesizer {
                     }
                     let atom = Atom::new(expr, op);
                     let mut bp = BranchAndPrune::new(VERIFY_DELTA);
-                    bp.max_splits = 50_000;
+                    bp.max_splits = self.max_splits;
                     bp.cancel = self.cancel.clone();
                     bp.deadline = self.deadline;
                     bp.progress_boxes = self.progress_boxes.clone();
@@ -308,14 +325,17 @@ impl LyapunovSynthesizer {
 
     /// Runs CEGIS for at most `max_iters` rounds.
     ///
-    /// Returns `None` when no coefficients fit the counterexamples (the
-    /// template is too weak) or iterations run out with an unverified
-    /// candidate.
-    pub fn run(&mut self, max_iters: usize) -> Option<LyapunovResult> {
+    /// # Errors
+    ///
+    /// [`NoCertificate::NotFound`] when no coefficients fit the
+    /// counterexamples (the template is too weak) or iterations run out
+    /// with an unverified candidate; [`NoCertificate::Inconclusive`] when
+    /// a δ-search reached the split cap or the run was interrupted.
+    pub fn run(&mut self, max_iters: usize) -> Result<LyapunovResult, NoCertificate> {
         self.seed_counterexamples();
         for it in 1..=max_iters {
             if self.interrupted() {
-                return None;
+                return Err(NoCertificate::Inconclusive);
             }
             let coeffs = self.synthesize()?;
             match self.verify(&coeffs) {
@@ -325,9 +345,9 @@ impl LyapunovSynthesizer {
                     // the last sub-search and here still aborts — never
                     // certify from an interrupted verification.
                     if self.interrupted() {
-                        return None;
+                        return Err(NoCertificate::Inconclusive);
                     }
-                    return Some(LyapunovResult {
+                    return Ok(LyapunovResult {
                         v_text: self.render(&coeffs),
                         coeffs,
                         iterations: it,
@@ -341,10 +361,10 @@ impl LyapunovSynthesizer {
                 // deadline inside verification: nothing was proven and
                 // no counterexample can guide the next round — fail
                 // rather than vouch.
-                Verification::Inconclusive => return None,
+                Verification::Inconclusive => return Err(NoCertificate::Inconclusive),
             }
         }
-        None
+        Err(NoCertificate::NotFound)
     }
 
     /// Renders `V` with concrete coefficients.
@@ -471,7 +491,7 @@ mod tests {
         let fx = cx.parse("x").unwrap();
         let sys = OdeSystem::new(vec![x], vec![fx]);
         let mut syn = LyapunovSynthesizer::quadratic(cx, &sys, 0.1, 1.0);
-        assert!(syn.run(10).is_none());
+        assert_eq!(syn.run(10).err(), Some(NoCertificate::NotFound));
     }
 
     #[test]
@@ -498,12 +518,17 @@ mod tests {
     #[test]
     fn raised_cancel_never_certifies() {
         // The system IS certifiable — a run with the flag already raised
-        // must still return None (interruption beats certification).
+        // must still come back inconclusive (interruption beats
+        // certification).
         let (cx, sys) = linear_stable();
         let mut syn = LyapunovSynthesizer::quadratic(cx, &sys, 0.1, 1.0);
         let flag = Arc::new(AtomicBool::new(true));
         syn.cancel = Some(flag);
-        assert!(syn.run(20).is_none(), "interrupted run certified");
+        assert_eq!(
+            syn.run(20).err(),
+            Some(NoCertificate::Inconclusive),
+            "interrupted run certified"
+        );
     }
 
     #[test]
@@ -511,14 +536,18 @@ mod tests {
         let (cx, sys) = linear_stable();
         let mut syn = LyapunovSynthesizer::quadratic(cx, &sys, 0.1, 1.0);
         syn.deadline = Some(Instant::now());
-        assert!(syn.run(20).is_none(), "expired run certified");
+        assert_eq!(
+            syn.run(20).err(),
+            Some(NoCertificate::Inconclusive),
+            "expired run certified"
+        );
     }
 
     #[test]
     fn mid_run_cancel_stops_cegis() {
         // Raise the flag from outside while CEGIS runs on a certifiable
         // system: the synthesizer polls between phases and between the
-        // annulus sub-searches, so it must come back `None` (the flag is
+        // annulus sub-searches, so it must come back inconclusive (the flag is
         // up before the first verification sub-search completes the
         // no-counterexample sweep) — and must never take anywhere near
         // the uncancelled wall time if the flag wins the race.
@@ -531,11 +560,11 @@ mod tests {
         });
         let r = syn.run(40);
         raiser.join().unwrap();
-        // Either the flag won (None) or the run certified before the
+        // Either the flag won (inconclusive) or the run certified before the
         // store landed; both are sound — what is NEVER allowed is a
         // certificate whose verification observed the raised flag, which
         // `run` guards with its post-verify re-check.
-        if let Some(res) = r {
+        if let Ok(res) = r {
             assert!(res.verified);
         }
     }

@@ -31,7 +31,6 @@ pub struct FlowContractor {
     inv_prog: Option<Program>,
     inv_ops: Vec<RelOp>,
     env_len: usize,
-    label: String,
 }
 
 impl FlowContractor {
@@ -75,15 +74,7 @@ impl FlowContractor {
             inv_prog,
             inv_ops: invariants.iter().map(|a| a.op).collect(),
             env_len: cx.num_vars(),
-            label: "flow".to_string(),
         }
-    }
-
-    /// Sets a diagnostic label (e.g. the mode name).
-    #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> FlowContractor {
-        self.label = label.into();
-        self
     }
 
     /// Tunes the validated integrator step size for both directions.
@@ -251,10 +242,6 @@ impl Contractor for FlowContractor {
         } else {
             Outcome::Unchanged
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.label
     }
 }
 

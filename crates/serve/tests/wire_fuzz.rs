@@ -352,13 +352,11 @@ fn mutate(rng: &mut StdRng, line: &str) -> String {
 /// The query requests of [`valid_requests`] as lines the line index
 /// can hold: no `id`, untraced, a budget without deadlines, so that a
 /// result is memoized, and no random parameters, which the registered
-/// case study pinned as constants. `Stability` is left out: without a
-/// deadline, the radiation model's runs for minutes in a debug build.
+/// case study pinned as constants.
 fn indexable_lines(model: &str) -> Vec<String> {
     valid_requests(model)
         .into_iter()
         .filter_map(|request| match request {
-            Request::Query(q) if matches!(q.query, QuerySpec::Stability { .. }) => None,
             Request::Query(mut q) => {
                 if let QuerySpec::Estimate { smc, .. }
                 | QuerySpec::Sprt { smc, .. }
