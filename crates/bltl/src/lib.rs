@@ -46,7 +46,7 @@ pub mod stream;
 
 pub use stream::{CompiledBltl, MonitorScratch, Verdict};
 
-use biocheck_expr::{Atom, Context, EvalScratch, Program, RelOp, VarId};
+use biocheck_expr::{Atom, Context, EvalScratch, Program, VarId};
 use biocheck_hybrid::HybridTrajectory;
 use biocheck_ode::Trace;
 
@@ -179,12 +179,7 @@ impl<'a> Monitor<'a> {
                     env[v.index()] = x;
                 }
                 prog.eval_with(env, scratch, &mut out);
-                let t = out[0];
-                match a.op {
-                    RelOp::Ge | RelOp::Gt => t,
-                    RelOp::Le | RelOp::Lt => -t,
-                    RelOp::Eq => -t.abs(),
-                }
+                stream::margin(out[0], a.op)
             })
             .collect()
     }

@@ -6,7 +6,7 @@
 //! instead compiles the formula into a [`CompiledBltl`] — a table of
 //! subformula operations plus **one** multi-root
 //! [`Program`] evaluating every atom term in a single
-//! sweep — and evaluates it through a reusable [`MonitorScratch`] arena:
+//! sweep — and evaluates it through a reusable [`MonitorScratch`]:
 //!
 //! * [`CompiledBltl::feed`] consumes one `(t, state)` sample and returns
 //!   a three-valued [`Verdict`]; `True`/`False` mean the Boolean verdict
@@ -15,21 +15,39 @@
 //!   (bounded operators decide as early as their semantics allow).
 //! * [`CompiledBltl::feed_lanes`] feeds `K` traces at once, one sample
 //!   each from `[state][lane]` rows: one [`Program::eval_lanes`] sweep
-//!   computes every atom term of every lane, then each lane's margins
-//!   and `Until` scans advance on its own arena. `feed` is its `K = 1`
-//!   instance, so a lane's verdicts are the ones it would get alone.
-//! * A trace begun without robustness ([`CompiledBltl::begin_lane`])
-//!   keeps only the Boolean arenas: its verdicts are unchanged, and the
-//!   robustness arenas stay empty.
+//!   computes every atom term of every lane, then one of two evaluators
+//!   advances the lanes. `feed` is its `K = 1` instance, so a lane's
+//!   verdicts are the ones it would get alone.
 //! * [`CompiledBltl::finish_bool`] / [`CompiledBltl::finish_robustness`]
 //!   finalize end-of-trace semantics; satisfaction and quantitative
 //!   robustness come out of the same single pass over the samples and
 //!   are bit-for-bit identical to the offline monitor (property-tested
 //!   in `tests/stream_prop.rs`).
 //!
-//! After warm-up (one trace through a given plan), the whole
-//! begin/feed/finish cycle performs zero heap allocations — enforced by
-//! the counting-allocator test `tests/alloc.rs`.
+//! The plan's shape alone picks the evaluator:
+//!
+//! * **Flat plans** — no `Until` has an `Until` in either operand
+//!   (temporal depth one: bounded `F`, `G` and `U` over state
+//!   predicates, under any Boolean combination, plus atoms read at the
+//!   first sample). Every `Until` is evaluated at the first sample only,
+//!   and its operands are decided at each sample as it arrives. So the
+//!   lanes advance together: each operand becomes a bit mask over the
+//!   lanes, each `Until` keeps two masks (decided true, decided false)
+//!   and, for lanes that keep robustness, its running `best` and
+//!   `prefix` and whether its bound has passed; the root verdict is a
+//!   pair of masks by Kleene logic. The state is constant per lane
+//!   whatever the trace length: first and last time, sample count and
+//!   the first sample's atom margins.
+//! * **Nested plans** run on one arena per lane: its sample times, atom
+//!   margins, memoized subformula verdicts and robustness values, and
+//!   per start sample and `Until` the scan frontier, resumed on demand.
+//!   A trace begun without robustness ([`CompiledBltl::begin_lane`])
+//!   keeps only the Boolean arenas.
+//!
+//! Both fold robustness in the order of the offline monitor and decide
+//! at the same sample. After warm-up (one trace through a given plan),
+//! the whole begin/feed/finish cycle performs zero heap allocations —
+//! enforced by the counting-allocator test `tests/alloc.rs`.
 
 use crate::Bltl;
 use biocheck_expr::{Context, EvalScratch, NodeId, Program, RelOp, VarId};
@@ -112,16 +130,24 @@ pub struct CompiledBltl {
     env_len: usize,
     /// Number of `Until` nodes (scan-state slots).
     n_untils: usize,
+    /// `Some` for a flat plan (no `Until` has an `Until` in either
+    /// operand), holding per op whether it lies in an `Until` operand and
+    /// so is evaluated at every sample, not only at the first. `None`
+    /// for a nested plan, which runs on the per-lane arenas.
+    flat: Option<Vec<bool>>,
 }
 
 /// Reusable evaluation workspace for a [`CompiledBltl`] monitoring one
-/// trace per lane: the lanes' environment and atom-term buffers, and per
-/// lane an arena of sample times, atom margins, memoized subformula
-/// verdicts/robustness values and the per-`Until` incremental scan
-/// state. One scratch serves the one-trace entry points (lane 0 of one)
-/// and [`CompiledBltl::feed_lanes`] alike. All buffers keep their
-/// high-water-mark capacity across traces, so steady-state monitoring is
-/// allocation-free.
+/// trace per lane: the lanes' environment and atom-term buffers, and the
+/// state of the evaluator the plan's shape picks (see the module docs):
+/// for a flat plan, lane masks and constant state per lane
+/// ([`CompiledBltl::feed_lanes`] takes at most 64 lanes); for a nested
+/// plan, one arena per lane of sample times, atom margins, memoized
+/// subformula verdicts/robustness values and the per-`Until` incremental
+/// scan state. One scratch serves the one-trace entry points (lane 0 of
+/// one) and [`CompiledBltl::feed_lanes`] alike, and any plan after any
+/// other. All buffers keep their high-water-mark capacity across traces,
+/// so steady-state monitoring is allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct MonitorScratch {
     /// Evaluation environment, `[var][lane]`: each lane's parameters,
@@ -133,8 +159,45 @@ pub struct MonitorScratch {
     eval: EvalScratch,
     /// Program outputs, `[atom term][lane]`.
     out: Vec<f64>,
-    /// One trace arena per lane.
+    /// Whether the lanes were begun with a flat plan, so `flat` holds
+    /// them rather than `arenas`.
+    is_flat: bool,
+    /// The flat evaluator's lane-wide state.
+    flat: Flat,
+    /// The nested evaluator's arena per lane.
     arenas: Vec<Arena>,
+}
+
+/// The flat evaluator's state. Lane masks hold one bit per lane;
+/// `[x][lane]` tables are rows of one value per lane.
+#[derive(Clone, Debug, Default)]
+struct Flat {
+    /// Per lane: the first and last sample time, and the sample count.
+    first_t: Vec<f64>,
+    last_t: Vec<f64>,
+    count: Vec<usize>,
+    /// The lanes that keep robustness.
+    robust: u64,
+    /// Atom margins `[atom][lane]` at the sample being fed.
+    margins: Vec<f64>,
+    /// Atom margins `[atom][lane]` at each lane's first sample.
+    first: Vec<f64>,
+    /// Per `Until`: the lanes where it is decided true, decided false,
+    /// and where its robustness scan passed the bound.
+    holds: Vec<u64>,
+    fails: Vec<u64>,
+    closed: Vec<u64>,
+    /// Per `Until`, `[until][lane]`: running `max_j min(prefix, rhs_j)`
+    /// and `min_j lhs_j`.
+    best: Vec<f64>,
+    prefix: Vec<f64>,
+    /// Per op, the lanes where it is true and where it is false at the
+    /// sample being fed (written anew by each feed).
+    kleene: Vec<(u64, u64)>,
+    /// Robustness `[op][lane]` of every op in an `Until` operand at the
+    /// sample being fed (written anew by each feed that has a lane
+    /// keeping robustness).
+    rob: Vec<f64>,
 }
 
 /// One trace's monitoring state.
@@ -180,7 +243,11 @@ impl MonitorScratch {
     /// Number of samples fed to `lane` since its last
     /// [`CompiledBltl::begin_lane`].
     pub fn lane_samples(&self, lane: usize) -> usize {
-        self.arenas[lane].times.len()
+        if self.is_flat {
+            self.flat.count[lane]
+        } else {
+            self.arenas[lane].times.len()
+        }
     }
 }
 
@@ -188,7 +255,8 @@ impl CompiledBltl {
     /// Compiles `f` over the given state layout. Atom terms are
     /// deduplicated and compiled into one multi-root [`Program`];
     /// repeated subformula *occurrences* still monitor independently (the
-    /// formula is a tree, not a DAG).
+    /// formula is a tree, not a DAG). The plan is flat when no `Until`
+    /// has an `Until` in either operand.
     pub fn compile(cx: &Context, states: &[VarId], f: &Bltl) -> CompiledBltl {
         let mut ops = Vec::new();
         let mut roots: Vec<NodeId> = Vec::new();
@@ -207,6 +275,7 @@ impl CompiledBltl {
             &mut n_untils,
         );
         CompiledBltl {
+            flat: Self::flat_shape(&ops),
             ops,
             atoms,
             prog: Program::compile(cx, &roots),
@@ -214,6 +283,32 @@ impl CompiledBltl {
             env_len: cx.num_vars(),
             n_untils,
         }
+    }
+
+    /// Per op, whether it lies in an `Until` operand, or `None` when an
+    /// `Until` does (the plan is nested). Parents come after their
+    /// children, and each op has one parent.
+    fn flat_shape(ops: &[PlanOp]) -> Option<Vec<bool>> {
+        let mut sampled = vec![false; ops.len()];
+        for o in (0..ops.len()).rev() {
+            match &ops[o] {
+                PlanOp::Prop(_) => {}
+                PlanOp::Not(c) => sampled[*c as usize] = sampled[o],
+                PlanOp::And(cs) | PlanOp::Or(cs) => {
+                    for &c in cs {
+                        sampled[c as usize] = sampled[o];
+                    }
+                }
+                PlanOp::Until { lhs, rhs, .. } => {
+                    if sampled[o] {
+                        return None;
+                    }
+                    sampled[*lhs as usize] = true;
+                    sampled[*rhs as usize] = true;
+                }
+            }
+        }
+        Some(sampled)
     }
 
     /// Post-order lowering; returns the new node's op index.
@@ -268,6 +363,13 @@ impl CompiledBltl {
         (ops.len() - 1) as u32
     }
 
+    /// Whether the plan is flat — no `Until` has an `Until` in either
+    /// operand — and so runs on the lane-mask evaluator (see the module
+    /// docs).
+    pub fn is_flat(&self) -> bool {
+        self.flat.is_some()
+    }
+
     /// Environment width expected by [`CompiledBltl::begin`].
     pub fn env_len(&self) -> usize {
         self.env_len
@@ -281,7 +383,7 @@ impl CompiledBltl {
     }
 
     /// Starts monitoring a new trace in `lane` of `K`: resets the lane's
-    /// arena (keeping buffer capacity) and loads its parameter
+    /// state (keeping buffer capacity) and loads its parameter
     /// environment, zero-extended to [`CompiledBltl::env_len`]. Without
     /// `robustness`, the trace keeps only what its Boolean verdict
     /// reads; its verdicts are the same, and
@@ -290,7 +392,7 @@ impl CompiledBltl {
     ///
     /// # Panics
     ///
-    /// Panics when `lane >= K`.
+    /// Panics when `lane >= K`, or when the plan is flat and `K > 64`.
     pub fn begin_lane<const K: usize>(
         &self,
         s: &mut MonitorScratch,
@@ -307,15 +409,20 @@ impl CompiledBltl {
             s.out.clear();
             s.out.resize(roots, 0.0);
         }
-        if s.arenas.len() < K {
-            s.arenas.resize_with(K, Arena::default);
-        }
         let rows = s.env.as_chunks_mut::<K>().0;
         for (row, &v) in rows
             .iter_mut()
             .zip(env.iter().chain(std::iter::repeat(&0.0)))
         {
             row[lane] = v;
+        }
+        s.is_flat = self.flat.is_some();
+        if s.is_flat {
+            self.begin_flat::<K>(&mut s.flat, lane, robustness);
+            return;
+        }
+        if s.arenas.len() < K {
+            s.arenas.resize_with(K, Arena::default);
         }
         let a = &mut s.arenas[lane];
         a.times.clear();
@@ -329,6 +436,39 @@ impl CompiledBltl {
         a.rprefix.clear();
         a.robust = robustness;
         a.ended = false;
+    }
+
+    /// [`CompiledBltl::begin_lane`]'s reset for a flat plan: lays `f`
+    /// out for this plan at `K` lanes and clears `lane`.
+    fn begin_flat<const K: usize>(&self, f: &mut Flat, lane: usize, robustness: bool) {
+        assert!(K <= 64, "a flat plan monitors at most 64 lanes, not {K}");
+        let (atoms, ops, untils) = (self.atoms.len(), self.ops.len(), self.n_untils);
+        f.first_t.resize(K, 0.0);
+        f.last_t.resize(K, 0.0);
+        f.count.resize(K, 0);
+        f.margins.resize(atoms * K, 0.0);
+        f.first.resize(atoms * K, 0.0);
+        f.holds.resize(untils, 0);
+        f.fails.resize(untils, 0);
+        f.closed.resize(untils, 0);
+        f.best.resize(untils * K, 0.0);
+        f.prefix.resize(untils * K, 0.0);
+        f.kleene.resize(ops, (0, 0));
+        f.rob.resize(ops * K, 0.0);
+        let bit = 1u64 << lane;
+        f.count[lane] = 0;
+        f.robust = if robustness {
+            f.robust | bit
+        } else {
+            f.robust & !bit
+        };
+        for u in 0..untils {
+            f.holds[u] &= !bit;
+            f.fails[u] &= !bit;
+            f.closed[u] &= !bit;
+            f.best[u * K + lane] = f64::NEG_INFINITY;
+            f.prefix[u * K + lane] = f64::INFINITY;
+        }
     }
 
     /// Feeds one sample and returns the current verdict of the formula
@@ -350,8 +490,10 @@ impl CompiledBltl {
     /// and state `y[i][l]`, laid out `[state][lane]` in the compiled
     /// state order. The states of all lanes go into the lanes'
     /// environment, one [`Program::eval_lanes`] sweep computes every
-    /// atom term of every lane, and only then does each masked lane push
-    /// its margins and resume its `Until` scans. Entry `l` of the result
+    /// atom term of every lane, and only then do the masked lanes
+    /// advance: a flat plan's all at once, a nested plan's each in its
+    /// own arena, pushing its margins and resuming its `Until` scans.
+    /// Entry `l` of the result
     /// is lane `l`'s verdict, as [`CompiledBltl::feed`] returns it;
     /// masked-off lanes read [`Verdict::Undecided`] and are untouched.
     ///
@@ -377,6 +519,9 @@ impl CompiledBltl {
         // One program sweep computes every distinct atom term of every
         // lane.
         self.prog.eval_lanes(env, &mut s.eval, out);
+        if let Some(sampled) = &self.flat {
+            return self.feed_flat(sampled, &mut s.flat, mask, t, out);
+        }
         let mut verdicts = [Verdict::Undecided; K];
         for (l, v) in verdicts.iter_mut().enumerate() {
             if mask[l] {
@@ -397,12 +542,7 @@ impl CompiledBltl {
             "samples must arrive in strictly increasing time order"
         );
         for &(ridx, op) in &self.atoms {
-            let t = out[ridx as usize][l];
-            a.margins.push(match op {
-                RelOp::Ge | RelOp::Gt => t,
-                RelOp::Le | RelOp::Lt => -t,
-                RelOp::Eq => -t.abs(),
-            });
+            a.margins.push(margin(out[ridx as usize][l], op));
         }
         let j = a.times.len();
         a.times.push(t);
@@ -417,6 +557,158 @@ impl CompiledBltl {
             a.rprefix.resize(untils, f64::INFINITY);
         }
         self.eval_b(a, self.ops.len() - 1, 0)
+    }
+
+    /// The flat evaluator's feed: advances the lanes set in `mask` by
+    /// their sample at `t`, their atom terms in `out`, and returns their
+    /// verdicts. Each op's verdict on all lanes is a pair of lane masks
+    /// (true, false), taken in child-before-parent order; an `Until`
+    /// first resumes its scan on the lanes it has not decided, with its
+    /// operands' masks at this sample: bound first, then the witness,
+    /// then the prefix, as the offline scan does.
+    fn feed_flat<const K: usize>(
+        &self,
+        sampled: &[bool],
+        f: &mut Flat,
+        mask: &[bool; K],
+        t: &[f64; K],
+        out: &[[f64; K]],
+    ) -> [Verdict; K] {
+        let margins = f.margins.as_chunks_mut::<K>().0;
+        for (row, &(ridx, op)) in margins.iter_mut().zip(&self.atoms) {
+            *row = out[ridx as usize].map(|v| margin(v, op));
+        }
+        let first = f.first.as_chunks_mut::<K>().0;
+        let fed = lanes::<K>(|l| mask[l]);
+        for l in each_lane(fed) {
+            if f.count[l] == 0 {
+                f.first_t[l] = t[l];
+                for (f0, m) in first.iter_mut().zip(margins.iter()) {
+                    f0[l] = m[l];
+                }
+            } else {
+                assert!(
+                    f.last_t[l] < t[l],
+                    "samples must arrive in strictly increasing time order"
+                );
+            }
+            f.last_t[l] = t[l];
+            f.count[l] += 1;
+        }
+        let robust = fed & f.robust;
+        let rob = f.rob.as_chunks_mut::<K>().0;
+        for (o, op) in self.ops.iter().enumerate() {
+            let (done, rest) = rob.split_at_mut(o);
+            let row = &mut rest[0];
+            let rows = robust != 0 && sampled[o];
+            f.kleene[o] = match op {
+                &PlanOp::Prop(a) => {
+                    let m = if sampled[o] {
+                        &margins[a as usize]
+                    } else {
+                        &first[a as usize]
+                    };
+                    if rows {
+                        *row = *m;
+                    }
+                    let holds = lanes::<K>(|l| m[l] >= 0.0);
+                    (holds, !holds)
+                }
+                &PlanOp::Not(c) => {
+                    if rows {
+                        *row = done[c as usize].map(|v| -v);
+                    }
+                    let (yes, no) = f.kleene[c as usize];
+                    (no, yes)
+                }
+                PlanOp::And(cs) => {
+                    if rows {
+                        *row = [f64::INFINITY; K];
+                        for &c in cs {
+                            for (acc, &v) in row.iter_mut().zip(&done[c as usize]) {
+                                *acc = acc.min(v);
+                            }
+                        }
+                    }
+                    cs.iter().fold((!0, 0), |(yes, no), &c| {
+                        let (cy, cn) = f.kleene[c as usize];
+                        (yes & cy, no | cn)
+                    })
+                }
+                PlanOp::Or(cs) => {
+                    if rows {
+                        *row = [f64::NEG_INFINITY; K];
+                        for &c in cs {
+                            for (acc, &v) in row.iter_mut().zip(&done[c as usize]) {
+                                *acc = acc.max(v);
+                            }
+                        }
+                    }
+                    cs.iter().fold((0, !0), |(yes, no), &c| {
+                        let (cy, cn) = f.kleene[c as usize];
+                        (yes | cy, no & cn)
+                    })
+                }
+                &PlanOp::Until {
+                    lhs,
+                    rhs,
+                    bound,
+                    uidx,
+                } => {
+                    let (lhs, rhs, u) = (lhs as usize, rhs as usize, uidx as usize);
+                    let expired = lanes::<K>(|l| t[l] - f.first_t[l] > bound);
+                    let open = fed & !(f.holds[u] | f.fails[u]);
+                    let (witness, prefix) = (f.kleene[rhs].0, f.kleene[lhs].0);
+                    let live = open & !expired;
+                    f.holds[u] |= live & witness;
+                    f.fails[u] |= (open & expired) | (live & !witness & !prefix);
+                    let scan = robust & !f.closed[u];
+                    f.closed[u] |= scan & expired;
+                    for l in each_lane(scan & !expired) {
+                        let i = u * K + l;
+                        f.best[i] = f.best[i].max(f.prefix[i].min(done[rhs][l]));
+                        f.prefix[i] = f.prefix[i].min(done[lhs][l]);
+                    }
+                    (f.holds[u], f.fails[u])
+                }
+            };
+        }
+        let (yes, no) = f.kleene[self.ops.len() - 1];
+        let mut verdicts = [Verdict::Undecided; K];
+        for l in each_lane(fed & (yes | no)) {
+            verdicts[l] = Verdict::from_bool(yes >> l & 1 == 1);
+        }
+        verdicts
+    }
+
+    /// The flat evaluator's end-of-trace Boolean verdict of op `node` (at
+    /// the first sample, with no `Until` below it) in `lane`: an `Until`
+    /// not decided true is false.
+    fn flat_sat(&self, f: &Flat, node: usize, lane: usize) -> bool {
+        match &self.ops[node] {
+            &PlanOp::Prop(a) => f.first[a as usize * f.count.len() + lane] >= 0.0,
+            &PlanOp::Not(c) => !self.flat_sat(f, c as usize, lane),
+            PlanOp::And(cs) => cs.iter().all(|&c| self.flat_sat(f, c as usize, lane)),
+            PlanOp::Or(cs) => cs.iter().any(|&c| self.flat_sat(f, c as usize, lane)),
+            &PlanOp::Until { uidx, .. } => f.holds[uidx as usize] >> lane & 1 == 1,
+        }
+    }
+
+    /// The flat evaluator's end-of-trace robustness of op `node` in
+    /// `lane`, folded like the offline `rob_vec`.
+    fn flat_rob(&self, f: &Flat, node: usize, lane: usize) -> f64 {
+        let k = f.count.len();
+        match &self.ops[node] {
+            &PlanOp::Prop(a) => f.first[a as usize * k + lane],
+            &PlanOp::Not(c) => -self.flat_rob(f, c as usize, lane),
+            PlanOp::And(cs) => cs.iter().fold(f64::INFINITY, |acc, &c| {
+                acc.min(self.flat_rob(f, c as usize, lane))
+            }),
+            PlanOp::Or(cs) => cs.iter().fold(f64::NEG_INFINITY, |acc, &c| {
+                acc.max(self.flat_rob(f, c as usize, lane))
+            }),
+            &PlanOp::Until { uidx, .. } => f.best[uidx as usize * k + lane],
+        }
     }
 
     /// Ends the trace and returns the Boolean verdict (end-of-trace
@@ -437,6 +729,10 @@ impl CompiledBltl {
     ///
     /// Panics when no sample was fed to the lane.
     pub fn finish_bool_lane(&self, s: &mut MonitorScratch, lane: usize) -> bool {
+        if self.flat.is_some() {
+            assert!(s.flat.count[lane] > 0, "finish before any sample");
+            return self.flat_sat(&s.flat, self.ops.len() - 1, lane);
+        }
         let a = &mut s.arenas[lane];
         assert!(!a.times.is_empty(), "finish before any sample");
         a.ended = true;
@@ -467,6 +763,14 @@ impl CompiledBltl {
     /// Panics when no sample was fed to the lane, or when the lane was
     /// begun without robustness.
     pub fn finish_robustness_lane(&self, s: &mut MonitorScratch, lane: usize) -> f64 {
+        if self.flat.is_some() {
+            assert!(s.flat.count[lane] > 0, "finish before any sample");
+            assert!(
+                s.flat.robust >> lane & 1 == 1,
+                "the trace was begun without robustness"
+            );
+            return self.flat_rob(&s.flat, self.ops.len() - 1, lane);
+        }
         let a = &mut s.arenas[lane];
         assert!(!a.times.is_empty(), "finish before any sample");
         assert!(a.robust, "the trace was begun without robustness");
@@ -659,6 +963,32 @@ impl CompiledBltl {
         }
         v
     }
+}
+
+/// An atom's margin: its term `v` signed so that the atom holds iff the
+/// margin is `>= 0`.
+pub(crate) fn margin(v: f64, op: RelOp) -> f64 {
+    match op {
+        RelOp::Ge | RelOp::Gt => v,
+        RelOp::Le | RelOp::Lt => -v,
+        RelOp::Eq => -v.abs(),
+    }
+}
+
+/// The lanes set in `m`, lowest first.
+fn each_lane(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            l
+        })
+    })
+}
+
+/// The lanes `l < K` where `on(l)` holds, one bit per lane.
+fn lanes<const K: usize>(on: impl Fn(usize) -> bool) -> u64 {
+    (0..K).fold(0, |m, l| m | u64::from(on(l)) << l)
 }
 
 #[cfg(test)]
@@ -857,6 +1187,121 @@ mod tests {
             ];
             assert_eq!(sizes.iter().all(|&n| n > 0), robustness, "{sizes:?}");
             assert_eq!(sizes.iter().all(|&n| n == 0), !robustness, "{sizes:?}");
+        }
+    }
+
+    /// Depth-one formulas compile flat and keep no arena; a formula with
+    /// an `Until` inside an `Until` operand compiles nested.
+    #[test]
+    fn the_plan_shape_picks_the_evaluator() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let states = [x];
+        let p = prop(&mut cx, "x - 1", RelOp::Ge);
+        let q = prop(&mut cx, "2.5 - x", RelOp::Le);
+        let until = |l: &Bltl, r: &Bltl, bound| Bltl::Until {
+            lhs: Box::new(l.clone()),
+            rhs: Box::new(r.clone()),
+            bound,
+        };
+        let flat = [
+            p.clone(),
+            Bltl::truth(),
+            Bltl::eventually(3.0, p.clone()),
+            Bltl::globally(4.0, Bltl::implies(p.clone(), q.clone())),
+            Bltl::Not(Box::new(until(&p, &q, 2.0))),
+            Bltl::And(vec![until(&p, &q, 2.0), q.clone(), until(&q, &p, 5.0)]),
+        ];
+        let nested = [
+            Bltl::eventually(40.0, Bltl::globally(5.0, p.clone())),
+            Bltl::globally(
+                2.0,
+                Bltl::implies(p.clone(), Bltl::eventually(2.0, q.clone())),
+            ),
+            until(&Bltl::eventually(1.0, p.clone()), &q, 3.0),
+        ];
+        let (tr, env) = (tent(), [0.0]);
+        for (f, is_flat) in flat
+            .iter()
+            .map(|f| (f, true))
+            .chain(nested.iter().map(|f| (f, false)))
+        {
+            let plan = CompiledBltl::compile(&cx, &states, f);
+            assert_eq!(plan.is_flat(), is_flat, "{f:?}");
+            let mut s = MonitorScratch::new();
+            plan.eval_trace(&mut s, &env, &tr);
+            assert_eq!(s.arenas.is_empty(), is_flat, "{f:?}");
+        }
+    }
+
+    /// Every lane's verdict after each sample, Boolean verdict,
+    /// robustness (even lanes only) and sample count, with lane `l` fed
+    /// the tent raised by `l / 4`.
+    fn run_lanes<const K: usize>(
+        plan: &CompiledBltl,
+        s: &mut MonitorScratch,
+    ) -> Vec<(Vec<Verdict>, bool, Option<u64>, usize)> {
+        let tr = tent();
+        for l in 0..K {
+            plan.begin_lane::<K>(s, l, &[0.0], l % 2 == 0);
+        }
+        let mut verdicts = vec![Vec::new(); K];
+        for i in 0..tr.len() {
+            let y = [std::array::from_fn(|l| tr.state(i)[0] + l as f64 / 4.0)];
+            let v = plan.feed_lanes::<K>(s, &[true; K], &[tr.times()[i]; K], &y);
+            for (seen, v) in verdicts.iter_mut().zip(v) {
+                seen.push(v);
+            }
+        }
+        (0..K)
+            .zip(verdicts)
+            .map(|(l, v)| {
+                let sat = plan.finish_bool_lane(s, l);
+                let rob = (l % 2 == 0).then(|| plan.finish_robustness_lane(s, l).to_bits());
+                (v, sat, rob, s.lane_samples(l))
+            })
+            .collect()
+    }
+
+    /// One scratch lent to plans of every shape in turn (a sampler's
+    /// scratch serves any sampler of any model) gives what a fresh
+    /// scratch gives: a flat plan with two atoms and two `Until`s, a
+    /// nested plan, and a flat plan with one atom, at 16 lanes and then
+    /// at one.
+    #[test]
+    fn one_scratch_serves_plans_of_every_shape() {
+        let mut cx = Context::new();
+        let x = cx.intern_var("x");
+        let states = [x];
+        let plans = [
+            Bltl::Or(vec![
+                Bltl::eventually(3.0, prop(&mut cx, "x - 3", RelOp::Ge)),
+                Bltl::globally(4.0, prop(&mut cx, "2.5 - x", RelOp::Ge)),
+            ]),
+            Bltl::globally(
+                2.0,
+                Bltl::implies(
+                    prop(&mut cx, "x - 1", RelOp::Ge),
+                    Bltl::eventually(2.0, prop(&mut cx, "x - 3", RelOp::Ge)),
+                ),
+            ),
+            Bltl::eventually(6.0, prop(&mut cx, "x - 2", RelOp::Ge)),
+        ]
+        .map(|f| CompiledBltl::compile(&cx, &states, &f));
+        assert_eq!(
+            plans.each_ref().map(CompiledBltl::is_flat),
+            [true, false, true]
+        );
+        assert_eq!((plans[0].atoms.len(), plans[0].n_untils), (2, 2));
+        assert_eq!(plans[2].atoms.len(), 1);
+        let mut s = MonitorScratch::new();
+        for plan in &plans {
+            let want = run_lanes::<16>(plan, &mut MonitorScratch::new());
+            assert_eq!(run_lanes::<16>(plan, &mut s), want);
+        }
+        for plan in &plans {
+            let want = run_lanes::<1>(plan, &mut MonitorScratch::new());
+            assert_eq!(run_lanes::<1>(plan, &mut s), want);
         }
     }
 

@@ -6,6 +6,11 @@
 //! fact that lets fused SMC stop integrating early). The lane feed
 //! monitors ragged lanes exactly as the offline monitor and the scalar
 //! feed do, with or without robustness.
+//!
+//! Most generated formulas have temporal depth one (no `Until` inside
+//! an `Until` operand), the shape every case-study property has, so
+//! they run on the flat evaluator; the rest are of any depth and mostly
+//! run on the arena evaluator. Traces carry NaN states now and then.
 
 use biocheck_bltl::{Bltl, CompiledBltl, Monitor, MonitorScratch, Verdict};
 use biocheck_expr::{Atom, Context, RelOp};
@@ -23,9 +28,23 @@ enum GenF {
     Until(Box<GenF>, Box<GenF>, f64),
 }
 
-fn gen_formula() -> impl Strategy<Value = GenF> {
-    let leaf = (-3.0..3.0f64, 0..5u8).prop_map(|(c, op)| GenF::Prop(c, op));
-    leaf.prop_recursive(3, 24, 2, |inner| {
+/// An atom `x - c ⋈ 0` under any of the five relations.
+fn gen_prop() -> BoxedStrategy<GenF> {
+    (-3.0..3.0f64, 0..5u8).prop_map(|(c, op)| GenF::Prop(c, op))
+}
+
+/// Not/And/Or over `inner`.
+fn boolean(inner: BoxedStrategy<GenF>) -> BoxedStrategy<GenF> {
+    prop_oneof![
+        inner.clone().prop_map(|f| GenF::Not(Box::new(f))),
+        collection::vec(inner.clone(), 0..4).prop_map(GenF::And),
+        collection::vec(inner, 0..4).prop_map(GenF::Or),
+    ]
+}
+
+/// A formula of any temporal depth up to three.
+fn gen_formula() -> BoxedStrategy<GenF> {
+    gen_prop().prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(|f| GenF::Not(Box::new(f))),
             collection::vec(inner.clone(), 0..3).prop_map(GenF::And),
@@ -37,6 +56,51 @@ fn gen_formula() -> impl Strategy<Value = GenF> {
             )),
         ]
     })
+}
+
+/// A formula of temporal depth one: Not/And/Or over atoms and bounded
+/// `Until`s whose operands are state formulas. Bounds run from 0 to
+/// past the longest trace, so most expire mid-trace.
+fn gen_depth_one() -> BoxedStrategy<GenF> {
+    let state = gen_prop().prop_recursive(2, 8, 2, boolean);
+    let until = (state.clone(), state, 0.0..8.0f64)
+        .prop_map(|(l, r, b)| GenF::Until(Box::new(l), Box::new(r), b));
+    prop_oneof![until.clone(), until, gen_prop()].prop_recursive(2, 12, 3, boolean)
+}
+
+/// Three of four cases have depth one; the fourth has any depth.
+fn gen_case() -> BoxedStrategy<GenF> {
+    prop_oneof![
+        gen_depth_one(),
+        gen_depth_one(),
+        gen_depth_one(),
+        gen_formula()
+    ]
+}
+
+/// Whether `g` holds an `Until`.
+fn temporal(g: &GenF) -> bool {
+    match g {
+        GenF::Prop(..) => false,
+        GenF::Not(f) => temporal(f),
+        GenF::And(fs) | GenF::Or(fs) => fs.iter().any(temporal),
+        GenF::Until(..) => true,
+    }
+}
+
+/// Whether no `Until` of `g` has an `Until` in an operand.
+fn depth_one(g: &GenF) -> bool {
+    match g {
+        GenF::Prop(..) => true,
+        GenF::Not(f) => depth_one(f),
+        GenF::And(fs) | GenF::Or(fs) => fs.iter().all(depth_one),
+        GenF::Until(l, r, _) => !temporal(l) && !temporal(r),
+    }
+}
+
+/// A state value: one in twelve is NaN, which no atom holds on.
+fn gen_value() -> BoxedStrategy<f64> {
+    (0..12u8, -4.0..4.0f64).prop_map(|(k, v)| if k == 0 { f64::NAN } else { v })
 }
 
 fn materialize(cx: &mut Context, g: &GenF) -> Bltl {
@@ -147,16 +211,20 @@ proptest! {
 
     /// Every lane of the lane feed equals the offline monitor (Boolean
     /// and robustness, bit for bit) and the scalar feed (verdict after
-    /// every sample), on ragged lanes at 4 and 16 lanes; each trace
-    /// reads its own parameter `p`. Boolean-only lanes give the same
-    /// verdicts as lanes that keep robustness.
+    /// every sample), on ragged lanes at 16, 8, 3 and 1 lanes; each
+    /// trace reads its own parameter `p`. Boolean-only lanes give the
+    /// same verdicts as lanes that keep robustness. A depth-one formula
+    /// `f` runs on the flat evaluator, and `G≤0 f`, which nests `f` in
+    /// an `Until`, on the arena evaluator; from the second sample on
+    /// both decide at the same sample, and at the first `G≤0 f` only
+    /// waits where `f` is already true.
     #[test]
     fn lane_feed_equals_offline(
-        g in gen_formula(),
+        g in gen_case(),
         traces in collection::vec(
             (
                 collection::vec(0.05..1.5f64, 0..10),
-                collection::vec(-4.0..4.0f64, 11..12),
+                collection::vec(gen_value(), 11..12),
                 -4.0..4.0f64,
             ),
             1..10,
@@ -168,9 +236,13 @@ proptest! {
         let p = cx.intern_var("p");
         let states = [x];
         let xp = cx.parse("x - p").unwrap();
+        let flat = depth_one(&g);
         let g = materialize(&mut cx, &g);
         let f = Bltl::Or(vec![g, Bltl::eventually(2.0, Bltl::Prop(Atom::new(xp, RelOp::Ge)))]);
         let plan = CompiledBltl::compile(&cx, &states, &f);
+        let gated = CompiledBltl::compile(&cx, &states, &Bltl::globally(0.0, f.clone()));
+        prop_assert_eq!(plan.is_flat(), flat, "{:?}", f);
+        prop_assert!(!gated.is_flat());
         let traces: Vec<(Trace, Vec<f64>)> = traces
             .iter()
             .map(|(incs, vals, pv)| {
@@ -193,10 +265,22 @@ proptest! {
                 (verdicts, mon.check(&f, tr), Some(mon.robustness(&f, tr)))
             })
             .collect();
+        for ((tr, env), want) in traces.iter().zip(&wants) {
+            gated.begin(&mut s, env);
+            for (i, &v) in want.0.iter().enumerate() {
+                let w = gated.feed(&mut s, tr.times()[i], tr.state(i));
+                let first_true = i == 0 && v == Verdict::True && w == Verdict::Undecided;
+                prop_assert!(v == w || first_true,
+                    "sample {}: {:?} but G≤0 of it {:?} ({:?})", i, v, w, f);
+            }
+            prop_assert_eq!(gated.finish_bool(&mut s), want.1, "{:?}", f);
+        }
         for robustness in [true, false] {
             let runs = [
-                run_lanes::<4>(&plan, &traces, &idle, robustness)?,
                 run_lanes::<16>(&plan, &traces, &idle, robustness)?,
+                run_lanes::<8>(&plan, &traces, &idle, robustness)?,
+                run_lanes::<3>(&plan, &traces, &idle, robustness)?,
+                run_lanes::<1>(&plan, &traces, &idle, robustness)?,
             ];
             for got in &runs {
                 for (i, ((verdicts, sat, rob), want)) in got.iter().zip(&wants).enumerate() {
@@ -214,9 +298,9 @@ proptest! {
 
     #[test]
     fn streaming_equals_offline(
-        g in gen_formula(),
+        g in gen_case(),
         incs in collection::vec(0.05..1.5f64, 1..12),
-        vals in collection::vec(-4.0..4.0f64, 12..13),
+        vals in collection::vec(gen_value(), 12..13),
     ) {
         let mut cx = Context::new();
         let x = cx.intern_var("x");
@@ -238,9 +322,9 @@ proptest! {
 
     #[test]
     fn prefix_decisions_predict_full_trace(
-        g in gen_formula(),
+        g in gen_case(),
         incs in collection::vec(0.05..1.5f64, 1..12),
-        vals in collection::vec(-4.0..4.0f64, 12..13),
+        vals in collection::vec(gen_value(), 12..13),
     ) {
         let mut cx = Context::new();
         let x = cx.intern_var("x");
@@ -271,9 +355,9 @@ proptest! {
 
     #[test]
     fn scratch_reuse_is_stateless(
-        g in gen_formula(),
+        g in gen_case(),
         incs in collection::vec(0.05..1.5f64, 1..8),
-        vals in collection::vec(-4.0..4.0f64, 8..9),
+        vals in collection::vec(gen_value(), 8..9),
     ) {
         // Two different traces through one scratch, then the first again:
         // results must be independent of scratch history.

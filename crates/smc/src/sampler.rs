@@ -332,14 +332,15 @@ impl TraceSampler {
         source: &mut impl Source<O>,
         len: usize,
     ) {
-        // One 16-lane sweep costs about two to four and a half one-lane
-        // sweeps on the case studies (prostate 1.7–2.0, radiation
-        // 1.9–2.1, cardiac 4.3–4.4; x86-64 with AVX2, release build).
-        // Seven or more trajectories run faster on 16 lanes for all
-        // three; radiation wins from three and prostate from four,
-        // cardiac not below seven. So a stream of fewer than seven
-        // samples runs through a single lane, refilled index by index.
-        if len < 7 {
+        // A one-sample stream on 16 lanes takes 1.6 (prostate), 2.0
+        // (radiation) and 2.4 (cardiac) times as long as on one lane
+        // (sequential `Estimate`, x86-64 with AVX2, release build).
+        // Four or more trajectories run faster on 16 lanes for all
+        // three case studies: at four, in 0.87, 0.61 and 0.74 of the
+        // one-lane time; at three prostate takes 1.31. `Robustness`
+        // crosses over at three. So a stream of fewer than four samples
+        // runs through a single lane, refilled index by index.
+        if len < 4 {
             self.fuse::<1, _, _>(scratch, draw, source);
         } else {
             self.fuse::<LANES, _, _>(scratch, draw, source);

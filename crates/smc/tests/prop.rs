@@ -127,9 +127,10 @@ fn case_study_samplers() -> Vec<TraceSampler> {
 }
 
 /// Stream lengths that exercise the lane bookkeeping: empty, one
-/// sample, five (below seven, so one lane refilled index by index),
-/// fewer samples than lanes, exactly one fill, and not a multiple of it.
-const RANGE_LENS: [usize; 6] = [0, 1, 5, LANES - 3, LANES, 2 * LANES + 5];
+/// sample, three (below four, so one lane refilled index by index),
+/// five, fewer samples than lanes, exactly one fill, and not a multiple
+/// of it.
+const RANGE_LENS: [usize; 7] = [0, 1, 3, 5, LANES - 3, LANES, 2 * LANES + 5];
 
 /// What the rules of a stats and a robustness stream received.
 type Samples = (Vec<SampleStats>, Vec<(bool, f64)>);
